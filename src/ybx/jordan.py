@@ -25,7 +25,7 @@ from .errors import (
     SimilarityMismatch,
     SingularMatrix,
 )
-from .matrices import ExactMatrix, mat_inverse, mat_mul, null_space_basis, permutation_matrix, rref
+from .matrices import ExactMatrix, mat_inverse, mat_mul, null_space_basis, permutation_matrix
 from .scalars import ONE, ZERO, GaussianRational, as_gaussian
 
 
@@ -216,17 +216,6 @@ def validate_similarity(
     return SimilarityData(a, w, w_inv, spec)
 
 
-def _apply(m: ExactMatrix, vec: tuple[GaussianRational, ...]) -> tuple[GaussianRational, ...]:
-    out = []
-    for i in range(m.rows):
-        acc = ZERO
-        for x, y in zip(m.row(i), vec):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
-    return tuple(out)
-
-
 class _SpanTracker:
     """Incremental row-reduced span with exact membership tests."""
 
@@ -285,8 +274,8 @@ def jordan_form(a: ExactMatrix, eigenvalues: Sequence) -> SimilarityData:
         kernels: list[list[ExactMatrix]] = [[]]
         while True:
             power = mat_mul(power, m)
-            ranks.append(rref(power).rank)
             kernels.append(null_space_basis(power))
+            ranks.append(n - len(kernels[-1]))
             if ranks[-1] == ranks[-2]:
                 break
             if len(ranks) > n + 1:
@@ -314,7 +303,7 @@ def jordan_form(a: ExactMatrix, eigenvalues: Sequence) -> SimilarityData:
                 if span.add(vec):
                     chain = [vec]
                     for _ in range(k - 1):
-                        chain.append(_apply(m, chain[-1]))
+                        chain.append(mat_mul(m, ExactMatrix(n, 1, chain[-1])).entries)
                     chain.reverse()
                     chains.append(chain)
                     needed -= 1

@@ -14,6 +14,7 @@ rational functions as ``(<poly>)/(<poly>)``.
 
 from __future__ import annotations
 
+import math
 import re as _re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -109,13 +110,18 @@ class ParamPolynomial:
         return ParamPolynomial(tuple((m, -c) for m, c in self.terms))
 
     def __mul__(self, other):
+        if isinstance(other, ParamPolynomial) and self.is_constant():
+            self, other = other, self  # a constant factor takes the scalar path
+        if isinstance(other, ParamPolynomial) and other.is_constant():
+            other = other.constant_value()
         if isinstance(other, (GaussianRational, int)):
             s = as_gaussian(other)
             if not s:
                 return ParamPolynomial.zero()
+            if s == ONE:
+                return self
             return ParamPolynomial(tuple((m, c * s) for m, c in self.terms))
-        other = _as_poly(other)
-        if other is None:
+        if not isinstance(other, ParamPolynomial):
             return NotImplemented
         acc: dict[Monomial, GaussianRational] = {}
         for m1, c1 in self.terms:
@@ -139,6 +145,8 @@ class ParamPolynomial:
         if not self.terms:
             return self, ONE
         _, lead = self.leading()
+        if lead == ONE:
+            return self, ONE
         inv = lead.reciprocal()
         return ParamPolynomial(tuple((m, c * inv) for m, c in self.terms)), lead
 
@@ -177,16 +185,8 @@ class ParamPolynomial:
         return ParamPolynomial.from_dict(acc)
 
     def substitute(self, mapping: Mapping[str, "ParamPolynomial"]) -> "ParamPolynomial":
-        out = ParamPolynomial.zero()
-        for mono, c in self.terms:
-            term = ParamPolynomial.constant(c)
-            for var in mono:
-                factor = mapping.get(var)
-                if factor is None:
-                    factor = ParamPolynomial.variable(var)
-                term = term * factor
-            out = out + term
-        return out
+        rational = {var: RationalFunction.from_polynomial(p) for var, p in mapping.items()}
+        return self.substitute_rational(rational).numerator
 
     def rename(self, mapping: Mapping[str, str]) -> "ParamPolynomial":
         return self.substitute({old: ParamPolynomial.variable(new) for old, new in mapping.items()})
@@ -196,34 +196,36 @@ class ParamPolynomial:
     ) -> "RationalFunction":
         """Substitute rational functions for parameters.
 
-        The common denominator is the product over mapped variables of their
-        denominators raised to the maximum power used, so denominators do not
-        blow up term by term.
+        With top the highest power of a mapped v in any term, v**k becomes
+        num**k * den**(top - k) over the common denominator, the product of
+        den**top over the mapped variables, so denominators do not blow up
+        term by term.  Each power product is built once per call and the
+        terms accumulate in one dict.
         """
-        used = {
-            var: max(mono.count(var) for mono, _ in self.terms)
-            for var in {v for mono, _ in self.terms for v in mono if v in mapping}
-        }
-        den = ParamPolynomial.constant(1)
-        for var, top in sorted(used.items()):
-            for _ in range(top):
-                den = den * mapping[var].denominator
-        num = ParamPolynomial.zero()
+        used = {v for mono, _ in self.terms for v in mono if v in mapping}
+        top = {var: max(mono.count(var) for mono, _ in self.terms) for var in sorted(used)}
+        one = ParamPolynomial.constant(1)
+        factors: dict[str, list[ParamPolynomial]] = {}
+        for var, t in top.items():
+            nums, dens = [one], [one]
+            for _ in range(t):
+                nums.append(nums[-1] * mapping[var].numerator)
+                dens.append(dens[-1] * mapping[var].denominator)
+            factors[var] = [nums[k] * dens[t - k] for k in range(t + 1)]
+        products: dict[tuple[int, ...], ParamPolynomial] = {}
+        acc: dict[Monomial, GaussianRational] = {}
         for mono, c in self.terms:
-            term = ParamPolynomial.constant(c)
-            counts: dict[str, int] = {}
-            for var in mono:
-                if var in used:
-                    counts[var] = counts.get(var, 0) + 1
-                    term = term * mapping[var].numerator
-                else:
-                    term = term * ParamPolynomial.variable(var)
-            for var, top in used.items():
-                deficit = top - counts.get(var, 0)
-                for _ in range(deficit):
-                    term = term * mapping[var].denominator
-            num = num + term
-        return RationalFunction.make(num, den)
+            powers = tuple(mono.count(var) for var in factors)
+            if powers not in products:
+                chosen = (factors[var][k] for var, k in zip(factors, powers))
+                products[powers] = math.prod(chosen, start=one)
+            rest = tuple(v for v in mono if v not in top)
+            for m2, c2 in products[powers].terms:
+                key = tuple(sorted(rest + m2)) if rest else m2
+                acc[key] = acc[key] + c * c2 if key in acc else c * c2
+        # factors[var][0] is den**top, so this is the common denominator
+        den = math.prod((f[0] for f in factors.values()), start=one)
+        return RationalFunction.make(ParamPolynomial.from_dict(acc), den)
 
     def evaluate(self, assignment: Mapping[str, GaussianRational]) -> GaussianRational:
         missing = sorted({v for mono, _ in self.terms for v in mono} - set(assignment))
@@ -265,8 +267,6 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator in rational function")
         if num.is_zero():
             return cls(num, ParamPolynomial.constant(1))
-        if den.is_constant():
-            return cls(num * den.constant_value().reciprocal(), ParamPolynomial.constant(1))
         den_monic, lead = den.monic()
         return cls(num * lead.reciprocal(), den_monic)
 

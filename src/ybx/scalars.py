@@ -6,6 +6,13 @@ is deliberately no floating-point mode.  Both parts live in canonical lowest
 terms (fractions.Fraction), so equality is structural.  Values are immutable
 and safe to share between threads.
 
+The public constructor accepts only int and Fraction parts (anything else,
+floats and strings included, raises TypeError) and normalizes them with
+Fraction().  Arithmetic results skip that step through the private _make:
+every part it receives is already a Fraction, because Fraction arithmetic
+on Fractions returns Fractions in lowest terms, so the invariant "both parts
+are Fraction in lowest terms" holds for every value either way.
+
 Text grammar (whitespace-insensitive)::
 
     rational := ['-'] digits ['/' digits]
@@ -43,6 +50,10 @@ class GaussianRational:
     im: Fraction
 
     def __init__(self, re=0, im=0):
+        if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
+            raise TypeError(
+                f"Gaussian rational parts must be int or Fraction, got {re!r} and {im!r}"
+            )
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
@@ -53,7 +64,7 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -61,7 +72,7 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return _make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -70,16 +81,20 @@ class GaussianRational:
         return other - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b and not d:  # real x real: one product
+            return _make(a * c, b)
+        if not b:
+            return _make(a * c, a * d)
+        if not d:
+            return _make(a * c, b * c)
+        return _make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -87,10 +102,12 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if not other.im:
+            if not other.re:
+                raise ZeroDivisionError("division by zero in Q(i)")
+            return _make(self.re / other.re, self.im / other.re)
         n = other.norm()
-        if not n:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
+        return _make(
             (self.re * other.re + self.im * other.im) / n,
             (self.im * other.re - self.re * other.im) / n,
         )
@@ -115,7 +132,7 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     def norm(self) -> Fraction:
         """The field norm re^2 + im^2 (a nonnegative rational)."""
@@ -156,6 +173,19 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({format_scalar(self)!r})"
+
+
+_new = object.__new__
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _make(re: Fraction, im: Fraction) -> GaussianRational:
+    """A GaussianRational from parts that are already Fractions in lowest terms."""
+    z = _new(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 ZERO = GaussianRational(0)

@@ -1,0 +1,54 @@
+"""Byte-identity pins for serialized families.
+
+Each SHA-256 is taken over dumps_canonical(family_to_json(family)) as produced
+by the reference implementation before the exact-arithmetic kernel was
+optimized (plain Fraction-normalizing scalars, term-by-term substitution).
+Any change to the arithmetic, the substitution kernel or the branch search
+that alters a single byte of a family shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from ybx import ExactMatrix, JordanSpec, similarity_from_jordan, solve, to_original
+from ybx.formats import dumps_canonical, family_to_json
+
+JORDAN_FRAME_HASHES = {
+    (2, 2): "1fc36554f7074c229decd0a33a6cb87095b381a6481f08328e858649b453abc0",
+    (3, 3): "59189fe319c72f3a25c076554e0a2f1d195b54e2c47ca7713cf62d794598235a",
+    (4, 3): "aa0a058ddd08f454261edea1e3957e3a6418ac8b731b7fe25af18cdc9453cc96",
+    (2, 2, 2): "bb729ee0265607f179bb3d03d0db3b3b65f31895d82153697c9f62d30a032e53",
+    (3, 3, 1): "0b8b6f32aaffa9ded704364a27c8b255f3744202e378b4b2793ec4a399c6d318",
+    (4, 2, 2): "10ab1661433ef4e75b3cccdf23b3b16cfffe7fb1b87245ad5cd9a36e79092982",
+    (3, 3, 2): "a3810f3a0b57f0fff265ada79acec17fc647954ed0380b1e80bcc7c5c113d682",
+}
+
+# det W8 = -72; the family solves A = W8 J W8^-1, J with blocks 0:(3,2), 1:(2), -1:(1)
+W8 = [
+    [1, 2, 0, -1, 0, 1, 0, 0],
+    [0, 1, 1, 0, 2, 0, -1, 0],
+    [1, 0, 1, 0, 0, 0, 1, 2],
+    [0, -1, 0, 1, 1, 0, 0, 1],
+    [2, 0, 0, 0, 1, 1, 0, 0],
+    [0, 0, -1, 1, 0, 1, 1, 0],
+    [0, 1, 0, 0, 0, -1, 1, 1],
+    [1, 0, 0, 2, 0, 0, 0, 1],
+]
+ORIGINAL_FRAME_HASH = "785129ca0d564b7733aa7210ab7ae9d7d23e6954ae0a2c5e66d6926a62fceffe"
+
+
+def _digest(family) -> str:
+    return hashlib.sha256(dumps_canonical(family_to_json(family)).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("sizes", sorted(JORDAN_FRAME_HASHES))
+def test_jordan_frame_family_bytes(sizes):
+    family = solve(similarity_from_jordan(JordanSpec.from_pairs([(0, sizes)])))
+    assert _digest(family) == JORDAN_FRAME_HASHES[sizes]
+
+
+def test_original_frame_family_bytes():
+    spec = JordanSpec.from_pairs([(0, [3, 2]), (1, [2]), (-1, [1])])
+    sim = similarity_from_jordan(spec, ExactMatrix.from_rows(W8))
+    assert _digest(to_original(solve(sim), sim)) == ORIGINAL_FRAME_HASH

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ybx.errors import MissingParameter, ParseError
 from ybx.matrices import ExactMatrix, mat_mul
@@ -185,3 +187,80 @@ def test_param_matrix_from_exact_and_substitution():
     assert swapped[0, 0] == Y and swapped[0, 1] == X
     ratios = t.substitute_rational({"x": RationalFunction.make(ONE, Y)})
     assert ratios[0][0].same_value(RationalFunction.make(ONE, Y))
+
+
+# ---------------------------------------------------------------------------
+# properties of the monic short-circuit and the substitution kernel
+
+NAMES = ("x", "y", "z")
+seeds = st.integers(min_value=0, max_value=2**32).map(random.Random)
+
+
+def _draw_nonzero_poly(rng):
+    p = ParamPolynomial.zero()
+    while p.is_zero():
+        p = random_poly(rng, NAMES, 3)
+    return p
+
+
+def _draw_mapping(rng):
+    names = rng.sample(NAMES, rng.randint(1, 2))
+    return {
+        var: RationalFunction.make(random_poly(rng, NAMES, 3), _draw_nonzero_poly(rng))
+        for var in names
+    }
+
+
+def _substitute_reference(p, mapping):
+    """The term-by-term expansion, the slow reference for substitute."""
+    out = ParamPolynomial.zero()
+    for mono, c in p.terms:
+        term = ParamPolynomial.constant(c)
+        for var in mono:
+            term = term * mapping.get(var, ParamPolynomial.variable(var))
+        out = out + term
+    return out
+
+
+@given(seeds)
+def test_monic_is_idempotent_with_lead_one(rng):
+    p = _draw_nonzero_poly(rng)
+    monic, lead = p.monic()
+    assert monic.leading()[1] == GaussianRational(1)
+    assert monic * lead == p
+    again, lead_again = monic.monic()
+    assert again == monic and lead_again == GaussianRational(1)
+
+
+@given(seeds)
+def test_substitute_rational_commutes_with_evaluation(rng):
+    p, mapping = random_poly(rng, NAMES), _draw_mapping(rng)
+    point = {name: random_scalar(rng, 3) for name in NAMES}
+    inner = {}
+    for var, rf in mapping.items():
+        den = rf.denominator.evaluate(point)
+        assume(den)
+        inner[var] = rf.numerator.evaluate(point) / den
+    substituted = p.substitute_rational(mapping)
+    assert substituted.evaluate(point) == p.evaluate({**point, **inner})
+
+
+@given(seeds)
+def test_substitute_rational_denominator_is_product_of_top_powers(rng):
+    p, mapping = random_poly(rng, NAMES), _draw_mapping(rng)
+    expected = ParamPolynomial.constant(1)
+    for var, rf in mapping.items():
+        for _ in range(p.degree_in(var)):
+            expected = expected * rf.denominator
+    result = p.substitute_rational(mapping)
+    if result.numerator.is_zero():
+        assert result.denominator == ONE
+    else:
+        assert result.denominator == expected.monic()[0]
+
+
+@given(seeds)
+def test_substitute_matches_term_by_term_expansion(rng):
+    p = random_poly(rng, NAMES)
+    mapping = {var: random_poly(rng, NAMES, 3) for var in rng.sample(NAMES, rng.randint(0, 2))}
+    assert p.substitute(mapping) == _substitute_reference(p, mapping)

@@ -1,3 +1,5 @@
+import math
+import operator
 import pytest
 from fractions import Fraction
 
@@ -5,10 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ybx.errors import ParseError
-from ybx.scalars import GaussianRational, as_gaussian, format_scalar, parse_scalar
+from ybx.scalars import GaussianRational, _make, as_gaussian, format_scalar, parse_scalar
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
 scalars = st.builds(GaussianRational, fractions, fractions)
+# real and purely imaginary values reach the zero-part fast paths of * and /
+mixed = st.one_of(
+    scalars,
+    st.builds(GaussianRational, fractions),
+    st.builds(GaussianRational, st.just(0), fractions),
+)
 
 
 @pytest.mark.parametrize(
@@ -114,3 +122,46 @@ def test_power():
     assert z**2 == GaussianRational(-1)
     assert z**0 == GaussianRational(1)
     assert (GaussianRational(1, 1) ** 2) == GaussianRational(0, 2)
+
+
+@pytest.mark.parametrize("re_,im_", [(0.1, 0), (0, 0.5), ("0.5", 0), (0, "1/2"), (None, 0)])
+def test_constructor_rejects_non_rational_parts(re_, im_):
+    with pytest.raises(TypeError):
+        GaussianRational(re_, im_)
+
+
+def _assert_normalized(z):
+    for part in (z.re, z.im):
+        assert type(part) is Fraction
+        assert part.denominator > 0
+        assert math.gcd(part.numerator, part.denominator) == 1
+
+
+@given(fractions, fractions)
+def test_make_matches_public_constructor(re_, im_):
+    made, public = _make(re_, im_), GaussianRational(re_, im_)
+    assert made == public
+    assert hash(made) == hash(public)
+    _assert_normalized(made)
+
+
+@given(mixed, mixed)
+def test_arithmetic_results_are_normalized_and_match_the_formulas(a, b):
+    expected = {
+        operator.add: (a.re + b.re, a.im + b.im),
+        operator.sub: (a.re - b.re, a.im - b.im),
+        operator.mul: (a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re),
+    }
+    if b:
+        n = b.re * b.re + b.im * b.im
+        expected[operator.truediv] = (
+            (a.re * b.re + a.im * b.im) / n,
+            (a.im * b.re - a.re * b.im) / n,
+        )
+    for op, (re_, im_) in expected.items():
+        result, public = op(a, b), GaussianRational(re_, im_)
+        assert result == public
+        assert hash(result) == hash(public)
+        _assert_normalized(result)
+    for result in (-a, a.conjugate()):
+        _assert_normalized(result)
