@@ -32,17 +32,24 @@ def matrix_to_grid(m: ExactMatrix) -> list[list[str]]:
     return [[format_scalar(x) for x in m.row(i)] for i in range(m.rows)]
 
 
-def grid_to_matrix(grid) -> ExactMatrix:
+def _checked_grid(grid, what: str) -> list[list]:
+    """grid itself, after checking it is a nonempty list of equally long nonempty lists."""
     if (
         not isinstance(grid, list)
         or not grid
         or not all(isinstance(row, list) and row for row in grid)
     ):
-        raise ParseError("matrix must be a nonempty list of nonempty rows")
+        raise ParseError(f"{what} must be a nonempty list of nonempty rows")
     width = len(grid[0])
     if any(len(row) != width for row in grid):
-        raise ParseError("matrix rows have inconsistent lengths")
-    return ExactMatrix.from_rows([[parse_scalar(_as_str(x)) for x in row] for row in grid])
+        raise ParseError(f"{what} rows have inconsistent lengths")
+    return grid
+
+
+def grid_to_matrix(grid) -> ExactMatrix:
+    return ExactMatrix.from_rows(
+        [[parse_scalar(_as_str(x)) for x in row] for row in _checked_grid(grid, "matrix")]
+    )
 
 
 def _as_str(value) -> str:
@@ -131,11 +138,15 @@ def _template_to_grid(t: ParamMatrix) -> list[list[str]]:
 
 
 def _grid_to_template(grid) -> ParamMatrix:
-    if not isinstance(grid, list) or not grid:
-        raise ParseError("template must be a nonempty grid")
     return ParamMatrix.from_rows(
-        [[parse_polynomial(_as_str(x)) for x in row] for row in grid]
+        [[parse_polynomial(_as_str(x)) for x in row] for row in _checked_grid(grid, "template")]
     )
+
+
+def _polynomials(raw: dict, key: str) -> tuple:
+    if not isinstance(raw[key], list):
+        raise ParseError(f"{key} must be a list of polynomials")
+    return tuple(parse_polynomial(_as_str(t)) for t in raw[key])
 
 
 def family_to_json(family: SolutionFamily) -> dict:
@@ -170,8 +181,10 @@ def family_from_json(obj) -> SolutionFamily:
     matrix = grid_to_matrix(obj["matrix"])
     template = _grid_to_template(obj["template"])
     n = obj["n"]
-    if not isinstance(n, int) or matrix.shape != (n, n) or template.shape != (n, n):
+    if type(n) is not int or matrix.shape != (n, n) or template.shape != (n, n):
         raise ParseError("family dimensions are inconsistent")
+    if not isinstance(obj["branches"], list):
+        raise ParseError("branches must be a list of branch objects")
     branches = []
     for raw in obj["branches"]:
         if not isinstance(raw, dict) or set(raw) != {
@@ -188,12 +201,10 @@ def family_from_json(obj) -> SolutionFamily:
                     for name, text in raw["assignments"].items()
                 )
             )
-            disequalities = tuple(
-                parse_polynomial(_as_str(t)) for t in raw["disequalities"]
-            )
-            residual = tuple(parse_polynomial(_as_str(t)) for t in raw["residual_system"])
         except AttributeError:
             raise ParseError("branch assignments must be an object") from None
+        disequalities = _polynomials(raw, "disequalities")
+        residual = _polynomials(raw, "residual_system")
         free = raw["free_parameters"]
         if not isinstance(free, list) or not all(isinstance(x, str) for x in free):
             raise ParseError("free_parameters must be a list of names")

@@ -25,7 +25,7 @@ from .errors import (
     SimilarityMismatch,
     SingularMatrix,
 )
-from .matrices import ExactMatrix, mat_inverse, mat_mul, null_space_basis, permutation_matrix
+from .matrices import ExactMatrix, RowSpan, mat_inverse, mat_mul, null_space_basis, permutation_matrix
 from .scalars import ONE, ZERO, GaussianRational, as_gaussian
 
 
@@ -216,35 +216,6 @@ def validate_similarity(
     return SimilarityData(a, w, w_inv, spec)
 
 
-class _SpanTracker:
-    """Incremental row-reduced span with exact membership tests."""
-
-    def __init__(self):
-        self.rows: list[tuple[int, list[GaussianRational]]] = []
-
-    def _reduce(self, vec) -> list[GaussianRational]:
-        v = list(vec)
-        for pivot, row in self.rows:
-            if v[pivot]:
-                f = v[pivot]
-                v = [x - f * y if y else x for x, y in zip(v, row)]
-        return v
-
-    def add(self, vec) -> bool:
-        """Add vec to the span; returns True when it was independent."""
-        v = self._reduce(vec)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
-            return False
-        inv = v[pivot].reciprocal()
-        v = [x * inv if x else x for x in v]
-        self.rows.append((pivot, v))
-        return True
-
-    def contains(self, vec) -> bool:
-        return all(not x for x in self._reduce(vec))
-
-
 def jordan_form(a: ExactMatrix, eigenvalues: Sequence) -> SimilarityData:
     """Exact Jordan decomposition from a complete distinct-eigenvalue list.
 
@@ -288,7 +259,7 @@ def jordan_form(a: ExactMatrix, eigenvalues: Sequence) -> SimilarityData:
 
         chains: list[list[tuple[GaussianRational, ...]]] = []
         for k in range(index, 0, -1):
-            span = _SpanTracker()
+            span = RowSpan()
             for basis_vec in kernels[k - 1]:
                 span.add(basis_vec.col(0))
             carried = 0

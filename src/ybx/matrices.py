@@ -2,18 +2,31 @@
 
 Everything downstream (Jordan assembly, anticommutant bases, the solver, the
 oracles) is built on the handful of primitives here: multiplication, reduced
-row echelon form, null spaces, and inversion.  All results are exact; pivot
-choice is simply the first nonzero entry in column order, since magnitude is
-meaningless over an exact field.  Matrices are immutable.
+row echelon form, null spaces, inversion, and an incremental row span.  All
+results are exact; pivot choice is simply the first nonzero entry in column
+order, since magnitude is meaningless over an exact field.  Matrices are
+immutable.
+
+The product works in integers.  Each row of the left factor and each column
+of the right factor is scaled once to Gaussian integers over the lcm of its
+part denominators, every output entry is a handful of integer dot products
+(the imaginary ones only where a row or column has a nonzero imaginary
+part), and each output part becomes one Fraction over the product of the two
+scales.  So an n x n product costs O(n^2) Fraction constructions instead of
+O(n^3) Fraction additions and multiplications, each with its own gcd.
+Elimination and the row span still work entry by entry on Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
-from .scalars import ONE, ZERO, GaussianRational, as_gaussian
+from .scalars import _ZERO_PART, ONE, ZERO, GaussianRational, _make, as_gaussian
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,20 +139,45 @@ class RrefResult(NamedTuple):
     pivot_columns: tuple[int, ...]
 
 
+def _scaled(vector: Sequence[GaussianRational]) -> tuple[list[int], list[int] | None, int]:
+    """(re, im, d) with vector = (re + i*im) / d entrywise over the integers.
+
+    d is the lcm of the part denominators; im is None when every imaginary
+    part is zero.
+    """
+    if any(x.im for x in vector):
+        d = lcm(*[x.re.denominator for x in vector], *[x.im.denominator for x in vector])
+        im = [x.im.numerator * (d // x.im.denominator) for x in vector]
+    else:
+        d = lcm(*[x.re.denominator for x in vector])
+        im = None
+    return [x.re.numerator * (d // x.re.denominator) for x in vector], im, d
+
+
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Exact matrix product; raises DimensionMismatch on shape conflict."""
     if a.cols != b.rows:
         raise DimensionMismatch("mat_mul", a.shape, b.shape)
-    b_cols = [b.col(j) for j in range(b.cols)]
+    b_cols = [_scaled(b.col(j)) for j in range(b.cols)]
     out: list[GaussianRational] = []
     for i in range(a.rows):
-        arow = a.row(i)
-        for bc in b_cols:
-            acc = ZERO
-            for x, y in zip(arow, bc):
-                if x and y:
-                    acc = acc + x * y
-            out.append(acc)
+        ar, ai, da = _scaled(a.row(i))
+        for br, bi, db in b_cols:
+            re = sum(map(mul, ar, br))
+            im = 0
+            if ai is not None:
+                im = sum(map(mul, ai, br))
+                if bi is not None:
+                    re -= sum(map(mul, ai, bi))
+            if bi is not None:
+                im += sum(map(mul, ar, bi))
+            d = da * db
+            out.append(
+                _make(
+                    Fraction(re, d) if re else _ZERO_PART,
+                    Fraction(im, d) if im else _ZERO_PART,
+                )
+            )
     return ExactMatrix(a.rows, b.cols, tuple(out))
 
 
@@ -222,6 +260,34 @@ def mat_inverse(m: ExactMatrix) -> ExactMatrix:
     if rank < n:
         raise SingularMatrix(rank, n)
     return ExactMatrix.from_rows([row[n:] for row in work])
+
+
+class RowSpan:
+    """Incremental reduced row span with exact membership tests."""
+
+    def __init__(self):
+        self.rows: list[tuple[int, list[GaussianRational]]] = []
+
+    def _reduce(self, vec: Sequence[GaussianRational]) -> list[GaussianRational]:
+        v = list(vec)
+        for pivot, row in self.rows:
+            if v[pivot]:
+                f = v[pivot]
+                v = [x - f * y if y else x for x, y in zip(v, row)]
+        return v
+
+    def add(self, vec: Sequence[GaussianRational]) -> bool:
+        """Add vec to the span; returns True when it was independent."""
+        v = self._reduce(vec)
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        inv = v[pivot].reciprocal()
+        self.rows.append((pivot, [x * inv if x else x for x in v]))
+        return True
+
+    def contains(self, vec: Sequence[GaussianRational]) -> bool:
+        return not any(self._reduce(vec))
 
 
 def block_diag(blocks: Iterable[ExactMatrix]) -> ExactMatrix:

@@ -20,7 +20,7 @@ from typing import Sequence
 from .anticommutant import anticommutant_basis
 from .errors import DimensionMismatch, DisequalityViolated, GridTooLarge
 from .jordan import JordanSpec, assemble_jordan
-from .matrices import ExactMatrix, mat_mul, null_space_basis
+from .matrices import ExactMatrix, RowSpan, mat_mul, null_space_basis
 from .scalars import ZERO, GaussianRational, as_gaussian
 from .solver import SolutionBranch, SolutionFamily, branch_satisfied_by, branch_values
 
@@ -88,34 +88,6 @@ def kron_anticommutant_kernel(u: ExactMatrix, v: ExactMatrix) -> list[ExactMatri
     return [unvec(w, u.rows, v.rows) for w in null_space_basis(operator)]
 
 
-class _RowSpan:
-    """Incremental reduced row span over vectorized matrices."""
-
-    def __init__(self):
-        self.rows: list[tuple[int, list[GaussianRational]]] = []
-
-    def add(self, entries: Sequence[GaussianRational]) -> bool:
-        v = list(entries)
-        for pivot, row in self.rows:
-            if v[pivot]:
-                f = v[pivot]
-                v = [x - f * y if y else x for x, y in zip(v, row)]
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
-            return False
-        inv = v[pivot].reciprocal()
-        self.rows.append((pivot, [x * inv if x else x for x in v]))
-        return True
-
-    def contains(self, entries: Sequence[GaussianRational]) -> bool:
-        v = list(entries)
-        for pivot, row in self.rows:
-            if v[pivot]:
-                f = v[pivot]
-                v = [x - f * y if y else x for x, y in zip(v, row)]
-        return not any(v)
-
-
 def cross_check_anticommutant(u_spec: JordanSpec, v_spec: JordanSpec) -> OracleReport:
     """Structural anticommutant basis versus the vectorized kernel.
 
@@ -128,10 +100,10 @@ def cross_check_anticommutant(u_spec: JordanSpec, v_spec: JordanSpec) -> OracleR
     expected = structural.dimension
     oracle_dim = len(kernel)
 
-    kernel_span = _RowSpan()
+    kernel_span = RowSpan()
     for element in kernel:
         kernel_span.add(element.entries)
-    structural_span = _RowSpan()
+    structural_span = RowSpan()
     counterexample = None
     independent = True
     for element in structural.basis:
@@ -246,15 +218,7 @@ def verify_family_membership(
     counterexample = None
     for branch_index, branch in enumerate(family.branches):
         for trial in range(trials):
-            rng = random.Random(f"{seed}:{branch_index}:{trial}")
-            values = None
-            for _ in range(_REDRAW_LIMIT):
-                candidate = {name: random_gaussian(rng) for name in branch.free_parameters}
-                try:
-                    values = branch_values(branch, candidate)
-                    break
-                except DisequalityViolated:
-                    values = None
+            values = random_branch_values(branch, random.Random(f"{seed}:{branch_index}:{trial}"))
             if values is None:
                 completed += 1  # degenerate at this grid; not a failure
                 continue

@@ -13,6 +13,14 @@ every part it receives is already a Fraction, because Fraction arithmetic
 on Fractions returns Fractions in lowest terms, so the invariant "both parts
 are Fraction in lowest terms" holds for every value either way.
 
+Real values share one zero Fraction, _ZERO_PART, as their imaginary part:
+the constructor stores it for a zero imaginary part, and +, -, unary -,
+conjugate, * and / return it when both operands are real instead of
+computing 0 +- 0.  That saves one Fraction operation per real operation and
+one object per stored real value.  It is an economy, not part of equality: a
+zero imaginary part that complex arithmetic produces is an equal Fraction of
+its own, so code compares parts by value, never by identity.
+
 Text grammar (whitespace-insensitive)::
 
     rational := ['-'] digits ['/' digits]
@@ -35,6 +43,8 @@ from .errors import ParseError
 
 _RATIONAL = r"-?\d+(?:/\d+)?"
 _UNSIGNED = r"\d+(?:/\d+)?"
+_ZERO_PART = Fraction(0)
+
 _SCALAR_RE = _re.compile(
     rf"^(?:(?P<both_re>{_RATIONAL})(?P<sign>[+-])(?P<both_im>{_UNSIGNED})i"
     rf"|(?P<im_only>{_RATIONAL})i"
@@ -55,7 +65,7 @@ class GaussianRational:
                 f"Gaussian rational parts must be int or Fraction, got {re!r} and {im!r}"
             )
         object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "im", Fraction(im) if im else _ZERO_PART)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -64,6 +74,8 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if not self.im and not other.im:
+            return _make(self.re + other.re, _ZERO_PART)
         return _make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -72,6 +84,8 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if not self.im and not other.im:
+            return _make(self.re - other.re, _ZERO_PART)
         return _make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
@@ -81,6 +95,8 @@ class GaussianRational:
         return other - self
 
     def __neg__(self):
+        if not self.im:
+            return _make(-self.re, _ZERO_PART)
         return _make(-self.re, -self.im)
 
     def __mul__(self, other):
@@ -89,7 +105,7 @@ class GaussianRational:
             return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         if not b and not d:  # real x real: one product
-            return _make(a * c, b)
+            return _make(a * c, _ZERO_PART)
         if not b:
             return _make(a * c, a * d)
         if not d:
@@ -105,6 +121,8 @@ class GaussianRational:
         if not other.im:
             if not other.re:
                 raise ZeroDivisionError("division by zero in Q(i)")
+            if not self.im:
+                return _make(self.re / other.re, _ZERO_PART)
             return _make(self.re / other.re, self.im / other.re)
         n = other.norm()
         return _make(
@@ -132,6 +150,8 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
+        if not self.im:
+            return self
         return _make(self.re, -self.im)
 
     def norm(self) -> Fraction:

@@ -11,8 +11,9 @@ import hashlib
 
 import pytest
 
-from ybx import ExactMatrix, JordanSpec, similarity_from_jordan, solve, to_original
-from ybx.formats import dumps_canonical, family_to_json
+from ybx import ExactMatrix, JordanSpec, jordan_form, similarity_from_jordan, solve, to_original
+from ybx.formats import dumps_canonical, family_to_json, matrix_to_grid
+from ybx.scalars import I, format_scalar
 
 JORDAN_FRAME_HASHES = {
     (2, 2): "1fc36554f7074c229decd0a33a6cb87095b381a6481f08328e858649b453abc0",
@@ -37,9 +38,37 @@ W8 = [
 ]
 ORIGINAL_FRAME_HASH = "785129ca0d564b7733aa7210ab7ae9d7d23e6954ae0a2c5e66d6926a62fceffe"
 
+# A = W12 J W12^-1 given as a dense matrix with eigenvalues {0, 1, -1}:
+# jordan_form must rebuild the same W, W^-1 and spec, and the family follows.
+# These two hashes come from the term-by-term Fraction matrix product, before
+# the integer-scaled one.
+SPEC12 = ((0, (4, 3)), (1, (2, 1)), (-1, (2,)))
+JORDAN_FORM_HASH = "57cff7f8ecdf9c872de5ae57faf46f5cee302314a92102031e2a637f766a4432"
+JORDAN_FORM_FAMILY_HASH = "14cda656d96f1bc173eea32b086ed99faa0ba588984352b199d6c52790163b8e"
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(dumps_canonical(obj).encode("utf-8")).hexdigest()
+
 
 def _digest(family) -> str:
-    return hashlib.sha256(dumps_canonical(family_to_json(family)).encode("utf-8")).hexdigest()
+    return _sha256(family_to_json(family))
+
+
+def _w12() -> ExactMatrix:
+    """L U with unit triangular L, U over {-1, 0, 1, i} and pivots 2, 3, 5: det 30."""
+    n = 12
+    pivots = {3: 2, 7: 3, 10: 5}
+    lower = [
+        [(I if (i + j) % 5 == 0 else (i * i + 2 * j) % 3 - 1) if j < i else int(i == j)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    upper = [
+        [(i + j * j) % 3 - 1 if j > i else pivots.get(i, 1) if j == i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return ExactMatrix.from_rows(lower) @ ExactMatrix.from_rows(upper)
 
 
 @pytest.mark.parametrize("sizes", sorted(JORDAN_FRAME_HASHES))
@@ -52,3 +81,12 @@ def test_original_frame_family_bytes():
     spec = JordanSpec.from_pairs([(0, [3, 2]), (1, [2]), (-1, [1])])
     sim = similarity_from_jordan(spec, ExactMatrix.from_rows(W8))
     assert _digest(to_original(solve(sim), sim)) == ORIGINAL_FRAME_HASH
+
+
+def test_jordan_form_bytes():
+    a = similarity_from_jordan(JordanSpec.from_pairs(SPEC12), _w12()).a
+    sim = jordan_form(a, ["0", "1", "-1"])
+    spec = [[format_scalar(eig), list(sizes)] for eig, sizes in sim.spec.groups]
+    data = {"spec": spec, "w": matrix_to_grid(sim.w), "w_inv": matrix_to_grid(sim.w_inv)}
+    assert _sha256(data) == JORDAN_FORM_HASH
+    assert _digest(to_original(solve(sim), sim)) == JORDAN_FORM_FAMILY_HASH

@@ -103,6 +103,36 @@ def test_family_json_validation():
         family_from_json(bad)
 
 
+def _two_branch_family_json() -> dict:
+    obj = family_to_json(solve(similarity_from_jordan(JordanSpec.from_pairs([(0, [4])]))))
+    assert len(obj["branches"]) == 2 and obj["branches"][1]["disequalities"] == []
+    return obj
+
+
+def test_family_json_rejects_string_template_row():
+    obj = _two_branch_family_json()
+    obj["template"][3] = "000x"  # not the row 0, 0, 0, x
+    with pytest.raises(ParseError):
+        family_from_json(obj)
+
+
+@pytest.mark.parametrize("key", ["disequalities", "residual_system"])
+@pytest.mark.parametrize("text", ["x", "xy"])
+def test_family_json_rejects_string_polynomial_lists(key, text):
+    obj = _two_branch_family_json()
+    obj["branches"][1][key] = text
+    with pytest.raises(ParseError):
+        family_from_json(obj)
+
+
+@pytest.mark.parametrize("key,value", [("n", True), ("branches", ""), ("branches", {})])
+def test_family_json_rejects_wrong_types(key, value):
+    obj = family_to_json(solve(similarity_from_jordan(JordanSpec.from_pairs([(0, [1])]))))
+    obj[key] = value  # each would load, then re-serialize to other bytes
+    with pytest.raises(ParseError):
+        family_from_json(obj)
+
+
 def test_matrix_file_round_trip():
     m = ExactMatrix.from_rows([["1/2", "0"], ["3i", "1-2i"]])
     assert matrix_from_file_json(matrix_file_to_json(m)) == m

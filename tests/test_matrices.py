@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ybx.errors import DimensionMismatch, SingularMatrix
 from ybx.jordan import JordanSpec, assemble_jordan
@@ -15,7 +18,7 @@ from ybx.matrices import (
     permutation_matrix,
     rref,
 )
-from ybx.scalars import GaussianRational
+from ybx.scalars import ZERO, GaussianRational
 
 from conftest import random_invertible, random_matrix
 
@@ -173,3 +176,81 @@ def test_entry_validation():
         ExactMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):
         ExactMatrix.zeros(0, 2)
+
+
+def textbook_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """One Fraction term at a time: sum over k of a[i, k] * b[k, j]."""
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            re = im = Fraction(0)
+            for k in range(a.cols):
+                x, y = a[i, k], b[k, j]
+                re += x.re * y.re - x.im * y.im
+                im += x.re * y.im + x.im * y.re
+            row.append(GaussianRational(re, im))
+        rows.append(row)
+    return ExactMatrix.from_rows(rows)
+
+
+# small parts, and large numerators over large coprime (prime) denominators
+_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.builds(
+        Fraction,
+        st.integers(-(10**30), 10**30),
+        st.sampled_from([7919, 65537, 1000003, 2**61 - 1, 2**89 - 1]),
+    ),
+)
+_kinds = {
+    "real": st.builds(GaussianRational, _parts),
+    "imaginary": st.builds(GaussianRational, st.just(0), _parts),
+    "complex": st.builds(GaussianRational, _parts, _parts),
+}
+_kinds["mixed"] = st.one_of(*_kinds.values())
+
+
+@st.composite
+def _matrices(draw, rows: int, cols: int) -> ExactMatrix:
+    entry = _kinds[draw(st.sampled_from(sorted(_kinds)))]
+    zero_rows = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    zero_cols = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+    return ExactMatrix.from_rows(
+        [
+            [ZERO if zero_rows[i] or zero_cols[j] else draw(entry) for j in range(cols)]
+            for i in range(rows)
+        ]
+    )
+
+
+@st.composite
+def _factor_pairs(draw):
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(_matrices(r, k)), draw(_matrices(k, c))
+
+
+@given(_factor_pairs())
+def test_mat_mul_matches_textbook_product(pair):
+    a, b = pair
+    product = mat_mul(a, b)
+    assert product.shape == (a.rows, b.cols)
+    assert product == textbook_product(a, b)
+    for z in product.entries:
+        for part in (z.re, z.im):
+            assert type(part) is Fraction
+            assert part.denominator > 0
+            assert math.gcd(part.numerator, part.denominator) == 1
+
+
+def test_mat_mul_one_by_one_and_large_denominators():
+    p, q = 2**61 - 1, 2**89 - 1
+    x = GaussianRational(Fraction(1, p), Fraction(-3, q))
+    y = GaussianRational(Fraction(p, q), Fraction(q, 7))
+    one_by_one = mat_mul(ExactMatrix.from_rows([[x]]), ExactMatrix.from_rows([[y]]))
+    assert one_by_one == ExactMatrix.from_rows([[x * y]])
+    row = ExactMatrix.from_rows([[Fraction(1, p), Fraction(1, q)]])
+    col = ExactMatrix.column([p, -q])
+    assert mat_mul(row, col) == ExactMatrix.zeros(1, 1)
+    assert mat_mul(col, row) == textbook_product(col, row)

@@ -150,6 +150,25 @@ def test_membership_deterministic():
     assert first == second
 
 
+def test_membership_reports_pinned_at_fixed_seed():
+    """Pins the draws of every (branch, trial): a changed redraw loop moves them."""
+    family = solve(similarity_from_jordan(spec((0, [4, 3]))))
+    assert len(family.branches) == 4
+    report = verify_family_membership(family, family.matrix, 3, seed=5)
+    assert (report.expected_dimension, report.oracle_dimension, report.span_match) == (12, 12, True)
+    t = family.template
+    flipped = (t.entries[0], -t.entries[1]) + t.entries[2:]
+    broken = SolutionFamily(
+        family.n, family.frame, family.branches, ParamMatrix(t.rows, t.cols, flipped), family.matrix
+    )
+    report = verify_family_membership(broken, family.matrix, 3, seed=5)
+    assert (report.expected_dimension, report.oracle_dimension, report.span_match) == (12, 3, False)
+    assert [str(x) for x in report.counterexample.entries if x] == [
+        "1", "2", "-6+3i", "2/3-6i", "7/3+8/3i", "1", "-2", "-2/3+6i",
+        "-1", "-2/3", "-5+1/4i", "7/4-6i", "4-4/3i", "2/3", "-7/4+6i",
+    ]
+
+
 def test_random_branch_values_respects_disequalities(rng):
     from ybx.solver import build_constraint_system, solve_branches
 

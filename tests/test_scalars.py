@@ -7,7 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ybx.errors import ParseError
-from ybx.scalars import GaussianRational, _make, as_gaussian, format_scalar, parse_scalar
+from ybx.scalars import (
+    _ZERO_PART,
+    GaussianRational,
+    _make,
+    as_gaussian,
+    format_scalar,
+    parse_scalar,
+)
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
 scalars = st.builds(GaussianRational, fractions, fractions)
@@ -164,4 +171,18 @@ def test_arithmetic_results_are_normalized_and_match_the_formulas(a, b):
         assert hash(result) == hash(public)
         _assert_normalized(result)
     for result in (-a, a.conjugate()):
+        _assert_normalized(result)
+
+
+@given(fractions, fractions)
+def test_real_results_share_the_zero_imaginary_part(x, y):
+    a, b = GaussianRational(x), GaussianRational(y)
+    results = [(a + b, x + y), (a - b, x - y), (-a, -x), (a * b, x * y), (a.conjugate(), x)]
+    if y:
+        results.append((a / b, x / y))
+    for result, re_ in results:
+        public = GaussianRational(re_)
+        assert result == public
+        assert hash(result) == hash(public)
+        assert result.im is _ZERO_PART and public.im is _ZERO_PART
         _assert_normalized(result)
