@@ -98,7 +98,7 @@ def problem_from_json(obj) -> ProblemInput:
         if not isinstance(group, dict) or set(group) != {"eigenvalue", "sizes"}:
             raise ParseError("each jordan group needs exactly 'eigenvalue' and 'sizes'")
         sizes = group["sizes"]
-        if not isinstance(sizes, list) or not all(isinstance(s, int) and s >= 1 for s in sizes):
+        if not isinstance(sizes, list) or not all(type(s) is int and s >= 1 for s in sizes):
             raise ParseError("'sizes' must be a list of positive integers")
         pairs.append((parse_scalar(_as_str(group["eigenvalue"])), tuple(sizes)))
     try:

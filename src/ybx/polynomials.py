@@ -62,7 +62,8 @@ class ParamPolynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not mono for mono, _ in self.terms)
+        # degree-lex order puts the constant term first and any other last
+        return not self.terms or not self.terms[-1][0]
 
     def constant_value(self) -> GaussianRational:
         if not self.terms:

@@ -13,6 +13,10 @@ every part it receives is already a Fraction, because Fraction arithmetic
 on Fractions returns Fractions in lowest terms, so the invariant "both parts
 are Fraction in lowest terms" holds for every value either way.
 
+Hashing uses the numerators and denominators of both parts, which lowest
+terms make unique, so it agrees with equality without the modular inverse
+that Fraction.__hash__ computes.
+
 Real values share one zero Fraction, _ZERO_PART, as their imaginary part:
 the constructor stores it for a zero imaginary part, and +, -, unary -,
 conjugate, * and / return it when both operands are real instead of
@@ -66,6 +70,10 @@ class GaussianRational:
             )
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im) if im else _ZERO_PART)
+
+    def __hash__(self) -> int:
+        re, im = self.re, self.im
+        return hash((re.numerator, re.denominator, im.numerator, im.denominator))
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)

@@ -7,10 +7,11 @@ nilpotent (zero-eigenvalue) diagonal block, because blocks against nonzero
 eigenvalues are killed by the quadratic condition.  Second, writing Y as a
 linear template over the anticommutant parameters, the equation is (for
 anti-commuting Y) equivalent to the quadratic system Y*(Y - J0)*J0 = 0 on the
-nilpotent part.  Third, that degree-<=2 polynomial system is split into
-explicit branches: parameter assignments plus "must stay nonzero" side
-conditions, with honest residual systems when the case split cannot finish
-within the depth limit.
+nilpotent part.  The template is built from the block-pair patterns: their
+supports are disjoint, so each entry is zero or one signed parameter.
+Third, that degree-<=2 polynomial system is split into explicit branches:
+parameter assignments plus "must stay nonzero" side conditions, with honest
+residual systems when the case split cannot finish within the depth limit.
 
 A single nilpotent block has a closed-form family and skips the branch
 search; size 4 is the documented exception with two branches (the second
@@ -168,23 +169,26 @@ def build_constraint_system(
     """Linear template and quadratic constraint system for a nilpotent part.
 
     The template is the generic anticommutant member of the all-zero-eigenvalue
-    Jordan matrix with the given block sizes; the system collects the nonzero
-    entries of template * (template - J0) * J0, deduplicated in row-major
-    order.  Solutions of the system are exactly the template instances that
-    solve the quadratic matrix equation.
+    Jordan matrix with the given block sizes, written entry by entry from the
+    nonzero +-1 pattern entries of its basis elements.  The system collects
+    the nonzero entries of template * (template - J0) * J0, deduplicated in
+    row-major order.  Solutions of the system are exactly the template
+    instances that solve the quadratic matrix equation.
     """
     if not j0_sizes or any(s < 1 for s in j0_sizes):
         raise ValueError("need at least one nilpotent block of positive size")
     spec = JordanSpec(((as_gaussian(0), tuple(int(s) for s in j0_sizes)),))
     basis = anticommutant_basis(spec, spec)
     n0 = spec.n
-    template = ParamMatrix.zeros(n0, n0)
+    entries = [ParamPolynomial.zero()] * (n0 * n0)
     for name, element in zip(basis.parameter_names, basis.basis):
-        template = template + ParamMatrix.from_exact(element).scale(
-            ParamPolynomial.variable(name)
-        )
+        for idx, sign in enumerate(element.entries):
+            if sign:
+                entries[idx] = ParamPolynomial((((name,), sign),))
+    template = ParamMatrix(n0, n0, tuple(entries))
     j0 = ParamMatrix.from_exact(assemble_jordan(spec))
-    product = (template @ (template - j0)) @ j0
+    # (template - J0) @ J0 only shifts columns, so one full product remains
+    product = template @ ((template - j0) @ j0)
     system: list[ParamPolynomial] = []
     seen: set[tuple] = set()
     for entry in product.entries:
@@ -319,12 +323,14 @@ class _BranchState:
             m = _monic(m)
             new_diseqs.setdefault(m.terms, m)
 
-        try:
-            new_assignments = {
-                var: rf.substitute_rational(mapping) for var, rf in self.assignments.items()
-            }
-        except ZeroDivisionError:
-            return False
+        new_assignments = {}
+        for var, rf in self.assignments.items():
+            if name in rf.variables():
+                try:
+                    rf = rf.substitute_rational(mapping)
+                except ZeroDivisionError:
+                    return False
+            new_assignments[var] = rf
         new_assignments[name] = value
 
         new_equations = []
@@ -413,7 +419,8 @@ def _normalize(state: _BranchState) -> bool:
                 return False
             eq = _monic(eq)
             factors = _factor(eq)
-            live = [f for f in factors if not state.knows_nonzero(f)]
+            # each factor is monic and atomic: known nonzero iff recorded
+            live = [f for f in factors if f.terms not in state.disequalities]
             if not live:
                 return False
             if len(live) < len(factors) or _monic(_product(live)) != eq:

@@ -23,6 +23,13 @@ JORDAN_FRAME_HASHES = {
     (3, 3, 1): "0b8b6f32aaffa9ded704364a27c8b255f3744202e378b4b2793ec4a399c6d318",
     (4, 2, 2): "10ab1661433ef4e75b3cccdf23b3b16cfffe7fb1b87245ad5cd9a36e79092982",
     (3, 3, 2): "a3810f3a0b57f0fff265ada79acec17fc647954ed0380b1e80bcc7c5c113d682",
+    # the rest of the ladder, pinned from the search that still re-factored
+    # every factor and built the template by dense scale-and-add
+    (4, 4): "b24d2931762105fb14eaa7fe07b22fd19834c5a6b62f8d35a4daaa6ce126486a",
+    (5, 3): "796b5d5297b00915b45cdb85e625d952bd8d0e8dec06059a5f5ec0456669f151",
+    (5, 5): "7f73eac8b00b38524325a7440629a4bbbd5bdff6c54ada71ae95c41185e14ae8",
+    (6, 4): "d4f6f493bf18fa1c00ba205caeebc501a8cf7e9f8952d0a7f9d2390ba390d064",
+    (2, 2, 2, 2): "5450c2e0693dec28f1f896872f9ce3aa7e4ef14c7e6f78f1e38f73c844683f7b",
 }
 
 # det W8 = -72; the family solves A = W8 J W8^-1, J with blocks 0:(3,2), 1:(2), -1:(1)

@@ -69,6 +69,13 @@ def test_problem_shape_validation():
         problem_from_json([1, 2])
 
 
+@pytest.mark.parametrize("sizes", [[True, 2], [3, True]])
+def test_problem_rejects_bool_block_size(sizes):
+    # bool is an int subclass: [true, 2] would load as sizes (1, 2)
+    with pytest.raises(ParseError):
+        problem_from_json({"jordan": [{"eigenvalue": "0", "sizes": sizes}]})
+
+
 def test_family_json_round_trip():
     sim = similarity_from_jordan(JordanSpec.from_pairs([(0, [4, 3])]))
     family = solve(sim)

@@ -264,3 +264,15 @@ def test_substitute_matches_term_by_term_expansion(rng):
     p = random_poly(rng, NAMES)
     mapping = {var: random_poly(rng, NAMES, 3) for var in rng.sample(NAMES, rng.randint(0, 2))}
     assert p.substitute(mapping) == _substitute_reference(p, mapping)
+
+
+@given(
+    st.dictionaries(
+        st.lists(st.sampled_from(NAMES), max_size=3).map(lambda v: tuple(sorted(v))),
+        st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2)),
+        max_size=4,
+    )
+)
+def test_is_constant_means_every_monomial_is_empty(d):
+    p = ParamPolynomial.from_dict(d)
+    assert p.is_constant() == all(not mono for mono, _ in p.terms)

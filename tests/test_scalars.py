@@ -186,3 +186,29 @@ def test_real_results_share_the_zero_imaginary_part(x, y):
         assert hash(result) == hash(public)
         assert result.im is _ZERO_PART and public.im is _ZERO_PART
         _assert_normalized(result)
+
+
+# numerators up to 10**30 over denominators up to 2**89
+large = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 2**89))
+parts = st.one_of(fractions, large)
+complex_real_imaginary = st.one_of(
+    st.builds(GaussianRational, parts, parts),
+    st.builds(GaussianRational, parts),
+    st.builds(GaussianRational, st.just(0), parts),
+)
+
+
+@given(complex_real_imaginary, complex_real_imaginary)
+def test_equal_values_hash_equal_whatever_built_them(z, w):
+    built = [
+        GaussianRational(z.re, z.im),
+        _make(z.re, z.im),
+        (z + w) - w,  # a complex w leaves a computed zero part on a real z
+        -(-z),
+        z.conjugate().conjugate(),
+    ]
+    if w:
+        built.append((z * w) / w)
+    for other in built:
+        assert other == z
+        assert hash(other) == hash(z)

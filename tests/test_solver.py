@@ -1,7 +1,10 @@
+import operator
 import random
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ybx.anticommutant import anticommutant_basis
 from ybx.bundled import (
@@ -27,9 +30,10 @@ from ybx.jordan import (
 )
 from ybx.matrices import ExactMatrix, mat_mul
 from ybx.oracle import random_branch_values, random_gaussian
-from ybx.polynomials import ParamPolynomial, parse_polynomial
+from ybx.polynomials import ParamMatrix, ParamPolynomial, parse_polynomial
 from ybx.scalars import GaussianRational
 from ybx.solver import (
+    _factor,
     branch_matrix,
     branch_satisfied_by,
     build_constraint_system,
@@ -415,6 +419,42 @@ def test_as_given_order_branches_match_golden_exactly():
     assert matched == {0, 1, 2, 3}
 
 
+LADDER = (
+    (2, 2), (3, 3), (4, 3), (4, 4), (2, 2, 2), (3, 3, 1),
+    (3, 3, 2), (5, 3), (4, 2, 2), (5, 5), (6, 4), (2, 2, 2, 2),
+)
+
+
+def _dense_constraint_system(sizes):
+    """Reference: one dense scaled ParamMatrix per basis element, summed."""
+    s = JordanSpec(((GaussianRational(0), tuple(sizes)),))
+    basis = anticommutant_basis(s, s)
+    template = ParamMatrix.zeros(s.n, s.n)
+    for name, element in zip(basis.parameter_names, basis.basis):
+        template = template + ParamMatrix.from_exact(element).scale(
+            ParamPolynomial.variable(name)
+        )
+    j0 = ParamMatrix.from_exact(assemble_jordan(s))
+    product = (template @ (template - j0)) @ j0
+    system, seen = [], set()
+    for entry in product.entries:
+        if entry.is_zero():
+            continue
+        key = entry.monic()[0].terms
+        if key not in seen:
+            seen.add(key)
+            system.append(entry)
+    return template, system
+
+
+@pytest.mark.parametrize("sizes", LADDER + ((1, 1), (2, 1), (3, 3, 3), (4, 4, 1)))
+def test_constraint_system_matches_dense_construction(sizes):
+    template, system = build_constraint_system(sizes)
+    dense_template, dense_system = _dense_constraint_system(sizes)
+    assert template == dense_template
+    assert system == dense_system  # same entries in the same order
+
+
 # -- branch search ------------------------------------------------------------
 
 
@@ -520,6 +560,40 @@ def test_solve_branches_reduced_system_from_text():
         str(b.disequalities[0]) for b in branches if b.disequalities
     )
     assert diseq_names == ["k22", "k31"]
+
+
+# _normalize tests "known nonzero" on each factor by lookup alone, which is
+# sound only because every factor _factor returns is already atomic.
+monomials = st.lists(st.sampled_from(("a", "b", "c")), max_size=2).map(lambda v: tuple(sorted(v)))
+small = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-1, 1))
+at_most_quadratic = st.dictionaries(monomials, small, max_size=5).map(ParamPolynomial.from_dict)
+linear = st.dictionaries(
+    st.sampled_from([(), ("a",), ("b",), ("c",)]), small, max_size=3
+).map(ParamPolynomial.from_dict)
+linear_in_a = st.dictionaries(st.sampled_from([(), ("a",)]), small).map(ParamPolynomial.from_dict)
+# products of two linear forms reach the shared-variable and root splits
+quadratics = st.one_of(
+    at_most_quadratic,
+    st.builds(operator.mul, linear, linear),
+    st.builds(operator.mul, linear_in_a, linear_in_a),
+)
+
+
+def _assert_factors_atomic(p):
+    for f in _factor(p):
+        assert _factor(f) == [f], (p, f)
+
+
+@given(quadratics)
+def test_factors_are_atomic(p):
+    _assert_factors_atomic(p)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 3)])
+def test_constraint_system_factors_are_atomic(sizes):
+    _, system = build_constraint_system(sizes)
+    for eq in system:
+        _assert_factors_atomic(eq)
 
 
 # -- full solve ---------------------------------------------------------------
