@@ -30,7 +30,26 @@ JORDAN_FRAME_HASHES = {
     (5, 5): "7f73eac8b00b38524325a7440629a4bbbd5bdff6c54ada71ae95c41185e14ae8",
     (6, 4): "d4f6f493bf18fa1c00ba205caeebc501a8cf7e9f8952d0a7f9d2390ba390d064",
     (2, 2, 2, 2): "5450c2e0693dec28f1f896872f9ce3aa7e4ef14c7e6f78f1e38f73c844683f7b",
+    # single blocks, pinned from the hand-written closed forms (size 4 from
+    # its special case through the branch search)
+    (1,): "9895c535301795e3d211ff4f21c8d7a7706bed160e9ff5835d66e71e1898abef",
+    (2,): "953473c343cbccde755c354f77b47e706a15fcc68489cc83b8b766b81bd87937",
+    (3,): "302d75459581ce625cebc7715e5e039ff72fbaac08761a7eef7826bc8a0889f9",
+    (4,): "34c95f8366fb3b870b9296e05db905889dc223c3b393295c9a1a5afc6394e173",
+    (5,): "b26e1fe69154b918080e653d5376f7f20d93c7a597956836882ca72c7fe09e27",
+    (6,): "a0b0bfefd8ca9f1120ef0d5e16dc144727ab6326355a74831507c9de3965f2e5",
+    (7,): "66817a1a7581caea87ea3fc8a68bd5e06f4b5bc999cfd7ce606fee8fcf980050",
+    (8,): "ff509d0fb8f313dd6bdbfd747199256ed370fb90a2c0aeceaa7f2828c9e52d81",
+    (9,): "e6c686b559c282daa2ccbf14ace64e16f59f73509355f536eb838f324af39dd6",
+    (10,): "2a910353917106913db5c97091765755ced38c986b53987d0a54aff2180270a4",
+    (11,): "6b6ec2e24d6c15a91c403f73540020f169aa26fc151debffa38e5b72b38b3d2a",
+    (12,): "5849bc2e76d7c530a6089421a479b1f2e25cc2d0d2db611cdb8ab70528442b2d",
 }
+
+# one nilpotent block of size 4 beside nonzero eigenvalues: the nilpotent
+# template is embedded into the full 7x7 frame
+EMBEDDED_SPEC = ((0, (4,)), (1, (2,)), (-1, (1,)))
+EMBEDDED_HASH = "a51d36756b2277313beca4340119b3f7b726830d774aeb78d28f7f8ddddba501"
 
 # det W8 = -72; the family solves A = W8 J W8^-1, J with blocks 0:(3,2), 1:(2), -1:(1)
 W8 = [
@@ -82,6 +101,11 @@ def _w12() -> ExactMatrix:
 def test_jordan_frame_family_bytes(sizes):
     family = solve(similarity_from_jordan(JordanSpec.from_pairs([(0, sizes)])))
     assert _digest(family) == JORDAN_FRAME_HASHES[sizes]
+
+
+def test_embedded_single_block_family_bytes():
+    family = solve(similarity_from_jordan(JordanSpec.from_pairs(EMBEDDED_SPEC)))
+    assert _digest(family) == EMBEDDED_HASH
 
 
 def test_original_frame_family_bytes():
