@@ -63,6 +63,7 @@ from .scalars import as_gaussian, format_scalar, parse_scalar
 from .solver import (
     DEFAULT_DEPTH_LIMIT,
     ORIGINAL_FRAME,
+    build_constraint_system,
     residual_anticommute,
     residual_ybe,
     sample,
@@ -282,7 +283,7 @@ def _run_example_42(outdir: str, seed: int) -> list[tuple[str, bool, str]]:
     system_ok = True
     system_detail = ""
     renamed_system = [
-        p.rename(bundled.NAMES_CANONICAL_TO_SHORT) for p in _generated_42_system()
+        p.rename(bundled.NAMES_CANONICAL_TO_SHORT) for p in build_constraint_system((4, 3))[1]
     ]
     for bi, branch in enumerate(renamed_branches):
         for trial in range(_AGREEMENT_TRIALS):
@@ -351,13 +352,6 @@ def _run_example_42(outdir: str, seed: int) -> list[tuple[str, bool, str]]:
         )
     )
     return checks
-
-
-def _generated_42_system():
-    from .solver import build_constraint_system
-
-    _, system = build_constraint_system((4, 3))
-    return system
 
 
 def cmd_example(args) -> int:

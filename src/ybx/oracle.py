@@ -143,13 +143,17 @@ def grid_enumerate_solutions(
         for c, e in zip(coords, basis):
             if c:
                 k = k + e * c
-        jk = mat_mul(j, k)
-        kj = mat_mul(k, j)
-        if not (jk + kj).is_zero():
-            continue
-        if (mat_mul(jk, j) - mat_mul(kj, k)).is_zero():
+        if _solves(j, k):
             solutions.append(k)
     return solutions
+
+
+def _solves(j: ExactMatrix, k: ExactMatrix) -> bool:
+    """Whether k anti-commutes with j and solves J K J = K J K, with J K and
+    K J formed once and the cheaper anti-commutation tested first."""
+    jk = mat_mul(j, k)
+    kj = mat_mul(k, j)
+    return (jk + kj).is_zero() and (mat_mul(jk, j) - mat_mul(kj, k)).is_zero()
 
 
 def _random_rational(rng: random.Random) -> Fraction:
@@ -226,10 +230,7 @@ def verify_family_membership(
                 completed += 1  # draw misses the unresolved constraints; skip
                 continue
             k = family.template.evaluate(values)
-            jk = mat_mul(j, k)
-            kj = mat_mul(k, j)
-            ok = (jk + kj).is_zero() and (mat_mul(jk, j) - mat_mul(kj, k)).is_zero()
-            if ok:
+            if _solves(j, k):
                 completed += 1
             elif counterexample is None:
                 counterexample = k

@@ -499,26 +499,29 @@ def format_polynomial(p: ParamPolynomial) -> str:
     return "".join(pieces)
 
 
+# parentheses plus the separators, for the two separator sets the parser uses
+_SPLIT_MARKS = {seps: _re.compile(f"[(){_re.escape(seps)}]") for seps in ("+-", "*")}
+
+
 def _split_top_level(text: str, separators: str) -> list[str]:
-    parts: list[str] = []
+    """Cut text before each separator outside parentheses (never at index 0);
+    each part after the first starts with its separator."""
+    cuts = [0]
     depth = 0
-    current = []
-    for idx, ch in enumerate(text):
+    for match in _SPLIT_MARKS[separators].finditer(text):
+        ch = match[0]
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
                 raise ParseError(f"unbalanced parentheses in {text!r}")
-        if ch in separators and depth == 0 and idx > 0:
-            parts.append("".join(current))
-            current = [ch]
-        else:
-            current.append(ch)
+        elif depth == 0 and match.start() > 0:
+            cuts.append(match.start())
     if depth != 0:
         raise ParseError(f"unbalanced parentheses in {text!r}")
-    parts.append("".join(current))
-    return parts
+    cuts.append(len(text))
+    return [text[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def parse_polynomial(text: str) -> ParamPolynomial:

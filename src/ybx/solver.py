@@ -12,10 +12,6 @@ supports are disjoint, so each entry is zero or one signed parameter.
 Third, that degree-<=2 polynomial system is split into explicit branches:
 parameter assignments plus "must stay nonzero" side conditions, with honest
 residual systems when the case split cannot finish within the depth limit.
-
-A single nilpotent block has a closed-form family and skips the branch
-search; size 4 is the documented exception with two branches (the second
-pins the second coefficient at -1), which the general engine reproduces.
 """
 
 from __future__ import annotations
@@ -31,7 +27,13 @@ from .errors import (
     NotAnticommuting,
     ResidualNonzero,
 )
-from .jordan import JordanSpec, SimilarityData, assemble_jordan, jordan_block, nilpotent_part
+from .jordan import (
+    JordanSpec,
+    SimilarityData,
+    assemble_jordan,
+    nilpotent_part,
+    similarity_from_jordan,
+)
 from .matrices import ExactMatrix, first_nonzero_entry, mat_mul
 from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction
 from .scalars import GaussianRational, as_gaussian
@@ -127,40 +129,8 @@ def _empty_branch(free: Sequence[str]) -> SolutionBranch:
 
 
 def single_block_family(n: int) -> SolutionFamily:
-    """All anti-commuting solutions for a single nilpotent block of size n.
-
-    Sizes 1-3 and >= 5 have one closed-form branch (every scalar for n = 1;
-    the two-parameter corner pattern otherwise).  Size 4 is special: the
-    quadratic constraint also admits a branch with the second coefficient
-    pinned at -1, so the general engine is used and two branches come back.
-    """
-    if n < 1:
-        raise ValueError("block size must be >= 1")
-    j = jordan_block(0, n)
-    x = ParamPolynomial.variable("x")
-    y = ParamPolynomial.variable("y")
-    zero = ParamPolynomial.zero()
-    if n == 1:
-        template = ParamMatrix.from_rows([[x]])
-        return SolutionFamily(1, JORDAN_FRAME, (_empty_branch(("x",)),), template, j)
-    if n == 2:
-        template = ParamMatrix.from_rows([[zero, x], [zero, zero]])
-        return SolutionFamily(2, JORDAN_FRAME, (_empty_branch(("x",)),), template, j)
-    if n == 3:
-        template = ParamMatrix.from_rows(
-            [[zero, y, x], [zero, zero, -y], [zero, zero, zero]]
-        )
-        return SolutionFamily(3, JORDAN_FRAME, (_empty_branch(("x", "y")),), template, j)
-    if n == 4:
-        template, system = build_constraint_system((4,))
-        branches = solve_branches(system, DEFAULT_DEPTH_LIMIT, parameters=template.variables())
-        return SolutionFamily(4, JORDAN_FRAME, tuple(branches), template, j)
-    grid = [[zero] * n for _ in range(n)]
-    grid[0][n - 2] = y
-    grid[0][n - 1] = x
-    grid[1][n - 1] = -y
-    template = ParamMatrix.from_rows(grid)
-    return SolutionFamily(n, JORDAN_FRAME, (_empty_branch(("x", "y")),), template, j)
+    """All anti-commuting solutions for one nilpotent block of size n (ValueError if n < 1)."""
+    return solve(similarity_from_jordan(JordanSpec(((as_gaussian(0), (n,)),))))
 
 
 def build_constraint_system(
@@ -569,12 +539,32 @@ def _embed_template(t0: ParamMatrix, n: int) -> ParamMatrix:
     return ParamMatrix.from_rows(grid)
 
 
+def _fold_single_block(
+    template: ParamMatrix, branch: SolutionBranch
+) -> tuple[ParamMatrix, SolutionBranch]:
+    """The published form of a single block's one-branch family.
+
+    A branch without side conditions has no denominators, so its constant
+    assignments are substituted into the template; the surviving
+    coefficients are renamed by descending pattern index m, x then y.
+    """
+    free = sorted(
+        branch.free_parameters, key=lambda name: int(name.rsplit("_", 1)[1]), reverse=True
+    )
+    names = dict(zip(free, ("x", "y")))
+    mapping = {name: rf.numerator for name, rf in branch.assignments}
+    mapping.update((old, ParamPolynomial.variable(new)) for old, new in names.items())
+    renamed = sorted(names.get(name, name) for name in free)
+    return template.substitute(mapping), _empty_branch(renamed)
+
+
 def solve(sim: SimilarityData, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> SolutionFamily:
     """All anti-commuting solutions of J Y J = Y J Y, in the canonical frame.
 
     Nonsingular input yields the zero-only family.  Otherwise the family is
-    supported on the leading nilpotent block: a closed form for a single
-    block, the branch search over the generated quadratic system for several.
+    supported on the leading nilpotent block and comes from the branch search
+    over the generated quadratic system.  A single nilpotent block whose
+    search returns one fully solved branch is folded to the names x, y.
     The result is in jordan frame (matrix = canonical Jordan form); convert
     with to_original.
     """
@@ -587,13 +577,11 @@ def solve(sim: SimilarityData, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Soluti
         return SolutionFamily(
             n, JORDAN_FRAME, (_empty_branch(()),), ParamMatrix.zeros(n, n), j
         )
-    if len(sizes) == 1:
-        core = single_block_family(sizes[0])
-        return SolutionFamily(
-            n, JORDAN_FRAME, core.branches, _embed_template(core.template, n), j
-        )
     template, system = build_constraint_system(sizes)
     branches = solve_branches(system, depth_limit, parameters=template.variables())
+    single = len(sizes) == 1 and len(branches) == 1
+    if single and branches[0].is_fully_solved() and not branches[0].disequalities:
+        template, branches[0] = _fold_single_block(template, branches[0])
     return SolutionFamily(
         n, JORDAN_FRAME, tuple(branches), _embed_template(template, n), j
     )

@@ -11,6 +11,7 @@ from ybx.polynomials import (
     ParamMatrix,
     ParamPolynomial,
     RationalFunction,
+    _split_top_level,
     format_polynomial,
     format_rational_function,
     parse_polynomial,
@@ -119,6 +120,43 @@ def test_parse_specifics():
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
         parse_polynomial(text)
+
+
+def _split_top_level_reference(text, separators):
+    # the character-by-character splitter the sliced one replaced
+    parts = []
+    depth = 0
+    current = []
+    for idx, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError(f"unbalanced parentheses in {text!r}")
+        if ch in separators and depth == 0 and idx > 0:
+            parts.append("".join(current))
+            current = [ch]
+        else:
+            current.append(ch)
+    if depth != 0:
+        raise ParseError(f"unbalanced parentheses in {text!r}")
+    parts.append("".join(current))
+    return parts
+
+
+def _split_outcome(split, text, separators):
+    try:
+        return split(text, separators)
+    except ParseError as exc:
+        return ("ParseError", str(exc))
+
+
+@given(st.text(alphabet="()+-*/xi1", max_size=30), st.sampled_from(["+-", "*"]))
+def test_split_top_level_matches_reference(text, separators):
+    assert _split_outcome(_split_top_level, text, separators) == _split_outcome(
+        _split_top_level_reference, text, separators
+    )
 
 
 def test_poly_round_trip_random(rng):

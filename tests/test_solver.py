@@ -28,6 +28,7 @@ from ybx.jordan import (
     similarity_from_jordan,
     validate_similarity,
 )
+from ybx.formats import dumps_canonical, family_to_json
 from ybx.matrices import ExactMatrix, mat_mul
 from ybx.oracle import random_branch_values, random_gaussian
 from ybx.polynomials import ParamMatrix, ParamPolynomial, parse_polynomial
@@ -170,6 +171,12 @@ def test_single_block_family_small_sizes():
     assert str(f3.template[1, 2]) == "-y"
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_single_block_family_rejects_nonpositive_size(n):
+    with pytest.raises(ValueError):
+        single_block_family(n)
+
+
 def brute_force_solutions(n, values):
     j = jordan_block(0, n)
     found = []
@@ -229,7 +236,7 @@ def test_single_block_size_4_matches_grid_oracle():
     assert len(oracle_points) == 18
 
 
-@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("n", range(5, 21))
 def test_large_single_blocks_match_general_engine(n):
     family = single_block_family(n)
     assert len(family.branches) == 1
@@ -238,11 +245,23 @@ def test_large_single_blocks_match_general_engine(n):
     branches = solve_branches(system, parameters=template.variables())
     assert len(branches) == 1
     assigned = dict(branches[0].assignments)
-    assert sorted(branches[0].free_parameters) == [
-        f"k1_1_1_1_{n - 1}",
-        f"k1_1_1_1_{n}",
-    ]
+    assert set(branches[0].free_parameters) == {f"k1_1_1_1_{n - 1}", f"k1_1_1_1_{n}"}
     assert all(str(rf) == "0" for rf in assigned.values())
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_single_block_depth_zero_leaves_honest_residual(n):
+    family = solve(similarity_from_jordan(spec((0, [n]))), depth_limit=0)
+    assert len(family.branches) == 1
+    assert family.branches[0].residual_system
+    assert all(name.startswith("k1_1_1_1_") for name in family.parameters())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_single_block_depth_one_gives_default_family(n):
+    sim = similarity_from_jordan(spec((0, [n])))
+    shallow = dumps_canonical(family_to_json(solve(sim, depth_limit=1)))
+    assert shallow == dumps_canonical(family_to_json(solve(sim)))
 
 
 @pytest.mark.parametrize("sizes", [(2, 1), (3, 1)])
