@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ybx import bundled
 from ybx.cli import main
 from ybx.formats import dumps_canonical, family_from_json, load_json
 
@@ -228,6 +229,74 @@ def test_example_enumeration(tmp_path, capsys):
     report = (tmp_path / "out42" / "report.txt").read_text()
     assert "k22*k31 = 0" in report
     assert "all checks passed" in report
+
+
+def test_example_41_golden_mismatch_report(tmp_path, monkeypatch, capsys):
+    x33 = [list(row) for row in bundled._B41_X33]
+    x33[1][2] = 22  # golden entry (1, 2) becomes (22x + 33y)/33
+    monkeypatch.setattr(bundled, "_B41_X33", x33)
+    assert main(["example", "4.1", str(tmp_path), "--seed", "3"]) == 1
+    report = (tmp_path / "report.txt").read_text()
+    assert capsys.readouterr().out == report
+    assert report == (
+        "example 4.1\n"
+        "PASS: matrix equals W J W^-1 for the bundled W\n"
+        "PASS: one branch\n"
+        "PASS: two free parameters x, y\n"
+        "FAIL: original template matches expected entries"
+        " (entry (1, 2): got -1/3*x+y, expected 2/3*x+y)\n"
+        "PASS: direct (jordan, w) input gives the same template\n"
+        "PASS: anticommutant dimension agrees with vectorized kernel\n"
+        "PASS: 25 random instantiations satisfy both equations\n"
+        "result: GOLDEN MISMATCH\n"
+    )
+
+
+def test_example_42_golden_mismatch_report(tmp_path, monkeypatch, capsys):
+    system = list(bundled.GOLDEN_42_SYSTEM)
+    system[5] = "k23*k31-k22*k32-k42"  # drops the -k42*k42 term
+    monkeypatch.setattr(bundled, "GOLDEN_42_SYSTEM", tuple(system))
+    families = bundled.GOLDEN_42_FAMILIES
+    monkeypatch.setattr(
+        bundled, "GOLDEN_42_FAMILIES", (families[0], families[1], families[2], families[2])
+    )
+    assert main(["example", "4.2", str(tmp_path), "--seed", "3"]) == 1
+    report = (tmp_path / "report.txt").read_text()
+    assert capsys.readouterr().out == report
+    assert report == (
+        "example 4.2\n"
+        "reduced constraint system:\n"
+        "  k11 = 0\n"
+        "  k41 = 0\n"
+        "  k22*k31 = 0\n"
+        "  k22+k12*k22+k22*k42 = 0\n"
+        "  -k31+k12*k31-k31*k42 = 0\n"
+        "  k23*k31-k22*k32-k42 = 0\n"
+        "PASS: four branches\n"
+        "PASS: every branch fully solved\n"
+        "FAIL: generated system has the same solutions as the six equations"
+        " (branch 1 violates -k42-k22*k32+k23*k31)\n"
+        "FAIL: each expected family matches exactly one branch"
+        " (branch pairing is not a bijection: {0: 0, 1: 1, 2: 2, 3: 2})\n"
+        "PASS: 25 random instantiations satisfy both equations\n"
+        "result: GOLDEN MISMATCH\n"
+    )
+
+
+def test_example_42_expected_family_off_the_system(tmp_path, monkeypatch, capsys):
+    # the branches satisfy the six equations, so only the reverse direction
+    # (expected families against the generated system) can catch this
+    families = list(bundled.GOLDEN_42_FAMILIES)
+    families[1] = {**families[1], "assignments": {**families[1]["assignments"], "k42": "1"}}
+    monkeypatch.setattr(bundled, "GOLDEN_42_FAMILIES", tuple(families))
+    assert main(["example", "4.2", str(tmp_path), "--seed", "3"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        "FAIL: generated system has the same solutions as the six equations"
+        " (expected family 1 violates generated constraint)",
+        "FAIL: each expected family matches exactly one branch"
+        " (expected family 1 matches branches [])",
+    ]
 
 
 def test_example_unknown_exit_2(tmp_path):

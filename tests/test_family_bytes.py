@@ -8,10 +8,13 @@ that alters a single byte of a family shows up here.
 """
 
 import hashlib
+import io
+from contextlib import redirect_stdout
 
 import pytest
 
 from ybx import ExactMatrix, JordanSpec, jordan_form, similarity_from_jordan, solve, to_original
+from ybx.cli import main
 from ybx.formats import dumps_canonical, family_to_json, matrix_to_grid
 from ybx.scalars import I, format_scalar
 
@@ -72,6 +75,26 @@ SPEC12 = ((0, (4, 3)), (1, (2, 1)), (-1, (2,)))
 JORDAN_FORM_HASH = "57cff7f8ecdf9c872de5ae57faf46f5cee302314a92102031e2a637f766a4432"
 JORDAN_FORM_FAMILY_HASH = "14cda656d96f1bc173eea32b086ed99faa0ba588984352b199d6c52790163b8e"
 
+# every file `ybx example ID OUTDIR --seed S` writes, by name; the seed
+# reaches only the random checks, so the bytes agree across seeds
+_EXAMPLE_41_FILES = {
+    "family_jordan.json": "bcdc20a4413b755351aaee19604a7611447e1b4c742cd580b8cbb6fea8958ae0",
+    "family_original.json": "42f90daa93bc51bca3cc8ab273e4c80042e99e3856d7d9fec0ef06391c90b4e3",
+    "problem.json": "a27e49a51baa7d8f3c655009b358a5e55c8992592c4d7c0267e9dc3dc6faed5d",
+    "report.txt": "abb336c1ebde75c05c6cc023c8e9f263240d1c5e1bd33ec7338c6ce236c4fdb8",
+}
+_EXAMPLE_42_FILES = {
+    "family_jordan.json": "aa0a058ddd08f454261edea1e3957e3a6418ac8b731b7fe25af18cdc9453cc96",
+    "problem.json": "bdf0a88498e91c7db8a4f023f7429a45135db8cb07e9bec907b9901b902a195d",
+    "report.txt": "23a0ca46928dd3a302336ce9ecfcf2ea50bcb4328f23f1336bf9bb7bf815ad73",
+}
+EXAMPLE_FILE_HASHES = {
+    ("4.1", 0): _EXAMPLE_41_FILES,
+    ("4.1", 7): _EXAMPLE_41_FILES,
+    ("4.2", 0): _EXAMPLE_42_FILES,
+    ("4.2", 7): _EXAMPLE_42_FILES,
+}
+
 
 def _sha256(obj) -> str:
     return hashlib.sha256(dumps_canonical(obj).encode("utf-8")).hexdigest()
@@ -121,3 +144,14 @@ def test_jordan_form_bytes():
     data = {"spec": spec, "w": matrix_to_grid(sim.w), "w_inv": matrix_to_grid(sim.w_inv)}
     assert _sha256(data) == JORDAN_FORM_HASH
     assert _digest(to_original(solve(sim), sim)) == JORDAN_FORM_FAMILY_HASH
+
+
+@pytest.mark.parametrize("example, seed", sorted(EXAMPLE_FILE_HASHES))
+def test_example_output_bytes(tmp_path, example, seed):
+    with redirect_stdout(io.StringIO()):
+        assert main(["example", example, str(tmp_path), "--seed", str(seed)]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    }
+    assert digests == EXAMPLE_FILE_HASHES[example, seed]
