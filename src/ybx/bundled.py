@@ -21,8 +21,6 @@ from .polynomials import ParamMatrix, ParamPolynomial, parse_polynomial, parse_r
 from .scalars import GaussianRational
 from .solver import SolutionBranch
 
-EXAMPLE_IDS = ("4.1", "4.2")
-
 # -- example 4.1 ------------------------------------------------------------
 
 _A41_NUMERATORS = [

@@ -20,6 +20,7 @@ import argparse
 import os
 import random
 import sys
+from typing import Callable, NamedTuple
 
 from . import bundled
 from .anticommutant import anticommutant_in_original, pair_contributions
@@ -38,6 +39,7 @@ from .errors import (
     YbxError,
 )
 from .formats import (
+    ProblemInput,
     atomic_write_text,
     basis_to_json,
     dumps_canonical,
@@ -63,6 +65,7 @@ from .scalars import as_gaussian, format_scalar, parse_scalar
 from .solver import (
     DEFAULT_DEPTH_LIMIT,
     ORIGINAL_FRAME,
+    SolutionFamily,
     build_constraint_system,
     residual_anticommute,
     residual_ybe,
@@ -178,172 +181,152 @@ def cmd_sample(args) -> int:
 # -- bundled examples --------------------------------------------------------
 
 
-def _run_example_41(outdir: str, seed: int) -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
-    problem = bundled.example_41_problem()
-    atomic_write_text(
-        os.path.join(outdir, "problem.json"), dumps_canonical(problem_to_json(problem))
-    )
+_Check = tuple[str, bool, str]  # label, passed, detail shown on failure
 
-    a = bundled.example_41_matrix()
+
+def _write_json(outdir: str, name: str, obj) -> None:
+    atomic_write_text(os.path.join(outdir, name), dumps_canonical(obj))
+
+
+def _checks_41(sim, family, outdir: str, seed: int) -> tuple[SolutionFamily, list[_Check]]:
+    """Example 4.1 is checked and verified in original coordinates."""
     try:
-        validate_similarity(a, bundled.example_41_w(), bundled.example_41_spec())
-        checks.append(("matrix equals W J W^-1 for the bundled W", True, ""))
+        validate_similarity(
+            bundled.example_41_matrix(), bundled.example_41_w(), bundled.example_41_spec()
+        )
+        similar: tuple[bool, str] = (True, "")
     except YbxError as exc:
-        checks.append(("matrix equals W J W^-1 for the bundled W", False, str(exc)))
-
-    sim = similarity_from_problem(problem)
-    family = solve(sim)
+        similar = (False, str(exc))
     original = to_original(family, sim)
-    atomic_write_text(
-        os.path.join(outdir, "family_jordan.json"), dumps_canonical(family_to_json(family))
-    )
-    atomic_write_text(
-        os.path.join(outdir, "family_original.json"), dumps_canonical(family_to_json(original))
-    )
-
-    checks.append(("one branch", len(original.branches) == 1, f"got {len(original.branches)}"))
-    checks.append(
+    _write_json(outdir, "family_original.json", family_to_json(original))
+    golden = bundled.example_41_golden_template()
+    spot = first_nonzero_entry(original.template - golden)
+    mismatch = ""
+    if spot is not None:
+        i, j, _ = spot
+        mismatch = (
+            f"entry ({i}, {j}): got {format_polynomial(original.template[i, j])}, "
+            f"expected {format_polynomial(golden[i, j])}"
+        )
+    sim_direct = similarity_from_problem(bundled.example_41_problem_jw())
+    direct = to_original(solve(sim_direct), sim_direct)
+    report = cross_check_anticommutant(sim.spec, sim.spec)
+    return original, [
+        ("matrix equals W J W^-1 for the bundled W", *similar),
+        ("one branch", len(original.branches) == 1, f"got {len(original.branches)}"),
         (
             "two free parameters x, y",
             original.parameters() == ("x", "y"),
             f"got {original.parameters()}",
-        )
-    )
-    golden = bundled.example_41_golden_template()
-    mismatch = ""
-    ok = True
-    for i in range(8):
-        for j in range(8):
-            if original.template[i, j] != golden[i, j]:
-                ok = False
-                mismatch = (
-                    f"entry ({i}, {j}): got {format_polynomial(original.template[i, j])}, "
-                    f"expected {format_polynomial(golden[i, j])}"
-                )
-                break
-        if not ok:
-            break
-    checks.append(("original template matches expected entries", ok, mismatch))
-
-    sim_direct = similarity_from_problem(bundled.example_41_problem_jw())
-    original_direct = to_original(solve(sim_direct), sim_direct)
-    checks.append(
+        ),
+        ("original template matches expected entries", spot is None, mismatch),
         (
             "direct (jordan, w) input gives the same template",
-            original_direct.template == original.template,
+            direct.template == original.template,
             "",
-        )
-    )
-
-    report = cross_check_anticommutant(sim.spec, sim.spec)
-    checks.append(
+        ),
         (
             "anticommutant dimension agrees with vectorized kernel",
             report.span_match and report.expected_dimension == 7,
             f"structural {report.expected_dimension}, kernel {report.oracle_dimension}",
-        )
-    )
-    membership = verify_family_membership(original, a, _MEMBERSHIP_TRIALS, seed)
-    checks.append(
-        (
-            f"{_MEMBERSHIP_TRIALS} random instantiations satisfy both equations",
-            membership.span_match,
-            f"verified {membership.oracle_dimension}/{membership.expected_dimension}",
-        )
-    )
-    return checks
-
-
-def _run_example_42(outdir: str, seed: int) -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
-    problem = bundled.example_42_problem()
-    atomic_write_text(
-        os.path.join(outdir, "problem.json"), dumps_canonical(problem_to_json(problem))
-    )
-    sim = similarity_from_problem(problem)
-    family = solve(sim)
-    atomic_write_text(
-        os.path.join(outdir, "family_jordan.json"), dumps_canonical(family_to_json(family))
-    )
-
-    checks.append(("four branches", len(family.branches) == 4, f"got {len(family.branches)}"))
-    checks.append(
-        (
-            "every branch fully solved",
-            all(b.is_fully_solved() for b in family.branches),
-            "",
-        )
-    )
-
-    golden_system = bundled.golden_42_system()
-    renamed_branches = [b.rename(bundled.NAMES_CANONICAL_TO_SHORT) for b in family.branches]
-    golden_families = bundled.golden_42_families()
-
-    system_ok = True
-    system_detail = ""
-    renamed_system = [
-        p.rename(bundled.NAMES_CANONICAL_TO_SHORT) for p in build_constraint_system((4, 3))[1]
+        ),
     ]
-    for bi, branch in enumerate(renamed_branches):
+
+
+def _first_violation(branches, system, seed: int, tag: str):
+    """First (branch index, polynomial) that a seeded draw of a branch does not zero."""
+    for bi, branch in enumerate(branches):
         for trial in range(_AGREEMENT_TRIALS):
-            values = random_branch_values(branch, random.Random(f"{seed}:sys:{bi}:{trial}"))
+            values = random_branch_values(branch, random.Random(f"{seed}:{tag}:{bi}:{trial}"))
             if values is None:
                 continue
-            bad = next((p for p in golden_system if p.evaluate(values)), None)
+            bad = next((p for p in system if p.evaluate(values)), None)
             if bad is not None:
-                system_ok = False
-                system_detail = f"branch {bi} violates {format_polynomial(bad)}"
-                break
-        if not system_ok:
-            break
-    if system_ok:
-        for gi, fam in enumerate(golden_families):
-            for trial in range(_AGREEMENT_TRIALS):
-                values = random_branch_values(fam, random.Random(f"{seed}:inv:{gi}:{trial}"))
-                if values is None:
-                    continue
-                bad = next((p for p in renamed_system if p.evaluate(values)), None)
-                if bad is not None:
-                    system_ok = False
-                    system_detail = f"expected family {gi} violates generated constraint"
-                    break
-            if not system_ok:
-                break
-    checks.append(
-        ("generated system has the same solutions as the six equations", system_ok, system_detail)
-    )
+                return bi, bad
+    return None
 
+
+def _pairing_mismatch(golden, branches, seed: int) -> str:
+    """Why the expected families do not pair one-to-one with the branches, or ''."""
     matched: dict[int, int] = {}
-    pairing_ok = True
-    pairing_detail = ""
-    for gi, fam in enumerate(golden_families):
+    for gi, fam in enumerate(golden):
         hits = [
             bi
-            for bi, branch in enumerate(renamed_branches)
+            for bi, branch in enumerate(branches)
             if branches_agree(fam, branch, _AGREEMENT_TRIALS, seed + gi)
         ]
         if len(hits) != 1:
-            pairing_ok = False
-            pairing_detail = f"expected family {gi} matches branches {hits}"
-            break
+            return f"expected family {gi} matches branches {hits}"
         matched[gi] = hits[0]
-    if pairing_ok and len(set(matched.values())) != len(golden_families):
-        pairing_ok = False
-        pairing_detail = f"branch pairing is not a bijection: {matched}"
-    if pairing_ok:
-        for gi, bi in matched.items():
-            want = {p.terms for p in golden_families[gi].disequalities}
-            got = {p.terms for p in renamed_branches[bi].disequalities}
-            if want != got:
-                pairing_ok = False
-                pairing_detail = f"family {gi} side conditions differ on branch {bi}"
-                break
-    checks.append(
-        ("each expected family matches exactly one branch", pairing_ok, pairing_detail)
-    )
+    if len(set(matched.values())) != len(golden):
+        return f"branch pairing is not a bijection: {matched}"
+    for gi, bi in matched.items():
+        want = {p.terms for p in golden[gi].disequalities}
+        if want != {p.terms for p in branches[bi].disequalities}:
+            return f"family {gi} side conditions differ on branch {bi}"
+    return ""
 
-    membership = verify_family_membership(family, family.matrix, _MEMBERSHIP_TRIALS, seed)
+
+def _checks_42(sim, family, outdir: str, seed: int) -> tuple[SolutionFamily, list[_Check]]:
+    """Example 4.2 is checked against the paper's equations and families by short name."""
+    branches = [b.rename(bundled.NAMES_CANONICAL_TO_SHORT) for b in family.branches]
+    golden = bundled.golden_42_families()
+    violation = _first_violation(branches, bundled.golden_42_system(), seed, "sys")
+    if violation is not None:
+        system_detail = f"branch {violation[0]} violates {format_polynomial(violation[1])}"
+    else:
+        generated = [
+            p.rename(bundled.NAMES_CANONICAL_TO_SHORT) for p in build_constraint_system((4, 3))[1]
+        ]
+        violation = _first_violation(golden, generated, seed, "inv")
+        system_detail = (
+            "" if violation is None
+            else f"expected family {violation[0]} violates generated constraint"
+        )
+    pairing = _pairing_mismatch(golden, branches, seed)
+    return family, [
+        ("four branches", len(family.branches) == 4, f"got {len(family.branches)}"),
+        ("every branch fully solved", all(b.is_fully_solved() for b in family.branches), ""),
+        (
+            "generated system has the same solutions as the six equations",
+            violation is None,
+            system_detail,
+        ),
+        ("each expected family matches exactly one branch", not pairing, pairing),
+    ]
+
+
+def _header_42() -> list[str]:
+    return ["reduced constraint system:", *(f"  {text} = 0" for text in bundled.GOLDEN_42_SYSTEM)]
+
+
+class _Example(NamedTuple):
+    problem: Callable[[], ProblemInput]
+    # (similarity, Jordan-frame family, outdir, seed) -> (family to verify, checks)
+    checks: Callable[..., tuple[SolutionFamily, list[_Check]]]
+    header: Callable[[], list[str]] = list
+
+
+_EXAMPLES = {
+    "4.1": _Example(bundled.example_41_problem, _checks_41),
+    "4.2": _Example(bundled.example_42_problem, _checks_42, _header_42),
+}
+
+
+def cmd_example(args) -> int:
+    example = _EXAMPLES.get(args.id)
+    if example is None:
+        print(f"error: unknown example {args.id!r}; available: {', '.join(_EXAMPLES)}",
+              file=sys.stderr)
+        return 2
+    os.makedirs(args.outdir, exist_ok=True)
+    problem = example.problem()
+    _write_json(args.outdir, "problem.json", problem_to_json(problem))
+    sim = similarity_from_problem(problem)
+    family = solve(sim)
+    _write_json(args.outdir, "family_jordan.json", family_to_json(family))
+    checked, checks = example.checks(sim, family, args.outdir, args.seed)
+    membership = verify_family_membership(checked, checked.matrix, _MEMBERSHIP_TRIALS, args.seed)
     checks.append(
         (
             f"{_MEMBERSHIP_TRIALS} random instantiations satisfy both equations",
@@ -351,29 +334,11 @@ def _run_example_42(outdir: str, seed: int) -> list[tuple[str, bool, str]]:
             f"verified {membership.oracle_dimension}/{membership.expected_dimension}",
         )
     )
-    return checks
-
-
-def cmd_example(args) -> int:
-    if args.id not in bundled.EXAMPLE_IDS:
-        print(f"error: unknown example {args.id!r}; available: {', '.join(bundled.EXAMPLE_IDS)}",
-              file=sys.stderr)
-        return 2
-    os.makedirs(args.outdir, exist_ok=True)
-    lines = [f"example {args.id}"]
-    if args.id == "4.1":
-        checks = _run_example_41(args.outdir, args.seed)
-    else:
-        checks = _run_example_42(args.outdir, args.seed)
-        lines.append("reduced constraint system:")
-        for text in bundled.GOLDEN_42_SYSTEM:
-            lines.append(f"  {text} = 0")
-    passed = True
+    lines = [f"example {args.id}", *example.header()]
     for label, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
         suffix = f" ({detail})" if detail and not ok else ""
-        lines.append(f"{status}: {label}{suffix}")
-        passed = passed and ok
+        lines.append(f"{'PASS' if ok else 'FAIL'}: {label}{suffix}")
+    passed = all(ok for _, ok, _ in checks)
     lines.append("result: " + ("all checks passed" if passed else "GOLDEN MISMATCH"))
     text = "\n".join(lines) + "\n"
     atomic_write_text(os.path.join(args.outdir, "report.txt"), text)

@@ -25,7 +25,16 @@ from .errors import (
     SimilarityMismatch,
     SingularMatrix,
 )
-from .matrices import ExactMatrix, RowSpan, mat_inverse, mat_mul, null_space_basis, permutation_matrix
+from .matrices import (
+    ExactMatrix,
+    RowSpan,
+    block_diag,
+    first_nonzero_entry,
+    mat_inverse,
+    mat_mul,
+    null_space_basis,
+    permutation_matrix,
+)
 from .scalars import ONE, ZERO, GaussianRational, as_gaussian
 
 
@@ -138,16 +147,7 @@ def jordan_block(eigenvalue, size: int) -> ExactMatrix:
 
 def assemble_jordan(spec: JordanSpec) -> ExactMatrix:
     """Block-diagonal matrix with the spec's blocks in spec order."""
-    n = spec.n
-    grid = [[ZERO] * n for _ in range(n)]
-    pos = 0
-    for block in spec.blocks():
-        for i in range(block.size):
-            grid[pos + i][pos + i] = block.eigenvalue
-            if i + 1 < block.size:
-                grid[pos + i][pos + i + 1] = ONE
-        pos += block.size
-    return ExactMatrix.from_rows(grid)
+    return block_diag(jordan_block(b.eigenvalue, b.size) for b in spec.blocks())
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,12 +207,9 @@ def validate_similarity(
         return SimilarityData(a, w, w_inv, spec)
     if a.shape != (n, n):
         raise DimensionMismatch("validate_similarity a", a.shape, (n, n))
-    lhs = mat_mul(a, w)
-    rhs = mat_mul(w, j)
-    for i in range(n):
-        for jj in range(n):
-            if lhs[i, jj] != rhs[i, jj]:
-                raise SimilarityMismatch((i, jj))
+    spot = first_nonzero_entry(mat_mul(a, w) - mat_mul(w, j))
+    if spot is not None:
+        raise SimilarityMismatch(spot[:2])
     return SimilarityData(a, w, w_inv, spec)
 
 

@@ -23,10 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 from .scalars import _ZERO_PART, ONE, ZERO, GaussianRational, _make, as_gaussian
+
+if TYPE_CHECKING:
+    from .polynomials import ParamMatrix, ParamPolynomial
 
 
 @dataclass(frozen=True, slots=True)
@@ -323,7 +326,9 @@ def permutation_matrix(position_map: Sequence[int]) -> ExactMatrix:
     return ExactMatrix.from_rows(grid)
 
 
-def first_nonzero_entry(m: ExactMatrix) -> tuple[int, int, GaussianRational] | None:
+def first_nonzero_entry(
+    m: ExactMatrix | ParamMatrix,
+) -> tuple[int, int, GaussianRational | ParamPolynomial] | None:
     """Row-major position and value of the first nonzero entry, if any."""
     for i in range(m.rows):
         for j in range(m.cols):

@@ -499,8 +499,8 @@ def format_polynomial(p: ParamPolynomial) -> str:
     return "".join(pieces)
 
 
-# parentheses plus the separators, for the two separator sets the parser uses
-_SPLIT_MARKS = {seps: _re.compile(f"[(){_re.escape(seps)}]") for seps in ("+-", "*")}
+# parentheses plus the separators, for the three separator sets the parsers use
+_SPLIT_MARKS = {seps: _re.compile(f"[(){_re.escape(seps)}]") for seps in ("+-", "*", "/")}
 
 
 def _split_top_level(text: str, separators: str) -> list[str]:
@@ -572,19 +572,17 @@ def parse_rational_function(text: str) -> RationalFunction:
     """Parse ``(<poly>)/(<poly>)`` or a plain polynomial."""
     compact = "".join(text.split())
     if compact.startswith("("):
-        depth = 0
-        for idx, ch in enumerate(compact):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    rest = compact[idx + 1 :]
-                    if rest.startswith("/(") and rest.endswith(")"):
-                        num = parse_polynomial(compact[1:idx])
-                        den = parse_polynomial(rest[2:-1])
-                        if den.is_zero():
-                            raise ParseError(f"zero denominator in {text!r}")
-                        return RationalFunction.make(num, den)
-                    break
+        parts = _split_top_level(compact, "/")
+        # a ratio is exactly two top-level parts, "(num)" and "/(den)"
+        if (
+            len(parts) == 2
+            and parts[0].endswith(")")
+            and parts[1].startswith("/(")
+            and parts[1].endswith(")")
+        ):
+            num = parse_polynomial(parts[0][1:-1])
+            den = parse_polynomial(parts[1][2:-1])
+            if den.is_zero():
+                raise ParseError(f"zero denominator in {text!r}")
+            return RationalFunction.make(num, den)
     return RationalFunction.from_polynomial(parse_polynomial(compact))

@@ -405,26 +405,27 @@ def _normalize(state: _BranchState) -> bool:
     return True
 
 
+def _linear_occurrences(state: _BranchState):
+    """(name, equation index, coefficient, rest) of each degree-1 occurrence, by name."""
+    for name in sorted({v for eq in state.equations for v in eq.variables()}):
+        for idx, eq in enumerate(state.equations):
+            if eq.degree_in(name) == 1:
+                yield name, idx, eq.coefficient_of(name, 1), eq.coefficient_of(name, 0)
+
+
 def _solve_linear(state: _BranchState) -> bool | None:
     """One solve-and-substitute step; True if made, None if infeasible."""
-    for name in sorted({v for eq in state.equations for v in eq.variables()}):
-        for eq in state.equations:
-            if eq.degree_in(name) != 1:
-                continue
-            coeff = eq.coefficient_of(name, 1)
-            rest = eq.coefficient_of(name, 0)
-            if coeff.is_constant():
-                value = RationalFunction.from_polynomial(
-                    -rest * coeff.constant_value().reciprocal()
-                )
-            elif state.knows_nonzero(coeff):
-                value = RationalFunction.make(-rest, coeff)
-                state.add_disequality(value.denominator)
-            else:
-                continue
-            if not state.assign(name, value):
-                return None
-            return True
+    for name, _, coeff, rest in _linear_occurrences(state):
+        if coeff.is_constant():
+            value = RationalFunction.from_polynomial(-rest * coeff.constant_value().reciprocal())
+        elif state.knows_nonzero(coeff):
+            value = RationalFunction.make(-rest, coeff)
+            state.add_disequality(value.denominator)
+        else:
+            continue
+        if not state.assign(name, value):
+            return None
+        return True
     return False
 
 
@@ -447,29 +448,25 @@ def _find_factor_split(state: _BranchState) -> list[_BranchState] | None:
 
 
 def _find_coefficient_split(state: _BranchState) -> list[_BranchState] | None:
-    for name in sorted({v for eq in state.equations for v in eq.variables()}):
-        for idx, eq in enumerate(state.equations):
-            if eq.degree_in(name) != 1:
-                continue
-            coeff = eq.coefficient_of(name, 1)
-            if coeff.is_constant():
-                continue
-            rest = eq.coefficient_of(name, 0)
-            vanishing = state.clone()
-            vanishing.equations[idx] = _monic(coeff)
-            vanishing.equations.append(rest)
-            vanishing.depth += 1
-            solving = state.clone()
-            solving.depth += 1
-            if not solving.add_disequality(coeff):
-                return [vanishing]
-            del solving.equations[idx]
-            value = RationalFunction.make(-rest, coeff)
-            solving.add_disequality(value.denominator)
-            if not solving.assign(name, value):
-                return [vanishing]
-            return [vanishing, solving]
-    return None
+    # runs after _solve_linear found nothing: the first occurrence's
+    # coefficient is a nonconstant polynomial not known to be nonzero
+    occurrence = next(_linear_occurrences(state), None)
+    if occurrence is None:
+        return None
+    name, idx, coeff, rest = occurrence
+    vanishing = state.clone()
+    vanishing.equations[idx] = _monic(coeff)
+    vanishing.equations.append(rest)
+    vanishing.depth += 1
+    solving = state.clone()
+    solving.depth += 1
+    solving.add_disequality(coeff)
+    del solving.equations[idx]
+    value = RationalFunction.make(-rest, coeff)
+    solving.add_disequality(value.denominator)
+    if not solving.assign(name, value):
+        return [vanishing]
+    return [vanishing, solving]
 
 
 def _finalize(state: _BranchState, universe) -> SolutionBranch:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ybx.errors import MissingParameter, ParseError
@@ -152,10 +152,58 @@ def _split_outcome(split, text, separators):
         return ("ParseError", str(exc))
 
 
-@given(st.text(alphabet="()+-*/xi1", max_size=30), st.sampled_from(["+-", "*"]))
+@given(st.text(alphabet="()+-*/xi1", max_size=30), st.sampled_from(["+-", "*", "/"]))
 def test_split_top_level_matches_reference(text, separators):
     assert _split_outcome(_split_top_level, text, separators) == _split_outcome(
         _split_top_level_reference, text, separators
+    )
+
+
+def _parse_rational_function_reference(text):
+    # the parser that found the numerator's closing parenthesis by walking
+    # the text one character at a time
+    compact = "".join(text.split())
+    if compact.startswith("("):
+        depth = 0
+        for idx, ch in enumerate(compact):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0:
+                    rest = compact[idx + 1 :]
+                    if rest.startswith("/(") and rest.endswith(")"):
+                        num = parse_polynomial(compact[1:idx])
+                        den = parse_polynomial(rest[2:-1])
+                        if den.is_zero():
+                            raise ParseError(f"zero denominator in {text!r}")
+                        return RationalFunction.make(num, den)
+                    break
+    return RationalFunction.from_polynomial(parse_polynomial(compact))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return "ParseError"
+
+
+# parenthesized pieces joined by "/": plain, ratio and three-part texts and
+# zero denominators, alone or between stray characters
+_RATIO_PIECE = st.sampled_from(["x", "y", "0", "1", "i", "x+1", "2*y-i", "x*x", "", "x)", "(y"])
+_RATIO_CORE = st.lists(_RATIO_PIECE.map("({})".format), min_size=1, max_size=3).map("/".join)
+_RATIO_NOISY = st.tuples(
+    st.sampled_from(["x", ")", "(", " "]), _RATIO_CORE, st.sampled_from(["x", ")", "*(y)", " "])
+).map("".join)
+
+
+@given(st.one_of(_RATIO_CORE, _RATIO_NOISY, st.text(alphabet="()+-*/xy12i ", max_size=30)))
+@example("(x+1)/(0)")
+@example("(x)/(y)/(x)")
+def test_parse_rational_function_matches_reference(text):
+    assert _parse_outcome(parse_rational_function, text) == _parse_outcome(
+        _parse_rational_function_reference, text
     )
 
 
