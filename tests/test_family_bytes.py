@@ -49,6 +49,21 @@ JORDAN_FRAME_HASHES = {
     (12,): "5849bc2e76d7c530a6089421a479b1f2e25cc2d0d2db611cdb8ab70528442b2d",
 }
 
+# multi-block families cut by a small depth limit, so that their residual
+# leaves carry the side conditions and denominators the depth cut records;
+# pinned from the search whose leaves re-factored each denominator
+DEPTH_LIMITED_HASHES = {
+    ((4, 3), 0): "d9b773e2750c9b03441bf3752b274e492884ea3ac22f7b96a2f82162e692f9e2",
+    ((4, 3), 1): "e08fb144e1aae7161d661ebe06f743a79980e1a634dae1591c8b107cf38b883e",
+    ((4, 3), 2): "f9839677e954c7ba07a3821f739740639fd8da5038a9c03397666bdeba395a34",
+    ((3, 3, 2), 0): "5bafd270e4e04e58833617a6af145ef7f2e4f5b1437d51aef18d4e644c79abb3",
+    ((3, 3, 2), 1): "1b7abe0a8286d94cf48f9d492e57decb154bdd6594831026b850134453eeb848",
+    ((3, 3, 2), 2): "5ae14915480d85db7c911062aab15b46b630474ccc622df1ecf6312369fb4607",
+    ((2, 2, 2, 2), 0): "fd6dc03522f75e5b6b739f2a4bf61ebb93cdc2beb0c2b1009e4245371feff33d",
+    ((2, 2, 2, 2), 1): "a6eaa33665f86b5f660199809ef6b65601343bd23a141130905faba1115864cf",
+    ((2, 2, 2, 2), 2): "aadeea0db4140560a704fbbc98688450c7fa2a10ffbed89e27f03331474dfe3a",
+}
+
 # one nilpotent block of size 4 beside nonzero eigenvalues: the nilpotent
 # template is embedded into the full 7x7 frame
 EMBEDDED_SPEC = ((0, (4,)), (1, (2,)), (-1, (1,)))
@@ -124,6 +139,12 @@ def _w12() -> ExactMatrix:
 def test_jordan_frame_family_bytes(sizes):
     family = solve(similarity_from_jordan(JordanSpec.from_pairs([(0, sizes)])))
     assert _digest(family) == JORDAN_FRAME_HASHES[sizes]
+
+
+@pytest.mark.parametrize("sizes, depth", sorted(DEPTH_LIMITED_HASHES))
+def test_depth_limited_family_bytes(sizes, depth):
+    family = solve(similarity_from_jordan(JordanSpec.from_pairs([(0, sizes)])), depth)
+    assert _digest(family) == DEPTH_LIMITED_HASHES[sizes, depth]
 
 
 def test_embedded_single_block_family_bytes():

@@ -600,6 +600,7 @@ quadratics = st.one_of(
 
 def _assert_factors_atomic(p):
     for f in _factor(p):
+        assert f.monic()[0] == f, (p, f)
         assert _factor(f) == [f], (p, f)
 
 
