@@ -25,9 +25,7 @@ from typing import Callable, NamedTuple
 from . import bundled
 from .anticommutant import anticommutant_in_original, pair_contributions
 from .errors import (
-    DimensionMismatch,
     DisequalityViolated,
-    GridTooLarge,
     IncompleteSpectrum,
     MissingParameter,
     NotAnEigenvalue,
@@ -388,25 +386,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code by error class; every other structured error is an input error, 2
+_EXIT_CODES = {
+    NotAnEigenvalue: 3,
+    IncompleteSpectrum: 3,
+    SingularMatrix: 3,
+    SimilarityMismatch: 3,
+    DisequalityViolated: 1,
+    ResidualNonzero: 1,
+    MissingParameter: 1,
+    NotAnticommuting: 1,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except YbxError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotAnEigenvalue, IncompleteSpectrum, SingularMatrix, SimilarityMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DisequalityViolated, ResidualNonzero, MissingParameter, NotAnticommuting) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DimensionMismatch, GridTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except YbxError as exc:  # pragma: no cover - catch-all for structured errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _EXIT_CODES.get(type(exc), 2)
 
 
 def entry() -> None:

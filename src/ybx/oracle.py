@@ -20,9 +20,9 @@ from typing import Sequence
 from .anticommutant import anticommutant_basis
 from .errors import DimensionMismatch, DisequalityViolated, GridTooLarge
 from .jordan import JordanSpec, assemble_jordan
-from .matrices import ExactMatrix, RowSpan, mat_mul, null_space_basis
+from .matrices import ExactMatrix, RowSpan, null_space_basis
 from .scalars import ZERO, GaussianRational, as_gaussian
-from .solver import SolutionBranch, SolutionFamily, branch_satisfied_by, branch_values
+from .solver import SolutionBranch, SolutionFamily, branch_satisfied_by, branch_values, residuals
 
 _GRID_DIMENSION_LIMIT = 6
 _GRID_POINT_LIMIT = 10**6
@@ -34,15 +34,17 @@ class OracleReport:
     """Outcome of an oracle comparison.
 
     For span checks the dimensions are the structural count versus the kernel
-    count; for membership checks they are planned versus completed trials.
-    span_match true implies the dimensions agree and no counterexample was
-    found.
+    count; for membership checks they are planned versus completed trials,
+    and residual_skipped counts the completed trials whose draw missed a
+    branch's residual system, so that nothing was checked.  span_match true
+    implies the dimensions agree and no counterexample was found.
     """
 
     expected_dimension: int
     oracle_dimension: int
     span_match: bool
     counterexample: ExactMatrix | None = None
+    residual_skipped: int = 0
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -143,17 +145,9 @@ def grid_enumerate_solutions(
         for c, e in zip(coords, basis):
             if c:
                 k = k + e * c
-        if _solves(j, k):
+        if all(r.is_zero() for r in residuals(j, k)):
             solutions.append(k)
     return solutions
-
-
-def _solves(j: ExactMatrix, k: ExactMatrix) -> bool:
-    """Whether k anti-commutes with j and solves J K J = K J K, with J K and
-    K J formed once and the cheaper anti-commutation tested first."""
-    jk = mat_mul(j, k)
-    kj = mat_mul(k, j)
-    return (jk + kj).is_zero() and (mat_mul(jk, j) - mat_mul(kj, k)).is_zero()
 
 
 def _random_rational(rng: random.Random) -> Fraction:
@@ -212,13 +206,14 @@ def verify_family_membership(
     small random rationals for the free parameters, redraws up to 100 times
     while a side condition lands on zero (exhaustion counts the trial as
     degenerate-at-grid, not a failure), and checks both residuals of the
-    instantiated matrix against j.  The first failure is reported as a
-    counterexample.
+    instantiated matrix against j.  A draw that misses a branch's residual
+    system checks nothing; it counts as completed and in residual_skipped.
+    The first failure is reported as a counterexample.
     """
     if j.shape != (family.n, family.n):
         raise DimensionMismatch("verify_family_membership", j.shape, (family.n, family.n))
     planned = len(family.branches) * trials
-    completed = 0
+    completed = residual_skipped = 0
     counterexample = None
     for branch_index, branch in enumerate(family.branches):
         for trial in range(trials):
@@ -228,11 +223,12 @@ def verify_family_membership(
                 continue
             if any(poly.evaluate(values) for poly in branch.residual_system):
                 completed += 1  # draw misses the unresolved constraints; skip
+                residual_skipped += 1
                 continue
             k = family.template.evaluate(values)
-            if _solves(j, k):
+            if all(r.is_zero() for r in residuals(j, k)):
                 completed += 1
             elif counterexample is None:
                 counterexample = k
     span_match = counterexample is None and completed == planned
-    return OracleReport(planned, completed, span_match, counterexample)
+    return OracleReport(planned, completed, span_match, counterexample, residual_skipped)

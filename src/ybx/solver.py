@@ -47,9 +47,7 @@ def residual_ybe(a: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
     """A*X*A - X*A*X; zero exactly when x solves the equation for a."""
     if not a.is_square() or a.shape != x.shape:
         raise DimensionMismatch("residual_ybe", a.shape, x.shape)
-    ax = mat_mul(a, x)
-    xa = mat_mul(x, a)
-    return mat_mul(ax, a) - mat_mul(xa, x)
+    return residuals(a, x)[1]
 
 
 def residual_anticommute(a: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
@@ -59,6 +57,18 @@ def residual_anticommute(a: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
     return mat_mul(a, x) + mat_mul(x, a)
 
 
+def residuals(a: ExactMatrix, x: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """(A*X + X*A, A*X*A - X*A*X), with A*X and X*A formed once.
+
+    x is an anti-commuting solution for a exactly when both are zero.
+    """
+    if not a.is_square() or a.shape != x.shape:
+        raise DimensionMismatch("residuals", a.shape, x.shape)
+    ax = mat_mul(a, x)
+    xa = mat_mul(x, a)
+    return ax + xa, mat_mul(ax, a) - mat_mul(xa, x)
+
+
 def check_equivalence_lemma(a: ExactMatrix, b: ExactMatrix) -> tuple[bool, bool]:
     """For anti-commuting b: whether A*B*A = B*A*B and whether B*(B-A)*A = 0.
 
@@ -66,9 +76,10 @@ def check_equivalence_lemma(a: ExactMatrix, b: ExactMatrix) -> tuple[bool, bool]
     the equivalence verified should assert equality of the returned pair.
     Raises NotAnticommuting when the precondition fails.
     """
-    if not residual_anticommute(a, b).is_zero():
+    anti, ybe = residuals(a, b)
+    if not anti.is_zero():
         raise NotAnticommuting("inputs do not anti-commute")
-    lhs_zero = residual_ybe(a, b).is_zero()
+    lhs_zero = ybe.is_zero()
     rhs_zero = mat_mul(mat_mul(b, b - a), a).is_zero()
     return lhs_zero, rhs_zero
 
@@ -184,9 +195,10 @@ def _factor(p: ParamPolynomial) -> list[ParamPolynomial]:
 
     Handles the shapes the constraint systems produce: shared variable
     factors, pure monomials, and single-variable quadratics whose roots exist
-    in Q(i).  Anything else comes back atomic.
+    in Q(i).  Anything else comes back atomic.  Every factor is monic: a
+    variable, x - root, or the monic remainder.
     """
-    if p.is_zero() or p.is_constant():
+    if p.is_constant():
         return []
     rest = p
     shared_vars: list[str] = []
@@ -203,14 +215,7 @@ def _factor(p: ParamPolynomial) -> list[ParamPolynomial]:
     if rest.is_constant():
         return factors
     factors.extend(_factor_atomic(rest))
-    deduped: list[ParamPolynomial] = []
-    seen: set[tuple] = set()
-    for f in factors:
-        key = _monic(f).terms
-        if key not in seen:
-            seen.add(key)
-            deduped.append(_monic(f))
-    return deduped
+    return list({f.terms: f for f in factors}.values())
 
 
 def _factor_atomic(p: ParamPolynomial) -> list[ParamPolynomial]:
@@ -270,28 +275,25 @@ class _BranchState:
         return True
 
     def knows_nonzero(self, p: ParamPolynomial) -> bool:
+        """Whether p != 0 follows from the recorded side conditions."""
         if p.is_constant():
             return bool(p.constant_value())
-        factors = _factor(p)
-        if not factors:
-            return False
-        return all(
-            f.is_constant() or _monic(f).terms in self.disequalities for f in factors
-        )
+        # nonconstant p has nonconstant monic factors, known iff recorded
+        return all(f.terms in self.disequalities for f in _factor(p))
 
     def assign(self, name: str, value: RationalFunction) -> bool:
-        """Substitute name := value everywhere; returns False if infeasible."""
+        """Substitute name := value everywhere; returns False if infeasible.
+
+        A False return may leave the state half-rebuilt; every caller drops
+        the state then.
+        """
         mapping = {name: value}
-        new_diseqs: dict[tuple, ParamPolynomial] = {}
-        for m in self.disequalities.values():
+        old_diseqs, self.disequalities = self.disequalities, {}
+        for m in old_diseqs.values():
             if name in m.variables():
                 m = m.substitute_rational(mapping).numerator
-            if m.is_zero():
+            if not self.add_disequality(m):
                 return False
-            if m.is_constant():
-                continue
-            m = _monic(m)
-            new_diseqs.setdefault(m.terms, m)
 
         new_assignments = {}
         for var, rf in self.assignments.items():
@@ -309,7 +311,6 @@ class _BranchState:
                 eq = eq.substitute_rational(mapping).numerator
             new_equations.append(eq)
 
-        self.disequalities = new_diseqs
         self.assignments = new_assignments
         self.equations = new_equations
         return True
@@ -322,11 +323,13 @@ def solve_branches(
 ) -> list[SolutionBranch]:
     """Split a degree-<=2 polynomial system into explicit solution branches.
 
-    Strategy, in priority order within each branch: solve parameters that
-    appear linearly with constant (or recorded-nonzero) coefficient and
-    substitute; collapse repeated and known-nonzero factors; otherwise split,
-    either on a factorization f*g = 0 (branch f = 0 versus f != 0, g = 0) or
-    on the coefficient of a linear occurrence being zero or not.  Splitting
+    Strategy, in priority order within each branch: collapse repeated and
+    known-nonzero factors; solve parameters that appear linearly with
+    constant (or recorded-nonzero) coefficient and substitute; otherwise
+    split, either on a factorization f*g = 0 (branch f = 0 versus f != 0,
+    g = 0) or on the coefficient of a linear occurrence being zero or not.
+    Side conditions are recorded monic and once each, and a leaf records
+    each assignment denominator they do not already cover.  Splitting
     deeper than depth_limit stops the search and returns the remaining
     equations as an honest residual system instead of dropping the branch.
     Every step preserves the solution set, so when no residual systems remain
@@ -376,32 +379,26 @@ def _explore(state: _BranchState, depth_limit: int, universe, out: list[Solution
 
 
 def _normalize(state: _BranchState) -> bool:
-    """Canonicalize equations; returns False when the branch is infeasible."""
-    changed = True
-    while changed:
-        changed = False
-        cleaned: list[ParamPolynomial] = []
-        seen: set[tuple] = set()
-        for eq in state.equations:
-            if eq.is_zero():
-                continue
-            if eq.is_constant():
-                return False
-            eq = _monic(eq)
-            factors = _factor(eq)
-            # each factor is monic and atomic: known nonzero iff recorded
-            live = [f for f in factors if f.terms not in state.disequalities]
-            if not live:
-                return False
-            if len(live) < len(factors) or _monic(_product(live)) != eq:
-                eq = _monic(_product(live))
-                changed = True
-                if eq.is_constant():
-                    return False
-            if eq.terms not in seen:
-                seen.add(eq.terms)
-                cleaned.append(eq)
-        state.equations = cleaned
+    """Canonicalize equations in one pass; False when the branch is infeasible.
+
+    Each equation becomes the monic product of its distinct factors that are
+    not recorded nonzero, and repeats are dropped.  One pass suffices:
+    _explore normalizes again after every substitution, and the reduced
+    equations are monic and distinct, as _finalize requires.
+    """
+    cleaned: dict[tuple, ParamPolynomial] = {}
+    for eq in state.equations:
+        if eq.is_zero():
+            continue
+        if eq.is_constant():
+            return False
+        # each factor is monic and atomic: known nonzero iff recorded
+        live = [f for f in _factor(eq) if f.terms not in state.disequalities]
+        if not live:
+            return False
+        eq = _monic(_product(live))
+        cleaned.setdefault(eq.terms, eq)
+    state.equations = list(cleaned.values())
     return True
 
 
@@ -441,8 +438,7 @@ def _find_factor_split(state: _BranchState) -> list[_BranchState] | None:
         nonzero_side = state.clone()
         nonzero_side.equations[idx] = tail
         nonzero_side.depth += 1
-        if not nonzero_side.add_disequality(head):
-            return [zero_side]
+        nonzero_side.add_disequality(head)
         return [zero_side, nonzero_side]
     return None
 
@@ -460,34 +456,33 @@ def _find_coefficient_split(state: _BranchState) -> list[_BranchState] | None:
     vanishing.depth += 1
     solving = state.clone()
     solving.depth += 1
+    # also records the denominator of value: coeff made monic, or 1
     solving.add_disequality(coeff)
     del solving.equations[idx]
     value = RationalFunction.make(-rest, coeff)
-    solving.add_disequality(value.denominator)
     if not solving.assign(name, value):
         return [vanishing]
     return [vanishing, solving]
 
 
+def _ordered(polys) -> tuple[ParamPolynomial, ...]:
+    return tuple(sorted(polys, key=lambda p: (p.degree(), str(p))))
+
+
 def _finalize(state: _BranchState, universe) -> SolutionBranch:
-    diseqs = dict(state.disequalities)
+    """The leaf's branch; records uncovered denominators on the leaf's state.
+
+    Called only right after _normalize, so the equations are monic and
+    distinct and form the residual system as they stand.
+    """
     for rf in state.assignments.values():
-        den = rf.denominator
-        if den.is_constant():
-            continue
-        factors = _factor(den)
-        if factors and all(f.terms in diseqs for f in factors):
-            continue
-        m = _monic(den)
-        diseqs.setdefault(m.terms, m)
-    ordered_diseqs = tuple(
-        sorted(diseqs.values(), key=lambda p: (p.degree(), str(p)))
-    )
-    residual = tuple(sorted({_monic(eq).terms: _monic(eq) for eq in state.equations}.values(),
-                            key=lambda p: (p.degree(), str(p))))
+        if not state.knows_nonzero(rf.denominator):
+            state.add_disequality(rf.denominator)
     assignments = tuple(sorted(state.assignments.items()))
     free = tuple(name for name in universe if name not in state.assignments)
-    return SolutionBranch(assignments, ordered_diseqs, residual, free)
+    return SolutionBranch(
+        assignments, _ordered(state.disequalities.values()), _ordered(state.equations), free
+    )
 
 
 def _branch_signature(branch: SolutionBranch):
@@ -500,26 +495,18 @@ def _branch_signature(branch: SolutionBranch):
 
 
 def _merge_branches(branches: list[SolutionBranch]) -> list[SolutionBranch]:
-    merged: list[SolutionBranch] = []
-    seen: set = set()
+    merged: dict[tuple, SolutionBranch] = {}
     for branch in branches:
         key = (_branch_signature(branch), tuple(p.terms for p in branch.disequalities))
-        if key in seen:
-            continue
-        seen.add(key)
-        merged.append(branch)
-    kept: list[SolutionBranch] = []
-    for branch in merged:
-        mine = set(p.terms for p in branch.disequalities)
-        subsumed = any(
-            other is not branch
-            and _branch_signature(other) == _branch_signature(branch)
-            and set(p.terms for p in other.disequalities) < mine
-            for other in merged
-        )
-        if not subsumed:
-            kept.append(branch)
-    return kept
+        merged.setdefault(key, branch)
+    keyed = [
+        (signature, set(conditions), branch) for (signature, conditions), branch in merged.items()
+    ]
+    return [
+        branch
+        for signature, mine, branch in keyed
+        if not any(other_sig == signature and other < mine for other_sig, other, _ in keyed)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -646,14 +633,11 @@ def sample(
         if leftover.evaluate(values):
             raise ResidualNonzero(f"unresolved constraint {leftover}")
     k = family.template.evaluate(values)
-    anti = residual_anticommute(family.matrix, k)
-    if not anti.is_zero():
-        pos = first_nonzero_entry(anti)
-        raise ResidualNonzero("anti-commutation", (pos[0], pos[1]))
-    quad = residual_ybe(family.matrix, k)
-    if not quad.is_zero():
-        pos = first_nonzero_entry(quad)
-        raise ResidualNonzero("equation", (pos[0], pos[1]))
+    anti, quad = residuals(family.matrix, k)
+    for which, residual in (("anti-commutation", anti), ("equation", quad)):
+        if not residual.is_zero():
+            pos = first_nonzero_entry(residual)
+            raise ResidualNonzero(which, (pos[0], pos[1]))
     return k
 
 

@@ -150,12 +150,21 @@ def test_membership_deterministic():
     assert first == second
 
 
+def test_membership_counts_residual_draws_as_skipped():
+    """A depth-0 search leaves (4,) one residual branch that random draws miss."""
+    family = solve(similarity_from_jordan(spec((0, [4]))), 0)
+    assert not family.branches[0].is_fully_solved()
+    report = verify_family_membership(family, family.matrix, 5, seed=3)
+    assert report.residual_skipped == report.expected_dimension == report.oracle_dimension == 5
+
+
 def test_membership_reports_pinned_at_fixed_seed():
     """Pins the draws of every (branch, trial): a changed redraw loop moves them."""
     family = solve(similarity_from_jordan(spec((0, [4, 3]))))
     assert len(family.branches) == 4
     report = verify_family_membership(family, family.matrix, 3, seed=5)
     assert (report.expected_dimension, report.oracle_dimension, report.span_match) == (12, 12, True)
+    assert report.residual_skipped == 0
     t = family.template
     flipped = (t.entries[0], -t.entries[1]) + t.entries[2:]
     broken = SolutionFamily(
