@@ -4,7 +4,8 @@ Each SHA-256 is taken over dumps_canonical(family_to_json(family)) as produced
 by the reference implementation before the exact-arithmetic kernel was
 optimized (plain Fraction-normalizing scalars, term-by-term substitution).
 Any change to the arithmetic, the substitution kernel or the branch search
-that alters a single byte of a family shows up here.
+that alters a single byte of a family shows up here.  Anticommutant bases are
+pinned the same way over dumps_canonical(basis_to_json(...)).
 """
 
 import hashlib
@@ -14,8 +15,9 @@ from contextlib import redirect_stdout
 import pytest
 
 from ybx import ExactMatrix, JordanSpec, jordan_form, similarity_from_jordan, solve, to_original
+from ybx.anticommutant import anticommutant_basis, anticommutant_in_original
 from ybx.cli import main
-from ybx.formats import dumps_canonical, family_to_json, matrix_to_grid
+from ybx.formats import basis_to_json, dumps_canonical, family_to_json, matrix_to_grid
 from ybx.scalars import I, format_scalar
 
 JORDAN_FRAME_HASHES = {
@@ -111,6 +113,57 @@ EXAMPLE_FILE_HASHES = {
 }
 
 
+# Jordan-frame anticommutant bases {X : U X = -X V}, as (U, V) spec pairs;
+# pinned from the implementation that materialized each r x r pattern and
+# copied it into its block pair and then into the full basis element
+ANTICOMMUTANT_PAIRS = {
+    "multi-group": (
+        ((0, (3, 1)), (1, (2, 2)), (-1, (3,))),
+        ((0, (3, 1)), (1, (2, 2)), (-1, (3,))),
+    ),
+    "tall-and-wide": (((1, (4,)),), ((-1, (2, 5)),)),
+    "complex": ((("1+1i", (3, 2)),), (("-1-1i", (2,)),)),
+    "dimension-0": (((1, (2,)), (0, (1,))), ((2, (3,)),)),
+}
+ANTICOMMUTANT_HASHES = {
+    "multi-group": "038664d45ccc2528e11b78e7980cd958ad4c05320f9c385f61a0844b723e7ef5",
+    "tall-and-wide": "b62979e874661e83af1b1e06027d6ddabbbae60a19379f6e555bfd2f230ee408",
+    "complex": "6b7f5e8e2fa6b35b95af6ae9ad0c49d5543ba2a217229eae2c16cf6ffebe8abc",
+    "dimension-0": "9b05b5d2c16d8c2dc4888160f7c66c3ef7abd97e25f93da1311e25c5cd5a9610",
+}
+
+# the same construction in original coordinates, with integer W on both sides
+ORIGINAL_LEFT = ((0, (2, 1)), (-1, (1,)))
+ORIGINAL_RIGHT = ((0, (3,)), (1, (1,)))
+W4_LEFT = [[1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 1, 2], [0, 1, 0, 1]]
+W4_RIGHT = [[2, 0, 1, 0], [1, 1, 0, -1], [0, 1, 1, 0], [1, 0, 0, 1]]
+ANTICOMMUTANT_ORIGINAL_HASH = "442b3ae8bd63dd8723e1ad918cf8e1f7d6334419d165f8427fe505fb633b311e"
+
+# `ybx anticommutant LEFT RIGHT OUTPUT` on a Jordan-only left problem and a
+# right problem with its own W and its blocks out of canonical order
+CLI_LEFT = {"jordan": [{"eigenvalue": "0", "sizes": [2, 1]}, {"eigenvalue": "1", "sizes": [2]}]}
+CLI_RIGHT = {
+    "jordan": [{"eigenvalue": "-1", "sizes": [1, 2]}, {"eigenvalue": "0", "sizes": [2]}],
+    "w": [
+        ["1", "0", "1", "0", "2"],
+        ["0", "1", "0", "-1", "0"],
+        ["1", "1", "0", "0", "1"],
+        ["0", "0", "1", "1", "0"],
+        ["2", "0", "0", "1", "1"],
+    ],
+}
+CLI_ANTICOMMUTANT_STDOUT = (
+    "matching block pairs (eigenvalue, opposite, rows, cols, contribution):\n"
+    "         0         0    2    2    2\n"
+    "         0         0    1    2    1\n"
+    "         1        -1    2    1    1\n"
+    "         1        -1    2    2    2\n"
+    "dimension: 6\n"
+    "wrote OUTPUT\n"
+)
+CLI_ANTICOMMUTANT_FILE_HASH = "52815c33979d03792295fcf93742795b2f617d5c31ce3d8b8c6741944bfe6a2a"
+
+
 def _sha256(obj) -> str:
     return hashlib.sha256(dumps_canonical(obj).encode("utf-8")).hexdigest()
 
@@ -176,3 +229,37 @@ def test_example_output_bytes(tmp_path, example, seed):
         for path in sorted(tmp_path.iterdir())
     }
     assert digests == EXAMPLE_FILE_HASHES[example, seed]
+
+
+def _basis_digest(basis) -> str:
+    return _sha256(basis_to_json(basis.left_dim, basis.right_dim, basis.parameter_names, basis.basis))
+
+
+@pytest.mark.parametrize("label", sorted(ANTICOMMUTANT_PAIRS))
+def test_anticommutant_basis_bytes(label):
+    left, right = ANTICOMMUTANT_PAIRS[label]
+    basis = anticommutant_basis(JordanSpec.from_pairs(left), JordanSpec.from_pairs(right))
+    assert _basis_digest(basis) == ANTICOMMUTANT_HASHES[label]
+
+
+def test_anticommutant_in_original_bytes():
+    left = similarity_from_jordan(
+        JordanSpec.from_pairs(ORIGINAL_LEFT), ExactMatrix.from_rows(W4_LEFT)
+    )
+    right = similarity_from_jordan(
+        JordanSpec.from_pairs(ORIGINAL_RIGHT), ExactMatrix.from_rows(W4_RIGHT)
+    )
+    assert _basis_digest(anticommutant_in_original(left, right)) == ANTICOMMUTANT_ORIGINAL_HASH
+
+
+def test_anticommutant_command_bytes(tmp_path):
+    paths = []
+    for name, problem in (("left.json", CLI_LEFT), ("right.json", CLI_RIGHT)):
+        (tmp_path / name).write_text(dumps_canonical(problem))
+        paths.append(str(tmp_path / name))
+    out = tmp_path / "basis.json"
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        assert main(["anticommutant", *paths, str(out)]) == 0
+    assert stdout.getvalue().replace(str(out), "OUTPUT") == CLI_ANTICOMMUTANT_STDOUT
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_ANTICOMMUTANT_FILE_HASH
