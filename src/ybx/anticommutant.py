@@ -2,12 +2,16 @@
 
 For a pair of Jordan blocks J_t(lam), J_s(mu) the space of solutions of
 J_t(lam) K = -K J_s(mu) is zero unless lam = -mu, and otherwise is spanned
-by min(t, s) upper-triangular patterns whose diagonals alternate in sign:
-row i+1 is the negated right-shift of row i.  The pattern sits flush right
-([0 | core] when t <= s) or flush top ([core ; 0] when t >= s).  Assembling
-these block pair by block pair yields an explicit basis for the anticommutant
-of any pair of matrices given by Jordan data, with one named parameter per
-basis element.
+by r = min(t, s) sign-alternating patterns.  Pattern m (1-based) is
+
+    K[i, s - r + i + m - 1] = (-1)**i  for i = 0 .. r - m,  zero elsewhere:
+
+one diagonal of an r x r upper triangle that sits flush right ([0 | core]
+when t <= s) or flush top ([core ; 0] when t >= s), each row the negated
+right-shift of the one above.  The anticommutant of two matrices given by
+Jordan data has one basis element per pattern of each block pair with
+opposite eigenvalues: the pattern written at the pair's block offsets, zero
+elsewhere, with one named parameter per element.
 
 Parameter names are part of the public contract: ``k{gi}_{bi}_{gj}_{bj}_{m}``
 where (gi, bi) are the 1-based group and in-group block positions on the left,
@@ -23,61 +27,14 @@ from .matrices import ExactMatrix, mat_mul
 from .scalars import MINUS_ONE, ONE, ZERO, GaussianRational, as_gaussian
 
 
-@dataclass(frozen=True, slots=True)
-class AlternatingTriangle:
-    """The r x r sign-alternating upper-triangular pattern.
-
-    Materialized, entry (i, j) is zero below the diagonal and otherwise
-    (-1)**i times the free coefficient indexed by j - i (0-based), so each
-    row is the sign-flipped right-shift of the one above.
-    """
-
-    size: int
-    parameter_names: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.parameter_names) != self.size:
-            raise ValueError("need exactly one parameter name per diagonal")
-
-    def unit(self, m: int) -> ExactMatrix:
-        """The pattern with coefficient m (1-based) set to 1, others 0."""
-        if not 1 <= m <= self.size:
-            raise ValueError(f"pattern index {m} out of range 1..{self.size}")
-        grid = [[ZERO] * self.size for _ in range(self.size)]
-        sign = ONE
-        for i in range(self.size - m + 1):
-            grid[i][i + m - 1] = sign
-            sign = sign * MINUS_ONE
-        return ExactMatrix.from_rows(grid)
-
-
 def block_pair_basis(t: int, s: int, lam, mu) -> list[ExactMatrix]:
-    """Basis of {K (t x s) : J_t(lam) K = -K J_s(mu)}.
+    """Basis of {K (t x s) : J_t(lam) K = -K J_s(mu)}, the patterns in order of m.
 
-    Empty unless lam = -mu; otherwise min(t, s) matrices, the m-th being the
-    unit pattern padded with zero columns on the left (t <= s) or zero rows
-    at the bottom (t >= s).
+    Empty unless lam = -mu; ValueError if t or s is below 1.
     """
-    if t < 1 or s < 1:
-        raise ValueError("block sizes must be positive")
-    lam = as_gaussian(lam)
-    mu = as_gaussian(mu)
-    if lam + mu:
-        return []
-    r = min(t, s)
-    triangle = AlternatingTriangle(r, tuple(f"k{m}" for m in range(1, r + 1)))
-    basis = []
-    for m in range(1, r + 1):
-        core = triangle.unit(m)
-        grid = [[ZERO] * s for _ in range(t)]
-        col_off = s - r
-        for i in range(r):
-            for j in range(r):
-                v = core[i, j]
-                if v:
-                    grid[i][col_off + j] = v
-        basis.append(ExactMatrix.from_rows(grid))
-    return basis
+    u_spec = JordanSpec(((as_gaussian(lam), (t,)),))
+    v_spec = JordanSpec(((as_gaussian(mu), (s,)),))
+    return list(anticommutant_basis(u_spec, v_spec).basis)
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,42 +71,32 @@ def pair_contributions(
 
 
 def anticommutant_basis(u_spec: JordanSpec, v_spec: JordanSpec) -> AnticommutantBasis:
-    """Basis of solutions of J_U Y = -Y J_V, assembled block pair by block pair.
+    """Basis of solutions of J_U Y = -Y J_V, one element per block-pair pattern.
 
-    Every basis element is one block-pair pattern embedded at its block
-    position, zero elsewhere; the dimension is the sum of min(t, s) over
-    block pairs with opposite eigenvalues.
+    Elements follow the layout order of the left block, then the right block,
+    then m; the dimension is the sum of min(t, s) over block pairs with
+    opposite eigenvalues.  Each element is written entry by entry from the
+    closed form in the module docstring.
     """
-    u_blocks = u_spec.blocks()
-    v_blocks = v_spec.blocks()
-    u_offsets = u_spec.block_offsets()
-    v_offsets = v_spec.block_offsets()
     n_u, n_v = u_spec.n, v_spec.n
-
-    u_index = 0
     elements: list[ExactMatrix] = []
     names: list[str] = []
+    r_off = 0
     for gi, (lam, u_sizes) in enumerate(u_spec.groups, start=1):
-        for bi in range(1, len(u_sizes) + 1):
-            block_u = u_blocks[u_index + bi - 1]
-            v_index = 0
+        for bi, t in enumerate(u_sizes, start=1):
+            c_off = 0
             for gj, (mu, v_sizes) in enumerate(v_spec.groups, start=1):
-                for bj in range(1, len(v_sizes) + 1):
-                    block_v = v_blocks[v_index + bj - 1]
-                    local = block_pair_basis(block_u.size, block_v.size, lam, mu)
-                    r_off = u_offsets[u_index + bi - 1]
-                    c_off = v_offsets[v_index + bj - 1]
-                    for m, piece in enumerate(local, start=1):
-                        grid = [[ZERO] * n_v for _ in range(n_u)]
-                        for i in range(piece.rows):
-                            for j in range(piece.cols):
-                                v = piece[i, j]
-                                if v:
-                                    grid[r_off + i][c_off + j] = v
-                        elements.append(ExactMatrix.from_rows(grid))
+                for bj, s in enumerate(v_sizes, start=1):
+                    r = 0 if lam + mu else min(t, s)
+                    for m in range(1, r + 1):
+                        entries = [ZERO] * (n_u * n_v)
+                        for i in range(r - m + 1):
+                            col = c_off + s - r + i + m - 1
+                            entries[(r_off + i) * n_v + col] = MINUS_ONE if i % 2 else ONE
+                        elements.append(ExactMatrix(n_u, n_v, tuple(entries)))
                         names.append(f"k{gi}_{bi}_{gj}_{bj}_{m}")
-                v_index += len(v_sizes)
-        u_index += len(u_sizes)
+                    c_off += s
+            r_off += t
     return AnticommutantBasis(n_u, n_v, tuple(elements), tuple(names))
 
 

@@ -90,6 +90,8 @@ def _default_depth() -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.depth is not None and args.depth < 0:
+        raise ParseError("--depth must be nonnegative")
     depth = args.depth if args.depth is not None else _default_depth()
     problem = problem_from_json(load_json(args.input))
     sim = similarity_from_problem(problem)

@@ -85,14 +85,6 @@ class JordanSpec:
     def blocks(self) -> list[JordanBlockSpec]:
         return [JordanBlockSpec(eig, s) for eig, sizes in self.groups for s in sizes]
 
-    def block_offsets(self) -> list[int]:
-        offsets = []
-        pos = 0
-        for block in self.blocks():
-            offsets.append(pos)
-            pos += block.size
-        return offsets
-
     def eigenvalues(self) -> tuple[GaussianRational, ...]:
         return tuple(eig for eig, _ in self.groups)
 
@@ -109,21 +101,22 @@ class JordanSpec:
         is coordinate `old` of this layout; permutation_matrix(position_map)
         conjugates between the two frames.
         """
-        offsets = self.block_offsets()
-        blocks = self.blocks()
-        group_order = sorted(range(len(self.groups)), key=lambda g: _group_key(self.groups[g][0]))
-        block_index_of_group: list[list[int]] = []
+        groups = []  # (eigenvalue, [(size, offset), ...]) in layout order
         pos = 0
-        for _, sizes in self.groups:
-            block_index_of_group.append(list(range(pos, pos + len(sizes))))
-            pos += len(sizes)
+        for eig, sizes in self.groups:
+            placed = []
+            for size in sizes:
+                placed.append((size, pos))
+                pos += size
+            groups.append((eig, placed))
+        groups.sort(key=lambda group: _group_key(group[0]))
         position_map: list[int] = []
         new_groups = []
-        for g in group_order:
-            indices = sorted(block_index_of_group[g], key=lambda b: -blocks[b].size)
-            for b in indices:
-                position_map.extend(range(offsets[b], offsets[b] + blocks[b].size))
-            new_groups.append((self.groups[g][0], tuple(blocks[b].size for b in indices)))
+        for eig, placed in groups:
+            placed.sort(key=lambda block: -block[0])
+            for size, offset in placed:
+                position_map.extend(range(offset, offset + size))
+            new_groups.append((eig, tuple(size for size, _ in placed)))
         return JordanSpec(tuple(new_groups)), tuple(position_map)
 
 

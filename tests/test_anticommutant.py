@@ -1,7 +1,6 @@
 import pytest
 
 from ybx.anticommutant import (
-    AlternatingTriangle,
     anticommutant_basis,
     anticommutant_in_original,
     block_pair_basis,
@@ -70,11 +69,10 @@ def test_pattern_solves_pair_equation(rng):
             assert (mat_mul(u, element) + mat_mul(element, v)).is_zero()
 
 
-def test_alternating_triangle_validation():
-    with pytest.raises(ValueError):
-        AlternatingTriangle(2, ("a",))
-    with pytest.raises(ValueError):
-        AlternatingTriangle(2, ("a", "b")).unit(3)
+def test_block_pair_basis_rejects_nonpositive_sizes():
+    for t, s in [(0, 2), (2, 0), (-1, 1)]:
+        with pytest.raises(ValueError):
+            block_pair_basis(t, s, 0, 0)
 
 
 def test_basis_empty_for_self_pair_with_nonzero_eigenvalue():

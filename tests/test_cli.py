@@ -106,6 +106,16 @@ def test_depth_env_override(tmp_path, shift3_problem, monkeypatch):
     assert main(["solve", shift3_problem, str(tmp_path / "out2.json"), "--depth", "2"]) == 0
 
 
+def test_negative_depth_is_an_input_error(tmp_path, shift3_problem, monkeypatch, capsys):
+    out = tmp_path / "out.json"
+    assert main(["solve", shift3_problem, str(out), "--depth", "-1"]) == 2
+    assert "--depth must be nonnegative" in capsys.readouterr().err
+    monkeypatch.setenv("YBX_DEPTH_LIMIT", "-1")
+    assert main(["solve", shift3_problem, str(out)]) == 2
+    assert "YBX_DEPTH_LIMIT must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_verify_round_trip(tmp_path, shift3_problem, capsys):
     family_path = tmp_path / "family.json"
     assert main(["solve", shift3_problem, str(family_path), "--frame", "jordan"]) == 0

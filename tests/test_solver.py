@@ -334,6 +334,85 @@ def test_direct_sums_of_single_block_solutions_lie_in_two_block_family():
             ), "direct sum escaped every branch"
 
 
+def _centralizer_orbit_misses(family, sizes, points, seed, branches=None):
+    """How many of `points` conjugated solutions escape every branch.
+
+    Centralizer-orbit completeness oracle for the Jordan-frame family of the
+    nilpotent partition `sizes` (non-increasing).  If C commutes with J0 and
+    X solves both equations, so does C X C^-1: A C X C^-1 A = C A X A C^-1,
+    and likewise for the anti-commutation.  Each point starts from a
+    block-diagonal sum of single-block solutions (a random draw on a random
+    branch of single_block_family(s), one per block), is conjugated by a
+    random invertible integer combination of the centralizer's kernel basis,
+    and has its coordinates read off the first +-1 template entry of each
+    parameter.  A point that no branch (of `branches`, default all)
+    satisfies is a miss.  The orbits need not reach every branch, so
+    dropping a branch can go unseen: a lower-dimensional one in general, and
+    on (4, 3) even branches 2 and 3, whose side conditions ask for a nonzero
+    coupling between the two blocks and which no orbit point lands in.
+    """
+    from ybx.errors import SingularMatrix
+    from ybx.matrices import block_diag, mat_inverse
+    from ybx.oracle import kron_anticommutant_kernel
+    from ybx.solver import residuals
+
+    rng = random.Random(seed)
+    branches = family.branches if branches is None else branches
+    j0 = family.matrix
+    centralizer = kron_anticommutant_kernel(j0, -j0)
+    singles = {s: single_block_family(s) for s in set(sizes)}
+    first_entry = {}
+    for index, entry in enumerate(family.template.entries):
+        if not entry.is_zero():
+            ((name,), sign), = entry.terms
+            first_entry.setdefault(name, (index, sign))
+    misses = 0
+    for _ in range(points):
+        pieces = []
+        for s in sizes:
+            values = None
+            while values is None:
+                values = random_branch_values(rng.choice(singles[s].branches), rng)
+            pieces.append(singles[s].template.evaluate(values))
+        x = block_diag(pieces)
+        while True:
+            c = sum((e * rng.randint(-2, 2) for e in centralizer), ExactMatrix.zeros(*j0.shape))
+            try:
+                y = c @ x @ mat_inverse(c)
+                break
+            except SingularMatrix:
+                continue
+        assert all(r.is_zero() for r in residuals(j0, y))
+        values = {name: y.entries[index] * sign for name, (index, sign) in first_entry.items()}
+        assert family.template.evaluate(values) == y
+        misses += not any(branch_satisfied_by(b, values) for b in branches)
+    return misses
+
+
+ORBIT_POINTS = 10
+ORBIT_PARTITIONS = [
+    # the ladder
+    (2, 2), (3, 3), (4, 3), (4, 4), (2, 2, 2), (3, 3, 1),
+    (3, 3, 2), (5, 3), (4, 2, 2), (5, 5), (6, 4), (2, 2, 2, 2),
+    # small partitions with a size-1 block
+    (2, 1), (3, 1), (2, 1, 1), (3, 2, 1),
+]
+
+
+@pytest.mark.parametrize("sizes", ORBIT_PARTITIONS, ids=lambda p: "-".join(map(str, p)))
+def test_centralizer_orbit_completeness(sizes):
+    family = solve(similarity_from_jordan(spec((0, list(sizes)))))
+    assert _centralizer_orbit_misses(family, sizes, ORBIT_POINTS, seed=sum(sizes)) == 0
+
+
+def test_centralizer_orbit_oracle_sees_a_dropped_branch():
+    family = solve(similarity_from_jordan(spec((0, [4, 3]))))
+    misses = _centralizer_orbit_misses(
+        family, (4, 3), ORBIT_POINTS, seed=7, branches=family.branches[1:]
+    )
+    assert misses > 0
+
+
 def test_two_block_size_44_family_soundness():
     from ybx.oracle import verify_family_membership
 
