@@ -5,19 +5,27 @@ by the reference implementation before the exact-arithmetic kernel was
 optimized (plain Fraction-normalizing scalars, term-by-term substitution).
 Any change to the arithmetic, the substitution kernel or the branch search
 that alters a single byte of a family shows up here.  Anticommutant bases are
-pinned the same way over dumps_canonical(basis_to_json(...)).
+pinned the same way over dumps_canonical(basis_to_json(...)), and the exact
+elimination primitives (rref, null_space_basis, mat_inverse), jordan_form and
+the anticommutant cross-check over dumps_canonical of their outputs as grids.
 """
 
 import hashlib
 import io
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 from ybx import ExactMatrix, JordanSpec, jordan_form, similarity_from_jordan, solve, to_original
 from ybx.anticommutant import anticommutant_basis, anticommutant_in_original
+from ybx.bundled import example_41_problem
 from ybx.cli import main
+from ybx.errors import SingularMatrix
+from ybx.jordan import assemble_jordan
 from ybx.formats import basis_to_json, dumps_canonical, family_to_json, matrix_to_grid
+from ybx.matrices import mat_inverse, null_space_basis, rref
+from ybx.oracle import cross_check_anticommutant, kron_anticommutant_kernel
 from ybx.scalars import I, format_scalar
 
 JORDAN_FRAME_HASHES = {
@@ -172,10 +180,8 @@ def _digest(family) -> str:
     return _sha256(family_to_json(family))
 
 
-def _w12() -> ExactMatrix:
-    """L U with unit triangular L, U over {-1, 0, 1, i} and pivots 2, 3, 5: det 30."""
-    n = 12
-    pivots = {3: 2, 7: 3, 10: 5}
+def _lu(n: int, pivots: dict[int, int]) -> ExactMatrix:
+    """L U with unit triangular L, U over {-1, 0, 1, i} and the given diagonal pivots."""
     lower = [
         [(I if (i + j) % 5 == 0 else (i * i + 2 * j) % 3 - 1) if j < i else int(i == j)
          for j in range(n)]
@@ -186,6 +192,65 @@ def _w12() -> ExactMatrix:
         for i in range(n)
     ]
     return ExactMatrix.from_rows(lower) @ ExactMatrix.from_rows(upper)
+
+
+def _w12() -> ExactMatrix:
+    """det 30."""
+    return _lu(12, {3: 2, 7: 3, 10: 5})
+
+
+def _grid(rows: int, cols: int, entry) -> ExactMatrix:
+    return ExactMatrix.from_rows([[entry(i, j) for j in range(cols)] for i in range(rows)])
+
+
+_P, _Q = 2**61 - 1, 1000003
+
+# label -> (matrix, its rank); the rank-deficient ones are products through a
+# narrow inner dimension
+ELIMINATION_MATRICES = {
+    "complex-5x7": (
+        _grid(5, 3, lambda i, j: (i - 2 * j) % 4 - 1 + ((i + j) % 3 - 1) * I)
+        @ _grid(3, 7, lambda i, j: Fraction((i * j + 1) % 5 - 2, j % 3 + 1) + (j - i) % 2 * I),
+        3,
+    ),
+    "tall-7x4": (
+        _grid(7, 2, lambda i, j: 0 if i == 3 else Fraction(i + 2 * j - 4, j + 2))
+        @ _grid(2, 4, lambda i, j: (3 * i + j) % 5 - 2),
+        2,
+    ),
+    "zero-3x4": (ExactMatrix.zeros(3, 4), 0),
+    "square-4x4": (
+        _grid(4, 2, lambda i, j: (i + 1) ** j - 2 * (j == 1 and i == 2))
+        @ _grid(2, 4, lambda i, j: Fraction(j - 1, 3) + i * (j % 2) * I),
+        2,
+    ),
+    "dense-8x8": (
+        _grid(8, 8, lambda i, j: int(i == j) if j >= i else Fraction(i * 7 - j * 3, _P))
+        @ _grid(8, 8, lambda i, j: 0 if j < i else Fraction(i + 2, _Q) if j == i
+                else Fraction(5 * i - 3 * j + 1, _P) + Fraction(j - i, _Q) * I),
+        8,
+    ),
+}
+ELIMINATION_HASHES = {
+    "complex-5x7": "4abb301c5158deec116634e4712647760cb49a249eadf0325c7932346f12d1d8",
+    "tall-7x4": "dc6c5fbbd0d515f423a3eea40df9bca8306795ce0ee885c10158fa1ab9dbbeda",
+    "square-4x4": "3a9e351d78eee1bac2dd08bc365c7855934f50f57ff90876c09cbbf55ba5dc41",
+    "zero-3x4": "64eecaec838b42818358a889caaa658d639974a54076e58d2eb35cf384de9b2b",
+    "dense-8x8": "576206343ddc28b925d78c22f9886b7fadb64c449eda0bff09fb2a3c3a513853",
+}
+
+# jordan_form on the bundled 4.1 matrix and on a dense n = 16 input built like
+# the n = 12 one above
+SPEC16 = ((0, (4, 3, 2)), (1, (2, 2)), (-1, (2, 1)))
+JORDAN_FORM_MORE_HASHES = {
+    "example-4.1": "8d4d1f54cdac6173401801dee0e0b36adbff4cc658a78f29f6bda808bdb507f3",
+    "n16": "b2c14e3ba91a96db40018f1223b3218be1b438aae18266974ea2a86dff1b9234",
+}
+
+# cross_check_anticommutant on a multi-group pair, with the vectorized kernel
+# basis it compares against
+CROSS_CHECK_PAIR = (((0, (2, 1)), (1, (2,)), (-1, (1,))), ((0, (3,)), (-1, (2,)), (1, (1,))))
+CROSS_CHECK_HASH = "c5790be3ab1ac76c4f0efb805f26f8d6b0b796ba4d09763002e92b4ecfd70d54"
 
 
 @pytest.mark.parametrize("sizes", sorted(JORDAN_FRAME_HASHES))
@@ -211,13 +276,64 @@ def test_original_frame_family_bytes():
     assert _digest(to_original(solve(sim), sim)) == ORIGINAL_FRAME_HASH
 
 
+def _similarity_digest(sim) -> str:
+    spec = [[format_scalar(eig), list(sizes)] for eig, sizes in sim.spec.groups]
+    return _sha256({"spec": spec, "w": matrix_to_grid(sim.w), "w_inv": matrix_to_grid(sim.w_inv)})
+
+
 def test_jordan_form_bytes():
     a = similarity_from_jordan(JordanSpec.from_pairs(SPEC12), _w12()).a
     sim = jordan_form(a, ["0", "1", "-1"])
-    spec = [[format_scalar(eig), list(sizes)] for eig, sizes in sim.spec.groups]
-    data = {"spec": spec, "w": matrix_to_grid(sim.w), "w_inv": matrix_to_grid(sim.w_inv)}
-    assert _sha256(data) == JORDAN_FORM_HASH
+    assert _similarity_digest(sim) == JORDAN_FORM_HASH
     assert _digest(to_original(solve(sim), sim)) == JORDAN_FORM_FAMILY_HASH
+
+
+@pytest.mark.parametrize("label", sorted(JORDAN_FORM_MORE_HASHES))
+def test_jordan_form_more_bytes(label):
+    if label == "example-4.1":
+        problem = example_41_problem()
+        a, eigenvalues = problem.matrix, problem.eigenvalues
+    else:
+        w16 = _lu(16, {2: 2, 5: -3, 9: 5, 13: 7})
+        a, eigenvalues = similarity_from_jordan(JordanSpec.from_pairs(SPEC16), w16).a, [0, 1, -1]
+    assert _similarity_digest(jordan_form(a, eigenvalues)) == JORDAN_FORM_MORE_HASHES[label]
+
+
+def _elimination_record(m: ExactMatrix) -> dict:
+    reduced, rank, pivots = rref(m)
+    record = {
+        "rref": matrix_to_grid(reduced),
+        "rank": rank,
+        "pivots": list(pivots),
+        "kernel": [matrix_to_grid(v) for v in null_space_basis(m)],
+    }
+    if m.is_square():
+        try:
+            record["inverse"] = matrix_to_grid(mat_inverse(m))
+        except SingularMatrix as exc:
+            record["singular_rank"] = exc.rank
+    return record
+
+
+@pytest.mark.parametrize("label", sorted(ELIMINATION_MATRICES))
+def test_elimination_bytes(label):
+    m, rank = ELIMINATION_MATRICES[label]
+    record = _elimination_record(m)
+    assert record["rank"] == rank
+    assert _sha256(record) == ELIMINATION_HASHES[label]
+
+
+def test_cross_check_anticommutant_bytes():
+    left, right = (JordanSpec.from_pairs(pairs) for pairs in CROSS_CHECK_PAIR)
+    report = cross_check_anticommutant(left, right)
+    assert report.span_match
+    kernel = kron_anticommutant_kernel(assemble_jordan(left), assemble_jordan(right))
+    data = {
+        "expected": report.expected_dimension,
+        "oracle": report.oracle_dimension,
+        "kernel": [matrix_to_grid(k) for k in kernel],
+    }
+    assert _sha256(data) == CROSS_CHECK_HASH
 
 
 @pytest.mark.parametrize("example, seed", sorted(EXAMPLE_FILE_HASHES))
