@@ -65,8 +65,7 @@ from .solver import (
     ORIGINAL_FRAME,
     SolutionFamily,
     build_constraint_system,
-    residual_anticommute,
-    residual_ybe,
+    residuals,
     sample,
     solve,
     to_original,
@@ -126,8 +125,9 @@ def _report_residual(label: str, residual) -> bool:
 def cmd_verify(args) -> int:
     a = matrix_from_file_json(load_json(args.matrix))
     x = matrix_from_file_json(load_json(args.candidate))
-    equation_ok = _report_residual("equation residual A*X*A - X*A*X", residual_ybe(a, x))
-    anti_ok = _report_residual("anti-commutation residual A*X + X*A", residual_anticommute(a, x))
+    anti, ybe = residuals(a, x)
+    equation_ok = _report_residual("equation residual A*X*A - X*A*X", ybe)
+    anti_ok = _report_residual("anti-commutation residual A*X + X*A", anti)
     return 0 if equation_ok and anti_ok else 1
 
 

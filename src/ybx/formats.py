@@ -87,6 +87,8 @@ def problem_from_json(obj) -> ProblemInput:
             raise ParseError("a 'matrix' problem needs an 'eigenvalues' list")
         matrix = grid_to_matrix(obj["matrix"])
         eigenvalues = tuple(parse_scalar(_as_str(e)) for e in obj["eigenvalues"])
+        if len(set(eigenvalues)) != len(eigenvalues):
+            raise ParseError("'eigenvalues' lists the same value twice")
         return ProblemInput(matrix=matrix, eigenvalues=eigenvalues)
     allowed = {"jordan", "w"}
     if set(obj) - allowed:

@@ -249,14 +249,8 @@ def jordan_form(a: ExactMatrix, eigenvalues: Sequence) -> SimilarityData:
 
         chains: list[list[tuple[GaussianRational, ...]]] = []
         for k in range(index, 0, -1):
-            span = RowSpan()
-            for basis_vec in kernels[k - 1]:
-                span.add(basis_vec.col(0))
-            carried = 0
-            for chain in chains:
-                span.add(chain[k - 1])
-                carried += 1
-            needed = blocks_ge[k - 1] - carried
+            span = RowSpan([v.col(0) for v in kernels[k - 1]] + [c[k - 1] for c in chains])
+            needed = blocks_ge[k - 1] - len(chains)
             for cand in kernels[k]:
                 if needed == 0:
                     break

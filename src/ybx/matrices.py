@@ -14,15 +14,19 @@ part denominators, every output entry is a handful of integer dot products
 part), and each output part becomes one Fraction over the product of the two
 scales.  So an n x n product costs O(n^2) Fraction constructions instead of
 O(n^3) Fraction additions and multiplications, each with its own gcd.
-Elimination and the row span still work entry by entry on Fractions.
+Elimination has one kernel, RowSpan, which works entry by entry on Fractions
+and keeps its rows in reduced row echelon form: each row is 1 at its own
+pivot and 0 at every other row's pivot.  rref, null_space_basis and
+mat_inverse read their answers off those rows.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -195,58 +199,32 @@ def mat_pow(m: ExactMatrix, k: int) -> ExactMatrix:
     return out
 
 
-def _reduce_rows(work: list[list[GaussianRational]], width: int) -> tuple[int, list[int]]:
-    """In-place Gauss-Jordan over the first `width` columns; returns rank, pivots."""
-    n_rows = len(work)
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c].reciprocal()
-        work[r] = [x * inv if x else x for x in work[r]]
-        for i in range(n_rows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y if y else x for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return r, pivots
-
-
 def rref(m: ExactMatrix) -> RrefResult:
     """Exact reduced row-echelon form with rank and 0-indexed pivot columns."""
-    work = [list(m.row(i)) for i in range(m.rows)]
-    rank, pivots = _reduce_rows(work, m.cols)
-    return RrefResult(ExactMatrix.from_rows(work), rank, tuple(pivots))
+    rows = RowSpan(m.row(i) for i in range(m.rows)).rows
+    entries = [x for _, row in rows for x in row]
+    entries += [ZERO] * (m.rows * m.cols - len(entries))
+    pivots = tuple(p for p, _ in rows)
+    return RrefResult(ExactMatrix(m.rows, m.cols, tuple(entries)), len(rows), pivots)
 
 
 def null_space_basis(m: ExactMatrix) -> list[ExactMatrix]:
     """Basis column vectors of the exact kernel of m.
 
-    Each vector has one pivot-free coordinate set to 1, the rest filled by
-    back-substitution; the list has exactly cols - rank elements, in order of
-    the free columns.
+    Each vector has one pivot-free coordinate set to 1 and, at each pivot,
+    minus that pivot row's entry in the free column; the list has exactly
+    cols - rank elements, in order of the free columns.
     """
-    reduced, rank, pivots = rref(m)
-    pivot_set = set(pivots)
+    rows = RowSpan(m.row(i) for i in range(m.rows)).rows
+    pivots = {p for p, _ in rows}
     basis: list[ExactMatrix] = []
     for j in range(m.cols):
-        if j in pivot_set:
+        if j in pivots:
             continue
         vec = [ZERO] * m.cols
         vec[j] = ONE
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r, j]
+        for p, row in rows:
+            vec[p] = -row[j]
         basis.append(ExactMatrix.column(vec))
     return basis
 
@@ -256,20 +234,26 @@ def mat_inverse(m: ExactMatrix) -> ExactMatrix:
     if not m.is_square():
         raise DimensionMismatch("mat_inverse", m.shape, m.shape)
     n = m.rows
-    work = [
+    rows = RowSpan(
         list(m.row(i)) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)
-    ]
-    rank, _pivots = _reduce_rows(work, n)
+    ).rows
+    rank = sum(p < n for p, _ in rows)
     if rank < n:
         raise SingularMatrix(rank, n)
-    return ExactMatrix.from_rows([row[n:] for row in work])
+    return ExactMatrix(n, n, tuple(x for _, row in rows for x in row[n:]))
 
 
 class RowSpan:
-    """Incremental reduced row span with exact membership tests."""
+    """Incremental row span in reduced row echelon form, with exact membership tests.
 
-    def __init__(self):
+    rows holds (pivot, row) pairs in pivot order.  Every row is 1 at its own
+    pivot and 0 at every other row's pivot, so one pass reduces a vector.
+    """
+
+    def __init__(self, vectors: Iterable[Sequence[GaussianRational]] = ()):
         self.rows: list[tuple[int, list[GaussianRational]]] = []
+        for vec in vectors:
+            self.add(vec)
 
     def _reduce(self, vec: Sequence[GaussianRational]) -> list[GaussianRational]:
         v = list(vec)
@@ -286,7 +270,12 @@ class RowSpan:
         if pivot is None:
             return False
         inv = v[pivot].reciprocal()
-        self.rows.append((pivot, [x * inv if x else x for x in v]))
+        v = [x * inv if x else x for x in v]
+        for k, (p, row) in enumerate(self.rows):
+            f = row[pivot]
+            if f:
+                self.rows[k] = (p, [x - f * y if y else x for x, y in zip(row, v)])
+        insort(self.rows, (pivot, v), key=itemgetter(0))
         return True
 
     def contains(self, vec: Sequence[GaussianRational]) -> bool:

@@ -102,9 +102,7 @@ def cross_check_anticommutant(u_spec: JordanSpec, v_spec: JordanSpec) -> OracleR
     expected = structural.dimension
     oracle_dim = len(kernel)
 
-    kernel_span = RowSpan()
-    for element in kernel:
-        kernel_span.add(element.entries)
+    kernel_span = RowSpan(element.entries for element in kernel)
     structural_span = RowSpan()
     counterexample = None
     independent = True

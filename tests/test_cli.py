@@ -75,6 +75,19 @@ def test_solve_bad_eigenvalue_exit_3(tmp_path):
     assert main(["solve", problem, str(tmp_path / "out.json")]) == 3
 
 
+@pytest.mark.parametrize("eigenvalues", [["0", "0"], ["0", "0/1"], ["1", "0", "1"]])
+def test_duplicate_eigenvalue_exit_2(tmp_path, capsys, eigenvalues):
+    problem = write(
+        tmp_path / "problem.json",
+        {"matrix": [["0", "1"], ["0", "0"]], "eigenvalues": eigenvalues},
+    )
+    out = tmp_path / "out.json"
+    assert main(["solve", problem, str(out)]) == 2
+    assert main(["anticommutant", problem, problem, str(out)]) == 2
+    assert "'eigenvalues' lists the same value twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_incomplete_spectrum_exit_3(tmp_path):
     problem = write(
         tmp_path / "problem.json",
@@ -144,6 +157,14 @@ def test_verify_shape_error_exit_2(tmp_path):
     a = write(tmp_path / "a.json", {"matrix": [["1", "0"], ["0", "1"]]})
     b = write(tmp_path / "b.json", {"matrix": [["1"]]})
     assert main(["verify", a, b]) == 2
+
+
+def test_verify_non_square_exit_2(tmp_path, capsys):
+    a = write(tmp_path / "a.json", {"matrix": [["1", "0", "1"], ["0", "1", "0"]]})
+    assert main(["verify", a, a]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "incompatible shapes 2x3 and 2x3" in captured.err
 
 
 def test_sample_error_exit_codes(tmp_path, shift3_problem):

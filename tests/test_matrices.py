@@ -2,13 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybx.errors import DimensionMismatch, SingularMatrix
 from ybx.jordan import JordanSpec, assemble_jordan
 from ybx.matrices import (
     ExactMatrix,
+    RowSpan,
     block_diag,
     first_nonzero_entry,
     mat_inverse,
@@ -18,7 +19,7 @@ from ybx.matrices import (
     permutation_matrix,
     rref,
 )
-from ybx.scalars import ZERO, GaussianRational
+from ybx.scalars import ONE, ZERO, GaussianRational
 
 from conftest import random_invertible, random_matrix
 
@@ -254,3 +255,141 @@ def test_mat_mul_one_by_one_and_large_denominators():
     col = ExactMatrix.column([p, -q])
     assert mat_mul(row, col) == ExactMatrix.zeros(1, 1)
     assert mat_mul(col, row) == textbook_product(col, row)
+
+
+def textbook_reduce_rows(work: list[list[GaussianRational]], width: int) -> tuple[int, list[int]]:
+    """In-place Gauss-Jordan over the first `width` columns; returns rank, pivots.
+
+    The reference for RowSpan's elimination: this one works column by column
+    with row swaps, where RowSpan works row by row.
+    """
+    n_rows = len(work)
+    pivots: list[int] = []
+    r = 0
+    for c in range(width):
+        pivot_row = None
+        for i in range(r, n_rows):
+            if work[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = work[r][c].reciprocal()
+        work[r] = [x * inv if x else x for x in work[r]]
+        for i in range(n_rows):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y if y else x for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return r, pivots
+
+
+def textbook_rref(m: ExactMatrix) -> tuple[ExactMatrix, int, tuple[int, ...]]:
+    work = m.to_rows()
+    rank, pivots = textbook_reduce_rows(work, m.cols)
+    return ExactMatrix.from_rows(work), rank, tuple(pivots)
+
+
+def textbook_null_space(m: ExactMatrix) -> list[ExactMatrix]:
+    reduced, _rank, pivots = textbook_rref(m)
+    basis = []
+    for j in range(m.cols):
+        if j in pivots:
+            continue
+        vec = [ZERO] * m.cols
+        vec[j] = ONE
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced[r, j]
+        basis.append(ExactMatrix.column(vec))
+    return basis
+
+
+def textbook_inverse(m: ExactMatrix) -> tuple[int, ExactMatrix | None]:
+    """(rank, inverse), the inverse None when the rank is short."""
+    n = m.rows
+    work = [list(m.row(i)) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    rank, _pivots = textbook_reduce_rows(work, n)
+    return rank, ExactMatrix.from_rows([row[n:] for row in work]) if rank == n else None
+
+
+@st.composite
+def _elimination_inputs(draw) -> ExactMatrix:
+    """Shapes 1-6 x 1-6, square half the time, and a product through a
+    narrower inner dimension half the time, so that the rank falls short."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.one_of(st.just(rows), st.integers(1, 6)))
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, min(rows, cols)))
+        return draw(_matrices(rows, inner)) @ draw(_matrices(inner, cols))
+    return draw(_matrices(rows, cols))
+
+
+# exact elimination on large denominators can run past hypothesis' 200 ms
+# default on a slow host; the deadline measures the host, not the answer
+@settings(deadline=None)
+@given(_elimination_inputs())
+def test_elimination_matches_textbook_gauss_jordan(m):
+    assert rref(m) == textbook_rref(m)
+    assert null_space_basis(m) == textbook_null_space(m)
+    if m.is_square():
+        rank, inverse = textbook_inverse(m)
+        if inverse is None:
+            with pytest.raises(SingularMatrix) as err:
+                mat_inverse(m)
+            assert (err.value.rank, err.value.size) == (rank, m.rows)
+        else:
+            assert mat_inverse(m) == inverse
+
+
+@st.composite
+def _vector_runs(draw) -> list[list[GaussianRational]]:
+    """Vectors of one width, some of them integer combinations of earlier ones."""
+    width = draw(st.integers(1, 6))
+    entry = _kinds[draw(st.sampled_from(sorted(_kinds)))]
+    vectors: list[list[GaussianRational]] = []
+    for _ in range(draw(st.integers(1, 8))):
+        if vectors and draw(st.booleans()):
+            coefficients = [draw(st.integers(-2, 2)) for _ in vectors]
+            vectors.append(_combination(coefficients, vectors))
+        else:
+            vectors.append([draw(st.one_of(st.just(ZERO), entry)) for _ in range(width)])
+    return vectors
+
+
+def _combination(coefficients, vectors) -> list[GaussianRational]:
+    total = [ZERO] * len(vectors[0])
+    for c, v in zip(coefficients, vectors):
+        total = [t + x * c for t, x in zip(total, v)]
+    return total
+
+
+@settings(deadline=None)
+@given(_vector_runs(), st.randoms(use_true_random=False))
+def test_row_span_echelon_invariant_rank_and_membership(vectors, rnd):
+    span = RowSpan()
+    added: list[list[GaussianRational]] = []
+    rank = 0
+    for vec in vectors:
+        grew = span.add(vec)
+        added.append(vec)
+        _reduced, new_rank, pivots = textbook_rref(ExactMatrix.from_rows(added))
+        assert grew == (new_rank > rank)
+        rank = new_rank
+        assert [p for p, _ in span.rows] == list(pivots)
+        for p, row in span.rows:
+            assert not any(row[:p]) and row[p] == ONE
+            assert all(not row[q] for q in pivots if q != p)
+        for _ in range(3):
+            coefficients = [rnd.randint(-3, 3) for _ in added]
+            assert span.contains(_combination(coefficients, added))
+        # a unit vector off the pivot columns has a zero coordinate on every
+        # row of the reduced basis, so it lies outside the span
+        free = [j for j in range(len(vec)) if j not in pivots]
+        if free:
+            j = rnd.choice(free)
+            assert not span.contains([ONE if i == j else ZERO for i in range(len(vec))])
