@@ -22,8 +22,8 @@ from ybx.anticommutant import anticommutant_basis, anticommutant_in_original
 from ybx.bundled import example_41_problem
 from ybx.cli import main
 from ybx.errors import SingularMatrix
-from ybx.jordan import assemble_jordan
 from ybx.formats import basis_to_json, dumps_canonical, family_to_json, matrix_to_grid
+from ybx.jordan import assemble_jordan
 from ybx.matrices import mat_inverse, null_space_basis, rref
 from ybx.oracle import cross_check_anticommutant, kron_anticommutant_kernel
 from ybx.scalars import I, format_scalar
@@ -195,7 +195,7 @@ def _lu(n: int, pivots: dict[int, int]) -> ExactMatrix:
 
 
 def _w12() -> ExactMatrix:
-    """det 30."""
+    """The W of the n = 12 input: det 30."""
     return _lu(12, {3: 2, 7: 3, 10: 5})
 
 
