@@ -43,6 +43,56 @@ JORDAN_FRAME_HASHES = {
     (5, 5): "7f73eac8b00b38524325a7440629a4bbbd5bdff6c54ada71ae95c41185e14ae8",
     (6, 4): "d4f6f493bf18fa1c00ba205caeebc501a8cf7e9f8952d0a7f9d2390ba390d064",
     (2, 2, 2, 2): "5450c2e0693dec28f1f896872f9ce3aa7e4ef14c7e6f78f1e38f73c844683f7b",
+    # every other multi-block partition with n <= 8, pinned from the search
+    # that factored every equation again on every round
+    (1, 1): "67db39feaecdd853e20cb33760b5a77a3fd769630d381e99d8afeb815f955fbb",
+    (2, 1): "340a5204373aecfdca4f53eec189395215e420b6ea3d23aa5679d15d2af28ce1",
+    (1, 1, 1): "71253523f90015ae1ad9afb0f1f20ccb33a0fdb1f20ae1eae8e2558a899b703e",
+    (3, 1): "5aa4d8cd476042693cc79504026d3a92404183109a316f06035f2fe1495bf426",
+    (2, 1, 1): "7abd909b03e9273ffb5471d6123fdc7b5ccfdf30c0b95fdb815160c4c5e98a0c",
+    (1, 1, 1, 1): "cfc97266920197f0558c53453ffef144083d2956ccb63bc13233f299335e2e40",
+    (4, 1): "83317b03021f12c8e0d5bfad80b731dd2caf092df7b0f65c9112607fa7dda904",
+    (3, 2): "f74aa2af49c1792133c1c3a8573b78c34ecf002e23c4f733c3597d920ef79301",
+    (3, 1, 1): "f73ddb8b4ec391aeddcab37953ba9c39519ac890aba142af3dfed35b4f865c69",
+    (2, 2, 1): "4eaf2c883392af0420820ef8dc83ae6768f66c1c1a686a5537e52089be234f35",
+    (2, 1, 1, 1): "2281cabb38ddd99bf20d6521c38203e3770ac9af8710475ae473ebdc0050d9ae",
+    (1, 1, 1, 1, 1): "ff4258a460a58133d26a2c46416691d3532b2a7a001250979065a837fdc5db7a",
+    (5, 1): "e41cca1e2c09d1bf711eeb502deefc6d400f64eef2ea40a289eb8a177d677a4f",
+    (4, 2): "134a675e6b6ef7b965864ce772693099926ed6ec0119e3293686c05fc04de281",
+    (4, 1, 1): "0568d64a9e66d678b5575ac3e4d5755cf89c7395f156a0dcad80929e90bfad78",
+    (3, 2, 1): "cc6386c0cb08dfca885024630b0af7bf6ecac9ecd824c7348c495d9e83fef553",
+    (3, 1, 1, 1): "f647ed196601a33bc921aba1af23137bb9a407bbe62675fa54ac26c3968e9677",
+    (2, 2, 1, 1): "fb8ed9394c1410b2151e04a796f8237267d1388b0573c9d1f7cbe332917e7448",
+    (2, 1, 1, 1, 1): "96283b55cccb0248c970b43b186be8e38ec6dfd11b4f83035f93b463865b2782",
+    (1, 1, 1, 1, 1, 1): "1531c82b38e1c0512e28fd5b5d1d341b3e8aba3357ed8994a4baa2445197d607",
+    (6, 1): "8a911cc8aaadd77cb0fafc2c8a401996781799ec2caf9b7752e5acb172f91f40",
+    (5, 2): "427f65d1dc51a8503057ff5011127732a092a519d72f54b366055101373f4f33",
+    (5, 1, 1): "9ded6677ed186ca927335bfbca7bbd73edaef63decef2bbe4140f1a33bad5b92",
+    (4, 2, 1): "04ce360597cbe237cc9854d277b3f236dfdb07371dfc48b0e4235e90d02b8fbd",
+    (4, 1, 1, 1): "6fb8ddb32ed08f40260a92b5b4b50f1a3f105579487e0bcc61c022d06f673b8b",
+    (3, 2, 2): "c90ceded3e33cb0f850005ef80fa1ce13007b7fffdc7db5c83a9f55906db5bc2",
+    (3, 2, 1, 1): "a0d765f5da456331d9bb62c4a1e3410b6dbef6ff6dbdf4cfc3cb3877a00abccc",
+    (3, 1, 1, 1, 1): "10429cbd17d2f584625549b35009a508c37998f2daae9c903b384673042ae919",
+    (2, 2, 2, 1): "ed1bd059ac7c6a5e7dd73063dc21f7f020976385af5bf5c91e70ed4262f7d635",
+    (2, 2, 1, 1, 1): "5ef4aeabe198fb4e97e79f73b3c0ffc11f620b196fbd578ca15972cab80f12dd",
+    (2, 1, 1, 1, 1, 1): "6a1658d0b2ecb7ce4c049912ecf87583cad906aab8fbc887e4b95f6eecd7b53f",
+    (1, 1, 1, 1, 1, 1, 1): "549642c4202646a2238d5aa2251dbd02befc3cf2fc44ba6476310583e6ae9e23",
+    (7, 1): "6e6d4d81257f2c48b3a0fd35615779bdd80c03ab64ce89453c6259f915a564a1",
+    (6, 2): "c7c27cce1b9263d0c2822e631a389d7f946afb1fce48b04b0d0cfd60e255e313",
+    (6, 1, 1): "e7a30fd4f30e218c6c014b4a07e26df6716c98507b8b471f7a62d77084314ec4",
+    (5, 2, 1): "942fa6dc786c7bfefa8f3c9ff359aa70c8e21790320e25b9637031cbd2635686",
+    (5, 1, 1, 1): "8fb0d0518aba03eaa0e8a2df275e6a9c05e37843c3c694a361db7f3a21e09135",
+    (4, 3, 1): "18e37567d01134c81ccf773fcee065f91b3ca6450bd49036bf0a7d3600dfdbc3",
+    (4, 2, 1, 1): "5d219b864038a7ffbffdc8e75fc4eadf30b154010f7a2f4a03d8db96d65817f7",
+    (4, 1, 1, 1, 1): "d501fb6ac57abffb9789ee7e26fdf553ccbe5a0986ea0931ff4398bcbb5af780",
+    (3, 3, 1, 1): "3ea10bf93207d471fd360af7c0ee7dbe86922e20f37ce2cc3bb634e4abe867eb",
+    (3, 2, 2, 1): "341308266f3d65ab377948bc2373d3f792893bbe1fbb1fb11c4d4ea2ac42d80a",
+    (3, 2, 1, 1, 1): "302adb37e7e80d51a4e8d7ce8564ebc2fb831cb1e3a6e99137df5be2fae6cfaa",
+    (3, 1, 1, 1, 1, 1): "d4a208b0d16556e9951d32da62968941d47c0503815ed12b8434a05e3f9cdf06",
+    (2, 2, 2, 1, 1): "859842fab8ed8f0e2924dc9921f2984e4cc3a27c452a17844ec45bd6e9cfe74f",
+    (2, 2, 1, 1, 1, 1): "46e820c477769d6e6d45ed925cb27fcf61f122af552553fbb6f9dc09a7203c5f",
+    (2, 1, 1, 1, 1, 1, 1): "011f5a10ae04bdaa863ef158af49a9529a795c966268cb09ead439f01b8bbc2c",
+    (1, 1, 1, 1, 1, 1, 1, 1): "ecbb1ffd52929ac48be563400b95b64321714218c8142ae070b57cb092ef058c",
     # single blocks, pinned from the hand-written closed forms (size 4 from
     # its special case through the branch search)
     (1,): "9895c535301795e3d211ff4f21c8d7a7706bed160e9ff5835d66e71e1898abef",

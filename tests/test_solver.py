@@ -660,6 +660,15 @@ def test_solve_branches_reduced_system_from_text():
     assert diseq_names == ["k22", "k31"]
 
 
+def test_solve_branches_keeps_root_order_of_entering_equation():
+    # y := -1 turns the second equation into -(x - 1)(x - 2); its roots must
+    # come out in the order of the monic form, x = 2 first
+    system = [parse_polynomial(t) for t in ("y+1", "x*x*y+3*x-2")]
+    branches = solve_branches(system)
+    assert [str(b.assignment_map()["x"]) for b in branches] == ["2", "1"]
+    assert all(str(b.assignment_map()["y"]) == "-1" for b in branches)
+
+
 # _normalize tests "known nonzero" on each factor by lookup alone, which is
 # sound only because every factor _factor returns is already atomic.
 monomials = st.lists(st.sampled_from(("a", "b", "c")), max_size=2).map(lambda v: tuple(sorted(v)))
