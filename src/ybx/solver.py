@@ -16,6 +16,7 @@ residual systems when the case split cannot finish within the depth limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -196,11 +197,13 @@ def _factor(p: ParamPolynomial) -> list[ParamPolynomial]:
     Handles the shapes the constraint systems produce: shared variable
     factors, pure monomials, and single-variable quadratics whose roots exist
     in Q(i).  Anything else comes back atomic.  Every factor is monic: a
-    variable, x - root, or the monic remainder.
+    variable, x - root, or the monic remainder.  The list is invariant under
+    units (p is made monic first) and stable on products of its own output:
+    for every order-preserving sub-list L of it, _factor(product of L) is L.
     """
     if p.is_constant():
         return []
-    rest = p
+    rest = _monic(p)
     shared_vars: list[str] = []
     while not rest.is_constant():
         shared = rest.common_variables()
@@ -241,20 +244,24 @@ def _factor_atomic(p: ParamPolynomial) -> list[ParamPolynomial]:
     return [_monic(p)]
 
 
-def _product(polys: Sequence[ParamPolynomial]) -> ParamPolynomial:
-    out = ParamPolynomial.constant(1)
-    for p in polys:
-        out = out * p
-    return out
+def _entering(p: ParamPolynomial) -> tuple[ParamPolynomial, list[ParamPolynomial]]:
+    """(monic product of p's factors, the factors); a constant p keeps itself."""
+    factors = _factor(p)
+    return math.prod(factors, start=ParamPolynomial.constant(1)) if factors else p, factors
 
 
 class _BranchState:
-    """Mutable search state: equations, assignments, side conditions."""
+    """Mutable search state: equations, assignments, side conditions.
+
+    Equations are (monic product, factors) pairs.  _factor runs only in
+    _entering, on the initial system, assign's rewrites and both sides of a
+    coefficient split, and in knows_nonzero.
+    """
 
     __slots__ = ("equations", "assignments", "disequalities", "depth")
 
     def __init__(self, equations, assignments, disequalities, depth):
-        self.equations: list[ParamPolynomial] = equations
+        self.equations: list[tuple[ParamPolynomial, list[ParamPolynomial]]] = equations
         self.assignments: dict[str, RationalFunction] = assignments
         self.disequalities: dict[tuple, ParamPolynomial] = disequalities
         self.depth: int = depth
@@ -305,14 +312,13 @@ class _BranchState:
             new_assignments[var] = rf
         new_assignments[name] = value
 
-        new_equations = []
-        for eq in self.equations:
-            if name in eq.variables():
-                eq = eq.substitute_rational(mapping).numerator
-            new_equations.append(eq)
-
         self.assignments = new_assignments
-        self.equations = new_equations
+        self.equations = [
+            _entering(eq.substitute_rational(mapping).numerator)
+            if name in eq.variables()
+            else (eq, factors)
+            for eq, factors in self.equations
+        ]
         return True
 
 
@@ -346,10 +352,7 @@ def solve_branches(
         universe = tuple(parameters)
 
     out: list[SolutionBranch] = []
-    state = _BranchState([_monic(p) for p in system if not p.is_zero()], {}, {}, 0)
-    if any(p.is_constant() for p in state.equations):
-        return []
-    _explore(state, depth_limit, universe, out)
+    _explore(_BranchState([_entering(p) for p in system], {}, {}, 0), depth_limit, universe, out)
     return _merge_branches(out)
 
 
@@ -381,31 +384,30 @@ def _explore(state: _BranchState, depth_limit: int, universe, out: list[Solution
 def _normalize(state: _BranchState) -> bool:
     """Canonicalize equations in one pass; False when the branch is infeasible.
 
-    Each equation becomes the monic product of its distinct factors that are
-    not recorded nonzero, and repeats are dropped.  One pass suffices:
-    _explore normalizes again after every substitution, and the reduced
-    equations are monic and distinct, as _finalize requires.
+    Each equation keeps its factors that are not recorded nonzero (a constant
+    has none), its product is rebuilt only when one was dropped, and repeats
+    are dropped.  One pass suffices: _explore normalizes again after every
+    substitution, and the reduced equations are monic and distinct.
     """
-    cleaned: dict[tuple, ParamPolynomial] = {}
-    for eq in state.equations:
+    cleaned: dict[tuple, tuple[ParamPolynomial, list[ParamPolynomial]]] = {}
+    for eq, factors in state.equations:
         if eq.is_zero():
             continue
-        if eq.is_constant():
-            return False
         # each factor is monic and atomic: known nonzero iff recorded
-        live = [f for f in _factor(eq) if f.terms not in state.disequalities]
+        live = [f for f in factors if f.terms not in state.disequalities]
         if not live:
             return False
-        eq = _monic(_product(live))
-        cleaned.setdefault(eq.terms, eq)
+        if len(live) < len(factors):
+            eq = math.prod(live, start=ParamPolynomial.constant(1))
+        cleaned.setdefault(eq.terms, (eq, live))
     state.equations = list(cleaned.values())
     return True
 
 
 def _linear_occurrences(state: _BranchState):
     """(name, equation index, coefficient, rest) of each degree-1 occurrence, by name."""
-    for name in sorted({v for eq in state.equations for v in eq.variables()}):
-        for idx, eq in enumerate(state.equations):
+    for name in sorted({v for eq, _ in state.equations for v in eq.variables()}):
+        for idx, (eq, _) in enumerate(state.equations):
             if eq.degree_in(name) == 1:
                 yield name, idx, eq.coefficient_of(name, 1), eq.coefficient_of(name, 0)
 
@@ -427,16 +429,15 @@ def _solve_linear(state: _BranchState) -> bool | None:
 
 
 def _find_factor_split(state: _BranchState) -> list[_BranchState] | None:
-    for idx, eq in enumerate(state.equations):
-        factors = _factor(eq)
+    for idx, (_, factors) in enumerate(state.equations):
         if len(factors) < 2:
             continue
-        head, tail = factors[0], _monic(_product(factors[1:]))
+        head, tail = factors[0], factors[1:]
         zero_side = state.clone()
-        zero_side.equations[idx] = head
+        zero_side.equations[idx] = (head, [head])
         zero_side.depth += 1
         nonzero_side = state.clone()
-        nonzero_side.equations[idx] = tail
+        nonzero_side.equations[idx] = (math.prod(tail, start=ParamPolynomial.constant(1)), tail)
         nonzero_side.depth += 1
         nonzero_side.add_disequality(head)
         return [zero_side, nonzero_side]
@@ -451,8 +452,8 @@ def _find_coefficient_split(state: _BranchState) -> list[_BranchState] | None:
         return None
     name, idx, coeff, rest = occurrence
     vanishing = state.clone()
-    vanishing.equations[idx] = _monic(coeff)
-    vanishing.equations.append(rest)
+    vanishing.equations[idx] = _entering(coeff)
+    vanishing.equations.append(_entering(rest))
     vanishing.depth += 1
     solving = state.clone()
     solving.depth += 1
@@ -480,9 +481,8 @@ def _finalize(state: _BranchState, universe) -> SolutionBranch:
             state.add_disequality(rf.denominator)
     assignments = tuple(sorted(state.assignments.items()))
     free = tuple(name for name in universe if name not in state.assignments)
-    return SolutionBranch(
-        assignments, _ordered(state.disequalities.values()), _ordered(state.equations), free
-    )
+    residual = _ordered(eq for eq, _ in state.equations)
+    return SolutionBranch(assignments, _ordered(state.disequalities.values()), residual, free)
 
 
 def _branch_signature(branch: SolutionBranch):

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from itertools import product
@@ -670,7 +671,10 @@ def test_solve_branches_keeps_root_order_of_entering_equation():
 
 
 # _normalize tests "known nonzero" on each factor by lookup alone, which is
-# sound only because every factor _factor returns is already atomic.
+# sound only because every factor _factor returns is already atomic.  The
+# branch search keeps each equation's factors instead of factoring it again,
+# which gives the same answer only because _factor is invariant under units
+# and stable on products of its own output.
 monomials = st.lists(st.sampled_from(("a", "b", "c")), max_size=2).map(lambda v: tuple(sorted(v)))
 small = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-1, 1))
 at_most_quadratic = st.dictionaries(monomials, small, max_size=5).map(ParamPolynomial.from_dict)
@@ -678,30 +682,44 @@ linear = st.dictionaries(
     st.sampled_from([(), ("a",), ("b",), ("c",)]), small, max_size=3
 ).map(ParamPolynomial.from_dict)
 linear_in_a = st.dictionaries(st.sampled_from([(), ("a",)]), small).map(ParamPolynomial.from_dict)
-# products of two linear forms reach the shared-variable and root splits
+# products of two linear forms reach the shared-variable and root splits; a
+# shared variable times a quadratic in a gives up to three factors
 quadratics = st.one_of(
     at_most_quadratic,
     st.builds(operator.mul, linear, linear),
     st.builds(operator.mul, linear_in_a, linear_in_a),
+    st.builds(
+        operator.mul,
+        st.sampled_from(("a", "b")).map(ParamPolynomial.variable),
+        st.builds(operator.mul, linear_in_a, linear_in_a),
+    ),
 )
+UNITS = (GaussianRational(-1), GaussianRational(0, 1), GaussianRational(2, -1))
+units = st.sampled_from(UNITS)
 
 
-def _assert_factors_atomic(p):
-    for f in _factor(p):
+def _assert_factors_atomic(p, unit):
+    factors = _factor(p)
+    for f in factors:
         assert f.monic()[0] == f, (p, f)
         assert _factor(f) == [f], (p, f)
+    assert _factor(p * unit) == factors, (p, unit)
+    for keep in product((False, True), repeat=len(factors)):
+        sub = [f for f, kept in zip(factors, keep) if kept]
+        assert _factor(math.prod(sub, start=ParamPolynomial.constant(1))) == sub, (p, sub)
 
 
-@given(quadratics)
-def test_factors_are_atomic(p):
-    _assert_factors_atomic(p)
+@given(quadratics, units)
+def test_factors_are_atomic(p, unit):
+    _assert_factors_atomic(p, unit)
 
 
 @pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 3)])
 def test_constraint_system_factors_are_atomic(sizes):
     _, system = build_constraint_system(sizes)
     for eq in system:
-        _assert_factors_atomic(eq)
+        for unit in UNITS:
+            _assert_factors_atomic(eq, unit)
 
 
 # -- full solve ---------------------------------------------------------------
