@@ -21,6 +21,15 @@ class DimensionMismatch(YbxError):
         super().__init__(f"{op}: incompatible shapes {left[0]}x{left[1]} and {right[0]}x{right[1]}")
 
 
+class NotSquare(DimensionMismatch):
+    """An operation that needs a square matrix got another shape."""
+
+    def __init__(self, op: str, shape: tuple[int, int]):
+        self.op = op
+        self.left = self.right = shape
+        YbxError.__init__(self, f"{op}: needs a square matrix, got {shape[0]}x{shape[1]}")
+
+
 class SingularMatrix(YbxError):
     """Inversion of a rank-deficient matrix; carries the rank found."""
 

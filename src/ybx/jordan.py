@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     IncompleteSpectrum,
     NotAnEigenvalue,
+    NotSquare,
     SimilarityMismatch,
     SingularMatrix,
 )
@@ -219,7 +220,7 @@ def jordan_form(a: ExactMatrix, eigenvalues: Sequence) -> SimilarityData:
     generalized eigenspaces do not fill the whole space.
     """
     if not a.is_square():
-        raise DimensionMismatch("jordan_form", a.shape, a.shape)
+        raise NotSquare("jordan_form", a.shape)
     n = a.rows
     eigs = [as_gaussian(e) for e in eigenvalues]
     if len(set(eigs)) != len(eigs):

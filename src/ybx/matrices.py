@@ -29,7 +29,7 @@ from math import lcm
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, NotSquare, SingularMatrix
 from .scalars import _ZERO_PART, ONE, ZERO, GaussianRational, _make, as_gaussian
 
 if TYPE_CHECKING:
@@ -190,7 +190,7 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 def mat_pow(m: ExactMatrix, k: int) -> ExactMatrix:
     if not m.is_square():
-        raise DimensionMismatch("mat_pow", m.shape, m.shape)
+        raise NotSquare("mat_pow", m.shape)
     if k < 0:
         raise ValueError("negative matrix power")
     out = ExactMatrix.identity(m.rows)
@@ -232,7 +232,7 @@ def null_space_basis(m: ExactMatrix) -> list[ExactMatrix]:
 def mat_inverse(m: ExactMatrix) -> ExactMatrix:
     """Exact inverse; raises SingularMatrix (carrying the rank) if none exists."""
     if not m.is_square():
-        raise DimensionMismatch("mat_inverse", m.shape, m.shape)
+        raise NotSquare("mat_inverse", m.shape)
     n = m.rows
     rows = RowSpan(
         list(m.row(i)) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)

@@ -18,7 +18,7 @@ from itertools import product as _cartesian
 from typing import Sequence
 
 from .anticommutant import anticommutant_basis
-from .errors import DimensionMismatch, DisequalityViolated, GridTooLarge
+from .errors import DimensionMismatch, DisequalityViolated, GridTooLarge, NotSquare
 from .jordan import JordanSpec, assemble_jordan
 from .matrices import ExactMatrix, RowSpan, null_space_basis
 from .scalars import ZERO, GaussianRational, as_gaussian
@@ -81,9 +81,9 @@ def unvec(v: ExactMatrix, rows: int, cols: int) -> ExactMatrix:
 def kron_anticommutant_kernel(u: ExactMatrix, v: ExactMatrix) -> list[ExactMatrix]:
     """Basis of {X : U X + X V = 0} straight from the vectorized kernel."""
     if not u.is_square():
-        raise DimensionMismatch("kron_anticommutant_kernel u", u.shape, u.shape)
+        raise NotSquare("kron_anticommutant_kernel u", u.shape)
     if not v.is_square():
-        raise DimensionMismatch("kron_anticommutant_kernel v", v.shape, v.shape)
+        raise NotSquare("kron_anticommutant_kernel v", v.shape)
     operator = kron(ExactMatrix.identity(v.rows), u) + kron(
         v.transpose(), ExactMatrix.identity(u.rows)
     )

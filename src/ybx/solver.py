@@ -26,6 +26,7 @@ from .errors import (
     DisequalityViolated,
     MissingParameter,
     NotAnticommuting,
+    NotSquare,
     ResidualNonzero,
 )
 from .jordan import (
@@ -46,16 +47,12 @@ DEFAULT_DEPTH_LIMIT = 8
 
 def residual_ybe(a: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
     """A*X*A - X*A*X; zero exactly when x solves the equation for a."""
-    if not a.is_square() or a.shape != x.shape:
-        raise DimensionMismatch("residual_ybe", a.shape, x.shape)
     return residuals(a, x)[1]
 
 
 def residual_anticommute(a: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
     """A*X + X*A; zero exactly when x anti-commutes with a."""
-    if not a.is_square() or a.shape != x.shape:
-        raise DimensionMismatch("residual_anticommute", a.shape, x.shape)
-    return mat_mul(a, x) + mat_mul(x, a)
+    return residuals(a, x)[0]
 
 
 def residuals(a: ExactMatrix, x: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
@@ -63,7 +60,9 @@ def residuals(a: ExactMatrix, x: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]
 
     x is an anti-commuting solution for a exactly when both are zero.
     """
-    if not a.is_square() or a.shape != x.shape:
+    if not a.is_square():
+        raise NotSquare("residuals", a.shape)
+    if a.shape != x.shape:
         raise DimensionMismatch("residuals", a.shape, x.shape)
     ax = mat_mul(a, x)
     xa = mat_mul(x, a)

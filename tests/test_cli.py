@@ -164,7 +164,20 @@ def test_verify_non_square_exit_2(tmp_path, capsys):
     assert main(["verify", a, a]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "incompatible shapes 2x3 and 2x3" in captured.err
+    assert "residuals: needs a square matrix, got 2x3" in captured.err
+
+
+def test_solve_non_square_exit_2(tmp_path, capsys):
+    problem = write(
+        tmp_path / "problem.json",
+        {"matrix": [["0", "1", "0"], ["0", "0", "1"]], "eigenvalues": ["0"]},
+    )
+    out = tmp_path / "out.json"
+    assert main(["solve", problem, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "jordan_form: needs a square matrix, got 2x3" in captured.err
+    assert not out.exists()
 
 
 def test_sample_error_exit_codes(tmp_path, shift3_problem):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybx.errors import DimensionMismatch, SingularMatrix
-from ybx.jordan import JordanSpec, assemble_jordan
+from ybx.errors import DimensionMismatch, NotSquare, SingularMatrix
+from ybx.jordan import JordanSpec, assemble_jordan, jordan_form
 from ybx.matrices import (
     ExactMatrix,
     RowSpan,
@@ -19,7 +19,9 @@ from ybx.matrices import (
     permutation_matrix,
     rref,
 )
+from ybx.oracle import kron_anticommutant_kernel
 from ybx.scalars import ONE, ZERO, GaussianRational
+from ybx.solver import residual_anticommute, residual_ybe, residuals
 
 from conftest import random_invertible, random_matrix
 
@@ -52,6 +54,34 @@ def test_mat_mul_shape_error():
     with pytest.raises(DimensionMismatch) as err:
         mat_mul(ExactMatrix.zeros(2, 3), ExactMatrix.zeros(2, 3))
     assert "2x3" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "op, call",
+    [
+        ("mat_pow", lambda m: mat_pow(m, 2)),
+        ("mat_inverse", mat_inverse),
+        ("jordan_form", lambda m: jordan_form(m, [0])),
+        ("residuals", lambda m: residuals(m, m)),
+        ("residuals", lambda m: residual_ybe(m, m)),
+        ("residuals", lambda m: residual_anticommute(m, m)),
+        ("kron_anticommutant_kernel u", lambda m: kron_anticommutant_kernel(m, J(2))),
+        ("kron_anticommutant_kernel v", lambda m: kron_anticommutant_kernel(J(2), m)),
+    ],
+)
+def test_non_square_input_is_named(op, call):
+    with pytest.raises(NotSquare) as err:
+        call(ExactMatrix.zeros(2, 3))
+    assert str(err.value) == f"{op}: needs a square matrix, got 2x3"
+    assert isinstance(err.value, DimensionMismatch)
+    assert err.value.left == err.value.right == (2, 3)
+
+
+def test_residuals_shape_error_is_not_a_square_error():
+    with pytest.raises(DimensionMismatch) as err:
+        residuals(J(2), ExactMatrix.zeros(3, 3))
+    assert not isinstance(err.value, NotSquare)
+    assert str(err.value) == "residuals: incompatible shapes 2x2 and 3x3"
 
 
 def test_rref_zero_matrix():
