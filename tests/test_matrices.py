@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ybx.errors import DimensionMismatch, NotSquare, SingularMatrix
@@ -285,6 +285,46 @@ def test_mat_mul_one_by_one_and_large_denominators():
     col = ExactMatrix.column([p, -q])
     assert mat_mul(row, col) == ExactMatrix.zeros(1, 1)
     assert mat_mul(col, row) == textbook_product(col, row)
+
+
+def textbook_residuals(a: ExactMatrix, x: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """Four mat_mul products and ExactMatrix sums: the reference for residuals."""
+    ax, xa = mat_mul(a, x), mat_mul(x, a)
+    return ax + xa, mat_mul(ax, a) - mat_mul(xa, x)
+
+
+@st.composite
+def _residual_pairs(draw):
+    """Square (A, X): dense random pairs, or a conjugated 2x2 pair that
+    anti-commutes and either solves A X A = X A X (X = [[0, t], [0, 0]]) or
+    does not (X = diag(t, -t))."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        return draw(_matrices(n, n)), draw(_matrices(n, n))
+    s, t = draw(_kinds["mixed"]), draw(_kinds["mixed"])
+    a0 = ExactMatrix.from_rows([[0, s], [0, 0]])
+    if draw(st.booleans()):
+        x0 = ExactMatrix.from_rows([[0, t], [0, 0]])
+    else:
+        x0 = ExactMatrix.from_rows([[t, 0], [0, -t]])
+    w = draw(_matrices(2, 2))
+    assume(rref(w).rank == 2)
+    w_inv = mat_inverse(w)
+    return w @ a0 @ w_inv, w @ x0 @ w_inv
+
+
+@given(_residual_pairs())
+def test_residuals_match_textbook_products(pair):
+    a, x = pair
+    got, expected = residuals(a, x), textbook_residuals(a, x)
+    assert got == expected
+    for g, e in zip(got, expected):
+        assert first_nonzero_entry(g) == first_nonzero_entry(e)
+        for z in g.entries:
+            for part in (z.re, z.im):
+                assert type(part) is Fraction
+                assert part.denominator > 0
+                assert math.gcd(part.numerator, part.denominator) == 1
 
 
 def textbook_reduce_rows(work: list[list[GaussianRational]], width: int) -> tuple[int, list[int]]:

@@ -13,12 +13,13 @@ from ybx.oracle import (
     kron,
     kron_anticommutant_kernel,
     random_branch_values,
+    random_gaussian,
     unvec,
     vec,
     verify_family_membership,
 )
 from ybx.polynomials import ParamMatrix
-from ybx.scalars import GaussianRational
+from ybx.scalars import GaussianRational, format_scalar
 from ybx.solver import SolutionFamily, single_block_family, solve
 
 from conftest import random_matrix, random_spec
@@ -176,6 +177,18 @@ def test_membership_reports_pinned_at_fixed_seed():
         "1", "2", "-6+3i", "2/3-6i", "7/3+8/3i", "1", "-2", "-2/3+6i",
         "-1", "-2/3", "-5+1/4i", "7/4-6i", "4-4/3i", "2/3", "-7/4+6i",
     ]
+
+
+@pytest.mark.parametrize(
+    "seed, draws",
+    [
+        (0, ["3/5+8i", "1+3i", "2-3i", "-7/5", "6-8/5i"]),
+        ("draw:7", ["-3/8+1/3i", "-9/8-5i", "1/3+3i", "9/5-5i", "-4/3+8/9i"]),
+    ],
+)
+def test_random_gaussian_draws_pinned(seed, draws):
+    rng = random.Random(seed)
+    assert [format_scalar(random_gaussian(rng)) for _ in draws] == draws
 
 
 def test_random_branch_values_respects_disequalities(rng):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -362,3 +363,93 @@ def test_substitute_matches_term_by_term_expansion(rng):
 def test_is_constant_means_every_monomial_is_empty(d):
     p = ParamPolynomial.from_dict(d)
     assert p.is_constant() == all(not mono for mono, _ in p.terms)
+
+
+def evaluate_reference(p: ParamPolynomial, assignment) -> GaussianRational:
+    """Term by term in GaussianRational arithmetic: the reference for evaluate."""
+    missing = sorted({v for mono, _ in p.terms for v in mono} - set(assignment))
+    if missing:
+        raise MissingParameter(missing)
+    total = GaussianRational(0)
+    for mono, c in p.terms:
+        value = c
+        for var in mono:
+            value = value * assignment[var]
+        total = total + value
+    return total
+
+
+def matrix_evaluate_reference(m: ParamMatrix, assignment) -> ExactMatrix:
+    """Entry by entry, so a missing value is named by the first entry that lacks it."""
+    return ExactMatrix(
+        m.rows, m.cols, tuple(evaluate_reference(p, assignment) for p in m.entries)
+    )
+
+
+# zero, small parts, and large numerators over large coprime (prime) denominators
+_eval_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.builds(
+        Fraction,
+        st.integers(-(10**30), 10**30),
+        st.sampled_from([7919, 65537, 1000003, 2**61 - 1, 2**89 - 1]),
+    ),
+)
+_eval_scalars = st.one_of(
+    st.builds(GaussianRational, _eval_parts),
+    st.builds(GaussianRational, _eval_parts, _eval_parts),
+)
+# zero (no terms), constant (only the empty monomial) and degree <= 4
+_eval_polys = st.dictionaries(
+    st.lists(st.sampled_from(NAMES), max_size=4).map(lambda v: tuple(sorted(v))),
+    _eval_scalars,
+    max_size=6,
+).map(ParamPolynomial.from_dict)
+# any subset of the names, so that some draws lack a value
+_eval_assignments = st.dictionaries(st.sampled_from(NAMES), _eval_scalars)
+_complete_assignments = st.fixed_dictionaries({name: _eval_scalars for name in NAMES})
+
+
+def _outcome(fn, *args):
+    """The value, or the type and message of the exception raised."""
+    try:
+        return fn(*args)
+    except MissingParameter as exc:
+        return type(exc), str(exc)
+
+
+def _assert_lowest_terms(value: GaussianRational):
+    for part in (value.re, value.im):
+        assert type(part) is Fraction
+        assert part.denominator > 0
+        assert math.gcd(part.numerator, part.denominator) == 1
+
+
+@given(_eval_polys, st.one_of(_complete_assignments, _eval_assignments))
+@example(ParamPolynomial.zero(), {})
+@example(ParamPolynomial.constant(GaussianRational(Fraction(-3, 7), 2)), {})
+@example(X * X * Y * Y + X, {"x": GaussianRational(0), "y": GaussianRational(0, 1)})
+def test_evaluate_matches_term_by_term_reference(p, assignment):
+    got = _outcome(p.evaluate, assignment)
+    assert got == _outcome(evaluate_reference, p, assignment)
+    if isinstance(got, GaussianRational):
+        _assert_lowest_terms(got)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda rows: st.integers(1, 3).flatmap(
+            lambda cols: st.lists(_eval_polys, min_size=rows * cols, max_size=rows * cols).map(
+                lambda entries: ParamMatrix(rows, cols, tuple(entries))
+            )
+        )
+    ),
+    st.one_of(_complete_assignments, _eval_assignments),
+)
+def test_param_matrix_evaluate_matches_entrywise_reference(m, assignment):
+    got = _outcome(m.evaluate, assignment)
+    assert got == _outcome(matrix_evaluate_reference, m, assignment)
+    if isinstance(got, ExactMatrix):
+        for value in got.entries:
+            _assert_lowest_terms(value)
