@@ -334,7 +334,7 @@ def cmd_example(args) -> int:
             f"verified {membership.oracle_dimension}/{membership.expected_dimension}",
         )
     )
-    lines = [f"example {args.id}", *example.header()]
+    lines = [f"example {args.id}", f"seed: {args.seed}", *example.header()]
     for label, ok, detail in checks:
         suffix = f" ({detail})" if detail and not ok else ""
         lines.append(f"{'PASS' if ok else 'FAIL'}: {label}{suffix}")

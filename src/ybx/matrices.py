@@ -7,13 +7,15 @@ results are exact; pivot choice is simply the first nonzero entry in column
 order, since magnitude is meaningless over an exact field.  Matrices are
 immutable.
 
-The product works in integers.  Each row of the left factor and each column
-of the right factor is scaled once to Gaussian integers over the lcm of its
-part denominators, every output entry is a handful of integer dot products
-(the imaginary ones only where a row or column has a nonzero imaginary
-part), and each output part becomes one Fraction over the product of the two
-scales.  So an n x n product costs O(n^2) Fraction constructions instead of
-O(n^3) Fraction additions and multiplications, each with its own gcd.
+Products work in integers, in one kernel that mat_mul and residuals share:
+each factor is scaled to Gaussian integers over a common denominator (per
+row or column in mat_mul, per matrix in residuals, which then chains its
+four products without dividing), every entry is a few integer dot products
+(imaginary ones only where a row or column has an imaginary part), and each
+nonzero result part is one Fraction.  So an n x n product makes O(n^2)
+Fractions instead of O(n^3) Fraction operations, each with its own gcd.
+ParamPolynomial.evaluate scales its values with the same _scaled.
+
 Elimination has one kernel, RowSpan, which works entry by entry on Fractions
 and keeps its rows in reduced row echelon form: each row is 1 at its own
 pivot and 0 at every other row's pivot.  rref, null_space_basis and
@@ -24,16 +26,19 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotSquare, SingularMatrix
-from .scalars import _ZERO_PART, ONE, ZERO, GaussianRational, _make, as_gaussian
+from .scalars import ONE, ZERO, GaussianRational, _over, as_gaussian
 
 if TYPE_CHECKING:
     from .polynomials import ParamMatrix, ParamPolynomial
+
+# a Gaussian-integer vector (re, im), im None when every imaginary part is 0
+_IntVector = tuple[list[int], "list[int] | None"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,30 +151,24 @@ class RrefResult(NamedTuple):
     pivot_columns: tuple[int, ...]
 
 
-def _scaled(vector: Sequence[GaussianRational]) -> tuple[list[int], list[int] | None, int]:
-    """(re, im, d) with vector = (re + i*im) / d entrywise over the integers.
-
-    d is the lcm of the part denominators; im is None when every imaginary
-    part is zero.
-    """
+def _scaled(vector: Sequence[GaussianRational]) -> tuple[_IntVector, int]:
+    """((re, im), d) with vector = (re + i*im) / d entrywise, d the lcm of the
+    part denominators; im is None when every imaginary part is zero."""
     if any(x.im for x in vector):
         d = lcm(*[x.re.denominator for x in vector], *[x.im.denominator for x in vector])
         im = [x.im.numerator * (d // x.im.denominator) for x in vector]
     else:
         d = lcm(*[x.re.denominator for x in vector])
         im = None
-    return [x.re.numerator * (d // x.re.denominator) for x in vector], im, d
+    return ([x.re.numerator * (d // x.re.denominator) for x in vector], im), d
 
 
-def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product; raises DimensionMismatch on shape conflict."""
-    if a.cols != b.rows:
-        raise DimensionMismatch("mat_mul", a.shape, b.shape)
-    b_cols = [_scaled(b.col(j)) for j in range(b.cols)]
-    out: list[GaussianRational] = []
-    for i in range(a.rows):
-        ar, ai, da = _scaled(a.row(i))
-        for br, bi, db in b_cols:
+def _products(rows: list[_IntVector], cols: list[_IntVector]) -> list[_IntVector]:
+    """The rows of the integer product of the matrices with these rows and columns."""
+    out = []
+    for ar, ai in rows:
+        out_re, out_im = [], []
+        for br, bi in cols:
             re = sum(map(mul, ar, br))
             im = 0
             if ai is not None:
@@ -178,14 +177,53 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
                     re -= sum(map(mul, ai, bi))
             if bi is not None:
                 im += sum(map(mul, ar, bi))
-            d = da * db
-            out.append(
-                _make(
-                    Fraction(re, d) if re else _ZERO_PART,
-                    Fraction(im, d) if im else _ZERO_PART,
-                )
-            )
-    return ExactMatrix(a.rows, b.cols, tuple(out))
+            out_re.append(re)
+            out_im.append(im)
+        out.append((out_re, out_im if any(out_im) else None))
+    return out
+
+
+def _pairs(rows: list[_IntVector]) -> Iterator[tuple[int, int]]:
+    for re, im in rows:
+        yield from zip(re, im or repeat(0))
+
+
+def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Exact matrix product; raises DimensionMismatch on shape conflict."""
+    if a.cols != b.rows:
+        raise DimensionMismatch("mat_mul", a.shape, b.shape)
+    a_rows = [_scaled(a.row(i)) for i in range(a.rows)]
+    b_cols = [_scaled(b.col(j)) for j in range(b.cols)]
+    rows = _products([v for v, _ in a_rows], [v for v, _ in b_cols])
+    dens = (da * db for _, da in a_rows for _, db in b_cols)
+    entries = tuple(_over(re, im, d) for (re, im), d in zip(_pairs(rows), dens))
+    return ExactMatrix(a.rows, b.cols, entries)
+
+
+def _integer_form(m: ExactMatrix) -> tuple[list[_IntVector], list[_IntVector], int]:
+    """(rows, columns, d) of the Gaussian-integer matrix m * d, one d for all entries."""
+    (re, im), d = _scaled(m.entries)
+    c = m.cols
+    rows = [(re[k : k + c], im and im[k : k + c]) for k in range(0, len(re), c)]
+    return rows, [(re[j::c], im and im[j::c]) for j in range(c)], d
+
+
+def residuals(a: ExactMatrix, x: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """(A*X + X*A, A*X*A - X*A*X); x is an anti-commuting solution for a
+    exactly when both are zero.  With A and X scaled to integers over da and
+    dx, they are AX + XA over da*dx and AXA*dx - XAX*da over (da*dx)**2."""
+    if not a.is_square():
+        raise NotSquare("residuals", a.shape)
+    if a.shape != x.shape:
+        raise DimensionMismatch("residuals", a.shape, x.shape)
+    (a_rows, a_cols, da), (x_rows, x_cols, dx) = _integer_form(a), _integer_form(x)
+    ax, xa = _products(a_rows, x_cols), _products(x_rows, a_cols)
+    axa, xax = _products(ax, a_cols), _products(xa, x_cols)
+    d = da * dx
+    anti = tuple(_over(p + q, r + s, d) for (p, r), (q, s) in zip(_pairs(ax), _pairs(xa)))
+    ybe = tuple(_over(p * dx - q * da, r * dx - s * da, d * d)
+                for (p, r), (q, s) in zip(_pairs(axa), _pairs(xax)))
+    return ExactMatrix(a.rows, a.cols, anti), ExactMatrix(a.rows, a.cols, ybe)
 
 
 def mat_pow(m: ExactMatrix, k: int) -> ExactMatrix:

@@ -27,6 +27,7 @@ from .solver import SolutionBranch, SolutionFamily, branch_satisfied_by, branch_
 _GRID_DIMENSION_LIMIT = 6
 _GRID_POINT_LIMIT = 10**6
 _REDRAW_LIMIT = 100
+_DENOMINATORS = tuple(d for d in range(-9, 10) if d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,7 +151,7 @@ def grid_enumerate_solutions(
 
 def _random_rational(rng: random.Random) -> Fraction:
     num = rng.randint(-9, 9)
-    den = rng.choice([d for d in range(-9, 10) if d])
+    den = rng.choice(_DENOMINATORS)
     return Fraction(num, den)
 
 

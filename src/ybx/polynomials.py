@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 import re as _re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import repeat
+from typing import Iterator, Mapping, Sequence
 
 from .errors import MissingParameter, ParseError
-from .matrices import DimensionMismatch, ExactMatrix
-from .scalars import ONE, ZERO, GaussianRational, as_gaussian, format_scalar, parse_scalar
+from .matrices import DimensionMismatch, ExactMatrix, _scaled
+from .scalars import ONE, ZERO, GaussianRational, _over, as_gaussian, format_scalar, parse_scalar
 
 Monomial = tuple[str, ...]
 
@@ -229,22 +230,50 @@ class ParamPolynomial:
         return RationalFunction.make(ParamPolynomial.from_dict(acc), den)
 
     def evaluate(self, assignment: Mapping[str, GaussianRational]) -> GaussianRational:
-        missing = sorted({v for mono, _ in self.terms for v in mono} - set(assignment))
-        if missing:
-            raise MissingParameter(missing)
-        total = ZERO
-        for mono, c in self.terms:
-            value = c
-            for var in mono:
-                value = value * assignment[var]
-            total = total + value
-        return total
+        return next(_evaluate([self], assignment))
 
     def __str__(self) -> str:
         return format_polynomial(self)
 
     def __repr__(self) -> str:
         return f"ParamPolynomial({format_polynomial(self)!r})"
+
+
+def _evaluate(
+    polys: Sequence[ParamPolynomial], assignment: Mapping[str, GaussianRational]
+) -> Iterator[GaussianRational]:
+    """Each polynomial's value, in integers: the assignment is scaled once to
+    Gaussian integers over one d and each polynomial's coefficients over their
+    lcm l, as matrix products scale, so a value is one sum of integer term
+    products over l * d**top.  MissingParameter names what the first
+    incomplete polynomial lacks."""
+    names = {v for p in polys for mono, _ in p.terms for v in mono}
+    try:
+        given = [assignment[v] for v in names]
+    except KeyError:
+        for p in polys:
+            missing = {v for mono, _ in p.terms for v in mono if v not in assignment}
+            if missing:
+                raise MissingParameter(sorted(missing)) from None
+    (given_re, given_im), d = _scaled(given)
+    values = dict(zip(names, zip(given_re, given_im or repeat(0))))
+    for p in polys:
+        # the sum so far is lifted by d at each rise in degree (Horner in d)
+        (c_re, c_im), l = _scaled([c for _, c in p.terms])
+        re = im = degree = 0
+        for (mono, _), t_re, t_im in zip(p.terms, c_re, c_im or repeat(0)):
+            if len(mono) != degree:
+                lift = d ** (len(mono) - degree)
+                re, im, degree = re * lift, im * lift, len(mono)
+            for var in mono:
+                v_re, v_im = values[var]
+                if t_im:
+                    t_re, t_im = t_re * v_re - t_im * v_im, t_re * v_im + t_im * v_re
+                else:
+                    t_re, t_im = t_re * v_re, t_re * v_im
+            re += t_re
+            im += t_im
+        yield _over(re, im, l * d**degree)
 
 
 def _as_poly(value) -> ParamPolynomial | None:
@@ -458,9 +487,7 @@ class ParamMatrix:
         ]
 
     def evaluate(self, assignment: Mapping[str, GaussianRational]) -> ExactMatrix:
-        return ExactMatrix(
-            self.rows, self.cols, tuple(p.evaluate(assignment) for p in self.entries)
-        )
+        return ExactMatrix(self.rows, self.cols, tuple(_evaluate(self.entries, assignment)))
 
     def __str__(self) -> str:
         return "\n".join(

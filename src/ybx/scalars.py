@@ -222,6 +222,13 @@ I = GaussianRational(0, 1)
 MINUS_ONE = GaussianRational(-1)
 
 
+def _over(re: int, im: int, d: int) -> GaussianRational:
+    """(re + im*i) / d for integers with d > 0: one Fraction per nonzero part."""
+    if not re and not im:
+        return ZERO
+    return _make(Fraction(re, d) if re else _ZERO_PART, Fraction(im, d) if im else _ZERO_PART)
+
+
 def _coerce(value) -> GaussianRational | None:
     if isinstance(value, GaussianRational):
         return value

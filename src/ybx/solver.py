@@ -26,7 +26,6 @@ from .errors import (
     DisequalityViolated,
     MissingParameter,
     NotAnticommuting,
-    NotSquare,
     ResidualNonzero,
 )
 from .jordan import (
@@ -36,7 +35,7 @@ from .jordan import (
     nilpotent_part,
     similarity_from_jordan,
 )
-from .matrices import ExactMatrix, first_nonzero_entry, mat_mul
+from .matrices import ExactMatrix, first_nonzero_entry, mat_mul, residuals
 from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction
 from .scalars import GaussianRational, as_gaussian
 
@@ -53,20 +52,6 @@ def residual_ybe(a: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
 def residual_anticommute(a: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
     """A*X + X*A; zero exactly when x anti-commutes with a."""
     return residuals(a, x)[0]
-
-
-def residuals(a: ExactMatrix, x: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """(A*X + X*A, A*X*A - X*A*X), with A*X and X*A formed once.
-
-    x is an anti-commuting solution for a exactly when both are zero.
-    """
-    if not a.is_square():
-        raise NotSquare("residuals", a.shape)
-    if a.shape != x.shape:
-        raise DimensionMismatch("residuals", a.shape, x.shape)
-    ax = mat_mul(a, x)
-    xa = mat_mul(x, a)
-    return ax + xa, mat_mul(ax, a) - mat_mul(xa, x)
 
 
 def check_equivalence_lemma(a: ExactMatrix, b: ExactMatrix) -> tuple[bool, bool]:

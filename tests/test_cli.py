@@ -284,6 +284,7 @@ def test_example_41_golden_mismatch_report(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == report
     assert report == (
         "example 4.1\n"
+        "seed: 3\n"
         "PASS: matrix equals W J W^-1 for the bundled W\n"
         "PASS: one branch\n"
         "PASS: two free parameters x, y\n"
@@ -309,6 +310,7 @@ def test_example_42_golden_mismatch_report(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == report
     assert report == (
         "example 4.2\n"
+        "seed: 3\n"
         "reduced constraint system:\n"
         "  k11 = 0\n"
         "  k41 = 0\n"

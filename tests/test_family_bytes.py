@@ -151,23 +151,34 @@ JORDAN_FORM_HASH = "57cff7f8ecdf9c872de5ae57faf46f5cee302314a92102031e2a637f766a
 JORDAN_FORM_FAMILY_HASH = "14cda656d96f1bc173eea32b086ed99faa0ba588984352b199d6c52790163b8e"
 
 # every file `ybx example ID OUTDIR --seed S` writes, by name; the seed
-# reaches only the random checks, so the bytes agree across seeds
+# reaches the random checks and the report's `seed: S` line, so every file
+# but report.txt agrees across seeds
 _EXAMPLE_41_FILES = {
     "family_jordan.json": "bcdc20a4413b755351aaee19604a7611447e1b4c742cd580b8cbb6fea8958ae0",
     "family_original.json": "42f90daa93bc51bca3cc8ab273e4c80042e99e3856d7d9fec0ef06391c90b4e3",
     "problem.json": "a27e49a51baa7d8f3c655009b358a5e55c8992592c4d7c0267e9dc3dc6faed5d",
-    "report.txt": "abb336c1ebde75c05c6cc023c8e9f263240d1c5e1bd33ec7338c6ce236c4fdb8",
 }
 _EXAMPLE_42_FILES = {
     "family_jordan.json": "aa0a058ddd08f454261edea1e3957e3a6418ac8b731b7fe25af18cdc9453cc96",
     "problem.json": "bdf0a88498e91c7db8a4f023f7429a45135db8cb07e9bec907b9901b902a195d",
-    "report.txt": "23a0ca46928dd3a302336ce9ecfcf2ea50bcb4328f23f1336bf9bb7bf815ad73",
 }
 EXAMPLE_FILE_HASHES = {
-    ("4.1", 0): _EXAMPLE_41_FILES,
-    ("4.1", 7): _EXAMPLE_41_FILES,
-    ("4.2", 0): _EXAMPLE_42_FILES,
-    ("4.2", 7): _EXAMPLE_42_FILES,
+    ("4.1", 0): {
+        **_EXAMPLE_41_FILES,
+        "report.txt": "e0f6c788f009a351566df63807a478dfcd0e3ca30262d71774d5fa484bc294b4",
+    },
+    ("4.1", 7): {
+        **_EXAMPLE_41_FILES,
+        "report.txt": "9d7ebc459bb44be3157d824d483513f807a3608adb1539c439bdc309a3057e72",
+    },
+    ("4.2", 0): {
+        **_EXAMPLE_42_FILES,
+        "report.txt": "b6c64851ab96d0a4428c5e3f6b8f41892401385de848f4003bfe3de1877be895",
+    },
+    ("4.2", 7): {
+        **_EXAMPLE_42_FILES,
+        "report.txt": "bba3aadc2e225c579db302f221160070496da08984e0ea66a4681ef95e818390",
+    },
 }
 
 

@@ -400,12 +400,14 @@ _eval_scalars = st.one_of(
     st.builds(GaussianRational, _eval_parts),
     st.builds(GaussianRational, _eval_parts, _eval_parts),
 )
+_eval_monomials = st.lists(st.sampled_from(NAMES), max_size=4).map(lambda v: tuple(sorted(v)))
 # zero (no terms), constant (only the empty monomial) and degree <= 4
-_eval_polys = st.dictionaries(
-    st.lists(st.sampled_from(NAMES), max_size=4).map(lambda v: tuple(sorted(v))),
-    _eval_scalars,
-    max_size=6,
-).map(ParamPolynomial.from_dict)
+_eval_polys = st.dictionaries(_eval_monomials, _eval_scalars, max_size=6).map(
+    ParamPolynomial.from_dict
+)
+_eval_entries = st.dictionaries(_eval_monomials, _eval_scalars, max_size=3).map(
+    ParamPolynomial.from_dict
+)
 # any subset of the names, so that some draws lack a value
 _eval_assignments = st.dictionaries(st.sampled_from(NAMES), _eval_scalars)
 _complete_assignments = st.fixed_dictionaries({name: _eval_scalars for name in NAMES})
@@ -440,7 +442,7 @@ def test_evaluate_matches_term_by_term_reference(p, assignment):
 @given(
     st.integers(1, 3).flatmap(
         lambda rows: st.integers(1, 3).flatmap(
-            lambda cols: st.lists(_eval_polys, min_size=rows * cols, max_size=rows * cols).map(
+            lambda cols: st.lists(_eval_entries, min_size=rows * cols, max_size=rows * cols).map(
                 lambda entries: ParamMatrix(rows, cols, tuple(entries))
             )
         )
