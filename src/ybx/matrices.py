@@ -37,7 +37,7 @@ from .scalars import ONE, ZERO, GaussianRational, _over, as_gaussian
 if TYPE_CHECKING:
     from .polynomials import ParamMatrix, ParamPolynomial
 
-# a Gaussian-integer vector (re, im), im None when every imaginary part is 0
+# a Gaussian-integer vector (re, im); im may be None when every imaginary part is 0
 _IntVector = tuple[list[int], "list[int] | None"]
 
 

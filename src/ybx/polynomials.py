@@ -4,7 +4,8 @@ These carry the symbolic solution families: matrix templates are linear in
 the parameters, the constraint systems they generate are quadratic, and
 branch assignments may be ratios of polynomials.  Canonical form everywhere:
 no zero coefficients, monomials sorted, terms in degree-lexicographic order,
-denominators monic.  Values are immutable.
+denominators monic.  Values are immutable.  Evaluation is integer arithmetic
+over one common denominator (_evaluate), scaled as matrix products are.
 
 Text syntax (used by the file formats): terms ``coef*p1*p2`` joined by ``+``
 or ``-``, parameters as bare identifiers, powers written as repeated factors
