@@ -38,7 +38,7 @@ if TYPE_CHECKING:
     from .polynomials import ParamMatrix, ParamPolynomial
 
 # a Gaussian-integer vector (re, im); im may be None when every imaginary part is 0
-_IntVector = tuple[list[int], "list[int] | None"]
+_IntVector = tuple[list[int], list[int] | None]
 
 
 @dataclass(frozen=True, slots=True)
