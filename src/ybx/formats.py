@@ -244,6 +244,8 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 

@@ -21,7 +21,7 @@ from .anticommutant import anticommutant_basis
 from .errors import DimensionMismatch, DisequalityViolated, GridTooLarge, NotSquare
 from .jordan import JordanSpec, assemble_jordan
 from .matrices import ExactMatrix, RowSpan, null_space_basis
-from .scalars import ZERO, GaussianRational, as_gaussian
+from .scalars import ZERO, _ZERO_PART, GaussianRational, _make, as_gaussian
 from .solver import SolutionBranch, SolutionFamily, branch_satisfied_by, branch_values, residuals
 
 _GRID_DIMENSION_LIMIT = 6
@@ -157,7 +157,8 @@ def _random_rational(rng: random.Random) -> Fraction:
 
 def random_gaussian(rng: random.Random) -> GaussianRational:
     """Small random scalar: both parts have numerator and denominator in [-9, 9]."""
-    return GaussianRational(_random_rational(rng), _random_rational(rng))
+    # each part is already a Fraction in lowest terms
+    return _make(_random_rational(rng), _random_rational(rng) or _ZERO_PART)
 
 
 def random_branch_values(

@@ -12,6 +12,8 @@ supports are disjoint, so each entry is zero or one signed parameter.
 Third, that degree-<=2 polynomial system is split into explicit branches:
 parameter assignments plus "must stay nonzero" side conditions, with honest
 residual systems when the case split cannot finish within the depth limit.
+One depth-first worklist loop runs the split; depth counts splits only, and
+every branch comes from its one leaf site.
 """
 
 from __future__ import annotations
@@ -242,18 +244,15 @@ class _BranchState:
     coefficient split, and in knows_nonzero.
     """
 
-    __slots__ = ("equations", "assignments", "disequalities", "depth")
+    __slots__ = ("equations", "assignments", "disequalities")
 
-    def __init__(self, equations, assignments, disequalities, depth):
+    def __init__(self, equations, assignments, disequalities):
         self.equations: list[tuple[ParamPolynomial, list[ParamPolynomial]]] = equations
         self.assignments: dict[str, RationalFunction] = assignments
         self.disequalities: dict[tuple, ParamPolynomial] = disequalities
-        self.depth: int = depth
 
     def clone(self) -> "_BranchState":
-        return _BranchState(
-            list(self.equations), dict(self.assignments), dict(self.disequalities), self.depth
-        )
+        return _BranchState(list(self.equations), dict(self.assignments), dict(self.disequalities))
 
     def add_disequality(self, p: ParamPolynomial) -> bool:
         """Record p != 0; returns False when p is identically zero."""
@@ -313,19 +312,20 @@ def solve_branches(
 ) -> list[SolutionBranch]:
     """Split a degree-<=2 polynomial system into explicit solution branches.
 
-    Strategy, in priority order within each branch: collapse repeated and
-    known-nonzero factors; solve parameters that appear linearly with
-    constant (or recorded-nonzero) coefficient and substitute; otherwise
-    split, either on a factorization f*g = 0 (branch f = 0 versus f != 0,
-    g = 0) or on the coefficient of a linear occurrence being zero or not.
-    Side conditions are recorded monic and once each, and a leaf records
-    each assignment denominator they do not already cover.  Splitting
-    deeper than depth_limit stops the search and returns the remaining
-    equations as an honest residual system instead of dropping the branch.
-    Every step preserves the solution set, so when no residual systems remain
-    the returned branches jointly cover all of it.  Duplicate branches are
-    merged and a branch subsumed by an identical one with strictly fewer side
-    conditions is dropped.
+    One depth-first worklist loop pops (depth, state) pairs.  Each pass
+    collapses repeated and known-nonzero factors (an infeasible state is
+    dropped), then takes the first step that applies: solve a parameter that
+    appears linearly with constant (or recorded-nonzero) coefficient and
+    substitute; or, while depth < depth_limit, split on a factorization
+    f*g = 0 (branch f = 0 versus f != 0, g = 0) or on the coefficient of a
+    linear occurrence being zero or not.  Depth counts splits only.  A state
+    with no step left is a leaf, and its remaining equations stay as an
+    honest residual system.  Side conditions are recorded monic and once
+    each, and a leaf records each assignment denominator they do not already
+    cover.  Every step preserves the solution set, so when no residual
+    systems remain the returned branches jointly cover all of it.  Duplicate
+    branches are merged and a branch subsumed by an identical one with
+    strictly fewer side conditions is dropped.
     """
     if parameters is None:
         seen: set[str] = set()
@@ -336,33 +336,21 @@ def solve_branches(
         universe = tuple(parameters)
 
     out: list[SolutionBranch] = []
-    _explore(_BranchState([_entering(p) for p in system], {}, {}, 0), depth_limit, universe, out)
-    return _merge_branches(out)
-
-
-def _explore(state: _BranchState, depth_limit: int, universe, out: list[SolutionBranch]):
-    while True:
+    stack = [(0, _BranchState([_entering(p) for p in system], {}, {}))]
+    while stack:
+        depth, state = stack.pop()
         if not _normalize(state):
-            return
-        if not state.equations:
-            out.append(_finalize(state, universe))
-            return
-        step = _solve_linear(state)
-        if step is None:
-            return
-        if step:
             continue
-        break
-    if state.depth >= depth_limit:
-        out.append(_finalize(state, universe))
-        return
-    split = _find_factor_split(state) or _find_coefficient_split(state)
-    if split is None:
-        out.append(_finalize(state, universe))
-        return
-    for child in split:
-        if child is not None:
-            _explore(child, depth_limit, universe, out)
+        children = _solve_linear(state)
+        if children is None and depth < depth_limit:
+            children = _find_factor_split(state) or _find_coefficient_split(state)
+            depth += 1
+        if children is None:
+            out.append(_finalize(state, universe))
+        else:
+            # reversed, so the first child is popped next: depth-first order
+            stack.extend((depth, child) for child in reversed(children))
+    return _merge_branches(out)
 
 
 def _normalize(state: _BranchState) -> bool:
@@ -370,8 +358,8 @@ def _normalize(state: _BranchState) -> bool:
 
     Each equation keeps its factors that are not recorded nonzero (a constant
     has none), its product is rebuilt only when one was dropped, and repeats
-    are dropped.  One pass suffices: _explore normalizes again after every
-    substitution, and the reduced equations are monic and distinct.
+    are dropped.  One pass suffices: the search loop normalizes again after
+    every substitution, and the reduced equations are monic and distinct.
     """
     cleaned: dict[tuple, tuple[ParamPolynomial, list[ParamPolynomial]]] = {}
     for eq, factors in state.equations:
@@ -396,8 +384,8 @@ def _linear_occurrences(state: _BranchState):
                 yield name, idx, eq.coefficient_of(name, 1), eq.coefficient_of(name, 0)
 
 
-def _solve_linear(state: _BranchState) -> bool | None:
-    """One solve-and-substitute step; True if made, None if infeasible."""
+def _solve_linear(state: _BranchState) -> list[_BranchState] | None:
+    """One solve-and-substitute step: [state] if made, [] if infeasible, None if none applies."""
     for name, _, coeff, rest in _linear_occurrences(state):
         if coeff.is_constant():
             value = RationalFunction.from_polynomial(-rest * coeff.constant_value().reciprocal())
@@ -406,10 +394,8 @@ def _solve_linear(state: _BranchState) -> bool | None:
             state.add_disequality(value.denominator)
         else:
             continue
-        if not state.assign(name, value):
-            return None
-        return True
-    return False
+        return [state] if state.assign(name, value) else []
+    return None
 
 
 def _find_factor_split(state: _BranchState) -> list[_BranchState] | None:
@@ -419,10 +405,8 @@ def _find_factor_split(state: _BranchState) -> list[_BranchState] | None:
         head, tail = factors[0], factors[1:]
         zero_side = state.clone()
         zero_side.equations[idx] = (head, [head])
-        zero_side.depth += 1
         nonzero_side = state.clone()
         nonzero_side.equations[idx] = (math.prod(tail, start=ParamPolynomial.constant(1)), tail)
-        nonzero_side.depth += 1
         nonzero_side.add_disequality(head)
         return [zero_side, nonzero_side]
     return None
@@ -438,9 +422,7 @@ def _find_coefficient_split(state: _BranchState) -> list[_BranchState] | None:
     vanishing = state.clone()
     vanishing.equations[idx] = _entering(coeff)
     vanishing.equations.append(_entering(rest))
-    vanishing.depth += 1
     solving = state.clone()
-    solving.depth += 1
     # also records the denominator of value: coeff made monic, or 1
     solving.add_disequality(coeff)
     del solving.equations[idx]
@@ -469,27 +451,17 @@ def _finalize(state: _BranchState, universe) -> SolutionBranch:
     return SolutionBranch(assignments, _ordered(state.disequalities.values()), residual, free)
 
 
-def _branch_signature(branch: SolutionBranch):
-    return (
-        tuple(
-            (name, rf.numerator.terms, rf.denominator.terms) for name, rf in branch.assignments
-        ),
-        tuple(p.terms for p in branch.residual_system),
-    )
-
-
 def _merge_branches(branches: list[SolutionBranch]) -> list[SolutionBranch]:
-    merged: dict[tuple, SolutionBranch] = {}
-    for branch in branches:
-        key = (_branch_signature(branch), tuple(p.terms for p in branch.disequalities))
-        merged.setdefault(key, branch)
-    keyed = [
-        (signature, set(conditions), branch) for (signature, conditions), branch in merged.items()
-    ]
+    unique = [(branch, set(branch.disequalities)) for branch in dict.fromkeys(branches)]
     return [
         branch
-        for signature, mine, branch in keyed
-        if not any(other_sig == signature and other < mine for other_sig, other, _ in keyed)
+        for branch, mine in unique
+        if not any(
+            theirs < mine
+            and rival.assignments == branch.assignments
+            and rival.residual_system == branch.residual_system
+            for rival, theirs in unique
+        )
     ]
 
 

@@ -159,6 +159,15 @@ def test_verify_shape_error_exit_2(tmp_path):
     assert main(["verify", a, b]) == 2
 
 
+def test_verify_non_utf8_input_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    assert main(["verify", str(bad), str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad} is not valid UTF-8")
+    assert "Traceback" not in captured.err
+
+
 def test_verify_non_square_exit_2(tmp_path, capsys):
     a = write(tmp_path / "a.json", {"matrix": [["1", "0", "1"], ["0", "1", "0"]]})
     assert main(["verify", a, a]) == 2
