@@ -677,6 +677,56 @@ def test_merge_branches_drops_duplicates_and_strict_supersets():
     assert _merge_branches([b1, b2, b1, b4, b5]) == [b1, b4, b5]
 
 
+def _multiblock_partitions(max_n):
+    def partitions(n, largest):
+        if n == 0:
+            yield ()
+        for k in range(min(n, largest), 0, -1):
+            yield from ((k, *rest) for rest in partitions(n - k, k))
+
+    return [p for n in range(2, max_n + 1) for p in partitions(n, n) if len(p) > 1]
+
+
+def _random_product_system(rng):
+    # each equation is a product of two linear forms in a, b, c
+    def linear_form():
+        monomials = ((), ("a",), ("b",), ("c",))
+        return ParamPolynomial.from_dict(
+            {m: GaussianRational(rng.randint(-2, 2)) for m in monomials}
+        )
+
+    return [
+        linear_form() * linear_form() for _ in range(rng.randint(1, 3))
+    ]
+
+
+def _assert_leaves_disjoint(branches):
+    # no two leaves are equal, and none has the assignments and residual
+    # system of another with a strict superset of its side conditions
+    assert len(set(branches)) == len(branches)
+    groups = {}
+    for branch in branches:
+        key = (branch.assignments, branch.residual_system)
+        groups.setdefault(key, []).append(set(branch.disequalities))
+    for conditions in groups.values():
+        for mine in conditions:
+            assert not any(theirs < mine for theirs in conditions)
+
+
+def test_solve_branches_leaves_are_disjoint():
+    # every split partitions the solution set (f = 0 against f != 0,
+    # coefficient = 0 against != 0) and a linear solve is a bijection, so
+    # no leaf can repeat or be nested in another without a merge step
+    for sizes in _multiblock_partitions(8):
+        _, system = build_constraint_system(sizes)
+        for depth in (1, 8):
+            _assert_leaves_disjoint(solve_branches(system, depth))
+    rng = random.Random(14)
+    for index in range(300):
+        system = _random_product_system(rng)
+        _assert_leaves_disjoint(solve_branches(system, index % 7, parameters=("a", "b", "c")))
+
+
 def test_solve_branches_depth_counts_only_splits():
     # two linear solves and no split: depth 0 already finishes the search
     system = [parse_polynomial(t) for t in ("x-1", "x*y-2")]
