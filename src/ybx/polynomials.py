@@ -165,27 +165,21 @@ class ParamPolynomial:
                 acc[rest] = acc.get(rest, ZERO) + c
         return ParamPolynomial.from_dict(acc)
 
-    def common_variables(self) -> tuple[str, ...]:
-        """Variables appearing in every monomial (the shared monomial factor)."""
-        if not self.terms:
-            return ()
-        shared = set(self.terms[0][0])
+    def monomial_content(self) -> tuple[Monomial, "ParamPolynomial"]:
+        """(largest monomial dividing every term, the quotient by it)."""
+        shared = set(self.terms[0][0]) if self.terms else set()
         for mono, _ in self.terms[1:]:
-            shared &= set(mono)
-            if not shared:
-                break
-        return tuple(sorted(shared))
-
-    def divide_by_variable(self, name: str) -> "ParamPolynomial":
-        """Quotient by one power of `name`; every monomial must contain it."""
-        acc: dict[Monomial, GaussianRational] = {}
+            shared.intersection_update(mono)
+        if not shared:
+            return (), self
+        content = sorted(v for v in shared for _ in range(min(m.count(v) for m, _ in self.terms)))
+        quotient = {}
         for mono, c in self.terms:
-            if name not in mono:
-                raise ValueError(f"{self} is not divisible by {name}")
-            lst = list(mono)
-            lst.remove(name)
-            acc[tuple(lst)] = c
-        return ParamPolynomial.from_dict(acc)
+            rest = list(mono)
+            for v in content:
+                rest.remove(v)
+            quotient[tuple(rest)] = c
+        return tuple(content), ParamPolynomial.from_dict(quotient)
 
     def substitute(self, mapping: Mapping[str, "ParamPolynomial"]) -> "ParamPolynomial":
         rational = {var: RationalFunction.from_polynomial(p) for var, p in mapping.items()}

@@ -13,7 +13,8 @@ Third, that degree-<=2 polynomial system is split into explicit branches:
 parameter assignments plus "must stay nonzero" side conditions, with honest
 residual systems when the case split cannot finish within the depth limit.
 One depth-first worklist loop runs the split; depth counts splits only, and
-every branch comes from its one leaf site.
+every branch comes from its one leaf site.  Each split partitions the
+solution set, so the branches are disjoint and none is merged.
 """
 
 from __future__ import annotations
@@ -180,53 +181,42 @@ def _monic(p: ParamPolynomial) -> ParamPolynomial:
 def _factor(p: ParamPolynomial) -> list[ParamPolynomial]:
     """Split into nonconstant factors, radical-style (repeats collapsed).
 
-    Handles the shapes the constraint systems produce: shared variable
-    factors, pure monomials, and single-variable quadratics whose roots exist
-    in Q(i).  Anything else comes back atomic.  Every factor is monic: a
-    variable, x - root, or the monic remainder.  The list is invariant under
+    Handles the shapes the constraint systems produce: the monomial content
+    (each of its variables once), and a quotient that is a single-variable
+    quadratic whose roots exist in Q(i).  Any other quotient comes back
+    atomic.  Every factor is monic: a variable, x - root, or the monic
+    quotient.  The factors are distinct, since the quotient shares no
+    variable with all of its terms: a quadratic root is nonzero and any
+    other quotient is not a bare variable.  The list is invariant under
     units (p is made monic first) and stable on products of its own output:
     for every order-preserving sub-list L of it, _factor(product of L) is L.
     """
     if p.is_constant():
         return []
-    rest = _monic(p)
-    shared_vars: list[str] = []
-    while not rest.is_constant():
-        shared = rest.common_variables()
-        if not shared:
-            break
-        for v in shared:
-            rest = rest.divide_by_variable(v)
-            shared_vars.append(v)
-    factors: list[ParamPolynomial] = [
-        ParamPolynomial.variable(v) for v in sorted(set(shared_vars))
-    ]
-    if rest.is_constant():
-        return factors
-    factors.extend(_factor_atomic(rest))
-    return list({f.terms: f for f in factors}.values())
+    content, rest = _monic(p).monomial_content()
+    factors = [ParamPolynomial.variable(v) for v in sorted(set(content))]
+    if not rest.is_constant():
+        factors.extend(_factor_atomic(rest))
+    return factors
 
 
 def _factor_atomic(p: ParamPolynomial) -> list[ParamPolynomial]:
     variables = p.variables()
     if len(variables) == 1 and p.degree() == 2:
+        # coefficients in the only variable are constants
         name = variables[0]
-        a = p.coefficient_of(name, 2)
-        b = p.coefficient_of(name, 1)
-        c = p.coefficient_of(name, 0)
-        if a.is_constant() and b.is_constant() and c.is_constant():
-            av, bv, cv = a.constant_value(), b.constant_value(), c.constant_value()
-            disc = bv**2 - as_gaussian(4) * av * cv
-            root = disc.sqrt()
-            if root is not None:
-                two_a = (av + av).reciprocal()
-                r1 = (-bv + root) * two_a
-                r2 = (-bv - root) * two_a
-                var = ParamPolynomial.variable(name)
-                out = [var - ParamPolynomial.constant(r1)]
-                if r1 != r2:
-                    out.append(var - ParamPolynomial.constant(r2))
-                return out
+        av, bv, cv = (p.coefficient_of(name, k).constant_value() for k in (2, 1, 0))
+        disc = bv**2 - as_gaussian(4) * av * cv
+        root = disc.sqrt()
+        if root is not None:
+            two_a = (av + av).reciprocal()
+            r1 = (-bv + root) * two_a
+            r2 = (-bv - root) * two_a
+            var = ParamPolynomial.variable(name)
+            out = [var - ParamPolynomial.constant(r1)]
+            if r1 != r2:
+                out.append(var - ParamPolynomial.constant(r2))
+            return out
     return [_monic(p)]
 
 
@@ -315,17 +305,18 @@ def solve_branches(
     One depth-first worklist loop pops (depth, state) pairs.  Each pass
     collapses repeated and known-nonzero factors (an infeasible state is
     dropped), then takes the first step that applies: solve a parameter that
-    appears linearly with constant (or recorded-nonzero) coefficient and
-    substitute; or, while depth < depth_limit, split on a factorization
-    f*g = 0 (branch f = 0 versus f != 0, g = 0) or on the coefficient of a
-    linear occurrence being zero or not.  Depth counts splits only.  A state
-    with no step left is a leaf, and its remaining equations stay as an
-    honest residual system.  Side conditions are recorded monic and once
-    each, and a leaf records each assignment denominator they do not already
-    cover.  Every step preserves the solution set, so when no residual
-    systems remain the returned branches jointly cover all of it.  Duplicate
-    branches are merged and a branch subsumed by an identical one with
-    strictly fewer side conditions is dropped.
+    appears linearly with a coefficient known to be nonzero (a nonzero
+    constant or recorded) and substitute; or, while depth < depth_limit,
+    split on a factorization f*g = 0 (branch f = 0 versus f != 0, g = 0) or
+    on the coefficient of a linear occurrence being zero or not.  Depth
+    counts splits only.  A state with no step left is a leaf, and its
+    remaining equations stay as an honest residual system.  Side conditions
+    are recorded monic and once each, and a leaf records each assignment
+    denominator they do not already cover.  Every step preserves the
+    solution set, so when no residual systems remain the returned branches
+    jointly cover all of it.  Each split partitions the solution set and a
+    linear solve is a bijection, so the leaves are disjoint and none is
+    merged; a leaf equal to or nested in another is empty.
     """
     if parameters is None:
         seen: set[str] = set()
@@ -350,7 +341,7 @@ def solve_branches(
         else:
             # reversed, so the first child is popped next: depth-first order
             stack.extend((depth, child) for child in reversed(children))
-    return _merge_branches(out)
+    return out
 
 
 def _normalize(state: _BranchState) -> bool:
@@ -387,14 +378,11 @@ def _linear_occurrences(state: _BranchState):
 def _solve_linear(state: _BranchState) -> list[_BranchState] | None:
     """One solve-and-substitute step: [state] if made, [] if infeasible, None if none applies."""
     for name, _, coeff, rest in _linear_occurrences(state):
-        if coeff.is_constant():
-            value = RationalFunction.from_polynomial(-rest * coeff.constant_value().reciprocal())
-        elif state.knows_nonzero(coeff):
+        if state.knows_nonzero(coeff):
             value = RationalFunction.make(-rest, coeff)
+            # a no-op for a constant coefficient, whose denominator is 1
             state.add_disequality(value.denominator)
-        else:
-            continue
-        return [state] if state.assign(name, value) else []
+            return [state] if state.assign(name, value) else []
     return None
 
 
@@ -449,20 +437,6 @@ def _finalize(state: _BranchState, universe) -> SolutionBranch:
     free = tuple(name for name in universe if name not in state.assignments)
     residual = _ordered(eq for eq, _ in state.equations)
     return SolutionBranch(assignments, _ordered(state.disequalities.values()), residual, free)
-
-
-def _merge_branches(branches: list[SolutionBranch]) -> list[SolutionBranch]:
-    unique = [(branch, set(branch.disequalities)) for branch in dict.fromkeys(branches)]
-    return [
-        branch
-        for branch, mine in unique
-        if not any(
-            theirs < mine
-            and rival.assignments == branch.assignments
-            and rival.residual_system == branch.residual_system
-            for rival, theirs in unique
-        )
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -85,12 +85,14 @@ def test_coefficient_extraction():
     assert p.coefficient_of("x", 0) == Y + ONE
 
 
-def test_common_variables_and_division():
-    p = X * Y + X * X
-    assert p.common_variables() == ("x",)
-    assert p.divide_by_variable("x") == Y + X
-    with pytest.raises(ValueError):
-        (X + Y).divide_by_variable("x")
+def test_monomial_content():
+    assert (X * Y + X * X).monomial_content() == (("x",), Y + X)
+    assert (X * X * Y * GaussianRational(3)).monomial_content() == (
+        ("x", "x", "y"),
+        ParamPolynomial.constant(3),
+    )
+    assert (X * Y + ONE).monomial_content() == ((), X * Y + ONE)
+    assert ParamPolynomial.zero().monomial_content() == ((), ParamPolynomial.zero())
 
 
 def test_monic():
@@ -317,6 +319,21 @@ def test_monic_is_idempotent_with_lead_one(rng):
     assert monic * lead == p
     again, lead_again = monic.monic()
     assert again == monic and lead_again == GaussianRational(1)
+
+
+def _monomial(names):
+    return ParamPolynomial(((tuple(sorted(names)), GaussianRational(1)),))
+
+
+@given(seeds)
+def test_monomial_content_divides_out_exactly(rng):
+    # a random monomial times a random polynomial: quotient * content is the
+    # product again, and no variable is left in every term of the quotient
+    shift = [rng.choice(NAMES) for _ in range(rng.randint(0, 3))]
+    p = _draw_nonzero_poly(rng) * _monomial(shift)
+    content, quotient = p.monomial_content()
+    assert quotient * _monomial(content) == p
+    assert not set(NAMES).intersection(*(mono for mono, _ in quotient.terms))
 
 
 @given(seeds)

@@ -35,9 +35,7 @@ from ybx.oracle import random_branch_values, random_gaussian
 from ybx.polynomials import ParamMatrix, ParamPolynomial, RationalFunction, parse_polynomial
 from ybx.scalars import GaussianRational
 from ybx.solver import (
-    SolutionBranch,
     _factor,
-    _merge_branches,
     branch_matrix,
     branch_satisfied_by,
     build_constraint_system,
@@ -661,20 +659,6 @@ def test_solve_branches_reduced_system_from_text():
         str(b.disequalities[0]) for b in branches if b.disequalities
     )
     assert diseq_names == ["k22", "k31"]
-
-
-def test_merge_branches_drops_duplicates_and_strict_supersets():
-    a, b, c = (ParamPolynomial.variable(v) for v in "abc")
-    assignments = (("x", RationalFunction.make(a, b)),)
-
-    def branch(conditions, residual=()):
-        return SolutionBranch(assignments, conditions, residual, ("a", "b", "c"))
-
-    b1 = branch((a,))
-    b2 = branch((a, b))  # strictly more conditions than b1: subsumed
-    b4 = branch((b, c))  # incomparable with b1: kept
-    b5 = branch((a,), (c,))  # another residual system: kept
-    assert _merge_branches([b1, b2, b1, b4, b5]) == [b1, b4, b5]
 
 
 def _multiblock_partitions(max_n):
