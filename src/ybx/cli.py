@@ -319,7 +319,10 @@ def cmd_example(args) -> int:
         print(f"error: unknown example {args.id!r}; available: {', '.join(_EXAMPLES)}",
               file=sys.stderr)
         return 2
-    os.makedirs(args.outdir, exist_ok=True)
+    try:
+        os.makedirs(args.outdir, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.outdir}: {exc.strerror}") from None
     problem = example.problem()
     _write_json(args.outdir, "problem.json", problem_to_json(problem))
     sim = similarity_from_problem(problem)

@@ -8,7 +8,7 @@ class YbxError(Exception):
 
 
 class ParseError(YbxError):
-    """Malformed scalar, polynomial, or input file."""
+    """Malformed scalar, polynomial or input file, or a file that cannot be read or written."""
 
 
 class DimensionMismatch(YbxError):

@@ -420,6 +420,8 @@ class ParamMatrix:
 
     def __getitem__(self, key: tuple[int, int]) -> ParamPolynomial:
         i, j = key
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry {key} out of range for {self.rows}x{self.cols}")
         return self.entries[i * self.cols + j]
 
     @property
@@ -459,12 +461,12 @@ class ParamMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch("matmul", self.shape, other.shape)
         out: list[ParamPolynomial] = []
+        columns = [other.entries[j :: other.cols] for j in range(other.cols)]
         for i in range(self.rows):
             row = self.entries[i * self.cols : (i + 1) * self.cols]
-            for j in range(other.cols):
+            for column in columns:
                 acc = ParamPolynomial.zero()
-                for k, left in enumerate(row):
-                    right = other[k, j]
+                for left, right in zip(row, column):
                     if left and right:
                         acc = acc + left * right
                 out.append(acc)

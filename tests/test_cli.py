@@ -189,6 +189,17 @@ def test_solve_non_square_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_unwritable_output_exit_2(tmp_path, shift3_problem, capsys):
+    out = tmp_path / "no" / "such" / "family.json"
+    assert main(["solve", shift3_problem, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+    # an existing directory as the output: the temp file is cleaned up
+    assert main(["solve", shift3_problem, str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+
+
 def test_sample_error_exit_codes(tmp_path, shift3_problem):
     family_path = tmp_path / "family.json"
     main(["solve", shift3_problem, str(family_path), "--frame", "jordan"])
@@ -356,6 +367,15 @@ def test_example_42_expected_family_off_the_system(tmp_path, monkeypatch, capsys
 
 def test_example_unknown_exit_2(tmp_path):
     assert main(["example", "9.9", str(tmp_path / "nope")]) == 2
+
+
+def test_example_unwritable_outdir_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["example", "4.1", str(blocker / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {blocker / 'out'}: Not a directory\n"
 
 
 def test_family_files_round_trip_bytes(tmp_path, shift3_problem):

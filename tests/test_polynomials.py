@@ -278,6 +278,15 @@ def test_param_matrix_from_exact_and_substitution():
     assert ratios[0][0].same_value(RationalFunction.make(ONE, Y))
 
 
+@pytest.mark.parametrize("key", [(0, 3), (3, 0), (-1, -1), (0, -1)])
+def test_param_matrix_index_out_of_range(key):
+    # a flat index would wrap (0, 3) to (1, 0) and (-1, -1) to the last entry
+    t = ParamMatrix.from_rows([[X, Y, ONE], [ParamPolynomial.zero(), X, -Y], [ONE, ONE, ONE]])
+    assert t[1, 2] == -Y
+    with pytest.raises(IndexError):
+        t[key]
+
+
 # ---------------------------------------------------------------------------
 # properties of the monic short-circuit and the substitution kernel
 
