@@ -9,6 +9,7 @@ byte for byte.  Output files are written atomically (temp file + rename).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -260,10 +261,8 @@ def atomic_write_text(path: str, text: str) -> None:
                 fh.write(text)
             os.replace(tmp, path)
         except BaseException:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
             raise
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc.strerror}") from None

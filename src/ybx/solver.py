@@ -181,15 +181,14 @@ def _monic(p: ParamPolynomial) -> ParamPolynomial:
 def _factor(p: ParamPolynomial) -> list[ParamPolynomial]:
     """Split into nonconstant factors, radical-style (repeats collapsed).
 
-    Handles the shapes the constraint systems produce: the monomial content
-    (each of its variables once), and a quotient that is a single-variable
-    quadratic whose roots exist in Q(i).  Any other quotient comes back
-    atomic.  Every factor is monic: a variable, x - root, or the monic
-    quotient.  The factors are distinct, since the quotient shares no
-    variable with all of its terms: a quadratic root is nonzero and any
-    other quotient is not a bare variable.  The list is invariant under
-    units (p is made monic first) and stable on products of its own output:
-    for every order-preserving sub-list L of it, _factor(product of L) is L.
+    Handles the shapes the constraint systems produce: the monomial content,
+    each variable once, and a single-variable quadratic quotient with roots
+    in Q(i); any other quotient comes back atomic.  Every factor is monic (a
+    variable, x - root, or the monic quotient), and they are distinct: no
+    variable divides the quotient, so its roots are nonzero and it is not a
+    bare variable.  The list is invariant under units (p is made monic
+    first) and stable on products of its own output: for every
+    order-preserving sub-list L of it, _factor(product of L) is L.
     """
     if p.is_constant():
         return []
@@ -314,9 +313,8 @@ def solve_branches(
     are recorded monic and once each, and a leaf records each assignment
     denominator they do not already cover.  Every step preserves the
     solution set, so when no residual systems remain the returned branches
-    jointly cover all of it.  Each split partitions the solution set and a
-    linear solve is a bijection, so the leaves are disjoint and none is
-    merged; a leaf equal to or nested in another is empty.
+    jointly cover all of it.  Each split partitions it and a linear solve is
+    a bijection, so the leaves are disjoint; none is merged.
     """
     if parameters is None:
         seen: set[str] = set()
