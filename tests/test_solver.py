@@ -759,6 +759,7 @@ units = st.sampled_from(UNITS)
 
 def _assert_factors_atomic(p, unit):
     factors = _factor(p)
+    assert len({f.terms for f in factors}) == len(factors), (p, factors)
     for f in factors:
         assert f.monic()[0] == f, (p, f)
         assert _factor(f) == [f], (p, f)
