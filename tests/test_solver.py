@@ -679,9 +679,7 @@ def _random_product_system(rng):
             {m: GaussianRational(rng.randint(-2, 2)) for m in monomials}
         )
 
-    return [
-        linear_form() * linear_form() for _ in range(rng.randint(1, 3))
-    ]
+    return [linear_form() * linear_form() for _ in range(rng.randint(1, 3))]
 
 
 def _assert_leaves_disjoint(branches):
