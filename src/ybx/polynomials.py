@@ -368,10 +368,11 @@ class RationalFunction:
         )
 
     def evaluate(self, assignment: Mapping[str, GaussianRational]) -> GaussianRational:
-        den = self.denominator.evaluate(assignment)
+        """The value; MissingParameter (a value missing) wins over ZeroDivisionError."""
+        den, num = _evaluate([self.denominator, self.numerator], assignment)
         if not den:
             raise ZeroDivisionError(f"denominator {self.denominator} vanishes")
-        return self.numerator.evaluate(assignment) / den
+        return num / den
 
     def __str__(self) -> str:
         return format_rational_function(self)

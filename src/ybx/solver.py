@@ -578,19 +578,13 @@ def branch_matrix(family: SolutionFamily, branch_index: int) -> list[list[Ration
 def branch_satisfied_by(
     branch: SolutionBranch, values: Mapping[str, GaussianRational]
 ) -> bool:
-    """Whether a full parameter valuation lies in this branch's stratum.
-
-    Side conditions must be nonzero, residual equations zero, and every
-    assignment must hold with its denominator cleared.
-    """
-    for condition in branch.disequalities:
-        if not condition.evaluate(values):
-            return False
-    for leftover in branch.residual_system:
-        if leftover.evaluate(values):
-            return False
-    for name, rf in branch.assignments:
-        lhs = values[name] * rf.denominator.evaluate(values)
-        if lhs != rf.numerator.evaluate(values):
-            return False
-    return True
+    """Whether a full parameter valuation lies in this branch's stratum: branch_values
+    at its free coordinates (MissingParameter if one is missing) succeeds, gives
+    its assigned values and zeroes the residual system."""
+    try:
+        full = branch_values(branch, {n: values[n] for n in branch.free_parameters if n in values})
+    except DisequalityViolated:
+        return False
+    return all(full[name] == values[name] for name, _ in branch.assignments) and not any(
+        leftover.evaluate(full) for leftover in branch.residual_system
+    )

@@ -77,6 +77,18 @@ def test_evaluate_and_missing():
         p.evaluate({"x": GaussianRational(2)})
 
 
+def test_rational_function_evaluate_error_order():
+    rf = RationalFunction.make(X, Y)
+    with pytest.raises(ZeroDivisionError):
+        rf.evaluate({"x": GaussianRational(1), "y": GaussianRational(0)})
+    with pytest.raises(MissingParameter):
+        rf.evaluate({"x": GaussianRational(1)})
+    # a missing numerator value wins over a vanishing denominator
+    with pytest.raises(MissingParameter) as caught:
+        rf.evaluate({"y": GaussianRational(0)})
+    assert caught.value.names == ("x",)
+
+
 def test_coefficient_extraction():
     p = X * X * GaussianRational(3) + X * Y + Y + ONE
     assert p.degree_in("x") == 2

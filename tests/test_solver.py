@@ -35,9 +35,11 @@ from ybx.oracle import random_branch_values, random_gaussian
 from ybx.polynomials import ParamMatrix, ParamPolynomial, RationalFunction, parse_polynomial
 from ybx.scalars import GaussianRational
 from ybx.solver import (
+    SolutionBranch,
     _factor,
     branch_matrix,
     branch_satisfied_by,
+    branch_values,
     build_constraint_system,
     check_equivalence_lemma,
     residual_anticommute,
@@ -954,6 +956,21 @@ def test_branch_satisfied_by_roundtrip(rng):
         values = random_branch_values(branch, random.Random("q"))
         assert values is not None
         assert branch_satisfied_by(branch, values)
+
+
+def test_branch_satisfied_by_agrees_with_branch_values_on_a_vanishing_denominator():
+    # x = y/z with no recorded side condition: at z = 0 branch_values refuses
+    # the point, so it lies outside the branch even though x*z = y holds
+    y, z = ParamPolynomial.variable("y"), ParamPolynomial.variable("z")
+    branch = SolutionBranch((("x", RationalFunction.make(y, z)),), (), (), ("y", "z"))
+    g = GaussianRational
+    with pytest.raises(DisequalityViolated):
+        branch_values(branch, {"y": g(0), "z": g(0)})
+    assert not branch_satisfied_by(branch, {"x": g(5), "y": g(0), "z": g(0)})
+    assert branch_satisfied_by(branch, {"x": g(2), "y": g(4), "z": g(2)})
+    assert not branch_satisfied_by(branch, {"x": g(3), "y": g(4), "z": g(2)})
+    with pytest.raises(MissingParameter):
+        branch_satisfied_by(branch, {"x": g(5), "y": g(0)})
 
 
 def test_assignment_denominators_are_listed(rng):
