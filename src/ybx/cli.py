@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from typing import Callable, NamedTuple
 
@@ -55,7 +54,7 @@ from .matrices import first_nonzero_entry
 from .oracle import (
     branches_agree,
     cross_check_anticommutant,
-    random_branch_values,
+    first_unsatisfied,
     verify_family_membership,
 )
 from .polynomials import format_polynomial
@@ -233,19 +232,6 @@ def _checks_41(sim, family, outdir: str, seed: int) -> tuple[SolutionFamily, lis
     ]
 
 
-def _first_violation(branches, system, seed: int, tag: str):
-    """First (branch index, polynomial) that a seeded draw of a branch does not zero."""
-    for bi, branch in enumerate(branches):
-        for trial in range(_AGREEMENT_TRIALS):
-            values = random_branch_values(branch, random.Random(f"{seed}:{tag}:{bi}:{trial}"))
-            if values is None:
-                continue
-            bad = next((p for p in system if p.evaluate(values)), None)
-            if bad is not None:
-                return bi, bad
-    return None
-
-
 def _pairing_mismatch(golden, branches, seed: int) -> str:
     """Why the expected families do not pair one-to-one with the branches, or ''."""
     matched: dict[int, int] = {}
@@ -269,16 +255,15 @@ def _pairing_mismatch(golden, branches, seed: int) -> str:
 
 def _checks_42(sim, family, outdir: str, seed: int) -> tuple[SolutionFamily, list[_Check]]:
     """Example 4.2 is checked against the paper's equations and families by short name."""
-    branches = [b.rename(bundled.NAMES_CANONICAL_TO_SHORT) for b in family.branches]
+    short = bundled.NAMES_CANONICAL_TO_SHORT
+    branches = [b.rename(short) for b in family.branches]
     golden = bundled.golden_42_families()
-    violation = _first_violation(branches, bundled.golden_42_system(), seed, "sys")
+    violation = first_unsatisfied(branches, bundled.golden_42_system())
     if violation is not None:
         system_detail = f"branch {violation[0]} violates {format_polynomial(violation[1])}"
     else:
-        generated = [
-            p.rename(bundled.NAMES_CANONICAL_TO_SHORT) for p in build_constraint_system((4, 3))[1]
-        ]
-        violation = _first_violation(golden, generated, seed, "inv")
+        generated = [p.rename(short) for p in build_constraint_system((4, 3))[1]]
+        violation = first_unsatisfied(golden, generated)
         system_detail = (
             "" if violation is None
             else f"expected family {violation[0]} violates generated constraint"

@@ -5,8 +5,10 @@ anticommutant is recomputed from scratch through the vectorization identity
 vec(U X + X V) = (I kron U + V^T kron I) vec(X) and an exact kernel, small
 solution sets are enumerated over a finite grid of anticommutant
 coordinates, and solution families are spot-checked at pseudorandom rational
-parameter values.  Agreement between these oracles and the structural path
-is what the test suite leans on.
+parameter values.  Example 4.2's systems are compared by exact substitution
+(first_unsatisfied), and families are still re-verified at random draws.
+Agreement between these oracles and the structural path is what the test
+suite leans on.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .anticommutant import anticommutant_basis
 from .errors import DimensionMismatch, DisequalityViolated, GridTooLarge, NotSquare
 from .jordan import JordanSpec, assemble_jordan
 from .matrices import ExactMatrix, RowSpan, null_space_basis
+from .polynomials import ParamPolynomial
 from .scalars import ZERO, _ZERO_PART, GaussianRational, _make, as_gaussian
 from .solver import SolutionBranch, SolutionFamily, branch_satisfied_by, branch_values, residuals
 
@@ -159,6 +162,22 @@ def random_gaussian(rng: random.Random) -> GaussianRational:
     """Small random scalar: both parts have numerator and denominator in [-9, 9]."""
     # each part is already a Fraction in lowest terms
     return _make(_random_rational(rng), _random_rational(rng) or _ZERO_PART)
+
+
+def first_unsatisfied(
+    branches: Sequence[SolutionBranch], system: Sequence[ParamPolynomial]
+) -> tuple[int, ParamPolynomial] | None:
+    """(branch index, equation) of the first equation that a branch's
+    assignments, substituted exactly, leave with a nonzero numerator; None
+    when every branch satisfies every equation identically.  A residual
+    branch's unsettled equations count as unsatisfied: its residual system
+    is not used."""
+    for index, branch in enumerate(branches):
+        mapping = branch.assignment_map()
+        bad = next((e for e in system if e.substitute_rational(mapping).numerator), None)
+        if bad is not None:
+            return index, bad
+    return None
 
 
 def random_branch_values(
