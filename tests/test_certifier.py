@@ -114,9 +114,13 @@ def test_first_unsatisfied_reports_a_residual_branch():
     assert first_unsatisfied([*solved, stuck], system) == (len(solved), system[1])
 
 
-def test_first_unsatisfied_empty_system():
+def test_first_unsatisfied_edge_cases():
+    system = _system((4, 3))
     assert first_unsatisfied(_branches((4, 3)), []) is None
-    assert first_unsatisfied([], _system((4, 3))) is None
+    assert first_unsatisfied([], system) is None
+    # a branch without assignments settles no nonzero equation
+    unsolved = SolutionBranch((), (), tuple(system), ())
+    assert first_unsatisfied([unsolved], system) == (0, system[0])
 
 
 # -- residual branches: Groebner bases (sympy) --------------------------------
