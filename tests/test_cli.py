@@ -365,8 +365,40 @@ def test_example_42_expected_family_off_the_system(tmp_path, monkeypatch, capsys
     ]
 
 
-def test_example_unknown_exit_2(tmp_path):
+def test_example_42_side_conditions_differ_report(tmp_path, monkeypatch, capsys):
+    # family 2 without its k22 side condition is the same set generically, so
+    # only the side-condition comparison can tell it from branch 2
+    families = list(bundled.GOLDEN_42_FAMILIES)
+    families[2] = {**families[2], "disequalities": ()}
+    monkeypatch.setattr(bundled, "GOLDEN_42_FAMILIES", tuple(families))
+    assert main(["example", "4.2", str(tmp_path), "--seed", "3"]) == 1
+    report = (tmp_path / "report.txt").read_text()
+    assert capsys.readouterr().out == report
+    assert report == (
+        "example 4.2\n"
+        "seed: 3\n"
+        "reduced constraint system:\n"
+        "  k11 = 0\n"
+        "  k41 = 0\n"
+        "  k22*k31 = 0\n"
+        "  k22+k12*k22+k22*k42 = 0\n"
+        "  -k31+k12*k31-k31*k42 = 0\n"
+        "  k23*k31-k22*k32-k42-k42*k42 = 0\n"
+        "PASS: four branches\n"
+        "PASS: every branch fully solved\n"
+        "PASS: generated system has the same solutions as the six equations\n"
+        "FAIL: each expected family matches exactly one branch"
+        " (family 2 side conditions differ on branch 2)\n"
+        "PASS: 25 random instantiations satisfy both equations\n"
+        "result: GOLDEN MISMATCH\n"
+    )
+
+
+def test_example_unknown_exit_2(tmp_path, capsys):
     assert main(["example", "9.9", str(tmp_path / "nope")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown example '9.9'; available: 4.1, 4.2\n"
 
 
 def test_example_unwritable_outdir_exit_2(tmp_path, capsys):
