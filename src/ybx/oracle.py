@@ -5,10 +5,10 @@ anticommutant is recomputed from scratch through the vectorization identity
 vec(U X + X V) = (I kron U + V^T kron I) vec(X) and an exact kernel, small
 solution sets are enumerated over a finite grid of anticommutant
 coordinates, and solution families are spot-checked at pseudorandom rational
-parameter values.  Example 4.2's systems are compared by exact substitution
-(first_unsatisfied), and families are still re-verified at random draws.
-Agreement between these oracles and the structural path is what the test
-suite leans on.
+parameter values.  Example 4.2's systems and its family-to-branch pairing
+are decided by exact substitution (first_unsatisfied, branch_within); only
+family membership is still re-verified at random draws.  Agreement between
+these oracles and the structural path is what the test suite leans on.
 """
 
 from __future__ import annotations
@@ -180,6 +180,32 @@ def first_unsatisfied(
     return None
 
 
+def branch_within(inner: SolutionBranch, outer: SolutionBranch) -> bool:
+    """Whether the fully solved branch `inner` lies within `outer`, generically.
+
+    Both branches range over the same parameter names.  True when `inner`'s
+    assignments, substituted exactly, satisfy each outer assignment
+    x = num/den as x*den - num = 0 and outer's residual system, and leave no
+    outer side condition or assignment denominator with a zero numerator.
+    This is generic containment: inner's free parameters range over a dense
+    open set, so a polynomial vanishes there only if it is identically zero.
+    A residual `inner` gives False, since deciding membership in its
+    residual system needs a radical test that stays test-only.  Whether the
+    two side-condition sets are equal is left to the caller.
+    """
+    if not inner.is_fully_solved():
+        return False
+    equations = [
+        ParamPolynomial.variable(name) * rf.denominator - rf.numerator
+        for name, rf in outer.assignments
+    ]
+    if first_unsatisfied([inner], [*equations, *outer.residual_system]) is not None:
+        return False
+    mapping = inner.assignment_map()
+    nonzero = [*outer.disequalities, *(rf.denominator for _, rf in outer.assignments)]
+    return all(p.substitute_rational(mapping).numerator for p in nonzero)
+
+
 def random_branch_values(
     branch: SolutionBranch, rng: random.Random, attempts: int = _REDRAW_LIMIT
 ) -> dict[str, GaussianRational] | None:
@@ -201,7 +227,9 @@ def branches_agree(
 
     Both branches must range over the same parameter name space.  Each side
     is sampled `trials` times and the values must satisfy the other branch;
-    any miss means the strata differ.
+    any miss means the strata differ.  The shipped commands pair branches
+    exactly with branch_within; this is kept as the acceptance suite's
+    randomized cross-check.
     """
     for tag, (src, dst) in enumerate(((left, right), (right, left))):
         for trial in range(trials):

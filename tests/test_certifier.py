@@ -23,7 +23,7 @@ from sympy.polys.rings import ring
 from ybx.bundled import NAMES_CANONICAL_TO_SHORT, example_42_problem, golden_42_system
 from ybx.formats import similarity_from_problem
 from ybx.jordan import JordanSpec, similarity_from_jordan
-from ybx.oracle import first_unsatisfied
+from ybx.oracle import branch_within, first_unsatisfied
 from ybx.polynomials import ParamPolynomial, RationalFunction, parse_polynomial
 from ybx.scalars import GaussianRational, as_gaussian
 from ybx.solver import SolutionBranch, build_constraint_system, solve, solve_branches
@@ -84,6 +84,19 @@ def test_partition_list():
 def test_fully_solved_branches_satisfy_the_system(sizes):
     solved = [b for b in _branches(sizes) if b.is_fully_solved()]
     assert first_unsatisfied(solved, _system(sizes)) is None
+
+
+@pytest.mark.parametrize("sizes", [p for p in LADDER if p != (2, 2, 2, 2)], ids=_ids)
+def test_fully_solved_branches_lie_only_within_themselves(sizes):
+    # the leaves are disjoint, so no fully solved branch lies within another;
+    # (2, 2, 2, 2) is left out: its 33 x 52 checks take about 29 s on a
+    # 2-CPU x86_64 machine
+    branches = _branches(sizes)
+    for i, inner in enumerate(branches):
+        if inner.is_fully_solved():
+            assert [branch_within(inner, outer) for outer in branches] == [
+                j == i for j in range(len(branches))
+            ]
 
 
 def test_first_unsatisfied_names_branch_and_equation():

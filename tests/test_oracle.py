@@ -2,11 +2,19 @@ import random
 
 import pytest
 
+from ybx.bundled import (
+    ALL_42_NAMES,
+    NAMES_CANONICAL_TO_SHORT,
+    example_42_problem,
+    golden_42_families,
+)
 from ybx.errors import GridTooLarge
+from ybx.formats import similarity_from_problem
 from ybx.jordan import JordanSpec, assemble_jordan, similarity_from_jordan
 from ybx.matrices import ExactMatrix, mat_mul
 from ybx.oracle import (
     OracleReport,
+    branch_within,
     branches_agree,
     cross_check_anticommutant,
     grid_enumerate_solutions,
@@ -18,11 +26,11 @@ from ybx.oracle import (
     vec,
     verify_family_membership,
 )
-from ybx.polynomials import ParamMatrix
+from ybx.polynomials import ParamMatrix, parse_polynomial, parse_rational_function
 from ybx.scalars import GaussianRational, format_scalar
-from ybx.solver import SolutionFamily, single_block_family, solve
+from ybx.solver import SolutionBranch, SolutionFamily, solve
 
-from conftest import random_matrix, random_spec
+from conftest import random_matrix, random_spec, single_block_family
 
 
 def spec(*pairs):
@@ -213,6 +221,57 @@ def test_branches_agree_is_symmetric_and_discriminating():
     assert branches_agree(branches[0], branches[0], 20, seed=5)
     for other in branches[1:]:
         assert not branches_agree(branches[0], other, 20, seed=5)
+
+
+def _example_42_branches():
+    family = solve(similarity_from_problem(example_42_problem()))
+    return [b.rename(NAMES_CANONICAL_TO_SHORT) for b in family.branches]
+
+
+def test_branch_within_pairs_example_42_like_branches_agree():
+    candidates = [*golden_42_families(), *_example_42_branches()]
+    exact = [
+        [branch_within(a, b) and branch_within(b, a) for b in candidates] for a in candidates
+    ]
+    sampled = [[branches_agree(a, b, 20, seed=3) for b in candidates] for a in candidates]
+    assert exact == sampled
+    # family i is branch i, and no two families or branches are the same set
+    assert exact == [[i % 4 == j % 4 for j in range(8)] for i in range(8)]
+
+
+def test_branch_within_across_different_free_names():
+    # family 2 solves k12 = -1-k42 with k42 free; the solver solves k42 = -1-k12
+    family, branch = golden_42_families()[2], _example_42_branches()[2]
+    assert set(family.free_parameters) != set(branch.free_parameters)
+    assert branch_within(family, branch) and branch_within(branch, family)
+
+
+def test_branch_within_rejects_a_vanishing_side_condition_or_denominator():
+    family = golden_42_families()[2]  # k32 = (-k42-k42*k42)/k22 with k22 != 0
+    pinned = {"k11": "0", "k12": "-1", "k22": "0", "k31": "0", "k41": "0", "k42": "0"}
+    inner = SolutionBranch(
+        tuple((name, parse_rational_function(text)) for name, text in pinned.items()),
+        (),
+        (),
+        tuple(n for n in ALL_42_NAMES if n not in pinned),
+    )
+    # inner satisfies both of family 2's assignments cross-multiplied, but
+    # zeroes its side condition and its denominator k22
+    assert not branch_within(inner, family)
+    unconditioned = SolutionBranch(family.assignments, (), (), family.free_parameters)
+    assert not branch_within(inner, unconditioned)
+    assert branch_within(inner, SolutionBranch((), (), (), ALL_42_NAMES))
+    k22 = (parse_polynomial("k22"),)
+    assert not branch_within(inner, SolutionBranch((), k22, (), ALL_42_NAMES))
+
+
+def test_branch_within_rejects_a_residual_inner():
+    from ybx.solver import build_constraint_system, solve_branches
+
+    template, system = build_constraint_system((4, 3))
+    (stuck,) = solve_branches(system, depth_limit=0, parameters=template.variables())
+    assert stuck.residual_system
+    assert not branch_within(stuck, stuck)
 
 
 def test_report_shape():
