@@ -15,7 +15,6 @@ from .anticommutant import (
     AnticommutantBasis,
     anticommutant_basis,
     anticommutant_in_original,
-    block_pair_basis,
 )
 from .jordan import (
     JordanBlockSpec,
@@ -27,7 +26,7 @@ from .jordan import (
     similarity_from_jordan,
     validate_similarity,
 )
-from .matrices import ExactMatrix, mat_inverse, mat_mul, mat_pow, null_space_basis, rref
+from .matrices import ExactMatrix, mat_inverse, mat_mul, null_space_basis, rref
 from .oracle import (
     OracleReport,
     cross_check_anticommutant,
@@ -50,11 +49,8 @@ from .solver import (
     SolutionFamily,
     branch_matrix,
     build_constraint_system,
-    check_equivalence_lemma,
-    residual_anticommute,
     residual_ybe,
     sample,
-    single_block_family,
     solve,
     solve_branches,
     to_original,
@@ -78,10 +74,8 @@ __all__ = [
     "anticommutant_basis",
     "anticommutant_in_original",
     "assemble_jordan",
-    "block_pair_basis",
     "branch_matrix",
     "build_constraint_system",
-    "check_equivalence_lemma",
     "cross_check_anticommutant",
     "errors",
     "format_polynomial",
@@ -92,18 +86,15 @@ __all__ = [
     "kron_anticommutant_kernel",
     "mat_inverse",
     "mat_mul",
-    "mat_pow",
     "nilpotent_part",
     "null_space_basis",
     "parse_polynomial",
     "parse_rational_function",
     "parse_scalar",
-    "residual_anticommute",
     "residual_ybe",
     "rref",
     "sample",
     "similarity_from_jordan",
-    "single_block_family",
     "solve",
     "solve_branches",
     "to_original",

@@ -24,17 +24,7 @@ from dataclasses import dataclass
 
 from .jordan import JordanSpec, SimilarityData
 from .matrices import ExactMatrix, mat_mul
-from .scalars import MINUS_ONE, ONE, ZERO, GaussianRational, as_gaussian
-
-
-def block_pair_basis(t: int, s: int, lam, mu) -> list[ExactMatrix]:
-    """Basis of {K (t x s) : J_t(lam) K = -K J_s(mu)}, the patterns in order of m.
-
-    Empty unless lam = -mu; ValueError if t or s is below 1.
-    """
-    u_spec = JordanSpec(((as_gaussian(lam), (t,)),))
-    v_spec = JordanSpec(((as_gaussian(mu), (s,)),))
-    return list(anticommutant_basis(u_spec, v_spec).basis)
+from .scalars import MINUS_ONE, ONE, ZERO, GaussianRational
 
 
 @dataclass(frozen=True, slots=True)

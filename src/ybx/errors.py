@@ -66,10 +66,6 @@ class IncompleteSpectrum(YbxError):
         )
 
 
-class NotAnticommuting(YbxError):
-    """Operation requires A*B + B*A = 0 but the input pair violates it."""
-
-
 class MissingParameter(YbxError):
     """A sample request left free parameters unassigned."""
 

@@ -226,17 +226,6 @@ def residuals(a: ExactMatrix, x: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]
     return ExactMatrix(a.rows, a.cols, anti), ExactMatrix(a.rows, a.cols, ybe)
 
 
-def mat_pow(m: ExactMatrix, k: int) -> ExactMatrix:
-    if not m.is_square():
-        raise NotSquare("mat_pow", m.shape)
-    if k < 0:
-        raise ValueError("negative matrix power")
-    out = ExactMatrix.identity(m.rows)
-    for _ in range(k):
-        out = mat_mul(out, m)
-    return out
-
-
 def rref(m: ExactMatrix) -> RrefResult:
     """Exact reduced row-echelon form with rank and 0-indexed pivot columns."""
     rows = RowSpan(m.row(i) for i in range(m.rows)).rows

@@ -28,7 +28,6 @@ from .errors import (
     DimensionMismatch,
     DisequalityViolated,
     MissingParameter,
-    NotAnticommuting,
     ResidualNonzero,
 )
 from .jordan import (
@@ -36,9 +35,8 @@ from .jordan import (
     SimilarityData,
     assemble_jordan,
     nilpotent_part,
-    similarity_from_jordan,
 )
-from .matrices import ExactMatrix, first_nonzero_entry, mat_mul, residuals
+from .matrices import ExactMatrix, first_nonzero_entry, residuals
 from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction
 from .scalars import GaussianRational, as_gaussian
 
@@ -50,26 +48,6 @@ DEFAULT_DEPTH_LIMIT = 8
 def residual_ybe(a: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
     """A*X*A - X*A*X; zero exactly when x solves the equation for a."""
     return residuals(a, x)[1]
-
-
-def residual_anticommute(a: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
-    """A*X + X*A; zero exactly when x anti-commutes with a."""
-    return residuals(a, x)[0]
-
-
-def check_equivalence_lemma(a: ExactMatrix, b: ExactMatrix) -> tuple[bool, bool]:
-    """For anti-commuting b: whether A*B*A = B*A*B and whether B*(B-A)*A = 0.
-
-    The two truth values agree for every anti-commuting b; callers that want
-    the equivalence verified should assert equality of the returned pair.
-    Raises NotAnticommuting when the precondition fails.
-    """
-    anti, ybe = residuals(a, b)
-    if not anti.is_zero():
-        raise NotAnticommuting("inputs do not anti-commute")
-    lhs_zero = ybe.is_zero()
-    rhs_zero = mat_mul(mat_mul(b, b - a), a).is_zero()
-    return lhs_zero, rhs_zero
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,11 +103,6 @@ class SolutionFamily:
 
 def _empty_branch(free: Sequence[str]) -> SolutionBranch:
     return SolutionBranch((), (), (), tuple(free))
-
-
-def single_block_family(n: int) -> SolutionFamily:
-    """All anti-commuting solutions for one nilpotent block of size n (ValueError if n < 1)."""
-    return solve(similarity_from_jordan(JordanSpec(((as_gaussian(0), (n,)),))))
 
 
 def build_constraint_system(

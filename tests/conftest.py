@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random generators for specs, matrices, and scalars."""
+"""Shared helpers: seeded random generators for specs, matrices, and scalars,
+and the small matrix and family helpers several test modules use."""
 
 from __future__ import annotations
 
@@ -7,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from ybx.jordan import JordanSpec
-from ybx.matrices import ExactMatrix, rref
+from ybx.jordan import JordanSpec, similarity_from_jordan
+from ybx.matrices import ExactMatrix, mat_mul, rref
 from ybx.scalars import GaussianRational
+from ybx.solver import SolutionFamily, solve
 
 EIGEN_POOL = (
     GaussianRational(0),
@@ -86,6 +88,19 @@ def random_invertible(rng: random.Random, n: int, span: int = 3) -> ExactMatrix:
         )
         if rref(candidate).rank == n:
             return candidate
+
+
+def mat_pow(m: ExactMatrix, k: int) -> ExactMatrix:
+    """m**k for a square m and k >= 0, by repeated multiplication."""
+    out = ExactMatrix.identity(m.rows)
+    for _ in range(k):
+        out = mat_mul(out, m)
+    return out
+
+
+def single_block_family(n: int) -> SolutionFamily:
+    """All anti-commuting solutions for one nilpotent block of size n (ValueError if n < 1)."""
+    return solve(similarity_from_jordan(JordanSpec.from_pairs([(0, [n])])))
 
 
 @pytest.fixture

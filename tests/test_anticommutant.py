@@ -3,7 +3,6 @@ import pytest
 from ybx.anticommutant import (
     anticommutant_basis,
     anticommutant_in_original,
-    block_pair_basis,
     pair_contributions,
 )
 from ybx.jordan import JordanSpec, assemble_jordan, jordan_form, similarity_from_jordan
@@ -15,6 +14,11 @@ from conftest import random_invertible, random_spec
 
 def spec(*pairs):
     return JordanSpec.from_pairs(list(pairs))
+
+
+def block_pair_basis(t, s, lam, mu):
+    """Basis of {K (t x s) : J_t(lam) K = -K J_s(mu)}, the patterns in order of m."""
+    return list(anticommutant_basis(spec((lam, [t])), spec((mu, [s]))).basis)
 
 
 def test_no_solutions_when_sum_nonzero():

@@ -10,10 +10,10 @@ from ybx.jordan import (
     similarity_from_jordan,
     validate_similarity,
 )
-from ybx.matrices import ExactMatrix, mat_inverse, mat_mul, mat_pow, permutation_matrix, rref
+from ybx.matrices import ExactMatrix, mat_inverse, mat_mul, permutation_matrix, rref
 from ybx.scalars import GaussianRational
 
-from conftest import random_invertible, random_spec
+from conftest import mat_pow, random_invertible, random_spec
 
 
 def test_assemble_single_zero_block():

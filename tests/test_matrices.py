@@ -14,16 +14,15 @@ from ybx.matrices import (
     first_nonzero_entry,
     mat_inverse,
     mat_mul,
-    mat_pow,
     null_space_basis,
     permutation_matrix,
     rref,
 )
 from ybx.oracle import kron_anticommutant_kernel
 from ybx.scalars import ONE, ZERO, GaussianRational
-from ybx.solver import residual_anticommute, residual_ybe, residuals
+from ybx.solver import residual_ybe, residuals
 
-from conftest import random_invertible, random_matrix
+from conftest import mat_pow, random_invertible, random_matrix
 
 
 def J(n):
@@ -59,12 +58,10 @@ def test_mat_mul_shape_error():
 @pytest.mark.parametrize(
     "op, call",
     [
-        ("mat_pow", lambda m: mat_pow(m, 2)),
         ("mat_inverse", mat_inverse),
         ("jordan_form", lambda m: jordan_form(m, [0])),
         ("residuals", lambda m: residuals(m, m)),
         ("residuals", lambda m: residual_ybe(m, m)),
-        ("residuals", lambda m: residual_anticommute(m, m)),
         ("kron_anticommutant_kernel u", lambda m: kron_anticommutant_kernel(m, J(2))),
         ("kron_anticommutant_kernel v", lambda m: kron_anticommutant_kernel(J(2), m)),
     ],
