@@ -272,6 +272,9 @@ def test_branch_within_rejects_a_residual_inner():
     (stuck,) = solve_branches(system, depth_limit=0, parameters=template.variables())
     assert stuck.residual_system
     assert not branch_within(stuck, stuck)
+    # refused even where containment holds: every point lies in the whole space
+    whole = SolutionBranch((), (), (), template.variables())
+    assert not branch_within(stuck, whole)
 
 
 def test_report_shape():
