@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given
@@ -382,6 +383,48 @@ def test_substitute_rational_denominator_is_product_of_top_powers(rng):
         assert result.denominator == ONE
     else:
         assert result.denominator == expected.monic()[0]
+
+
+def test_rational_substitute_rational_raises_on_a_vanishing_denominator():
+    rf = RationalFunction.make(X, Y - X)
+    with pytest.raises(ZeroDivisionError):
+        rf.substitute_rational({"y": RationalFunction.from_polynomial(X)})
+
+
+def _draw_matrix_mapping(rng):
+    """Rational values over the entries' own names, polynomial values
+    (denominator 1), or the simultaneous swap x <-> y."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return _draw_mapping(rng)
+    if kind == 1:
+        names = rng.sample(NAMES, rng.randint(1, 3))
+        return {var: RationalFunction.from_polynomial(random_poly(rng, NAMES, 3)) for var in names}
+    return {"x": RationalFunction.from_polynomial(Y), "y": RationalFunction.from_polynomial(X)}
+
+
+@given(seeds)
+def test_param_matrix_substitute_rational_matches_entrywise(rng):
+    rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+    m = ParamMatrix.from_rows([[random_poly(rng, NAMES) for _ in range(cols)] for _ in range(rows)])
+    mapping = _draw_matrix_mapping(rng)
+    got = m.substitute_rational(mapping)
+    assert got == [[m[i, j].substitute_rational(mapping) for j in range(cols)] for i in range(rows)]
+    if all(rf.is_polynomial() for rf in mapping.values()):
+        # every value is substituted at once, not one name after another
+        polys = {var: rf.numerator for var, rf in mapping.items()}
+        for i, j in product(range(rows), range(cols)):
+            expected = _substitute_reference(m[i, j], polys)
+            assert got[i][j] == RationalFunction.from_polynomial(expected)
+
+
+def test_param_matrix_substitute_rational_swaps_simultaneously():
+    t = ParamMatrix.from_rows([[X * Y, X + ONE], [Y * Y, X * X * Y]])
+    swap = {"x": RationalFunction.from_polynomial(Y), "y": RationalFunction.from_polynomial(X)}
+    expected = [[X * Y, Y + ONE], [X * X, Y * Y * X]]
+    assert t.substitute_rational(swap) == [
+        [RationalFunction.from_polynomial(p) for p in row] for row in expected
+    ]
 
 
 @given(seeds)

@@ -998,6 +998,24 @@ def test_assignment_denominators_are_listed(rng):
                 )
 
 
+def test_assign_drops_a_state_whose_assignment_denominator_vanishes():
+    from ybx.solver import _BranchState  # noqa: PLC2701 - the search's infeasibility exit
+
+    x, y = ParamPolynomial.variable("x"), ParamPolynomial.variable("y")
+    one = ParamPolynomial.constant(1)
+
+    def state():
+        return _BranchState([], {"a": RationalFunction.make(x, y - one)}, {})
+
+    assert not state().assign("y", RationalFunction.from_polynomial(one))
+    feasible = state()
+    assert feasible.assign("y", RationalFunction.from_polynomial(x))
+    assert feasible.assignments == {
+        "a": RationalFunction.make(x, x - one),
+        "y": RationalFunction.from_polynomial(x),
+    }
+
+
 def test_residual_branch_sampling_raises():
     template, system = build_constraint_system((4, 3))
     branches = solve_branches(system, depth_limit=0, parameters=template.variables())
