@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from itertools import product as _cartesian
 from typing import Sequence
 
@@ -23,7 +24,7 @@ from .anticommutant import anticommutant_basis
 from .errors import DimensionMismatch, DisequalityViolated, GridTooLarge, NotSquare
 from .jordan import JordanSpec, assemble_jordan
 from .matrices import ExactMatrix, RowSpan, null_space_basis
-from .polynomials import ParamPolynomial
+from .polynomials import ParamPolynomial, _substitute
 from .scalars import ZERO, _ZERO_PART, GaussianRational, _make, as_gaussian
 from .solver import SolutionBranch, SolutionFamily, branch_satisfied_by, branch_values, residuals
 
@@ -173,8 +174,8 @@ def first_unsatisfied(
     branch's unsettled equations count as unsatisfied: its residual system
     is not used."""
     for index, branch in enumerate(branches):
-        mapping = branch.assignment_map()
-        bad = next((e for e in system if e.substitute_rational(mapping).numerator), None)
+        substituted = _substitute(system, branch.assignment_map())
+        bad = next((e for e, rf in zip(system, substituted) if rf.numerator), None)
         if bad is not None:
             return index, bad
     return None
@@ -199,11 +200,12 @@ def branch_within(inner: SolutionBranch, outer: SolutionBranch) -> bool:
         ParamPolynomial.variable(name) * rf.denominator - rf.numerator
         for name, rf in outer.assignments
     ]
-    if first_unsatisfied([inner], [*equations, *outer.residual_system]) is not None:
-        return False
-    mapping = inner.assignment_map()
+    vanishing = [*equations, *outer.residual_system]
     nonzero = [*outer.disequalities, *(rf.denominator for _, rf in outer.assignments)]
-    return all(p.substitute_rational(mapping).numerator for p in nonzero)
+    substituted = _substitute([*vanishing, *nonzero], inner.assignment_map())
+    return not any(rf.numerator for rf in islice(substituted, len(vanishing))) and all(
+        rf.numerator for rf in substituted
+    )
 
 
 def random_branch_values(

@@ -6,6 +6,11 @@ branch assignments may be ratios of polynomials.  Canonical form everywhere:
 no zero coefficients, monomials sorted, terms in degree-lexicographic order,
 denominators monic.  Values are immutable.  Evaluation is integer arithmetic
 over one common denominator (_evaluate), scaled as matrix products are.
+Substitution works like evaluation: _substitute rewrites a list of
+polynomials in one pass and builds the powers of each value once for all of
+them.  RationalFunction is a normalized pair, numerator over monic
+denominator, with no field arithmetic: it is made, substituted into,
+renamed, evaluated and printed.
 
 Text syntax (used by the file formats): terms ``coef*p1*p2`` joined by ``+``
 or ``-``, parameters as bare identifiers, powers written as repeated factors
@@ -191,38 +196,7 @@ class ParamPolynomial:
     def substitute_rational(
         self, mapping: Mapping[str, "RationalFunction"]
     ) -> "RationalFunction":
-        """Substitute rational functions for parameters.
-
-        With top the highest power of a mapped v in any term, v**k becomes
-        num**k * den**(top - k) over the common denominator, the product of
-        den**top over the mapped variables, so denominators do not blow up
-        term by term.  Each power product is built once per call and the
-        terms accumulate in one dict.
-        """
-        used = {v for mono, _ in self.terms for v in mono if v in mapping}
-        top = {var: max(mono.count(var) for mono, _ in self.terms) for var in sorted(used)}
-        one = ParamPolynomial.constant(1)
-        factors: dict[str, list[ParamPolynomial]] = {}
-        for var, t in top.items():
-            nums, dens = [one], [one]
-            for _ in range(t):
-                nums.append(nums[-1] * mapping[var].numerator)
-                dens.append(dens[-1] * mapping[var].denominator)
-            factors[var] = [nums[k] * dens[t - k] for k in range(t + 1)]
-        products: dict[tuple[int, ...], ParamPolynomial] = {}
-        acc: dict[Monomial, GaussianRational] = {}
-        for mono, c in self.terms:
-            powers = tuple(mono.count(var) for var in factors)
-            if powers not in products:
-                chosen = (factors[var][k] for var, k in zip(factors, powers))
-                products[powers] = math.prod(chosen, start=one)
-            rest = tuple(v for v in mono if v not in top)
-            for m2, c2 in products[powers].terms:
-                key = tuple(sorted(rest + m2)) if rest else m2
-                acc[key] = acc[key] + c * c2 if key in acc else c * c2
-        # factors[var][0] is den**top, so this is the common denominator
-        den = math.prod((f[0] for f in factors.values()), start=one)
-        return RationalFunction.make(ParamPolynomial.from_dict(acc), den)
+        return next(_substitute([self], mapping))
 
     def evaluate(self, assignment: Mapping[str, GaussianRational]) -> GaussianRational:
         return next(_evaluate([self], assignment))
@@ -271,6 +245,52 @@ def _evaluate(
         yield _over(re, im, l * d**degree)
 
 
+def _substitute(
+    polys: Sequence[ParamPolynomial], mapping: Mapping[str, "RationalFunction"]
+) -> Iterator["RationalFunction"]:
+    """Each polynomial with rational functions substituted for parameters.
+
+    With top the highest power of a mapped v in a polynomial, v**k becomes
+    num**k * den**(top - k) over that polynomial's common denominator, the
+    product of den**top over its mapped names, so denominators do not blow
+    up term by term.  Powers of the values and their products are built
+    once for all the polynomials, and no factor 1 is multiplied.
+    """
+    one = ParamPolynomial.constant(1)
+    powers: dict[tuple[str, bool], list[ParamPolynomial]] = {}
+    products: dict[tuple[tuple[str, int, int], ...], ParamPolynomial] = {}
+
+    def factors(var: str, k: int, top: int) -> Iterator[ParamPolynomial]:
+        """num**k and den**(top - k) of var's value, leaving out each 1."""
+        value = mapping[var]
+        for of_den, e in ((False, k), (True, top - k)):
+            base = value.denominator if of_den else value.numerator
+            if e and base != one:
+                table = powers.setdefault((var, of_den), [one, base])
+                while len(table) <= e:
+                    table.append(table[-1] * base)
+                yield table[e]
+
+    def product(fs: list[ParamPolynomial]) -> ParamPolynomial:
+        return math.prod(fs[1:], start=fs[0]) if fs else one
+
+    for p in polys:
+        used = {v for mono, _ in p.terms for v in mono if v in mapping}
+        top = [(var, max(mono.count(var) for mono, _ in p.terms)) for var in sorted(used)]
+        acc: dict[Monomial, GaussianRational] = {}
+        for mono, c in p.terms:
+            key = tuple((var, mono.count(var), t) for var, t in top)
+            if key not in products:
+                products[key] = product([f for var, k, t in key for f in factors(var, k, t)])
+            rest = tuple(v for v in mono if v not in used)
+            for m2, c2 in products[key].terms:
+                m2 = tuple(sorted(rest + m2)) if rest else m2
+                acc[m2] = acc[m2] + c * c2 if m2 in acc else c * c2
+        # num**0 * den**top for each name: the common denominator
+        den = product([f for var, t in top for f in factors(var, 0, t)])
+        yield RationalFunction.make(ParamPolynomial.from_dict(acc), den)
+
+
 def _as_poly(value) -> ParamPolynomial | None:
     if isinstance(value, ParamPolynomial):
         return value
@@ -299,68 +319,20 @@ class RationalFunction:
     def from_polynomial(cls, p: ParamPolynomial) -> "RationalFunction":
         return cls.make(p, ParamPolynomial.constant(1))
 
-    @classmethod
-    def constant(cls, value) -> "RationalFunction":
-        return cls.from_polynomial(ParamPolynomial.constant(value))
-
     def is_polynomial(self) -> bool:
         return self.denominator.is_constant()
 
     def variables(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.numerator.variables()) | set(self.denominator.variables())))
 
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.numerator, self.denominator)
-
-    def __add__(self, other):
-        other = _as_rational(other)
-        if other is None:
-            return NotImplemented
-        if self.denominator == other.denominator:
-            return RationalFunction.make(self.numerator + other.numerator, self.denominator)
-        return RationalFunction.make(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_rational(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = _as_rational(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction.make(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_rational(other)
-        if other is None:
-            return NotImplemented
-        if other.numerator.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction.make(
-            self.numerator * other.denominator, self.denominator * other.numerator
-        )
-
-    def same_value(self, other: "RationalFunction") -> bool:
-        """Semantic equality via cross multiplication (no gcd reduction)."""
-        return self.numerator * other.denominator == other.numerator * self.denominator
-
     def substitute_rational(
         self, mapping: Mapping[str, "RationalFunction"]
     ) -> "RationalFunction":
-        num = self.numerator.substitute_rational(mapping)
-        den = self.denominator.substitute_rational(mapping)
-        return num / den
+        num, den = _substitute([self.numerator, self.denominator], mapping)
+        # ZeroDivisionError when the substituted denominator vanishes
+        return RationalFunction.make(
+            num.numerator * den.denominator, num.denominator * den.numerator
+        )
 
     def rename(self, mapping: Mapping[str, str]) -> "RationalFunction":
         return RationalFunction.make(
@@ -379,15 +351,6 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({format_rational_function(self)!r})"
-
-
-def _as_rational(value) -> RationalFunction | None:
-    if isinstance(value, RationalFunction):
-        return value
-    poly = _as_poly(value)
-    if poly is not None:
-        return RationalFunction.from_polynomial(poly)
-    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -479,10 +442,8 @@ class ParamMatrix:
     def substitute_rational(
         self, mapping: Mapping[str, RationalFunction]
     ) -> list[list[RationalFunction]]:
-        return [
-            [self[i, j].substitute_rational(mapping) for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
+        flat = list(_substitute(self.entries, mapping))
+        return [flat[i * self.cols : (i + 1) * self.cols] for i in range(self.rows)]
 
     def evaluate(self, assignment: Mapping[str, GaussianRational]) -> ExactMatrix:
         return ExactMatrix(self.rows, self.cols, tuple(_evaluate(self.entries, assignment)))

@@ -67,7 +67,7 @@ def test_substitute_rational_clears_denominators():
     sub = p.substitute_rational({"x": RationalFunction.make(Y, Y + ONE)})
     # (y/(y+1))^2 + y/(y+1) = (y^2 + y(y+1)) / (y+1)^2
     expected = RationalFunction.make(Y * Y + Y * (Y + ONE), (Y + ONE) * (Y + ONE))
-    assert sub.same_value(expected)
+    assert sub == expected
 
 
 def test_evaluate_and_missing():
@@ -250,12 +250,8 @@ def test_rational_round_trip():
         parse_rational_function("(x)/(0)")
 
 
-def test_rational_arithmetic_and_rename():
+def test_rational_rename():
     a = RationalFunction.make(X, Y)
-    b = RationalFunction.make(ONE, Y)
-    assert (a + b).same_value(RationalFunction.make(X + ONE, Y))
-    assert (a * b).same_value(RationalFunction.make(X, Y * Y))
-    assert (a / b).same_value(RationalFunction.from_polynomial(X))
     renamed = a.rename({"x": "u", "y": "v"})
     assert format_rational_function(renamed) == "(u)/(v)"
 
@@ -263,7 +259,7 @@ def test_rational_arithmetic_and_rename():
 def test_rational_substitute_rational():
     rf = RationalFunction.make(X, Y)
     composed = rf.substitute_rational({"y": RationalFunction.make(ONE, X)})
-    assert composed.same_value(RationalFunction.from_polynomial(X * X))
+    assert composed == RationalFunction.from_polynomial(X * X)
 
 
 def test_param_matrix_evaluate_commutes_with_product(rng):
@@ -288,7 +284,7 @@ def test_param_matrix_from_exact_and_substitution():
     swapped = t.substitute({"x": Y, "y": X})
     assert swapped[0, 0] == Y and swapped[0, 1] == X
     ratios = t.substitute_rational({"x": RationalFunction.make(ONE, Y)})
-    assert ratios[0][0].same_value(RationalFunction.make(ONE, Y))
+    assert ratios[0][0] == RationalFunction.make(ONE, Y)
 
 
 @pytest.mark.parametrize("key", [(0, 3), (3, 0), (-1, -1), (0, -1)])
