@@ -345,37 +345,67 @@ def test_direct_sums_of_single_block_solutions_lie_in_two_block_family():
             ), "direct sum escaped every branch"
 
 
-def _centralizer_orbit_misses(family, sizes, points, seed, branches=None):
-    """How many of `points` conjugated solutions escape every branch.
-
-    Centralizer-orbit completeness oracle for the Jordan-frame family of the
-    nilpotent partition `sizes` (non-increasing).  If C commutes with J0 and
-    X solves both equations, so does C X C^-1: A C X C^-1 A = C A X A C^-1,
-    and likewise for the anti-commutation.  Each point starts from a
-    block-diagonal sum of single-block solutions (a random draw on a random
-    branch of single_block_family(s), one per block), is conjugated by a
-    random invertible integer combination of the centralizer's kernel basis,
-    and has its coordinates read off the first +-1 template entry of each
-    parameter.  A point that no branch (of `branches`, default all)
-    satisfies is a miss.  The orbits need not reach every branch, so
-    dropping a branch can go unseen: a lower-dimensional one in general, and
-    on (4, 3) even branches 2 and 3, whose side conditions ask for a nonzero
-    coupling between the two blocks and which no orbit point lands in.
-    """
-    from ybx.errors import SingularMatrix
-    from ybx.matrices import block_diag, mat_inverse
+def _orbit_frame(family):
+    """The centralizer of the family's J0 (C J0 = J0 C), its kernel basis
+    as the rows of one matrix over the n*n entries, and the first +-1
+    template entry of each parameter."""
     from ybx.oracle import kron_anticommutant_kernel
 
-    rng = random.Random(seed)
-    branches = family.branches if branches is None else branches
     j0 = family.matrix
-    centralizer = kron_anticommutant_kernel(j0, -j0)
-    singles = {s: single_block_family(s) for s in set(sizes)}
+    kernel = kron_anticommutant_kernel(j0, -j0)
+    centralizer = ExactMatrix(len(kernel), j0.rows * j0.cols, tuple(x for e in kernel for x in e.entries))
     first_entry = {}
     for index, entry in enumerate(family.template.entries):
         if not entry.is_zero():
             ((name,), sign), = entry.terms
             first_entry.setdefault(name, (index, sign))
+    return centralizer, first_entry
+
+
+def _conjugated_values(family, frame, x, rng):
+    """Coordinates of C X C^-1, for C a random invertible integer
+    combination of the centralizer basis.  If X solves both equations, so
+    does C X C^-1: A C X C^-1 A = C A X A C^-1, and likewise for the
+    anti-commutation.  The coordinates are read off the first +-1 template
+    entry of each parameter."""
+    from ybx.errors import SingularMatrix
+    from ybx.matrices import mat_inverse
+
+    centralizer, first_entry = frame
+    while True:
+        draws = tuple(GaussianRational(rng.randint(-2, 2)) for _ in range(centralizer.rows))
+        c = ExactMatrix(family.n, family.n, mat_mul(ExactMatrix(1, len(draws), draws), centralizer).entries)
+        try:
+            y = c @ x @ mat_inverse(c)
+            break
+        except SingularMatrix:
+            continue
+    assert all(r.is_zero() for r in residuals(family.matrix, y))
+    values = {name: y.entries[index] * sign for name, (index, sign) in first_entry.items()}
+    assert family.template.evaluate(values) == y
+    return values
+
+
+def _centralizer_orbit_misses(family, sizes, points, seed, branches=None):
+    """How many of `points` conjugated solutions escape every branch.
+
+    Centralizer-orbit completeness oracle for the Jordan-frame family of the
+    nilpotent partition `sizes` (non-increasing).  Each point starts from a
+    block-diagonal sum of single-block solutions (a random draw on a random
+    branch of single_block_family(s), one per block) and is conjugated by
+    _conjugated_values.  A point that no branch (of `branches`, default all)
+    satisfies is a miss.  The orbits need not reach every branch, so
+    dropping a branch can go unseen: a lower-dimensional one in general, and
+    on (4, 3) even branches 2 and 3, whose side conditions ask for a nonzero
+    coupling between the two blocks and which no orbit point lands in.
+    _branch_orbit_misses seeds from the branches themselves.
+    """
+    from ybx.matrices import block_diag
+
+    rng = random.Random(seed)
+    branches = family.branches if branches is None else branches
+    frame = _orbit_frame(family)
+    singles = {s: single_block_family(s) for s in set(sizes)}
     misses = 0
     for _ in range(points):
         pieces = []
@@ -384,19 +414,42 @@ def _centralizer_orbit_misses(family, sizes, points, seed, branches=None):
             while values is None:
                 values = random_branch_values(rng.choice(singles[s].branches), rng)
             pieces.append(singles[s].template.evaluate(values))
-        x = block_diag(pieces)
-        while True:
-            c = sum((e * rng.randint(-2, 2) for e in centralizer), ExactMatrix.zeros(*j0.shape))
-            try:
-                y = c @ x @ mat_inverse(c)
-                break
-            except SingularMatrix:
-                continue
-        assert all(r.is_zero() for r in residuals(j0, y))
-        values = {name: y.entries[index] * sign for name, (index, sign) in first_entry.items()}
-        assert family.template.evaluate(values) == y
+        values = _conjugated_values(family, frame, block_diag(pieces), rng)
         misses += not any(branch_satisfied_by(b, values) for b in branches)
     return misses
+
+
+def _branch_orbit_misses(family, seed, branches=None):
+    """How many conjugated points seeded from the branches escape every branch.
+
+    The same oracle as _centralizer_orbit_misses, seeded from one random
+    point of every fully solved branch of the family instead of from
+    block-diagonal sums, so the orbits start inside the coupling branches
+    too.  A point that no branch (of `branches`, default all) satisfies is
+    a miss.
+    """
+    rng = random.Random(seed)
+    branches = family.branches if branches is None else branches
+    frame = _orbit_frame(family)
+    misses = 0
+    for branch in family.branches:
+        if branch.is_fully_solved():
+            x = family.template.evaluate(random_branch_values(branch, rng))
+            values = _conjugated_values(family, frame, x, rng)
+            # every split lists its nonzero side last, so the generic leaf,
+            # where most conjugates land, is among the last branches
+            misses += not any(branch_satisfied_by(b, values) for b in reversed(branches))
+    return misses
+
+
+def _multiblock_partitions(max_n):
+    def partitions(n, largest):
+        if n == 0:
+            yield ()
+        for k in range(min(n, largest), 0, -1):
+            yield from ((k, *rest) for rest in partitions(n - k, k))
+
+    return [p for n in range(2, max_n + 1) for p in partitions(n, n) if len(p) > 1]
 
 
 ORBIT_POINTS = 10
@@ -407,6 +460,10 @@ ORBIT_PARTITIONS = [
     # small partitions with a size-1 block
     (2, 1), (3, 1), (2, 1, 1), (3, 2, 1),
 ]
+# the ladder and every multi-block nilpotent partition with n <= 8: 60 in all
+BRANCH_ORBIT_PARTITIONS = sorted(
+    set(ORBIT_PARTITIONS) | set(_multiblock_partitions(8)), key=lambda p: (sum(p), p)
+)
 
 
 @pytest.mark.parametrize("sizes", ORBIT_PARTITIONS, ids=lambda p: "-".join(map(str, p)))
@@ -421,6 +478,20 @@ def test_centralizer_orbit_oracle_sees_a_dropped_branch():
         family, (4, 3), ORBIT_POINTS, seed=7, branches=family.branches[1:]
     )
     assert misses > 0
+
+
+@pytest.mark.parametrize("sizes", BRANCH_ORBIT_PARTITIONS, ids=lambda p: "-".join(map(str, p)))
+def test_branch_orbit_completeness(sizes):
+    family = solve(similarity_from_jordan(spec((0, list(sizes)))))
+    assert _branch_orbit_misses(family, seed=sum(sizes)) == 0
+
+
+@pytest.mark.parametrize("dropped", range(4))
+def test_branch_orbit_oracle_sees_any_dropped_branch(dropped):
+    family = solve(similarity_from_jordan(spec((0, [4, 3]))))
+    assert len(family.branches) == 4
+    kept = [b for i, b in enumerate(family.branches) if i != dropped]
+    assert _branch_orbit_misses(family, seed=7, branches=kept) > 0
 
 
 def test_two_block_size_44_family_soundness():
@@ -668,16 +739,6 @@ def test_solve_branches_reduced_system_from_text():
         str(b.disequalities[0]) for b in branches if b.disequalities
     )
     assert diseq_names == ["k22", "k31"]
-
-
-def _multiblock_partitions(max_n):
-    def partitions(n, largest):
-        if n == 0:
-            yield ()
-        for k in range(min(n, largest), 0, -1):
-            yield from ((k, *rest) for rest in partitions(n - k, k))
-
-    return [p for n in range(2, max_n + 1) for p in partitions(n, n) if len(p) > 1]
 
 
 def _random_product_system(rng):
