@@ -414,15 +414,6 @@ def test_param_matrix_substitute_rational_matches_entrywise(rng):
             assert got[i][j] == RationalFunction.from_polynomial(expected)
 
 
-def test_param_matrix_substitute_rational_swaps_simultaneously():
-    t = ParamMatrix.from_rows([[X * Y, X + ONE], [Y * Y, X * X * Y]])
-    swap = {"x": RationalFunction.from_polynomial(Y), "y": RationalFunction.from_polynomial(X)}
-    expected = [[X * Y, Y + ONE], [X * X, Y * Y * X]]
-    assert t.substitute_rational(swap) == [
-        [RationalFunction.from_polynomial(p) for p in row] for row in expected
-    ]
-
-
 @given(seeds)
 def test_substitute_matches_term_by_term_expansion(rng):
     p = random_poly(rng, NAMES)
