@@ -353,7 +353,8 @@ def _orbit_frame(family):
 
     j0 = family.matrix
     kernel = kron_anticommutant_kernel(j0, -j0)
-    centralizer = ExactMatrix(len(kernel), j0.rows * j0.cols, tuple(x for e in kernel for x in e.entries))
+    entries = tuple(x for e in kernel for x in e.entries)
+    centralizer = ExactMatrix(len(kernel), j0.rows * j0.cols, entries)
     first_entry = {}
     for index, entry in enumerate(family.template.entries):
         if not entry.is_zero():
@@ -374,7 +375,8 @@ def _conjugated_values(family, frame, x, rng):
     centralizer, first_entry = frame
     while True:
         draws = tuple(GaussianRational(rng.randint(-2, 2)) for _ in range(centralizer.rows))
-        c = ExactMatrix(family.n, family.n, mat_mul(ExactMatrix(1, len(draws), draws), centralizer).entries)
+        combination = mat_mul(ExactMatrix(1, len(draws), draws), centralizer)
+        c = ExactMatrix(family.n, family.n, combination.entries)
         try:
             y = c @ x @ mat_inverse(c)
             break
