@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -444,14 +445,16 @@ def _branch_orbit_misses(family, seed, branches=None):
     return misses
 
 
-def _multiblock_partitions(max_n):
-    def partitions(n, largest):
-        if n == 0:
-            yield ()
-        for k in range(min(n, largest), 0, -1):
-            yield from ((k, *rest) for rest in partitions(n - k, k))
+def _partitions(n, largest):
+    """Non-increasing partitions of n with parts at most `largest`."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest), 0, -1):
+        yield from ((k, *rest) for rest in _partitions(n - k, k))
 
-    return [p for n in range(2, max_n + 1) for p in partitions(n, n) if len(p) > 1]
+
+def _multiblock_partitions(max_n):
+    return [p for n in range(2, max_n + 1) for p in _partitions(n, n) if len(p) > 1]
 
 
 ORBIT_POINTS = 10
@@ -542,6 +545,42 @@ def test_constraint_system_degree_bound(rng):
     for sizes in [(3,), (2, 2), (3, 4), (4, 3, 1)]:
         _, system = build_constraint_system(sizes)
         assert all(p.degree() <= 2 for p in system)
+
+
+def _reference_weight(sizes, name):
+    """Weight of k1_u_1_v_m: pattern m of block pair (u, v) lies on the
+    diagonal col - row = s_v - min(s_u, s_v) + m - 1 of its block."""
+    _, u, _, v, m = (int(part) for part in name[1:].split("_"))
+    s_u, s_v = sizes[u - 1], sizes[v - 1]
+    return s_v - min(s_u, s_v) + m - 1
+
+
+def test_constraint_system_is_graded():
+    # with weight w per unknown, every term of an equation has the same
+    # sum of (w - 1), so an equation has a degree D = that sum + 3 (a
+    # quadratic term's weights sum to D - 1, a linear term's weight is
+    # D - 2), and the degree-1 equations are quadratic in the weight-0
+    # unknowns only: over all 138 nilpotent partitions with n <= 10
+    partitions = [p for n in range(1, 11) for p in _partitions(n, n)]
+    assert len(partitions) == 138
+    for sizes in partitions:
+        template, system = build_constraint_system(sizes)
+        starts = [sum(sizes[:k]) for k in range(len(sizes))]
+        block = [k for k, s in enumerate(sizes) for _ in range(s)]
+        for index, entry in enumerate(template.entries):
+            if not entry.is_zero():
+                ((name,), _), = entry.terms
+                row, col = divmod(index, template.cols)
+                local = (col - starts[block[col]]) - (row - starts[block[row]])
+                assert _reference_weight(sizes, name) == local, (sizes, name)
+        for eq in system:
+            grades = {
+                sum(_reference_weight(sizes, v) - 1 for v in mono) for mono, _ in eq.terms
+            }
+            assert len(grades) == 1, (sizes, eq)
+            if grades == {-2}:
+                assert eq.degree() == 2, (sizes, eq)
+                assert all(_reference_weight(sizes, v) == 0 for v in eq.variables()), (sizes, eq)
 
 
 def test_constraint_system_two_blocks_equals_golden_six(rng):
@@ -1041,6 +1080,36 @@ def test_branch_satisfied_by_agrees_with_branch_values_on_a_vanishing_denominato
     assert not branch_satisfied_by(branch, {"x": g(3), "y": g(4), "z": g(2)})
     with pytest.raises(MissingParameter):
         branch_satisfied_by(branch, {"x": g(5), "y": g(0)})
+
+
+def test_branch_values_reports_the_first_violated_condition_then_a_vanishing_denominator():
+    y, z = ParamPolynomial.variable("y"), ParamPolynomial.variable("z")
+    one = ParamPolynomial.constant(1)
+    branch = SolutionBranch(
+        (("w", RationalFunction.make(y, y - one)), ("x", RationalFunction.make(z, z + one))),
+        (y + z, z),
+        (),
+        ("y", "z"),
+    )
+    g = GaussianRational
+
+    def message(values):
+        with pytest.raises(DisequalityViolated) as caught:
+            branch_values(branch, values)
+        return str(caught.value)
+
+    # both conditions fail: the first is named, before any denominator
+    assert message({"y": g(0), "z": g(0)}) == "side condition violated: y+z must be nonzero"
+    # the second condition fails, and so does the first denominator
+    assert message({"y": g(1), "z": g(0)}) == "side condition violated: z must be nonzero"
+    # conditions hold: the first vanishing denominator, in assignment order
+    assert message({"y": g(1), "z": g(2)}) == "side condition violated: -1+y must be nonzero"
+    assert message({"y": g(2), "z": g(-1)}) == "side condition violated: 1+z must be nonzero"
+    assert branch_values(branch, {"y": g(2), "z": g(1)}) == {
+        "y": g(2), "z": g(1), "w": g(2), "x": g(Fraction(1, 2))
+    }
+    with pytest.raises(MissingParameter):
+        branch_values(branch, {"y": g(2)})
 
 
 def test_assignment_denominators_are_listed(rng):
