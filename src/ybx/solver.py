@@ -37,7 +37,7 @@ from .jordan import (
     nilpotent_part,
 )
 from .matrices import ExactMatrix, first_nonzero_entry, residuals
-from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction
+from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction, _evaluate
 from .scalars import GaussianRational, as_gaussian
 
 JORDAN_FRAME = "jordan"
@@ -493,8 +493,9 @@ def branch_values(
     """Full parameter valuation for a branch at the given free values.
 
     Checks the free parameters are exactly covered, side conditions hold, and
-    evaluates the branch assignments.  Raises MissingParameter or
-    DisequalityViolated accordingly.
+    evaluates the branch assignments, all in one evaluation over the free
+    values.  Raises MissingParameter or DisequalityViolated accordingly: the
+    first violated side condition, else the first vanishing denominator.
     """
     free = set(branch.free_parameters)
     given = set(assignment)
@@ -505,14 +506,22 @@ def branch_values(
     if extra:
         raise ValueError(f"unknown parameters for this branch: {', '.join(extra)}")
     values = {name: as_gaussian(v) for name, v in assignment.items()}
-    for condition in branch.disequalities:
-        if not condition.evaluate(values):
+    rfs = [rf for _, rf in branch.assignments]
+    # lazy: a violated condition or a zero denominator stops the evaluation
+    results = _evaluate(
+        [*branch.disequalities, *(rf.denominator for rf in rfs), *(rf.numerator for rf in rfs)],
+        values,
+    )
+    for condition, value in zip(branch.disequalities, results):
+        if not value:
             raise DisequalityViolated(str(condition))
-    for name, rf in branch.assignments:
-        try:
-            values[name] = rf.evaluate(values)
-        except ZeroDivisionError:
-            raise DisequalityViolated(str(rf.denominator)) from None
+    denominators = [next(results) for _ in rfs]
+    for rf, denominator in zip(rfs, denominators):
+        if not denominator:
+            raise DisequalityViolated(str(rf.denominator))
+    numerators = list(results)
+    for (name, _), numerator, denominator in zip(branch.assignments, numerators, denominators):
+        values[name] = numerator / denominator
     return values
 
 
