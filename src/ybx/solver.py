@@ -13,7 +13,12 @@ Third, that degree-<=2 polynomial system is split into explicit branches:
 parameter assignments plus "must stay nonzero" side conditions, with honest
 residual systems when the case split cannot finish within the depth limit.
 One depth-first worklist loop runs the split; depth counts splits only, and
-every branch comes from its one leaf site.  Each split partitions the
+every branch comes from its one leaf site.  The loop visits the system in
+grade order: each unknown has a weight from its block sizes, every equation
+is homogeneous in those weights, the equations in the weight-0 unknowns
+(K0^2 = 0 for the weight-0 part K0) are split first, and the unknowns of
+higher weight, which then mostly enter linearly, are solved from the
+highest weight down.  Each split partitions the
 solution set, so the branches are disjoint and none is merged.
 """
 
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .anticommutant import anticommutant_basis
 from .errors import (
@@ -141,6 +146,24 @@ def build_constraint_system(
             seen.add(key)
             system.append(entry)
     return template, system
+
+
+def constraint_weights(j0_sizes: Sequence[int], names: Iterable[str]) -> dict[str, int]:
+    """The weight of each unknown of build_constraint_system(j0_sizes).
+
+    Unknown k1_u_1_v_m (the anticommutant's names) has pattern m of block
+    pair (u, v), which lies on the diagonal col - row = w of its block:
+    w = s_v - min(s_u, s_v) + m - 1, with s_u and s_v the sizes of blocks u
+    and v.  The system is graded by these weights: in every equation each
+    term has the same sum of w - 1 over its unknowns, and the equations of
+    lowest degree, K0^2 = 0, are quadratic in the weight-0 unknowns alone.
+    """
+    weights = {}
+    for name in names:
+        _, u, _, v, m = (int(part) for part in name[1:].split("_"))
+        s_u, s_v = j0_sizes[u - 1], j0_sizes[v - 1]
+        weights[name] = s_v - min(s_u, s_v) + m - 1
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +294,7 @@ def solve_branches(
     system: Sequence[ParamPolynomial],
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
     parameters: Sequence[str] | None = None,
+    weights: Mapping[str, int] | None = None,
 ) -> list[SolutionBranch]:
     """Split a degree-<=2 polynomial system into explicit solution branches.
 
@@ -281,13 +305,22 @@ def solve_branches(
     constant or recorded) and substitute; or, while depth < depth_limit,
     split on a factorization f*g = 0 (branch f = 0 versus f != 0, g = 0) or
     on the coefficient of a linear occurrence being zero or not.  Depth
-    counts splits only.  A state with no step left is a leaf, and its
-    remaining equations stay as an honest residual system.  Side conditions
-    are recorded monic and once each, and a leaf records each assignment
-    denominator they do not already cover.  Every step preserves the
-    solution set, so when no residual systems remain the returned branches
-    jointly cover all of it.  Each split partitions it and a linear solve is
-    a bijection, so the leaves are disjoint; none is merged.
+    counts splits only.
+
+    The steps visit the system in grade order by `weights` (from
+    constraint_weights; a name without a weight has weight 0).  While some,
+    but not all, equations mention only weight-0 unknowns, the steps look at
+    those equations alone, and at all equations only when no step applies
+    there; linear occurrences go by descending weight, then by name.
+    Without weights that is name order over all equations.
+
+    A state with no step left is a leaf, and its remaining equations stay as
+    an honest residual system.  Side conditions are recorded monic and once
+    each, and a leaf records each assignment denominator they do not already
+    cover.  Every step preserves the solution set, so when no residual
+    systems remain the returned branches jointly cover all of it.  Each
+    split partitions it and a linear solve is a bijection, so the leaves are
+    disjoint; none is merged.
     """
     if parameters is None:
         seen: set[str] = set()
@@ -296,6 +329,7 @@ def solve_branches(
         universe = tuple(sorted(seen))
     else:
         universe = tuple(parameters)
+    weights = weights or {}
 
     out: list[SolutionBranch] = []
     stack = [(0, _BranchState([_entering(p) for p in system], {}, {}))]
@@ -303,16 +337,33 @@ def solve_branches(
         depth, state = stack.pop()
         if not _normalize(state):
             continue
-        children = _solve_linear(state)
-        if children is None and depth < depth_limit:
-            children = _find_factor_split(state) or _find_coefficient_split(state)
-            depth += 1
+        for scope in _scopes(state, weights):
+            children = _solve_linear(state, scope, weights)
+            split = children is None and depth < depth_limit
+            if split:
+                children = _find_factor_split(state, scope) or _find_coefficient_split(
+                    state, scope, weights
+                )
+            if children is not None:
+                break
         if children is None:
             out.append(_finalize(state, universe))
         else:
             # reversed, so the first child is popped next: depth-first order
-            stack.extend((depth, child) for child in reversed(children))
+            stack.extend((depth + split, child) for child in reversed(children))
     return out
+
+
+def _scopes(state: _BranchState, weights: Mapping[str, int]) -> list[Sequence[int]]:
+    """The equation indices the steps look at, in turn: the equations in the
+    weight-0 unknowns alone, then all, or all at once when that is either."""
+    everything = range(len(state.equations))
+    graded = [
+        idx
+        for idx, (eq, _) in enumerate(state.equations)
+        if not any(weights.get(v, 0) for v in eq.variables())
+    ]
+    return [graded, everything] if 0 < len(graded) < len(everything) else [everything]
 
 
 def _normalize(state: _BranchState) -> bool:
@@ -338,17 +389,22 @@ def _normalize(state: _BranchState) -> bool:
     return True
 
 
-def _linear_occurrences(state: _BranchState):
-    """(name, equation index, coefficient, rest) of each degree-1 occurrence, by name."""
-    for name in sorted({v for eq, _ in state.equations for v in eq.variables()}):
-        for idx, (eq, _) in enumerate(state.equations):
+def _linear_occurrences(state: _BranchState, scope: Sequence[int], weights: Mapping[str, int]):
+    """(name, equation index, coefficient, rest) of each degree-1 occurrence
+    in the equations at scope, by descending weight, then by name."""
+    names = {v for idx in scope for v in state.equations[idx][0].variables()}
+    for name in sorted(names, key=lambda v: (-weights.get(v, 0), v)):
+        for idx in scope:
+            eq = state.equations[idx][0]
             if eq.degree_in(name) == 1:
                 yield name, idx, eq.coefficient_of(name, 1), eq.coefficient_of(name, 0)
 
 
-def _solve_linear(state: _BranchState) -> list[_BranchState] | None:
+def _solve_linear(
+    state: _BranchState, scope: Sequence[int], weights: Mapping[str, int]
+) -> list[_BranchState] | None:
     """One solve-and-substitute step: [state] if made, [] if infeasible, None if none applies."""
-    for name, _, coeff, rest in _linear_occurrences(state):
+    for name, _, coeff, rest in _linear_occurrences(state, scope, weights):
         if state.knows_nonzero(coeff):
             value = RationalFunction.make(-rest, coeff)
             # a no-op for a constant coefficient, whose denominator is 1
@@ -357,8 +413,9 @@ def _solve_linear(state: _BranchState) -> list[_BranchState] | None:
     return None
 
 
-def _find_factor_split(state: _BranchState) -> list[_BranchState] | None:
-    for idx, (_, factors) in enumerate(state.equations):
+def _find_factor_split(state: _BranchState, scope: Sequence[int]) -> list[_BranchState] | None:
+    for idx in scope:
+        factors = state.equations[idx][1]
         if len(factors) < 2:
             continue
         head, tail = factors[0], factors[1:]
@@ -371,10 +428,12 @@ def _find_factor_split(state: _BranchState) -> list[_BranchState] | None:
     return None
 
 
-def _find_coefficient_split(state: _BranchState) -> list[_BranchState] | None:
-    # runs after _solve_linear found nothing: the first occurrence's
+def _find_coefficient_split(
+    state: _BranchState, scope: Sequence[int], weights: Mapping[str, int]
+) -> list[_BranchState] | None:
+    # runs after _solve_linear found nothing in scope: the first occurrence's
     # coefficient is a nonconstant polynomial not known to be nonzero
-    occurrence = next(_linear_occurrences(state), None)
+    occurrence = next(_linear_occurrences(state, scope, weights), None)
     if occurrence is None:
         return None
     name, idx, coeff, rest = occurrence
@@ -463,7 +522,10 @@ def solve(sim: SimilarityData, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Soluti
             n, JORDAN_FRAME, (_empty_branch(()),), ParamMatrix.zeros(n, n), j
         )
     template, system = build_constraint_system(sizes)
-    branches = solve_branches(system, depth_limit, parameters=template.variables())
+    names = template.variables()
+    branches = solve_branches(
+        system, depth_limit, parameters=names, weights=constraint_weights(sizes, names)
+    )
     single = len(sizes) == 1 and len(branches) == 1
     if single and branches[0].is_fully_solved() and not branches[0].disequalities:
         template, branches[0] = _fold_single_block(template, branches[0])

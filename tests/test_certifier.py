@@ -53,9 +53,12 @@ PARTITIONS = sorted(
 # empty residual branches per partition at the default depth: the baseline
 # that polynomial-algebra rules in the branch search should drive to 0
 EMPTY_RESIDUAL_BRANCHES = {
-    (2, 2, 2): 0, (3, 3): 0, (2, 2, 2, 1): 0, (3, 3, 1): 0,
-    (2, 2, 2, 1, 1): 0, (2, 2, 2, 2): 11, (3, 3, 1, 1): 0, (3, 3, 2): 0,
+    (2, 2, 2): 0, (2, 2, 2, 1): 0, (2, 2, 2, 1, 1): 0, (2, 2, 2, 2): 11,
 }
+
+# n = 9 and 10 partitions that the grade-order search solves in well under a
+# second: (3, 3, 3) fully, (3, 3, 2, 2) up to one residual branch
+WIDE = [(3, 3, 3), (3, 3, 2, 2)]
 
 
 @functools.cache
@@ -77,16 +80,28 @@ def _ids(p) -> str:
 
 def test_partition_list():
     assert len(PARTITIONS) == 60
-    assert sum(b.is_fully_solved() for p in PARTITIONS for b in _branches(p)) == 168
+    assert sum(b.is_fully_solved() for p in PARTITIONS for b in _branches(p)) == 171
 
 
-@pytest.mark.parametrize("sizes", PARTITIONS, ids=_ids)
+def test_grade_order_solves_333_fully():
+    branches = _branches((3, 3, 3))
+    assert len(branches) == 11
+    assert all(b.is_fully_solved() for b in branches)
+
+
+@pytest.mark.parametrize("sizes", PARTITIONS + WIDE, ids=_ids)
 def test_fully_solved_branches_satisfy_the_system(sizes):
     solved = [b for b in _branches(sizes) if b.is_fully_solved()]
     assert first_unsatisfied(solved, _system(sizes)) is None
 
 
-@pytest.mark.parametrize("sizes", [p for p in LADDER if p != (2, 2, 2, 2)], ids=_ids)
+@pytest.mark.parametrize(
+    "sizes",
+    [p for p in LADDER if p != (2, 2, 2, 2)]
+    + [(3, 3, 1, 1), (4, 2), (4, 2, 1), (4, 2, 1, 1)]
+    + WIDE,
+    ids=_ids,
+)
 def test_fully_solved_branches_lie_only_within_themselves(sizes):
     # the leaves are disjoint, so no fully solved branch lies within another;
     # (2, 2, 2, 2) is left out: its 33 x 52 checks take about 29 s on a

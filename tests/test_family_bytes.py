@@ -28,14 +28,17 @@ from ybx.matrices import mat_inverse, null_space_basis, rref
 from ybx.oracle import cross_check_anticommutant, kron_anticommutant_kernel
 from ybx.scalars import I, format_scalar
 
+# (3, 3), (3, 3, 1), (3, 3, 1, 1), (3, 3, 2), (4, 2), (4, 2, 1) and
+# (4, 2, 1, 1) here, and (3, 3, 2) at depths 1 and 2 below, are pinned from
+# the search that visits the system in grade order
 JORDAN_FRAME_HASHES = {
     (2, 2): "1fc36554f7074c229decd0a33a6cb87095b381a6481f08328e858649b453abc0",
-    (3, 3): "59189fe319c72f3a25c076554e0a2f1d195b54e2c47ca7713cf62d794598235a",
+    (3, 3): "a3550cf6fd6c47461376ee0ae635b004f1f6a5456d662ce32f66a3634f918574",
     (4, 3): "aa0a058ddd08f454261edea1e3957e3a6418ac8b731b7fe25af18cdc9453cc96",
     (2, 2, 2): "bb729ee0265607f179bb3d03d0db3b3b65f31895d82153697c9f62d30a032e53",
-    (3, 3, 1): "0b8b6f32aaffa9ded704364a27c8b255f3744202e378b4b2793ec4a399c6d318",
+    (3, 3, 1): "a8217dcf32c2a05417e02a5c5a01a89127b298a14c80ae1bc44af151188b2e91",
     (4, 2, 2): "10ab1661433ef4e75b3cccdf23b3b16cfffe7fb1b87245ad5cd9a36e79092982",
-    (3, 3, 2): "a3810f3a0b57f0fff265ada79acec17fc647954ed0380b1e80bcc7c5c113d682",
+    (3, 3, 2): "3f3407df85771fc595a047a4516e87dd300da7d76f13e0ef3d219e1e98505777",
     # the rest of the ladder, pinned from the search that still re-factored
     # every factor and built the template by dense scale-and-add
     (4, 4): "b24d2931762105fb14eaa7fe07b22fd19834c5a6b62f8d35a4daaa6ce126486a",
@@ -58,7 +61,7 @@ JORDAN_FRAME_HASHES = {
     (2, 1, 1, 1): "2281cabb38ddd99bf20d6521c38203e3770ac9af8710475ae473ebdc0050d9ae",
     (1, 1, 1, 1, 1): "ff4258a460a58133d26a2c46416691d3532b2a7a001250979065a837fdc5db7a",
     (5, 1): "e41cca1e2c09d1bf711eeb502deefc6d400f64eef2ea40a289eb8a177d677a4f",
-    (4, 2): "134a675e6b6ef7b965864ce772693099926ed6ec0119e3293686c05fc04de281",
+    (4, 2): "7566d43587f178fc0c3ab7a94626d1aa8a4660f408051e4492af8bf6a44d0ce4",
     (4, 1, 1): "0568d64a9e66d678b5575ac3e4d5755cf89c7395f156a0dcad80929e90bfad78",
     (3, 2, 1): "cc6386c0cb08dfca885024630b0af7bf6ecac9ecd824c7348c495d9e83fef553",
     (3, 1, 1, 1): "f647ed196601a33bc921aba1af23137bb9a407bbe62675fa54ac26c3968e9677",
@@ -68,7 +71,7 @@ JORDAN_FRAME_HASHES = {
     (6, 1): "8a911cc8aaadd77cb0fafc2c8a401996781799ec2caf9b7752e5acb172f91f40",
     (5, 2): "427f65d1dc51a8503057ff5011127732a092a519d72f54b366055101373f4f33",
     (5, 1, 1): "9ded6677ed186ca927335bfbca7bbd73edaef63decef2bbe4140f1a33bad5b92",
-    (4, 2, 1): "04ce360597cbe237cc9854d277b3f236dfdb07371dfc48b0e4235e90d02b8fbd",
+    (4, 2, 1): "fc8f7b1919475c908f20671ca6c4c00d963741c85e4b1ea65a0ec724258229fe",
     (4, 1, 1, 1): "6fb8ddb32ed08f40260a92b5b4b50f1a3f105579487e0bcc61c022d06f673b8b",
     (3, 2, 2): "c90ceded3e33cb0f850005ef80fa1ce13007b7fffdc7db5c83a9f55906db5bc2",
     (3, 2, 1, 1): "a0d765f5da456331d9bb62c4a1e3410b6dbef6ff6dbdf4cfc3cb3877a00abccc",
@@ -83,9 +86,9 @@ JORDAN_FRAME_HASHES = {
     (5, 2, 1): "942fa6dc786c7bfefa8f3c9ff359aa70c8e21790320e25b9637031cbd2635686",
     (5, 1, 1, 1): "8fb0d0518aba03eaa0e8a2df275e6a9c05e37843c3c694a361db7f3a21e09135",
     (4, 3, 1): "18e37567d01134c81ccf773fcee065f91b3ca6450bd49036bf0a7d3600dfdbc3",
-    (4, 2, 1, 1): "5d219b864038a7ffbffdc8e75fc4eadf30b154010f7a2f4a03d8db96d65817f7",
+    (4, 2, 1, 1): "d8aa8fdea93f8324ec78df9375a3070bfe7091af62df452611e575517a645ce7",
     (4, 1, 1, 1, 1): "d501fb6ac57abffb9789ee7e26fdf553ccbe5a0986ea0931ff4398bcbb5af780",
-    (3, 3, 1, 1): "3ea10bf93207d471fd360af7c0ee7dbe86922e20f37ce2cc3bb634e4abe867eb",
+    (3, 3, 1, 1): "99f2fada79e7a0c56c32945758e943c5c385906a3bdaecec908dd5d96c268752",
     (3, 2, 2, 1): "341308266f3d65ab377948bc2373d3f792893bbe1fbb1fb11c4d4ea2ac42d80a",
     (3, 2, 1, 1, 1): "302adb37e7e80d51a4e8d7ce8564ebc2fb831cb1e3a6e99137df5be2fae6cfaa",
     (3, 1, 1, 1, 1, 1): "d4a208b0d16556e9951d32da62968941d47c0503815ed12b8434a05e3f9cdf06",
@@ -117,8 +120,8 @@ DEPTH_LIMITED_HASHES = {
     ((4, 3), 1): "e08fb144e1aae7161d661ebe06f743a79980e1a634dae1591c8b107cf38b883e",
     ((4, 3), 2): "f9839677e954c7ba07a3821f739740639fd8da5038a9c03397666bdeba395a34",
     ((3, 3, 2), 0): "5bafd270e4e04e58833617a6af145ef7f2e4f5b1437d51aef18d4e644c79abb3",
-    ((3, 3, 2), 1): "1b7abe0a8286d94cf48f9d492e57decb154bdd6594831026b850134453eeb848",
-    ((3, 3, 2), 2): "5ae14915480d85db7c911062aab15b46b630474ccc622df1ecf6312369fb4607",
+    ((3, 3, 2), 1): "6bb7f7365ea44c645167ccf6de742b780be84bc0cf7379388aedeb681915f9da",
+    ((3, 3, 2), 2): "2eb3f28bd7c2a10fa3946970ec79613389f10bfe27cec53b147c4338e4d1828b",
     ((2, 2, 2, 2), 0): "fd6dc03522f75e5b6b739f2a4bf61ebb93cdc2beb0c2b1009e4245371feff33d",
     ((2, 2, 2, 2), 1): "a6eaa33665f86b5f660199809ef6b65601343bd23a141130905faba1115864cf",
     ((2, 2, 2, 2), 2): "aadeea0db4140560a704fbbc98688450c7fa2a10ffbed89e27f03331474dfe3a",

@@ -41,6 +41,7 @@ from ybx.solver import (
     branch_satisfied_by,
     branch_values,
     build_constraint_system,
+    constraint_weights,
     residual_ybe,
     residuals,
     sample,
@@ -464,6 +465,8 @@ ORBIT_PARTITIONS = [
     (3, 3, 2), (5, 3), (4, 2, 2), (5, 5), (6, 4), (2, 2, 2, 2),
     # small partitions with a size-1 block
     (2, 1), (3, 1), (2, 1, 1), (3, 2, 1),
+    # n = 9, fully solved by the grade-order search
+    (3, 3, 3),
 ]
 # the ladder and every multi-block nilpotent partition with n <= 8: 60 in all
 BRANCH_ORBIT_PARTITIONS = sorted(
@@ -565,6 +568,8 @@ def test_constraint_system_is_graded():
     assert len(partitions) == 138
     for sizes in partitions:
         template, system = build_constraint_system(sizes)
+        names = template.variables()
+        assert constraint_weights(sizes, names) == {v: _reference_weight(sizes, v) for v in names}
         starts = [sum(sizes[:k]) for k in range(len(sizes))]
         block = [k for k, s in enumerate(sizes) for _ in range(s)]
         for index, entry in enumerate(template.entries):
@@ -581,6 +586,19 @@ def test_constraint_system_is_graded():
             if grades == {-2}:
                 assert eq.degree() == 2, (sizes, eq)
                 assert all(_reference_weight(sizes, v) == 0 for v in eq.variables()), (sizes, eq)
+
+
+@pytest.mark.parametrize(
+    "sizes, by_name, by_grade", [((3, 3), (4, 1), (4, 0)), ((3, 3, 2), (11, 4), (7, 0))]
+)
+def test_grade_order_solves_what_name_order_leaves_residual(sizes, by_name, by_grade):
+    # (branches, residual branches): without weights the search keeps name
+    # order over all equations
+    template, system = build_constraint_system(sizes)
+    names = template.variables()
+    for weights, expected in ((None, by_name), (constraint_weights(sizes, names), by_grade)):
+        branches = solve_branches(system, parameters=names, weights=weights)
+        assert (len(branches), sum(not b.is_fully_solved() for b in branches)) == expected
 
 
 def test_constraint_system_two_blocks_equals_golden_six(rng):
