@@ -569,7 +569,8 @@ def branch_values(
         raise ValueError(f"unknown parameters for this branch: {', '.join(extra)}")
     values = {name: as_gaussian(v) for name, v in assignment.items()}
     rfs = [rf for _, rf in branch.assignments]
-    # lazy: a violated condition or a zero denominator stops the evaluation
+    # lazy, so a violated condition or a zero denominator stops it; it reads
+    # the free values on its first step, before any assigned value is added
     results = _evaluate(
         [*branch.disequalities, *(rf.denominator for rf in rfs), *(rf.numerator for rf in rfs)],
         values,
@@ -581,9 +582,8 @@ def branch_values(
     for rf, denominator in zip(rfs, denominators):
         if not denominator:
             raise DisequalityViolated(str(rf.denominator))
-    numerators = list(results)
-    for (name, _), numerator, denominator in zip(branch.assignments, numerators, denominators):
-        values[name] = numerator / denominator
+    for (name, _), denominator in zip(branch.assignments, denominators):
+        values[name] = next(results) / denominator
     return values
 
 
