@@ -18,8 +18,8 @@ grade order: each unknown has a weight from its block sizes, every equation
 is homogeneous in those weights, the equations in the weight-0 unknowns
 (K0^2 = 0 for the weight-0 part K0) are split first, and the unknowns of
 higher weight, which then mostly enter linearly, are solved from the
-highest weight down.  Each split partitions the
-solution set, so the branches are disjoint and none is merged.
+highest weight down.  Each split partitions the solution set, so the
+branches are disjoint and none is merged.
 """
 
 from __future__ import annotations
