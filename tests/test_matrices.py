@@ -19,6 +19,7 @@ from ybx.matrices import (
     rref,
 )
 from ybx.oracle import kron_anticommutant_kernel
+from ybx.polynomials import ParamMatrix, ParamPolynomial
 from ybx.scalars import ONE, ZERO, GaussianRational
 from ybx.solver import residual_ybe, residuals
 
@@ -204,6 +205,37 @@ def test_entry_validation():
         ExactMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):
         ExactMatrix.zeros(0, 2)
+
+
+GRID_KINDS = {
+    "exact": (ExactMatrix, GaussianRational),
+    "param": (ParamMatrix, ParamPolynomial.constant),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRID_KINDS))
+def test_grid_contract(kind):
+    cls, entry = GRID_KINDS[kind]
+    for rows, cols in ((0, 2), (2, 0), (-1, 1)):
+        with pytest.raises(ValueError):
+            cls(rows, cols, ())
+    with pytest.raises(ValueError):
+        cls(2, 2, (entry(0),) * 3)
+    with pytest.raises(ValueError):
+        cls.from_rows([[entry(1), entry(2)], [entry(3)]])
+    m = cls.from_rows([[entry(1), entry(2), entry(3)], [entry(4), entry(5), entry(6)]])
+    assert m.shape == (2, 3) and m[1, 2] == entry(6)
+    for key in ((2, 0), (0, 3), (-1, 0)):
+        with pytest.raises(IndexError):
+            m[key]
+    for op, apply in (("add", lambda a, b: a + b), ("sub", lambda a, b: a - b)):
+        with pytest.raises(DimensionMismatch) as caught:
+            apply(m, cls.zeros(3, 2))
+        assert caught.value.op == op
+    assert (m - m).is_zero() and m + cls.zeros(2, 3) == m
+    assert cls.zeros(2, 3).is_zero() and not m.is_zero()
+    assert str(m).splitlines() == ["1  2  3", "4  5  6"]
+    assert ExactMatrix.zeros(2, 3) != ParamMatrix.zeros(2, 3)
 
 
 def textbook_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
