@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .jordan import JordanSpec, SimilarityData, jordan_form, similarity_from_jordan
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, Grid
 from .polynomials import (
     ParamMatrix,
     format_polynomial,
@@ -29,12 +29,17 @@ from .scalars import GaussianRational, format_scalar, parse_scalar
 from .solver import JORDAN_FRAME, ORIGINAL_FRAME, SolutionBranch, SolutionFamily
 
 
-def matrix_to_grid(m: ExactMatrix) -> list[list[str]]:
-    return [[format_scalar(x) for x in m.row(i)] for i in range(m.rows)]
+def matrix_to_grid(m: Grid) -> list[list[str]]:
+    """The rows of m as text: scalars for an ExactMatrix, polynomials for a ParamMatrix."""
+    return [[str(x) for x in m.row(i)] for i in range(m.rows)]
 
 
-def _checked_grid(grid, what: str) -> list[list]:
-    """grid itself, after checking it is a nonempty list of equally long nonempty lists."""
+# what a grid of each name holds: its matrix type and the parser of one entry
+_GRID_KINDS = {"matrix": (ExactMatrix, parse_scalar), "template": (ParamMatrix, parse_polynomial)}
+
+
+def _grid_from_json(grid, what: str) -> Grid:
+    """The matrix a nonempty list of equally long nonempty lists of strings describes."""
     if (
         not isinstance(grid, list)
         or not grid
@@ -44,13 +49,12 @@ def _checked_grid(grid, what: str) -> list[list]:
     width = len(grid[0])
     if any(len(row) != width for row in grid):
         raise ParseError(f"{what} rows have inconsistent lengths")
-    return grid
+    kind, parse = _GRID_KINDS[what]
+    return kind.from_rows([[parse(_as_str(x)) for x in row] for row in grid])
 
 
 def grid_to_matrix(grid) -> ExactMatrix:
-    return ExactMatrix.from_rows(
-        [[parse_scalar(_as_str(x)) for x in row] for row in _checked_grid(grid, "matrix")]
-    )
+    return _grid_from_json(grid, "matrix")
 
 
 def _as_str(value) -> str:
@@ -136,16 +140,6 @@ def similarity_from_problem(problem: ProblemInput) -> SimilarityData:
     return similarity_from_jordan(problem.spec, problem.w)
 
 
-def _template_to_grid(t: ParamMatrix) -> list[list[str]]:
-    return [[format_polynomial(t[i, j]) for j in range(t.cols)] for i in range(t.rows)]
-
-
-def _grid_to_template(grid) -> ParamMatrix:
-    return ParamMatrix.from_rows(
-        [[parse_polynomial(_as_str(x)) for x in row] for row in _checked_grid(grid, "template")]
-    )
-
-
 def _polynomials(raw: dict, key: str) -> tuple:
     if not isinstance(raw[key], list):
         raise ParseError(f"{key} must be a list of polynomials")
@@ -157,7 +151,7 @@ def family_to_json(family: SolutionFamily) -> dict:
         "n": family.n,
         "frame": family.frame,
         "matrix": matrix_to_grid(family.matrix),
-        "template": _template_to_grid(family.template),
+        "template": matrix_to_grid(family.template),
         "branches": [
             {
                 "assignments": {
@@ -182,7 +176,7 @@ def family_from_json(obj) -> SolutionFamily:
     if frame not in (JORDAN_FRAME, ORIGINAL_FRAME):
         raise ParseError(f"unknown frame {frame!r}")
     matrix = grid_to_matrix(obj["matrix"])
-    template = _grid_to_template(obj["template"])
+    template = _grid_from_json(obj["template"], "template")
     n = obj["n"]
     if type(n) is not int or matrix.shape != (n, n) or template.shape != (n, n):
         raise ParseError("family dimensions are inconsistent")

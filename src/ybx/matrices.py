@@ -7,6 +7,13 @@ results are exact; pivot choice is simply the first nonzero entry in column
 order, since magnitude is meaningless over an exact field.  Matrices are
 immutable.
 
+Grid is the dense row-major base of both matrix types: the shape and
+entry-count checks, from_rows, zeros, indexing, row, col, shape, is_zero,
+entrywise + and - and printing; block_diag builds either type.
+ExactMatrix adds a from_rows that coerces its entries, identity, column,
+to_rows, is_square, transpose, negation, scalar * and @ through mat_mul.
+ParamMatrix (polynomials.py) is the other Grid.
+
 Products work in integers, in one kernel that mat_mul and residuals share:
 each factor is scaled to Gaussian integers over a common denominator (per
 row or column in mat_mul, per matrix in residuals, which then chains its
@@ -28,26 +35,25 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import repeat
 from math import lcm
-from operator import itemgetter, mul
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from operator import add, itemgetter, mul, neg, sub
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotSquare, SingularMatrix
 from .scalars import ONE, ZERO, GaussianRational, _over, as_gaussian
-
-if TYPE_CHECKING:
-    from .polynomials import ParamMatrix, ParamPolynomial
 
 # a Gaussian-integer vector (re, im); im may be None when every imaginary part is 0
 _IntVector = tuple[list[int], list[int] | None]
 
 
 @dataclass(frozen=True, slots=True)
-class ExactMatrix:
-    """A rows x cols matrix of GaussianRational, stored row-major."""
+class Grid:
+    """A rows x cols grid stored row-major: the shape checks, indexing,
+    entrywise + and - and printing that ExactMatrix and ParamMatrix share.
+    Each subclass names its zero entry in _zero."""
 
     rows: int
     cols: int
-    entries: tuple[GaussianRational, ...]
+    entries: tuple
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -59,78 +65,85 @@ class ExactMatrix:
             )
 
     @classmethod
+    def from_rows(cls, rows: Sequence[Sequence]):
+        if not rows or not rows[0]:
+            raise ValueError("matrix rows must be nonempty")
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged rows in matrix literal")
+        return cls(len(rows), width, tuple(x for row in rows for x in row))
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int):
+        return cls(rows, cols, (cls._zero,) * (rows * cols))
+
+    def __getitem__(self, key: tuple[int, int]):
+        i, j = key
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry {key} out of range for {self.rows}x{self.cols}")
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> tuple:
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def col(self, j: int) -> tuple:
+        return self.entries[j :: self.cols]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    def is_zero(self) -> bool:
+        return not any(self.entries)
+
+    def _entrywise(self, op: str, other, f):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.shape != other.shape:
+            raise DimensionMismatch(op, self.shape, other.shape)
+        return type(self)(self.rows, self.cols, tuple(map(f, self.entries, other.entries)))
+
+    def __add__(self, other):
+        return self._entrywise("add", other, add)
+
+    def __sub__(self, other):
+        return self._entrywise("sub", other, sub)
+
+    def __str__(self) -> str:
+        return "\n".join("  ".join(map(str, self.row(i))) for i in range(self.rows))
+
+
+@dataclass(frozen=True, slots=True)
+class ExactMatrix(Grid):
+    """A rows x cols matrix of GaussianRational, stored row-major."""
+
+    _zero = ZERO
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ExactMatrix":
         """Build from nested sequences; entries may be int/Fraction/str/scalar."""
-        grid = [[as_gaussian(x) for x in row] for row in rows]
-        if not grid or not grid[0]:
-            raise ValueError("matrix rows must be nonempty")
-        width = len(grid[0])
-        if any(len(row) != width for row in grid):
-            raise ValueError("ragged rows in matrix literal")
-        return cls(len(grid), width, tuple(x for row in grid for x in row))
+        return super(ExactMatrix, cls).from_rows([[as_gaussian(x) for x in row] for row in rows])
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
-
-    @classmethod
     def column(cls, values: Sequence) -> "ExactMatrix":
         return cls.from_rows([[v] for v in values])
-
-    def __getitem__(self, key: tuple[int, int]) -> GaussianRational:
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry {key} out of range for {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[GaussianRational, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def col(self, j: int) -> tuple[GaussianRational, ...]:
-        return self.entries[j :: self.cols]
 
     def to_rows(self) -> list[list[GaussianRational]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols, self.rows, tuple(self[i, j] for j in range(self.cols) for i in range(self.rows))
-        )
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise DimensionMismatch("add", self.shape, other.shape)
-        return ExactMatrix(
-            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise DimensionMismatch("sub", self.shape, other.shape)
-        return ExactMatrix(
-            self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
-        )
+        entries = tuple(x for j in range(self.cols) for x in self.col(j))
+        return ExactMatrix(self.cols, self.rows, entries)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return ExactMatrix(self.rows, self.cols, tuple(map(neg, self.entries)))
 
     def __mul__(self, scalar) -> "ExactMatrix":
         s = as_gaussian(scalar)
@@ -140,9 +153,6 @@ class ExactMatrix:
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         return mat_mul(self, other)
-
-    def __str__(self) -> str:
-        return "\n".join("  ".join(str(x) for x in self.row(i)) for i in range(self.rows))
 
 
 class RrefResult(NamedTuple):
@@ -309,22 +319,21 @@ class RowSpan:
         return not any(self._reduce(vec))
 
 
-def block_diag(blocks: Iterable[ExactMatrix]) -> ExactMatrix:
-    """Direct sum of square or rectangular blocks along the diagonal."""
+def block_diag(blocks: Iterable[Grid]) -> Grid:
+    """Direct sum of square or rectangular blocks along the diagonal, a matrix
+    of the first block's type."""
     blocks = list(blocks)
     if not blocks:
         raise ValueError("block_diag of no blocks")
-    total_r = sum(b.rows for b in blocks)
-    total_c = sum(b.cols for b in blocks)
-    grid = [[ZERO] * total_c for _ in range(total_r)]
-    r_off = c_off = 0
+    zero = (type(blocks[0])._zero,)
+    width = sum(b.cols for b in blocks)
+    entries: list = []
+    left = 0
     for b in blocks:
         for i in range(b.rows):
-            for j in range(b.cols):
-                grid[r_off + i][c_off + j] = b[i, j]
-        r_off += b.rows
-        c_off += b.cols
-    return ExactMatrix.from_rows(grid)
+            entries += zero * left + b.row(i) + zero * (width - left - b.cols)
+        left += b.cols
+    return type(blocks[0])(len(entries) // width, width, tuple(entries))
 
 
 def permutation_matrix(position_map: Sequence[int]) -> ExactMatrix:
@@ -342,9 +351,7 @@ def permutation_matrix(position_map: Sequence[int]) -> ExactMatrix:
     return ExactMatrix.from_rows(grid)
 
 
-def first_nonzero_entry(
-    m: ExactMatrix | ParamMatrix,
-) -> tuple[int, int, GaussianRational | ParamPolynomial] | None:
+def first_nonzero_entry(m: Grid) -> tuple[int, int, object] | None:
     """Row-major position and value of the first nonzero entry, if any."""
     for i in range(m.rows):
         for j in range(m.cols):

@@ -10,7 +10,9 @@ Substitution works like evaluation: _substitute rewrites a list of
 polynomials in one pass and builds the powers of each value once for all of
 them.  RationalFunction is a normalized pair, numerator over monic
 denominator, with no field arithmetic: it is made, substituted into,
-renamed, evaluated and printed.
+renamed, evaluated and printed.  ParamMatrix is a Grid (matrices.py) of
+polynomials and adds only from_exact, variables, scale, its polynomial
+product, substitute, substitute_rational and evaluate.
 
 Text syntax (used by the file formats): terms ``coef*p1*p2`` joined by ``+``
 or ``-``, parameters as bare identifiers, powers written as repeated factors
@@ -27,7 +29,7 @@ from itertools import repeat
 from typing import Iterator, Mapping, Sequence
 
 from .errors import MissingParameter, ParseError
-from .matrices import DimensionMismatch, ExactMatrix, _scaled
+from .matrices import DimensionMismatch, ExactMatrix, Grid, _scaled
 from .scalars import ONE, ZERO, GaussianRational, _over, as_gaussian, format_scalar, parse_scalar
 
 Monomial = tuple[str, ...]
@@ -354,69 +356,20 @@ class RationalFunction:
 
 
 @dataclass(frozen=True, slots=True)
-class ParamMatrix:
+class ParamMatrix(Grid):
     """Matrix with polynomial entries."""
 
-    rows: int
-    cols: int
-    entries: tuple[ParamPolynomial, ...]
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"matrix dimensions must be positive, got {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[ParamPolynomial]]) -> "ParamMatrix":
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), width, tuple(p for r in rows for p in r))
+    _zero = ParamPolynomial.zero()
 
     @classmethod
     def from_exact(cls, m: ExactMatrix) -> "ParamMatrix":
         return cls(m.rows, m.cols, tuple(ParamPolynomial.constant(x) for x in m.entries))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ParamMatrix":
-        return cls(rows, cols, (ParamPolynomial.zero(),) * (rows * cols))
-
-    def __getitem__(self, key: tuple[int, int]) -> ParamPolynomial:
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry {key} out of range for {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.entries)
 
     def variables(self) -> tuple[str, ...]:
         seen: set[str] = set()
         for p in self.entries:
             seen.update(p.variables())
         return tuple(sorted(seen))
-
-    def __add__(self, other: "ParamMatrix") -> "ParamMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch("add", self.shape, other.shape)
-        return ParamMatrix(
-            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __sub__(self, other: "ParamMatrix") -> "ParamMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch("sub", self.shape, other.shape)
-        return ParamMatrix(
-            self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __neg__(self) -> "ParamMatrix":
-        return ParamMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def scale(self, factor) -> "ParamMatrix":
         return ParamMatrix(self.rows, self.cols, tuple(p * factor for p in self.entries))
@@ -425,9 +378,9 @@ class ParamMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch("matmul", self.shape, other.shape)
         out: list[ParamPolynomial] = []
-        columns = [other.entries[j :: other.cols] for j in range(other.cols)]
+        columns = [other.col(j) for j in range(other.cols)]
         for i in range(self.rows):
-            row = self.entries[i * self.cols : (i + 1) * self.cols]
+            row = self.row(i)
             for column in columns:
                 acc = ParamPolynomial.zero()
                 for left, right in zip(row, column):
@@ -447,12 +400,6 @@ class ParamMatrix:
 
     def evaluate(self, assignment: Mapping[str, GaussianRational]) -> ExactMatrix:
         return ExactMatrix(self.rows, self.cols, tuple(_evaluate(self.entries, assignment)))
-
-    def __str__(self) -> str:
-        return "\n".join(
-            "  ".join(format_polynomial(self[i, j]) for j in range(self.cols))
-            for i in range(self.rows)
-        )
 
 
 def _needs_parens(scalar_text: str) -> bool:

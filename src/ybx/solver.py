@@ -41,7 +41,7 @@ from .jordan import (
     assemble_jordan,
     nilpotent_part,
 )
-from .matrices import ExactMatrix, first_nonzero_entry, residuals
+from .matrices import ExactMatrix, block_diag, first_nonzero_entry, residuals
 from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction, _evaluate
 from .scalars import GaussianRational, as_gaussian
 
@@ -473,16 +473,6 @@ def _finalize(state: _BranchState, universe) -> SolutionBranch:
 # full pipeline
 
 
-def _embed_template(t0: ParamMatrix, n: int) -> ParamMatrix:
-    if t0.rows == n:
-        return t0
-    grid = [[ParamPolynomial.zero()] * n for _ in range(n)]
-    for i in range(t0.rows):
-        for j in range(t0.cols):
-            grid[i][j] = t0[i, j]
-    return ParamMatrix.from_rows(grid)
-
-
 def _fold_single_block(
     template: ParamMatrix, branch: SolutionBranch
 ) -> tuple[ParamMatrix, SolutionBranch]:
@@ -529,9 +519,9 @@ def solve(sim: SimilarityData, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Soluti
     single = len(sizes) == 1 and len(branches) == 1
     if single and branches[0].is_fully_solved() and not branches[0].disequalities:
         template, branches[0] = _fold_single_block(template, branches[0])
-    return SolutionFamily(
-        n, JORDAN_FRAME, tuple(branches), _embed_template(template, n), j
-    )
+    if n > template.rows:
+        template = block_diag([template, ParamMatrix.zeros(n - template.rows, n - template.rows)])
+    return SolutionFamily(n, JORDAN_FRAME, tuple(branches), template, j)
 
 
 def to_original(family: SolutionFamily, sim: SimilarityData) -> SolutionFamily:

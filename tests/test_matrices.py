@@ -221,10 +221,12 @@ def test_grid_contract(kind):
             cls(rows, cols, ())
     with pytest.raises(ValueError):
         cls(2, 2, (entry(0),) * 3)
-    with pytest.raises(ValueError):
-        cls.from_rows([[entry(1), entry(2)], [entry(3)]])
+    for rows in ([[entry(1), entry(2)], [entry(3)]], [], [[]]):
+        with pytest.raises(ValueError):
+            cls.from_rows(rows)
     m = cls.from_rows([[entry(1), entry(2), entry(3)], [entry(4), entry(5), entry(6)]])
     assert m.shape == (2, 3) and m[1, 2] == entry(6)
+    assert m.row(1) == (entry(4), entry(5), entry(6)) and m.col(2) == (entry(3), entry(6))
     for key in ((2, 0), (0, 3), (-1, 0)):
         with pytest.raises(IndexError):
             m[key]
@@ -236,6 +238,23 @@ def test_grid_contract(kind):
     assert cls.zeros(2, 3).is_zero() and not m.is_zero()
     assert str(m).splitlines() == ["1  2  3", "4  5  6"]
     assert ExactMatrix.zeros(2, 3) != ParamMatrix.zeros(2, 3)
+
+
+def test_grid_arithmetic_does_not_mix_types():
+    exact, param = ExactMatrix.identity(2), ParamMatrix.from_exact(ExactMatrix.identity(2))
+    for left, right in ((exact, param), (param, exact)):
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left - right
+
+
+def test_block_diag_of_templates():
+    x, y = ParamPolynomial.variable("x"), ParamPolynomial.variable("y")
+    zero = ParamPolynomial.zero()
+    m = block_diag([ParamMatrix.from_rows([[x, y]]), ParamMatrix.zeros(2, 1)])
+    assert type(m) is ParamMatrix
+    assert m == ParamMatrix.from_rows([[x, y, zero], [zero, zero, zero], [zero, zero, zero]])
 
 
 def textbook_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
