@@ -28,6 +28,7 @@ its own, so code compares parts by value, never by identity.
 Text grammar (whitespace-insensitive)::
 
     rational := ['-'] digits ['/' digits]
+    digits   := one or more of the ASCII digits 0-9
     gaussian := rational
               | rational ('+'|'-') rational 'i'
               | rational 'i'
@@ -45,8 +46,8 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-_RATIONAL = r"-?\d+(?:/\d+)?"
-_UNSIGNED = r"\d+(?:/\d+)?"
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
+_UNSIGNED = r"[0-9]+(?:/[0-9]+)?"
 _ZERO_PART = Fraction(0)
 
 _SCALAR_RE = _re.compile(

@@ -88,6 +88,12 @@ def test_duplicate_eigenvalue_exit_2(tmp_path, capsys, eigenvalues):
     assert not out.exists()
 
 
+def test_solve_non_ascii_digit_exit_2(tmp_path, capsys):
+    problem = write(tmp_path / "problem.json", {"jordan": [{"eigenvalue": "\u0660", "sizes": [2]}]})
+    assert main(["solve", problem, str(tmp_path / "out.json")]) == 2
+    assert "not a valid scalar" in capsys.readouterr().err
+
+
 def test_solve_incomplete_spectrum_exit_3(tmp_path):
     problem = write(
         tmp_path / "problem.json",

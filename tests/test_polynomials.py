@@ -138,6 +138,12 @@ def test_parse_rejects(text):
         parse_polynomial(text)
 
 
+def test_parse_rejects_non_ascii_digits():
+    with pytest.raises(ParseError):
+        parse_polynomial("\u0663*x")
+
+
+
 def _split_top_level_reference(text, separators):
     # the character-by-character splitter the sliced one replaced
     parts = []

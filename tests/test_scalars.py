@@ -50,6 +50,13 @@ def test_parse_rejects(text):
         parse_scalar(text)
 
 
+# Arabic-Indic and fullwidth digits: the grammar's digits are ASCII 0-9 only
+@pytest.mark.parametrize("text", ["\u0663", "\uff17", "1/\u0662", "\u0663i", "1+\u0662i"])
+def test_parse_rejects_non_ascii_digits(text):
+    with pytest.raises(ParseError):
+        parse_scalar(text)
+
+
 @given(scalars)
 def test_format_parse_round_trip(z):
     assert parse_scalar(format_scalar(z)) == z
