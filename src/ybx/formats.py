@@ -183,7 +183,8 @@ def family_from_json(obj) -> SolutionFamily:
     if not isinstance(obj["branches"], list):
         raise ParseError("branches must be a list of branch objects")
     branches = []
-    for raw in obj["branches"]:
+    names = set(template.variables())
+    for index, raw in enumerate(obj["branches"]):
         if not isinstance(raw, dict) or set(raw) != {
             "assignments",
             "disequalities",
@@ -205,6 +206,13 @@ def family_from_json(obj) -> SolutionFamily:
         free = raw["free_parameters"]
         if not isinstance(free, list) or not all(isinstance(x, str) for x in free):
             raise ParseError("free_parameters must be a list of names")
+        assigned = {name for name, _ in assignments}
+        for fault, wrong in (
+            ("both assigns and frees", assigned & set(free)),
+            ("neither assigns nor frees", names - assigned - set(free)),
+        ):
+            if wrong:
+                raise ParseError(f"branch {index} {fault}: {', '.join(sorted(wrong))}")
         branches.append(SolutionBranch(assignments, disequalities, residual, tuple(free)))
     return SolutionFamily(n, frame, tuple(branches), template, matrix)
 

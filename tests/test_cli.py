@@ -216,6 +216,27 @@ def test_sample_error_exit_codes(tmp_path, shift3_problem):
     assert main(["sample", str(family_path), "0", out, "--set", "nope=1"]) == 2  # unknown name
 
 
+@pytest.mark.parametrize(
+    "branch, sets, message",
+    [
+        ({"assignments": {"x": "0"}}, ["x=5", "y=1"], "branch 0 both assigns and frees: x"),
+        ({"free_parameters": ["y"]}, ["y=1"], "branch 0 neither assigns nor frees: x"),
+        ({"free_parameters": ["y"]}, ["x=5", "y=1"], "branch 0 neither assigns nor frees: x"),
+    ],
+)
+def test_sample_rejects_inconsistent_branch(tmp_path, shift3_problem, capsys, branch, sets, message):
+    family_path = tmp_path / "family.json"
+    main(["solve", shift3_problem, str(family_path), "--frame", "jordan"])
+    family = load_json(str(family_path))
+    family["branches"][0].update(branch)
+    bad = write(tmp_path / "bad.json", family)
+    capsys.readouterr()
+    args = [arg for value in sets for arg in ("--set", value)]
+    assert main(["sample", bad, "0", str(tmp_path / "k.json"), *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "k.json").exists()
+
+
 def test_sample_disequality_violation(tmp_path):
     problem = write(
         tmp_path / "problem.json", {"jordan": [{"eigenvalue": "0", "sizes": [4, 3]}]}
