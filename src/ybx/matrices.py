@@ -35,7 +35,7 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import repeat
 from math import lcm
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotSquare, SingularMatrix
@@ -143,7 +143,7 @@ class ExactMatrix(Grid):
         return ExactMatrix(self.cols, self.rows, entries)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, tuple(map(neg, self.entries)))
+        return ExactMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def __mul__(self, scalar) -> "ExactMatrix":
         s = as_gaussian(scalar)

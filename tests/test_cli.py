@@ -224,7 +224,9 @@ def test_sample_error_exit_codes(tmp_path, shift3_problem):
         ({"free_parameters": ["y"]}, ["x=5", "y=1"], "branch 0 neither assigns nor frees: x"),
     ],
 )
-def test_sample_rejects_inconsistent_branch(tmp_path, shift3_problem, capsys, branch, sets, message):
+def test_sample_rejects_inconsistent_branch(
+    tmp_path, shift3_problem, capsys, branch, sets, message
+):
     family_path = tmp_path / "family.json"
     main(["solve", shift3_problem, str(family_path), "--frame", "jordan"])
     family = load_json(str(family_path))
