@@ -214,3 +214,21 @@ def test_canonicalized_similarity_stays_valid(rng):
     assert canon.spec.is_canonical()
     assert mat_mul(canon.a, canon.w) == mat_mul(canon.w, assemble_jordan(canon.spec))
     assert mat_mul(canon.w, canon.w_inv) == ExactMatrix.identity(shuffled.n)
+
+
+def test_canonical_layout_moves_columns_and_rows(rng):
+    # canonicalized() re-indexes W's columns and W^-1's rows by the position
+    # map, and jordan_form returns data already in the canonical layout
+    for _ in range(20):
+        spec = random_spec(rng, max_n=7)
+        canon, position_map = spec.canonical()
+        assert canon.canonical() == (canon, tuple(range(canon.n)))
+        data = similarity_from_jordan(spec, random_invertible(rng, spec.n))
+        moved = data.canonicalized()
+        assert moved.spec == canon
+        for new, old in enumerate(position_map):
+            assert moved.w.col(new) == data.w.col(old)
+            assert moved.w_inv.row(new) == data.w_inv.row(old)
+        assert mat_mul(data.a, moved.w) == mat_mul(moved.w, assemble_jordan(canon))
+        found = jordan_form(data.a, spec.eigenvalues())
+        assert found.canonicalized() == found
