@@ -95,8 +95,7 @@ def cmd_solve(args) -> int:
     if args.frame == ORIGINAL_FRAME:
         family = to_original(family, sim)
     atomic_write_text(args.output, dumps_canonical(family_to_json(family)))
-    spec_c = sim.canonicalized().spec
-    sizes, dim = nilpotent_part(spec_c)
+    sizes, dim = nilpotent_part(sim.spec.canonical()[0])
     if dim:
         spec0 = JordanSpec(((as_gaussian(0), sizes),))
         anticommutant_dim = sum(r for *_, r in pair_contributions(spec0, spec0))

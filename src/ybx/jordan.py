@@ -4,9 +4,10 @@ A JordanSpec records block sizes grouped by eigenvalue.  The canonical
 layout puts the zero-eigenvalue group first and the remaining groups in
 lexicographic (re, im) order, sizes non-increasing inside each group; that
 fixes one coordinate frame in which the solver's leading-block structure is
-deterministic.  Specs in any other order are accepted and can be
-canonicalized, with the block permutation reported so similarity data can be
-adjusted.
+deterministic.  JordanSpec.canonical() is the one place that decides this
+layout: it reports the new block order as a coordinate map, and
+SimilarityData.canonicalized() applies that map by index, moving the columns
+of W and the rows of W^-1.  Specs in any other order are accepted.
 
 jordan_form computes an exact Jordan decomposition, but only for matrices
 whose complete distinct eigenvalue list is supplied by the caller; exact
@@ -34,7 +35,6 @@ from .matrices import (
     mat_inverse,
     mat_mul,
     null_space_basis,
-    permutation_matrix,
 )
 from .scalars import ONE, ZERO, GaussianRational, as_gaussian
 
@@ -49,10 +49,6 @@ class JordanBlockSpec:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError(f"block size must be >= 1, got {self.size}")
-
-
-def _group_key(eigenvalue: GaussianRational):
-    return (bool(eigenvalue), *eigenvalue.sort_key())
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,36 +85,25 @@ class JordanSpec:
     def eigenvalues(self) -> tuple[GaussianRational, ...]:
         return tuple(eig for eig, _ in self.groups)
 
-    def is_canonical(self) -> bool:
-        keys = [_group_key(eig) for eig, _ in self.groups]
-        if keys != sorted(keys):
-            return False
-        return all(list(sizes) == sorted(sizes, reverse=True) for _, sizes in self.groups)
-
     def canonical(self) -> tuple["JordanSpec", tuple[int, ...]]:
         """The canonical reordering and the coordinate map new -> old.
 
         position_map[new] = old means coordinate `new` of the canonical layout
-        is coordinate `old` of this layout; permutation_matrix(position_map)
-        conjugates between the two frames.
+        is coordinate `old` of this layout.  The blocks are sorted stably by
+        eigenvalue group (zero first, then (re, im)) and by descending size.
         """
-        groups = []  # (eigenvalue, [(size, offset), ...]) in layout order
-        pos = 0
+        blocks = []  # (eigenvalue, size, first coordinate) in this layout
+        start = 0
         for eig, sizes in self.groups:
-            placed = []
             for size in sizes:
-                placed.append((size, pos))
-                pos += size
-            groups.append((eig, placed))
-        groups.sort(key=lambda group: _group_key(group[0]))
-        position_map: list[int] = []
-        new_groups = []
-        for eig, placed in groups:
-            placed.sort(key=lambda block: -block[0])
-            for size, offset in placed:
-                position_map.extend(range(offset, offset + size))
-            new_groups.append((eig, tuple(size for size, _ in placed)))
-        return JordanSpec(tuple(new_groups)), tuple(position_map)
+                blocks.append((eig, size, start))
+                start += size
+        blocks.sort(key=lambda block: (bool(block[0]), block[0].re, block[0].im, -block[1]))
+        groups: dict[GaussianRational, list[int]] = {}
+        for eig, size, _ in blocks:
+            groups.setdefault(eig, []).append(size)
+        position_map = tuple(p for _, size, first in blocks for p in range(first, first + size))
+        return JordanSpec(tuple((eig, tuple(sizes)) for eig, sizes in groups.items())), position_map
 
 
 def nilpotent_part(spec: JordanSpec) -> tuple[tuple[int, ...], int]:
@@ -162,12 +147,10 @@ class SimilarityData:
     def canonicalized(self) -> "SimilarityData":
         """The same similarity re-expressed in the canonical block layout."""
         canon, position_map = self.spec.canonical()
-        if position_map == tuple(range(self.spec.n)):
-            return SimilarityData(self.a, self.w, self.w_inv, canon)
-        p = permutation_matrix(position_map)
-        return SimilarityData(
-            self.a, mat_mul(self.w, p), mat_mul(p.transpose(), self.w_inv), canon
-        )
+        n = canon.n
+        w = tuple(self.w[i, old] for i in range(n) for old in position_map)
+        w_inv = tuple(x for old in position_map for x in self.w_inv.row(old))
+        return SimilarityData(self.a, ExactMatrix(n, n, w), ExactMatrix(n, n, w_inv), canon)
 
 
 def similarity_from_jordan(spec: JordanSpec, w: ExactMatrix | None = None) -> SimilarityData:
@@ -229,7 +212,7 @@ def jordan_form(a: ExactMatrix, eigenvalues: Sequence) -> SimilarityData:
     identity = ExactMatrix.identity(n)
     per_eig: list[tuple[GaussianRational, list[list[ExactMatrix]], list[int]]] = []
     covered = 0
-    for lam in sorted(eigs, key=_group_key):
+    for lam in eigs:
         m = a - identity * lam
         ranks = [n]
         power = identity
@@ -265,7 +248,6 @@ def jordan_form(a: ExactMatrix, eigenvalues: Sequence) -> SimilarityData:
                     needed -= 1
             if needed:
                 raise RuntimeError(f"could not complete chains for eigenvalue {lam}")
-        chains.sort(key=len, reverse=True)
         per_eig.append((lam, chains, [len(c) for c in chains]))
 
     if covered != n:
@@ -283,4 +265,4 @@ def jordan_form(a: ExactMatrix, eigenvalues: Sequence) -> SimilarityData:
         data = validate_similarity(a, w, spec)
     except (SingularMatrix, SimilarityMismatch) as exc:  # pragma: no cover - guarded
         raise RuntimeError(f"internal chain construction failure: {exc}") from exc
-    return data
+    return data.canonicalized()

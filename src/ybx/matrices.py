@@ -336,21 +336,6 @@ def block_diag(blocks: Iterable[Grid]) -> Grid:
     return type(blocks[0])(len(entries) // width, width, tuple(entries))
 
 
-def permutation_matrix(position_map: Sequence[int]) -> ExactMatrix:
-    """P with P[old, new] = 1 where position_map[new] = old.
-
-    For square M, (P^T M P)[a, b] = M[position_map[a], position_map[b]], and
-    column new of M*P is column position_map[new] of M.
-    """
-    n = len(position_map)
-    if sorted(position_map) != list(range(n)):
-        raise ValueError("not a permutation of 0..n-1")
-    grid = [[ZERO] * n for _ in range(n)]
-    for new, old in enumerate(position_map):
-        grid[old][new] = ONE
-    return ExactMatrix.from_rows(grid)
-
-
 def first_nonzero_entry(m: Grid) -> tuple[int, int, object] | None:
     """Row-major position and value of the first nonzero entry, if any."""
     for i in range(m.rows):

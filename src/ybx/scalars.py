@@ -170,10 +170,6 @@ class GaussianRational:
     def reciprocal(self) -> "GaussianRational":
         return ONE / self
 
-    def sort_key(self) -> tuple[Fraction, Fraction]:
-        """Lexicographic (re, im) key; used only for canonical orderings."""
-        return (self.re, self.im)
-
     def sqrt(self):
         """An exact square root in Q(i), or None when none exists there."""
         if not self:

@@ -15,7 +15,6 @@ from ybx.matrices import (
     mat_inverse,
     mat_mul,
     null_space_basis,
-    permutation_matrix,
     rref,
 )
 from ybx.oracle import kron_anticommutant_kernel
@@ -187,9 +186,6 @@ def test_block_diag_and_permutation():
     assert m.shape == (3, 3)
     assert m[0, 1] == GaussianRational(1)
     assert m[2, 2] == GaussianRational(5)
-    p = permutation_matrix([2, 0, 1])
-    conjugated = mat_mul(mat_mul(p.transpose(), m), p)
-    assert conjugated[0, 0] == GaussianRational(5)
 
 
 def test_first_nonzero_entry():
