@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -72,12 +73,21 @@ from .solver import (
 _MEMBERSHIP_TRIALS = 25
 
 
+def _integer(text: str) -> int:
+    """A decimal integer of ASCII digits, optionally signed with '-' and
+    surrounded by whitespace; ValueError for anything else."""
+    text = text.strip()
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _default_depth() -> int:
     env = os.environ.get("YBX_DEPTH_LIMIT")
     if env is None or not env.strip():
         return DEFAULT_DEPTH_LIMIT
     try:
-        depth = int(env)
+        depth = _integer(env)
     except ValueError:
         raise ParseError(f"YBX_DEPTH_LIMIT must be an integer, got {env!r}") from None
     if depth < 0:
@@ -340,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="problem JSON: {matrix, eigenvalues} or {jordan[, w]}")
     p.add_argument("output", help="family JSON output path")
     p.add_argument("--frame", choices=["jordan", "original"], default="original")
-    p.add_argument("--depth", type=int, default=None, help="branch search depth limit")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface stability")
+    p.add_argument("--depth", type=_integer, default=None, help="branch search depth limit")
+    p.add_argument("--seed", type=_integer, default=0, help="accepted for interface stability")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a candidate matrix against both equations")
@@ -358,12 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example", help="run a bundled example against its expected results")
     p.add_argument("id", help="example id: 4.1 or 4.2")
     p.add_argument("outdir", help="directory for problem, family, and report files")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("sample", help="instantiate one branch of a family file")
     p.add_argument("family", help="family JSON produced by solve")
-    p.add_argument("branch", type=int, help="branch index, 0-based")
+    p.add_argument("branch", type=_integer, help="branch index, 0-based")
     p.add_argument("output", help="matrix JSON output path")
     p.add_argument("--set", action="append", metavar="NAME=VALUE",
                    help="free parameter assignment; repeatable")

@@ -135,6 +135,35 @@ def test_negative_depth_is_an_input_error(tmp_path, shift3_problem, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["٣", "1_0"])
+@pytest.mark.parametrize(
+    "entry", ["solve --depth", "solve --seed", "YBX_DEPTH_LIMIT", "sample", "example --seed"]
+)
+def test_integers_take_ascii_digits_only(
+    tmp_path, shift3_problem, monkeypatch, capsys, entry, value
+):
+    family_path = str(tmp_path / "family.json")
+    assert main(["solve", shift3_problem, family_path, "--frame", "jordan"]) == 0
+    out = tmp_path / "out"
+    argv = {
+        "solve --depth": ["solve", shift3_problem, str(out), "--depth", value],
+        "solve --seed": ["solve", shift3_problem, str(out), "--seed", value],
+        "YBX_DEPTH_LIMIT": ["solve", shift3_problem, str(out)],
+        "sample": ["sample", family_path, value, str(out), "--set", "x=1", "--set", "y=1"],
+        "example --seed": ["example", "4.1", str(out), "--seed", value],
+    }[entry]
+    if entry == "YBX_DEPTH_LIMIT":
+        monkeypatch.setenv("YBX_DEPTH_LIMIT", f" {value} ")
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argument
+        code = exc.code
+    assert code == 2
+    assert value in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_verify_round_trip(tmp_path, shift3_problem, capsys):
     family_path = tmp_path / "family.json"
     assert main(["solve", shift3_problem, str(family_path), "--frame", "jordan"]) == 0
