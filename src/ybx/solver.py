@@ -474,17 +474,16 @@ def _finalize(state: _BranchState, universe) -> SolutionBranch:
 
 
 def _fold_single_block(
-    template: ParamMatrix, branch: SolutionBranch
+    template: ParamMatrix, branch: SolutionBranch, weights: dict[str, int]
 ) -> tuple[ParamMatrix, SolutionBranch]:
     """The published form of a single block's one-branch family.
 
     A branch without side conditions has no denominators, so its constant
     assignments are substituted into the template; the surviving
-    coefficients are renamed by descending pattern index m, x then y.
+    coefficients are renamed by descending weight, x then y (on one block
+    the weight of pattern m is m - 1, see constraint_weights).
     """
-    free = sorted(
-        branch.free_parameters, key=lambda name: int(name.rsplit("_", 1)[1]), reverse=True
-    )
+    free = sorted(branch.free_parameters, key=weights.__getitem__, reverse=True)
     names = dict(zip(free, ("x", "y")))
     mapping = {name: rf.numerator for name, rf in branch.assignments}
     mapping.update((old, ParamPolynomial.variable(new)) for old, new in names.items())
@@ -513,12 +512,11 @@ def solve(sim: SimilarityData, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Soluti
         )
     template, system = build_constraint_system(sizes)
     names = template.variables()
-    branches = solve_branches(
-        system, depth_limit, parameters=names, weights=constraint_weights(sizes, names)
-    )
+    weights = constraint_weights(sizes, names)
+    branches = solve_branches(system, depth_limit, parameters=names, weights=weights)
     single = len(sizes) == 1 and len(branches) == 1
     if single and branches[0].is_fully_solved() and not branches[0].disequalities:
-        template, branches[0] = _fold_single_block(template, branches[0])
+        template, branches[0] = _fold_single_block(template, branches[0], weights)
     if n > template.rows:
         template = block_diag([template, ParamMatrix.zeros(n - template.rows, n - template.rows)])
     return SolutionFamily(n, JORDAN_FRAME, tuple(branches), template, j)
