@@ -209,11 +209,11 @@ def branch_within(inner: SolutionBranch, outer: SolutionBranch) -> bool:
 
 
 def random_branch_values(
-    branch: SolutionBranch, rng: random.Random, attempts: int = _REDRAW_LIMIT
+    branch: SolutionBranch, rng: random.Random
 ) -> dict[str, GaussianRational] | None:
     """A random full valuation lying in the branch, or None when every draw
     hits a side condition (degenerate at this sampling grid)."""
-    for _ in range(attempts):
+    for _ in range(_REDRAW_LIMIT):
         candidate = {name: random_gaussian(rng) for name in branch.free_parameters}
         try:
             return branch_values(branch, candidate)
