@@ -27,6 +27,18 @@ EIGEN_POOL = (
 )
 
 
+def spec(*pairs) -> JordanSpec:
+    return JordanSpec.from_pairs(list(pairs))
+
+
+def partitions(n: int, largest: int):
+    """Non-increasing partitions of n with parts at most `largest`."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest), 0, -1):
+        yield from ((k, *rest) for rest in partitions(n - k, k))
+
+
 def random_partition(rng: random.Random, total: int) -> list[int]:
     parts = []
     while total:

@@ -5,15 +5,11 @@ from ybx.anticommutant import (
     anticommutant_in_original,
     pair_contributions,
 )
-from ybx.jordan import JordanSpec, assemble_jordan, jordan_form, similarity_from_jordan
+from ybx.jordan import assemble_jordan, jordan_form, similarity_from_jordan
 from ybx.matrices import ExactMatrix, mat_inverse, mat_mul
 from ybx.scalars import GaussianRational
 
-from conftest import random_invertible, random_spec
-
-
-def spec(*pairs):
-    return JordanSpec.from_pairs(list(pairs))
+from conftest import random_invertible, random_spec, spec
 
 
 def block_pair_basis(t, s, lam, mu):

@@ -28,20 +28,12 @@ from ybx.polynomials import ParamPolynomial, RationalFunction, parse_polynomial
 from ybx.scalars import GaussianRational, as_gaussian
 from ybx.solver import SolutionBranch, build_constraint_system, solve, solve_branches
 
+from conftest import partitions as _partitions
+
 LADDER = [
     (2, 2), (3, 3), (4, 3), (4, 4), (2, 2, 2), (3, 3, 1),
     (3, 3, 2), (5, 3), (4, 2, 2), (5, 5), (6, 4), (2, 2, 2, 2),
 ]
-
-
-def _partitions(n: int, largest: int):
-    """Non-increasing partitions of n with parts at most `largest`."""
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield (part, *rest)
 
 
 # the ladder and every multi-block nilpotent partition with n <= 8

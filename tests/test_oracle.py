@@ -10,7 +10,7 @@ from ybx.bundled import (
 )
 from ybx.errors import GridTooLarge
 from ybx.formats import similarity_from_problem
-from ybx.jordan import JordanSpec, assemble_jordan, similarity_from_jordan
+from ybx.jordan import assemble_jordan, similarity_from_jordan
 from ybx.matrices import ExactMatrix, mat_mul
 from ybx.oracle import (
     OracleReport,
@@ -30,11 +30,7 @@ from ybx.polynomials import ParamMatrix, parse_polynomial, parse_rational_functi
 from ybx.scalars import GaussianRational, format_scalar
 from ybx.solver import SolutionBranch, SolutionFamily, solve
 
-from conftest import random_matrix, random_spec, single_block_family
-
-
-def spec(*pairs):
-    return JordanSpec.from_pairs(list(pairs))
+from conftest import random_matrix, random_spec, single_block_family, spec
 
 
 def test_vectorization_identity(rng):

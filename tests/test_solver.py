@@ -50,11 +50,8 @@ from ybx.solver import (
     to_original,
 )
 
-from conftest import random_spec, single_block_family
-
-
-def spec(*pairs):
-    return JordanSpec.from_pairs(list(pairs))
+from conftest import partitions as _partitions
+from conftest import random_spec, single_block_family, spec
 
 
 def bundled_sim_41():
@@ -444,14 +441,6 @@ def _branch_orbit_misses(family, seed, branches=None):
             # where most conjugates land, is among the last branches
             misses += not any(branch_satisfied_by(b, values) for b in reversed(branches))
     return misses
-
-
-def _partitions(n, largest):
-    """Non-increasing partitions of n with parts at most `largest`."""
-    if n == 0:
-        yield ()
-    for k in range(min(n, largest), 0, -1):
-        yield from ((k, *rest) for rest in _partitions(n - k, k))
 
 
 def _multiblock_partitions(max_n):
