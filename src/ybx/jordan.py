@@ -200,7 +200,8 @@ def jordan_form(a: ExactMatrix, eigenvalues: Sequence) -> SimilarityData:
     carried down from longer chains, then propagated with (A - lam*I).
 
     Raises NotAnEigenvalue for a spurious value and IncompleteSpectrum if the
-    generalized eigenspaces do not fill the whole space.
+    generalized eigenspaces do not fill the whole space.  The result is in
+    the canonical block layout.
     """
     if not a.is_square():
         raise NotSquare("jordan_form", a.shape)
