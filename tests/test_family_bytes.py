@@ -46,8 +46,8 @@ JORDAN_FRAME_HASHES = {
     (5, 5): "7f73eac8b00b38524325a7440629a4bbbd5bdff6c54ada71ae95c41185e14ae8",
     (6, 4): "d4f6f493bf18fa1c00ba205caeebc501a8cf7e9f8952d0a7f9d2390ba390d064",
     (2, 2, 2, 2): "5450c2e0693dec28f1f896872f9ce3aa7e4ef14c7e6f78f1e38f73c844683f7b",
-    # every other multi-block partition with n <= 8, pinned from the search
-    # that factored every equation again on every round
+    # every other multi-block partition with n <= 8 (n = 9 follows), pinned
+    # from the search that factored every equation again on every round
     (1, 1): "67db39feaecdd853e20cb33760b5a77a3fd769630d381e99d8afeb815f955fbb",
     (2, 1): "340a5204373aecfdca4f53eec189395215e420b6ea3d23aa5679d15d2af28ce1",
     (1, 1, 1): "71253523f90015ae1ad9afb0f1f20ccb33a0fdb1f20ae1eae8e2558a899b703e",
@@ -96,6 +96,37 @@ JORDAN_FRAME_HASHES = {
     (2, 2, 1, 1, 1, 1): "46e820c477769d6e6d45ed925cb27fcf61f122af552553fbb6f9dc09a7203c5f",
     (2, 1, 1, 1, 1, 1, 1): "011f5a10ae04bdaa863ef158af49a9529a795c966268cb09ead439f01b8bbc2c",
     (1, 1, 1, 1, 1, 1, 1, 1): "ecbb1ffd52929ac48be563400b95b64321714218c8142ae070b57cb092ef058c",
+    # every multi-block partition with n = 9, pinned from the search that
+    # substituted into one polynomial at a time in Fraction arithmetic
+    (8, 1): "0becd24bbae364ca101fb607642f0c3e36f8eb9b598fbbde549f418a712cefeb",
+    (7, 2): "e9e6ebc3793ffc1a52c086f56f8434b9b7063590a42f3c0dcd8e0d6beaf4c6c9",
+    (7, 1, 1): "e478204929c246b874a0e7d8dbcc1c87275415aa9943a7262f122c855a9dceaf",
+    (6, 3): "cb4f7bda887aa066a4dbe866d5d8cdc660d3bfee46977b875e3c621914cb2703",
+    (6, 2, 1): "5d53d9da306ad9131ffbfdb340fd9bf7c6db14da568bfc1ff4c2f29c20f67b35",
+    (6, 1, 1, 1): "99ce0ce10a664da2e050b6638948639de6c53ece3c51883e38aff2d2ea96236f",
+    (5, 4): "41d35e3d963296d5cbe183b22fa9fb7f6b67e4a6a2a8cbe252d36bb7693454d0",
+    (5, 3, 1): "244589c1c489b5b415f8cc9496b21fd216b6797f51024cc0bf6e43dcff796dd6",
+    (5, 2, 2): "2e39e776052cdf5a98edc5da6f1315d823d2425d0b26e410399df438d11f6989",
+    (5, 2, 1, 1): "1647545a002922132b7cfcdb58770ccb81c83b2c9c82ca0a2b3437d4886a2ac4",
+    (5, 1, 1, 1, 1): "8f7f6de5bacfdbd9e95292435a09bc3c9ee246e400c0c106378850c787163377",
+    (4, 4, 1): "103391c7190a6bb96969cd6ff6d7af112562e733aa3e548433c583fc0aa5dd19",
+    (4, 3, 2): "cd9b8e5b61328f6dbf67bd1a9d7ec1d5ba0e8b879f4106a5d1837af268e47476",
+    (4, 3, 1, 1): "b7dda39019ce91dfa689abc1d8123acb789037179d9a837af8636d5661003bc2",
+    (4, 2, 2, 1): "f96ea78e0cc673853959dd9e0f8b78c108feaaee975826da41a81803e42ef4ac",
+    (4, 2, 1, 1, 1): "a38fa866faa8582e02f9a3e88f6233dfc5b7797f7ad629bb0931ce7481061493",
+    (4, 1, 1, 1, 1, 1): "6088f13859d5291cc04d78714bbf4d2235490b9e5be12509c9a30f22136373e2",
+    (3, 3, 3): "eb620f108358bfb98a852d6b20def33070698f5b29689ed2792227a316cf2e6c",
+    (3, 3, 2, 1): "50f047e8766ca89d027c8b0ec4da57ad5ea373f4579a11fade001a8a10c69977",
+    (3, 3, 1, 1, 1): "d83e845ab76f7bee6908b8bfcd115ee3732bb31be9593159d984e1ac340a4cd2",
+    (3, 2, 2, 2): "29ba9e5783db6a9108283bb9a3171211e593e8947cd72fae4f2cde24b1f77481",
+    (3, 2, 2, 1, 1): "72322292e8a805a2e96d428b36a25866a63d05efc4b91dc22871c06ecb667e3b",
+    (3, 2, 1, 1, 1, 1): "11b739a1bec0ea3778ce9905cf4752ea9a1b431fca4da502d489274ef5323aca",
+    (3, 1, 1, 1, 1, 1, 1): "11c33765a3776204dd642408cc143544e0aee82e5df35be4640aa72c9a67b295",
+    (2, 2, 2, 2, 1): "6495b4ef0ca38648e4ccd40c94e1f95578c32e43fab0b152c6d382efd5154909",
+    (2, 2, 2, 1, 1, 1): "2c1a82a8cdd679d0b7806d35ff4deaf8fa8248450d08d58b2b92796015852b32",
+    (2, 2, 1, 1, 1, 1, 1): "cc537caeee4b3763599e6aa212ce0166ff4e72256fed48ee5a8a8c39f30c9a54",
+    (2, 1, 1, 1, 1, 1, 1, 1): "c0c5752d5b389a3ae8a7332f1a0fc24f1ebef372d67576c2678702410361b21c",
+    (1, 1, 1, 1, 1, 1, 1, 1, 1): "57cb25d820eef116fecc3ddf4e80829e2830f8c9ce5a30f9d8b19da5beabbf46",
     # single blocks, pinned from the hand-written closed forms (size 4 from
     # its special case through the branch search)
     (1,): "9895c535301795e3d211ff4f21c8d7a7706bed160e9ff5835d66e71e1898abef",

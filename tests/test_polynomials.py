@@ -14,6 +14,7 @@ from ybx.polynomials import (
     ParamPolynomial,
     RationalFunction,
     _split_top_level,
+    _substitute,
     format_polynomial,
     format_rational_function,
     parse_polynomial,
@@ -514,3 +515,29 @@ def test_param_matrix_evaluate_matches_entrywise_reference(m, assignment):
     if isinstance(got, ExactMatrix):
         for value in got.entries:
             _assert_lowest_terms(value)
+
+
+# integer, rational and complex coefficients, so that the values' numerators
+# and denominators mix all three
+_sub_scalars = st.one_of(
+    st.builds(GaussianRational, st.integers(-3, 3)),
+    st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=6)),
+    st.builds(GaussianRational, st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6)),
+)
+_sub_polys = st.dictionaries(
+    st.lists(st.sampled_from(NAMES), max_size=3).map(lambda v: tuple(sorted(v))),
+    _sub_scalars,
+    max_size=4,
+).map(ParamPolynomial.from_dict)
+_sub_values = st.tuples(_sub_polys, _sub_polys.filter(bool)).map(
+    lambda pair: RationalFunction.make(*pair)
+)
+
+
+@given(st.lists(_sub_polys, max_size=5), st.dictionaries(st.sampled_from(NAMES), _sub_values))
+def test_substitute_over_a_list_matches_one_polynomial_at_a_time(polys, mapping):
+    got = list(_substitute(polys, mapping))
+    assert got == [next(_substitute([p], mapping)) for p in polys]
+    for rf in got:
+        for _, c in rf.numerator.terms + rf.denominator.terms:
+            _assert_lowest_terms(c)

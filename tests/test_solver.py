@@ -1155,6 +1155,31 @@ def test_assign_drops_a_state_whose_assignment_denominator_vanishes():
     }
 
 
+
+def test_assign_drops_a_state_whose_side_condition_vanishes():
+    from ybx.solver import _BranchState  # noqa: PLC2701 - the search's infeasibility exit
+
+    x, y = ParamPolynomial.variable("x"), ParamPolynomial.variable("y")
+    state = _BranchState([], {}, {})
+    state.add_disequality(y - x)
+    assert not state.assign("y", RationalFunction.from_polynomial(x))
+
+
+def test_assign_keeps_an_equation_without_the_name(monkeypatch):
+    import ybx.solver
+    from ybx.solver import _BranchState, _entering  # noqa: PLC2701 - assign's rewrite
+
+    x, y, z = (ParamPolynomial.variable(v) for v in "xyz")
+    untouched, rewritten = _entering(x * z), _entering(x * y - z)
+    state = _BranchState([untouched, rewritten], {}, {})
+    factored = []
+    monkeypatch.setattr(ybx.solver, "_factor", lambda p: factored.append(p) or _factor(p))
+    assert state.assign("y", RationalFunction.from_polynomial(z))
+    eq, factors = state.equations[0]
+    assert eq is untouched[0] and factors is untouched[1]
+    assert state.equations[1] == _entering(x * z - z)
+    assert untouched[0] not in factored
+
 def test_residual_branch_sampling_raises():
     template, system = build_constraint_system((4, 3))
     branches = solve_branches(system, depth_limit=0, parameters=template.variables())
