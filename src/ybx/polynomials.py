@@ -7,12 +7,14 @@ no zero coefficients, monomials sorted, terms in degree-lexicographic order,
 denominators monic.  Values are immutable.  Evaluation is integer arithmetic
 over one common denominator (_evaluate), scaled as matrix products are.
 Substitution works like evaluation: _substitute rewrites a list of
-polynomials in one pass and builds the powers of each value once for all of
-them.  RationalFunction is a normalized pair, numerator over monic
-denominator, with no field arithmetic: it is made, substituted into,
-renamed and printed.  ParamMatrix is a Grid (matrices.py) of polynomials
-and adds only from_exact, variables, scale, its polynomial product,
-substitute, substitute_rational and evaluate.
+polynomials in one pass, builds the powers of each value once for all of
+them, and multiplies and sums coefficient parts as Python ints wherever they
+are integral, with a Fraction only where a part is not; each output term
+becomes one GaussianRational.  RationalFunction is a normalized pair,
+numerator over monic denominator, with no field arithmetic: it is made,
+substituted as a value, renamed and printed.  ParamMatrix is a Grid
+(matrices.py) of polynomials and adds only from_exact, variables, scale, its
+polynomial product, substitute, substitute_rational and evaluate.
 
 Text syntax (used by the file formats): terms ``coef*p1*p2`` joined by ``+``
 or ``-``, parameters as bare identifiers, powers written as repeated factors
@@ -22,9 +24,10 @@ rational functions as ``(<poly>)/(<poly>)``.
 
 from __future__ import annotations
 
-import math
 import re as _re
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
 from itertools import repeat
 from typing import Iterator, Mapping, Sequence
 
@@ -165,12 +168,9 @@ class ParamPolynomial:
 
     def coefficient_of(self, name: str, power: int) -> "ParamPolynomial":
         """Polynomial coefficient of name**power (with name factored out)."""
-        acc: dict[Monomial, GaussianRational] = {}
-        for mono, c in self.terms:
-            if mono.count(name) == power:
-                rest = tuple(v for v in mono if v != name)
-                acc[rest] = acc.get(rest, ZERO) + c
-        return ParamPolynomial.from_dict(acc)
+        # the monomials with name**power differ outside name: no two terms meet
+        terms = [(mono, c) for mono, c in self.terms if mono.count(name) == power]
+        return ParamPolynomial.from_dict({tuple(v for v in m if v != name): c for m, c in terms})
 
     def monomial_content(self) -> tuple[Monomial, "ParamPolynomial"]:
         """(largest monomial dividing every term, the quotient by it)."""
@@ -247,6 +247,47 @@ def _evaluate(
         yield _over(re, im, l * d**degree)
 
 
+def _integral(q: Fraction) -> int | Fraction:
+    """A coefficient part as _substitute computes with it: an int when integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _parts(p: ParamPolynomial) -> dict[Monomial, tuple]:
+    """p as {monomial: (re, im)}, the form _substitute computes in."""
+    return {mono: (_integral(c.re), _integral(c.im)) for mono, c in p.terms}
+
+
+def _add_product(acc: dict, mono: Monomial, c_re, c_im, parts: dict) -> None:
+    """acc += (c_re + c_im*i) * mono * parts."""
+    for m, (re, im) in parts.items():
+        if mono:
+            m = tuple(sorted(mono + m))
+        if c_im or im:
+            re, im = c_re * re - c_im * im, c_re * im + c_im * re
+        else:
+            re = c_re * re
+        if m in acc:
+            a_re, a_im = acc[m]
+            acc[m] = a_re + re, a_im + im
+        else:
+            acc[m] = re, im
+
+
+def _times(a: dict, b: dict) -> dict:
+    """The product of two polynomials in the form of _parts."""
+    acc: dict = {}
+    for mono, (re, im) in a.items():
+        _add_product(acc, mono, re, im, b)
+    return {mono: (re, im) for mono, (re, im) in acc.items() if re or im}
+
+
+def _polynomial(parts: dict) -> ParamPolynomial:
+    """One GaussianRational per nonzero term, so each part is a Fraction in lowest terms."""
+    items = [(mono, GaussianRational(re, im)) for mono, (re, im) in parts.items() if re or im]
+    items.sort(key=_term_key)
+    return ParamPolynomial(tuple(items))
+
+
 def _substitute(
     polys: Sequence[ParamPolynomial], mapping: Mapping[str, "RationalFunction"]
 ) -> Iterator["RationalFunction"]:
@@ -256,41 +297,46 @@ def _substitute(
     num**k * den**(top - k) over that polynomial's common denominator, the
     product of den**top over its mapped names, so denominators do not blow
     up term by term.  Powers of the values and their products are built
-    once for all the polynomials, and no factor 1 is multiplied.
+    once for all the polynomials, and no factor 1 is multiplied.  Products
+    and sums run on coefficient parts that are Python ints wherever they are
+    integral and Fractions only where they are not; each output term becomes
+    one GaussianRational, so every part is a Fraction in lowest terms.
     """
     one = ParamPolynomial.constant(1)
-    powers: dict[tuple[str, bool], list[ParamPolynomial]] = {}
-    products: dict[tuple[tuple[str, int, int], ...], ParamPolynomial] = {}
+    unit = {(): (1, 0)}
+    powers: dict[tuple[str, bool], list[dict]] = {}
+    products: dict[tuple[tuple[str, int, int], ...], dict] = {}
 
-    def factors(var: str, k: int, top: int) -> Iterator[ParamPolynomial]:
+    def factors(var: str, k: int, top: int) -> Iterator[dict]:
         """num**k and den**(top - k) of var's value, leaving out each 1."""
         value = mapping[var]
         for of_den, e in ((False, k), (True, top - k)):
             base = value.denominator if of_den else value.numerator
             if e and base != one:
-                table = powers.setdefault((var, of_den), [one, base])
+                table = powers.get((var, of_den))
+                if table is None:
+                    table = powers[var, of_den] = [unit, _parts(base)]
                 while len(table) <= e:
-                    table.append(table[-1] * base)
+                    table.append(_times(table[-1], table[1]))
                 yield table[e]
 
-    def product(fs: list[ParamPolynomial]) -> ParamPolynomial:
-        return math.prod(fs[1:], start=fs[0]) if fs else one
+    def product(key: tuple[tuple[str, int, int], ...]) -> dict:
+        if key not in products:
+            fs = [f for var, k, t in key for f in factors(var, k, t)]
+            products[key] = reduce(_times, fs) if fs else unit
+        return products[key]
 
     for p in polys:
         used = {v for mono, _ in p.terms for v in mono if v in mapping}
         top = [(var, max(mono.count(var) for mono, _ in p.terms)) for var in sorted(used)]
-        acc: dict[Monomial, GaussianRational] = {}
-        for mono, c in p.terms:
+        acc: dict = {}
+        for mono, (re, im) in _parts(p).items():
             key = tuple((var, mono.count(var), t) for var, t in top)
-            if key not in products:
-                products[key] = product([f for var, k, t in key for f in factors(var, k, t)])
             rest = tuple(v for v in mono if v not in used)
-            for m2, c2 in products[key].terms:
-                m2 = tuple(sorted(rest + m2)) if rest else m2
-                acc[m2] = acc[m2] + c * c2 if m2 in acc else c * c2
+            _add_product(acc, rest, re, im, product(key))
         # num**0 * den**top for each name: the common denominator
-        den = product([f for var, t in top for f in factors(var, 0, t)])
-        yield RationalFunction.make(ParamPolynomial.from_dict(acc), den)
+        den = product(tuple((var, 0, t) for var, t in top))
+        yield RationalFunction.make(_polynomial(acc), _polynomial(den))
 
 
 def _as_poly(value) -> ParamPolynomial | None:
@@ -323,18 +369,6 @@ class RationalFunction:
 
     def is_polynomial(self) -> bool:
         return self.denominator.is_constant()
-
-    def variables(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.numerator.variables()) | set(self.denominator.variables())))
-
-    def substitute_rational(
-        self, mapping: Mapping[str, "RationalFunction"]
-    ) -> "RationalFunction":
-        num, den = _substitute([self.numerator, self.denominator], mapping)
-        # ZeroDivisionError when the substituted denominator vanishes
-        return RationalFunction.make(
-            num.numerator * den.denominator, num.denominator * den.numerator
-        )
 
     def rename(self, mapping: Mapping[str, str]) -> "RationalFunction":
         return RationalFunction.make(

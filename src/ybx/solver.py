@@ -42,7 +42,7 @@ from .jordan import (
     nilpotent_part,
 )
 from .matrices import ExactMatrix, block_diag, first_nonzero_entry, residuals
-from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction, _evaluate
+from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction, _evaluate, _substitute
 from .scalars import GaussianRational, as_gaussian
 
 JORDAN_FRAME = "jordan"
@@ -259,34 +259,47 @@ class _BranchState:
     def assign(self, name: str, value: RationalFunction) -> bool:
         """Substitute name := value everywhere; returns False if infeasible.
 
-        A False return may leave the state half-rebuilt; every caller drops
-        the state then.
+        One _substitute pass rewrites every side condition, assignment
+        numerator and denominator, and equation that mentions name, so the
+        powers of value are built once.  An equation without name keeps its
+        (product, factors) pair.  False when a side condition becomes zero
+        or an assignment denominator vanishes; the state may then be
+        half-rebuilt, and every caller drops it.
         """
-        mapping = {name: value}
-        old_diseqs, self.disequalities = self.disequalities, {}
-        for m in old_diseqs.values():
-            if name in m.variables():
-                m = m.substitute_rational(mapping).numerator
-            if not self.add_disequality(m):
-                return False
 
-        new_assignments = {}
-        for var, rf in self.assignments.items():
-            if name in rf.variables():
-                try:
-                    rf = rf.substitute_rational(mapping)
-                except ZeroDivisionError:
-                    return False
-            new_assignments[var] = rf
-        new_assignments[name] = value
+        def mentions(*polys: ParamPolynomial) -> bool:
+            return any(name in mono for p in polys for mono, _ in p.terms)
 
-        self.assignments = new_assignments
-        self.equations = [
-            _entering(eq.substitute_rational(mapping).numerator)
-            if name in eq.variables()
-            else (eq, factors)
-            for eq, factors in self.equations
+        diseqs = [(m, mentions(m)) for m in self.disequalities.values()]
+        rfs = [
+            (var, rf, mentions(rf.numerator, rf.denominator))
+            for var, rf in self.assignments.items()
         ]
+        eqs = [(pair, mentions(pair[0])) for pair in self.equations]
+        out = _substitute(
+            [
+                *(m for m, hit in diseqs if hit),
+                *(p for _, rf, hit in rfs if hit for p in (rf.numerator, rf.denominator)),
+                *(pair[0] for pair, hit in eqs if hit),
+            ],
+            {name: value},
+        )
+        self.disequalities = {}
+        for m, hit in diseqs:
+            if not self.add_disequality(next(out).numerator if hit else m):
+                return False
+        self.assignments = {}
+        for var, rf, hit in rfs:
+            if hit:
+                num, den = next(out), next(out)
+                if den.numerator.is_zero():
+                    return False
+                rf = RationalFunction.make(
+                    num.numerator * den.denominator, num.denominator * den.numerator
+                )
+            self.assignments[var] = rf
+        self.assignments[name] = value
+        self.equations = [_entering(next(out).numerator) if hit else pair for pair, hit in eqs]
         return True
 
 
@@ -390,25 +403,38 @@ def _normalize(state: _BranchState) -> bool:
 
 
 def _linear_occurrences(state: _BranchState, scope: Sequence[int], weights: Mapping[str, int]):
-    """(name, equation index, coefficient, rest) of each degree-1 occurrence
-    in the equations at scope, by descending weight, then by name."""
-    names = {v for idx in scope for v in state.equations[idx][0].variables()}
+    """(name, equation index, coefficient) of each degree-1 occurrence in the
+    equations at scope, by descending weight, then by name.
+
+    Each equation's names of degree 1 are read from its terms once, before
+    any coefficient is built.  Only the coefficient of an occurrence is built
+    here; the step that takes it builds the rest of the equation (its
+    coefficient of name**0).
+    """
+    linear = []
+    for idx in scope:
+        eq = state.equations[idx][0]
+        # monomials are sorted, so a squared name sits next to itself
+        squared = {v for mono, _ in eq.terms for v, w in zip(mono, mono[1:]) if v == w}
+        linear.append((idx, eq, {v for mono, _ in eq.terms for v in mono} - squared))
+    names = set().union(*(once for _, _, once in linear))
     for name in sorted(names, key=lambda v: (-weights.get(v, 0), v)):
-        for idx in scope:
-            eq = state.equations[idx][0]
-            if eq.degree_in(name) == 1:
-                yield name, idx, eq.coefficient_of(name, 1), eq.coefficient_of(name, 0)
+        for idx, eq, once in linear:
+            if name in once:
+                yield name, idx, eq.coefficient_of(name, 1)
 
 
 def _solve_linear(
     state: _BranchState, scope: Sequence[int], weights: Mapping[str, int]
 ) -> list[_BranchState] | None:
     """One solve-and-substitute step: [state] if made, [] if infeasible, None if none applies."""
-    for name, _, coeff, rest in _linear_occurrences(state, scope, weights):
+    for name, idx, coeff in _linear_occurrences(state, scope, weights):
         if state.knows_nonzero(coeff):
-            value = RationalFunction.make(-rest, coeff)
+            value = RationalFunction.make(-state.equations[idx][0].coefficient_of(name, 0), coeff)
             # a no-op for a constant coefficient, whose denominator is 1
             state.add_disequality(value.denominator)
+            # the solved equation would substitute to zero
+            del state.equations[idx]
             return [state] if state.assign(name, value) else []
     return None
 
@@ -436,7 +462,8 @@ def _find_coefficient_split(
     occurrence = next(_linear_occurrences(state, scope, weights), None)
     if occurrence is None:
         return None
-    name, idx, coeff, rest = occurrence
+    name, idx, coeff = occurrence
+    rest = state.equations[idx][0].coefficient_of(name, 0)
     vanishing = state.clone()
     vanishing.equations[idx] = _entering(coeff)
     vanishing.equations.append(_entering(rest))

@@ -247,12 +247,6 @@ def test_rational_rename():
     assert format_rational_function(renamed) == "(u)/(v)"
 
 
-def test_rational_substitute_rational():
-    rf = RationalFunction.make(X, Y)
-    composed = rf.substitute_rational({"y": RationalFunction.make(ONE, X)})
-    assert composed == RationalFunction.from_polynomial(X * X)
-
-
 def test_param_matrix_evaluate_commutes_with_product(rng):
     for _ in range(10):
         rows, inner, cols = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
@@ -371,12 +365,6 @@ def test_substitute_rational_denominator_is_product_of_top_powers(rng):
         assert result.denominator == ONE
     else:
         assert result.denominator == expected.monic()[0]
-
-
-def test_rational_substitute_rational_raises_on_a_vanishing_denominator():
-    rf = RationalFunction.make(X, Y - X)
-    with pytest.raises(ZeroDivisionError):
-        rf.substitute_rational({"y": RationalFunction.from_polynomial(X)})
 
 
 def _draw_matrix_mapping(rng):

@@ -1147,6 +1147,9 @@ def test_assign_drops_a_state_whose_assignment_denominator_vanishes():
         return _BranchState([], {"a": RationalFunction.make(x, y - one)}, {})
 
     assert not state().assign("y", RationalFunction.from_polynomial(one))
+    # a denominator that cancels against the value, not a constant one
+    cancelling = _BranchState([], {"a": RationalFunction.make(x, y - x)}, {})
+    assert not cancelling.assign("y", RationalFunction.from_polynomial(x))
     feasible = state()
     assert feasible.assign("y", RationalFunction.from_polynomial(x))
     assert feasible.assignments == {
@@ -1154,6 +1157,19 @@ def test_assign_drops_a_state_whose_assignment_denominator_vanishes():
         "y": RationalFunction.from_polynomial(x),
     }
 
+
+
+def test_assign_substitutes_into_an_assignment():
+    from ybx.solver import _BranchState  # noqa: PLC2701 - assign's rewrite of assignments
+
+    x, y = ParamPolynomial.variable("x"), ParamPolynomial.variable("y")
+    one = ParamPolynomial.constant(1)
+    state = _BranchState([], {"a": RationalFunction.make(x, y)}, {})
+    assert state.assign("y", RationalFunction.make(one, x))
+    assert state.assignments == {
+        "a": RationalFunction.from_polynomial(x * x),
+        "y": RationalFunction.make(one, x),
+    }
 
 
 def test_assign_drops_a_state_whose_side_condition_vanishes():
