@@ -512,13 +512,16 @@ _sub_scalars = st.one_of(
     st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=6)),
     st.builds(GaussianRational, st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6)),
 )
-_sub_polys = st.dictionaries(
-    st.lists(st.sampled_from(NAMES), max_size=3).map(lambda v: tuple(sorted(v))),
-    _sub_scalars,
-    max_size=4,
-).map(ParamPolynomial.from_dict)
-_sub_values = st.tuples(_sub_polys, _sub_polys.filter(bool)).map(
-    lambda pair: RationalFunction.make(*pair)
+_sub_monomials = st.lists(st.sampled_from(NAMES), max_size=3).map(lambda v: tuple(sorted(v)))
+_sub_polys = st.dictionaries(_sub_monomials, _sub_scalars, max_size=4).map(
+    ParamPolynomial.from_dict
+)
+_sub_values = st.builds(
+    RationalFunction.make,
+    _sub_polys,
+    st.dictionaries(_sub_monomials, _sub_scalars.filter(bool), min_size=1, max_size=4).map(
+        ParamPolynomial.from_dict
+    ),
 )
 
 
