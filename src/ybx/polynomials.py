@@ -163,9 +163,6 @@ class ParamPolynomial:
         inv = lead.reciprocal()
         return ParamPolynomial(tuple((m, c * inv) for m, c in self.terms)), lead
 
-    def degree_in(self, name: str) -> int:
-        return max((mono.count(name) for mono, _ in self.terms), default=0)
-
     def coefficient_of(self, name: str, power: int) -> "ParamPolynomial":
         """Polynomial coefficient of name**power (with name factored out)."""
         # the monomials with name**power differ outside name: no two terms meet
