@@ -658,9 +658,8 @@ def _dense_constraint_system(sizes):
     basis = anticommutant_basis(s, s)
     template = ParamMatrix.zeros(s.n, s.n)
     for name, element in zip(basis.parameter_names, basis.basis):
-        template = template + ParamMatrix.from_exact(element).scale(
-            ParamPolynomial.variable(name)
-        )
+        var = ParamPolynomial.variable(name)
+        template = template + ParamMatrix(s.n, s.n, tuple(var * c for c in element.entries))
     j0 = ParamMatrix.from_exact(assemble_jordan(s))
     product = (template @ (template - j0)) @ j0
     system, seen = [], set()
@@ -674,7 +673,16 @@ def _dense_constraint_system(sizes):
     return template, system
 
 
-@pytest.mark.parametrize("sizes", LADDER + ((1, 1), (2, 1), (3, 3, 3), (4, 4, 1)))
+_DENSE_SIZES = LADDER + ((1, 1), (2, 1), (3, 3, 3), (4, 4, 1))
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    _DENSE_SIZES
+    + tuple(
+        p for n in range(1, 9) for p in _partitions(n, n) if p not in _DENSE_SIZES
+    ),
+)
 def test_constraint_system_matches_dense_construction(sizes):
     template, system = build_constraint_system(sizes)
     dense_template, dense_system = _dense_constraint_system(sizes)
@@ -896,6 +904,53 @@ def test_constraint_system_factors_are_atomic(sizes):
     for eq in system:
         for unit in UNITS:
             _assert_factors_atomic(eq, unit)
+
+
+# knows_nonzero against its factor-only reference, over side conditions that
+# are monic variables and linear forms over three or four names
+def _condition(names):
+    forms = st.lists(st.integers(-2, 2), min_size=len(names) + 1, max_size=len(names) + 1)
+    return st.one_of(
+        st.sampled_from(names).map(ParamPolynomial.variable),
+        forms.filter(lambda cs: any(cs[1:])).map(
+            lambda cs: ParamPolynomial.from_dict(
+                dict(zip([(), *((v,) for v in names)], map(GaussianRational, cs)))
+            )
+        ),
+    )
+
+
+@given(st.data())
+def test_knows_nonzero_matches_the_factor_reference(data):
+    from ybx.solver import _BranchState  # noqa: PLC2701 - the search's side conditions
+
+    names = ("a", "b", "c", "d")[: data.draw(st.integers(3, 4))]
+    conditions = data.draw(st.lists(_condition(names), min_size=1, max_size=4))
+    state = _BranchState([], {}, {})
+    for condition in conditions:
+        state.add_disequality(condition)
+    recorded = data.draw(st.lists(st.sampled_from(conditions), min_size=1, max_size=3))
+    pool = st.sampled_from(conditions) | _condition(names)
+    mixed = data.draw(st.lists(pool, min_size=1, max_size=3))
+    unit = ParamPolynomial.constant(data.draw(st.sampled_from(UNITS)))
+    # "z" is a name no condition uses
+    foreign = ParamPolynomial.variable("z") + data.draw(_condition(names))
+    p = data.draw(
+        st.sampled_from(
+            [
+                ParamPolynomial.constant(data.draw(small)),
+                math.prod(recorded, start=unit),
+                math.prod(mixed, start=unit),
+                mixed[0] * mixed[0] * unit,
+                math.prod(mixed, start=foreign),
+            ]
+        )
+    )
+    if p.is_constant():
+        expected = p != ParamPolynomial.zero()
+    else:
+        expected = all(f.terms in state.disequalities for f in _factor(p))
+    assert state.knows_nonzero(p) == expected, (conditions, p)
 
 
 # -- full solve ---------------------------------------------------------------
