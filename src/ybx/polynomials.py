@@ -13,7 +13,7 @@ are integral, with a Fraction only where a part is not; each output term
 becomes one GaussianRational.  RationalFunction is a normalized pair,
 numerator over monic denominator, with no field arithmetic: it is made,
 substituted as a value, renamed and printed.  ParamMatrix is a Grid
-(matrices.py) of polynomials and adds only from_exact, variables, scale, its
+(matrices.py) of polynomials and adds only from_exact, variables, its
 polynomial product, substitute, substitute_rational and evaluate.
 
 Text syntax (used by the file formats): terms ``coef*p1*p2`` joined by ``+``
@@ -395,9 +395,6 @@ class ParamMatrix(Grid):
             seen.update(p.variables())
         return tuple(sorted(seen))
 
-    def scale(self, factor) -> "ParamMatrix":
-        return ParamMatrix(self.rows, self.cols, tuple(p * factor for p in self.entries))
-
     def __matmul__(self, other: "ParamMatrix") -> "ParamMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matmul", self.shape, other.shape)
@@ -510,7 +507,9 @@ def parse_polynomial(text: str) -> ParamPolynomial:
                     coeff = coeff * parse_scalar(inner)
                     continue
                 except ParseError:
-                    pass
+                    # a first factor that is no name keeps the scalar's error
+                    if not _IDENT_RE.match(token):
+                        raise
             if not _IDENT_RE.match(token):
                 raise ParseError(f"bad factor {token!r} in {text!r}")
             names.append(token)

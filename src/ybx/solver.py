@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, product
 from typing import Iterable, Mapping, Sequence
 
 from .anticommutant import anticommutant_basis
@@ -42,7 +43,8 @@ from .jordan import (
     nilpotent_part,
 )
 from .matrices import ExactMatrix, block_diag, first_nonzero_entry, residuals
-from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction, _evaluate, _substitute
+from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction
+from .polynomials import _evaluate, _polynomial, _substitute
 from .scalars import GaussianRational, as_gaussian
 
 JORDAN_FRAME = "jordan"
@@ -119,26 +121,42 @@ def build_constraint_system(
     Jordan matrix with the given block sizes, written entry by entry from the
     nonzero +-1 pattern entries of its basis elements.  The system collects
     the nonzero entries of template * (template - J0) * J0, deduplicated in
-    row-major order.  Solutions of the system are exactly the template
-    instances that solve the quadratic matrix equation.
+    row-major order.  Each entry is summed from the template's signed names
+    with Python-int coefficients and made one GaussianRational per term.
+    Solutions of the system are exactly the template instances that solve
+    the quadratic matrix equation.
     """
     if not j0_sizes or any(s < 1 for s in j0_sizes):
         raise ValueError("need at least one nilpotent block of positive size")
-    spec = JordanSpec(((as_gaussian(0), tuple(int(s) for s in j0_sizes)),))
+    sizes = tuple(int(s) for s in j0_sizes)
+    spec = JordanSpec(((as_gaussian(0), sizes),))
     basis = anticommutant_basis(spec, spec)
     n0 = spec.n
     entries = [ParamPolynomial.zero()] * (n0 * n0)
+    signed: list[tuple[str, int] | None] = [None] * (n0 * n0)
     for name, element in zip(basis.parameter_names, basis.basis):
         for idx, sign in enumerate(element.entries):
             if sign:
                 entries[idx] = ParamPolynomial((((name,), sign),))
+                signed[idx] = (name, int(sign.re))
     template = ParamMatrix(n0, n0, tuple(entries))
-    j0 = ParamMatrix.from_exact(assemble_jordan(spec))
-    # (template - J0) @ J0 only shifts columns, so one full product remains
-    product = template @ ((template - j0) @ j0)
+    rows = [[(k, e) for k in range(n0) if (e := signed[i * n0 + k])] for i in range(n0)]
+    # column j of M @ J0 is column j - 1 of M inside a block and zero in a
+    # block's first column; there J0's 1 in column j - 1 sits in row j - 2
+    starts = set(accumulate(sizes, initial=0))
     system: list[ParamPolynomial] = []
     seen: set[tuple] = set()
-    for entry in product.entries:
+    for i, j in product(range(n0), range(n0)):
+        if j in starts:
+            continue
+        acc: dict[tuple[str, ...], int] = {}
+        for k, (a, s) in rows[i]:
+            if b := signed[k * n0 + j - 1]:
+                mono = (a, b[0]) if a <= b[0] else (b[0], a)
+                acc[mono] = acc.get(mono, 0) + s * b[1]
+        if j - 1 not in starts and (t := signed[i * n0 + j - 2]):
+            acc[(t[0],)] = -t[1]
+        entry = _polynomial({mono: (c, 0) for mono, c in acc.items()})
         if entry.is_zero():
             continue
         key = entry.monic()[0].terms
@@ -226,7 +244,8 @@ class _BranchState:
 
     Equations are (monic product, factors) pairs.  _factor runs only in
     _entering, on the initial system, assign's rewrites and both sides of a
-    coefficient split, and in knows_nonzero.
+    coefficient split, and in knows_nonzero on a polynomial whose names all
+    occur in some side condition.
     """
 
     __slots__ = ("equations", "assignments", "disequalities")
@@ -249,11 +268,22 @@ class _BranchState:
         self.disequalities.setdefault(m.terms, m)
         return True
 
+    def recorded_names(self) -> set[str]:
+        """The names that occur in some side condition."""
+        return {v for m in self.disequalities.values() for mono, _ in m.terms for v in mono}
+
     def knows_nonzero(self, p: ParamPolynomial) -> bool:
-        """Whether p != 0 follows from the recorded side conditions."""
+        """Whether p != 0 follows from the recorded side conditions.
+
+        A nonconstant p has nonconstant monic factors, known iff recorded.
+        Together they use every name of p, so a name that no side condition
+        uses rules p out before it is factored.
+        """
         if p.is_constant():
             return bool(p.constant_value())
-        # nonconstant p has nonconstant monic factors, known iff recorded
+        recorded = self.recorded_names()
+        if any(v not in recorded for mono, _ in p.terms for v in mono):
+            return False
         return all(f.terms in self.disequalities for f in _factor(p))
 
     def assign(self, name: str, value: RationalFunction) -> bool:
@@ -403,34 +433,39 @@ def _normalize(state: _BranchState) -> bool:
 
 
 def _linear_occurrences(state: _BranchState, scope: Sequence[int], weights: Mapping[str, int]):
-    """(name, equation index, coefficient) of each degree-1 occurrence in the
-    equations at scope, by descending weight, then by name.
+    """(name, equation index) of each degree-1 occurrence in the equations at
+    scope, by descending weight, then by name.
 
-    Each equation's names of degree 1 are read from its terms once, before
-    any coefficient is built.  Only the coefficient of an occurrence is built
-    here; the step that takes it builds the rest of the equation (its
-    coefficient of name**0).
+    Each equation's names of degree 1 are read from its terms once.  No
+    coefficient is built here: the step that takes an occurrence builds it.
     """
     linear = []
     for idx in scope:
         eq = state.equations[idx][0]
         # monomials are sorted, so a squared name sits next to itself
         squared = {v for mono, _ in eq.terms for v, w in zip(mono, mono[1:]) if v == w}
-        linear.append((idx, eq, {v for mono, _ in eq.terms for v in mono} - squared))
-    names = set().union(*(once for _, _, once in linear))
+        linear.append((idx, {v for mono, _ in eq.terms for v in mono} - squared))
+    names = set().union(*(once for _, once in linear))
     for name in sorted(names, key=lambda v: (-weights.get(v, 0), v)):
-        for idx, eq, once in linear:
+        for idx, once in linear:
             if name in once:
-                yield name, idx, eq.coefficient_of(name, 1)
+                yield name, idx
 
 
 def _solve_linear(
     state: _BranchState, scope: Sequence[int], weights: Mapping[str, int]
 ) -> list[_BranchState] | None:
     """One solve-and-substitute step: [state] if made, [] if infeasible, None if none applies."""
-    for name, idx, coeff in _linear_occurrences(state, scope, weights):
+    recorded = state.recorded_names()
+    for name, idx in _linear_occurrences(state, scope, weights):
+        eq = state.equations[idx][0]
+        # the coefficient's names are the other names of the terms with name;
+        # one that no side condition uses rules it out before it is built
+        if not {v for mono, _ in eq.terms if name in mono for v in mono if v != name} <= recorded:
+            continue
+        coeff = eq.coefficient_of(name, 1)
         if state.knows_nonzero(coeff):
-            value = RationalFunction.make(-state.equations[idx][0].coefficient_of(name, 0), coeff)
+            value = RationalFunction.make(-eq.coefficient_of(name, 0), coeff)
             # a no-op for a constant coefficient, whose denominator is 1
             state.add_disequality(value.denominator)
             # the solved equation would substitute to zero
@@ -462,8 +497,8 @@ def _find_coefficient_split(
     occurrence = next(_linear_occurrences(state, scope, weights), None)
     if occurrence is None:
         return None
-    name, idx, coeff = occurrence
-    rest = state.equations[idx][0].coefficient_of(name, 0)
+    name, idx = occurrence
+    coeff, rest = (state.equations[idx][0].coefficient_of(name, k) for k in (1, 0))
     vanishing = state.clone()
     vanishing.equations[idx] = _entering(coeff)
     vanishing.equations.append(_entering(rest))

@@ -268,6 +268,21 @@ def test_sample_rejects_inconsistent_branch(
     assert not (tmp_path / "k.json").exists()
 
 
+def test_sample_refuses_a_template_entry_with_a_zero_denominator(
+    tmp_path, shift3_problem, capsys
+):
+    family_path = tmp_path / "family.json"
+    main(["solve", shift3_problem, str(family_path), "--frame", "jordan"])
+    family = load_json(str(family_path))
+    family["template"][0][0] = "1/0*x"
+    bad = write(tmp_path / "bad.json", family)
+    capsys.readouterr()
+    args = ["--set", "x=1", "--set", "y=1"]
+    assert main(["sample", bad, "0", str(tmp_path / "k.json"), *args]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+    assert not (tmp_path / "k.json").exists()
+
+
 def test_sample_disequality_violation(tmp_path):
     problem = write(
         tmp_path / "problem.json", {"jordan": [{"eigenvalue": "0", "sizes": [4, 3]}]}

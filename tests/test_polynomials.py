@@ -129,6 +129,12 @@ def test_parse_rejects(text):
         parse_polynomial(text)
 
 
+@pytest.mark.parametrize("text", ["1/0*x", "(1/0)*x", "x+1/0*y"])
+def test_parse_reports_a_zero_denominator_in_a_first_factor(text):
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_polynomial(text)
+
+
 def _split_top_level_reference(text, separators):
     # the character-by-character splitter the sliced one replaced
     parts = []
