@@ -510,7 +510,7 @@ def parse_polynomial(text: str) -> ParamPolynomial:
                     # a first factor that is no name keeps the scalar's error
                     if not _IDENT_RE.match(token):
                         raise
-            if not _IDENT_RE.match(token):
+            elif not _IDENT_RE.match(token):
                 raise ParseError(f"bad factor {token!r} in {text!r}")
             names.append(token)
         mono = tuple(sorted(names))
