@@ -371,6 +371,61 @@ def test_residuals_match_textbook_products(pair):
                 assert math.gcd(part.numerator, part.denominator) == 1
 
 
+# Jordan data of A (eigenvalue, sizes), with eigenvalues i and -i among them
+_ANTI_SPECS = (
+    ((0, [3]),),
+    ((0, [2, 1]),),
+    ((GaussianRational(0, 1), [2]), (GaussianRational(0, -1), [1])),
+    ((GaussianRational(0, 1), [1]), (GaussianRational(0, -1), [1]), (0, [1])),
+    ((1, [1]), (-1, [2])),
+)
+
+
+@st.composite
+def _anticommuting_pairs(draw):
+    """(A, X) with A X + X A = 0: A = W J W^-1 and X = W K W^-1 for K a
+    combination of the vectorized anticommutant kernel of J, with real,
+    imaginary or complex coefficients, so that A X A = X A X may or may not hold."""
+    j = assemble_jordan(JordanSpec.from_pairs(list(draw(st.sampled_from(_ANTI_SPECS)))))
+    k = ExactMatrix.zeros(j.rows, j.cols)
+    for element in kron_anticommutant_kernel(j, j):
+        k = k + element * draw(_kinds["mixed"])
+    # unit lower times unit upper triangular: invertible by construction
+    n, c = j.rows, _kinds["mixed"]
+    lower = ExactMatrix.from_rows([[ONE if r == s else draw(c) if r > s else ZERO
+                                    for s in range(n)] for r in range(n)])
+    upper = ExactMatrix.from_rows([[ONE if r == s else draw(c) if r < s else ZERO
+                                    for s in range(n)] for r in range(n)])
+    w = lower @ upper
+    w_inv = mat_inverse(w)
+    return w @ j @ w_inv, w @ k @ w_inv
+
+
+@given(_anticommuting_pairs())
+def test_residuals_match_textbook_products_on_anticommuting_pairs(pair):
+    a, x = pair
+    got, expected = residuals(a, x), textbook_residuals(a, x)
+    assert got[0].is_zero()
+    assert got == expected
+    assert first_nonzero_entry(got[1]) == first_nonzero_entry(expected[1])
+
+
+@pytest.mark.parametrize("scale", [GaussianRational(1), GaussianRational(Fraction(2, 3), -5)])
+def test_residuals_of_a_complex_anticommuting_pair(scale):
+    """A = diag(i, -i) and X = [[0, s], [t, 0]] anti-commute, and
+    A X A - X A X = A X (A + X) is nonzero; perturbing X breaks both."""
+    i = GaussianRational(0, 1)
+    a = ExactMatrix.from_rows([[i, 0], [0, -i]])
+    x = ExactMatrix.from_rows([[0, scale], [scale * 3, 0]])
+    anti, ybe = residuals(a, x)
+    assert anti.is_zero()
+    assert ybe == mat_mul(mat_mul(a, x), a + x) == textbook_residuals(a, x)[1]
+    assert not ybe.is_zero()
+    bent = x + ExactMatrix.from_rows([[scale, 0], [0, 0]])
+    assert residuals(a, bent) == textbook_residuals(a, bent)
+    assert not residuals(a, bent)[0].is_zero()
+
+
 def textbook_reduce_rows(work: list[list[GaussianRational]], width: int) -> tuple[int, list[int]]:
     """In-place Gauss-Jordan over the first `width` columns; returns rank, pivots.
 

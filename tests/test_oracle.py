@@ -276,3 +276,24 @@ def test_branch_within_rejects_a_residual_inner():
 def test_report_shape():
     report = OracleReport(1, 1, True, None)
     assert report.span_match and report.counterexample is None
+
+
+def test_membership_finds_an_entry_that_breaks_only_the_equation():
+    """One branch of (3,) gains a diagonal pattern that still anti-commutes
+    with J but breaks A X A = X A X: the first draw is the counterexample."""
+    family = solve(similarity_from_jordan(spec((0, [3]))))
+    t = family.template
+    x = parse_polynomial("x")
+    bent = list(t.entries)
+    bent[0], bent[4], bent[8] = bent[0] + x, bent[4] - x, bent[8] + x
+    broken = SolutionFamily(
+        family.n, family.frame, family.branches, ParamMatrix(3, 3, tuple(bent)), family.matrix
+    )
+    report = verify_family_membership(broken, family.matrix, 4, seed=2)
+    assert (report.expected_dimension, report.span_match) == (4, False)
+    k = report.counterexample
+    assert mat_mul(family.matrix, k) == -mat_mul(k, family.matrix)
+    assert report.oracle_dimension == 0
+    assert [str(z) for z in k.entries] == [
+        "-2/7-1/4i", "-3/7-7i", "-2/7-1/4i", "0", "2/7+1/4i", "3/7+7i", "0", "0", "-2/7-1/4i",
+    ]

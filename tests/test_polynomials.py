@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -20,7 +21,7 @@ from ybx.polynomials import (
     parse_polynomial,
     parse_rational_function,
 )
-from ybx.scalars import GaussianRational
+from ybx.scalars import GaussianRational, parse_scalar
 
 from conftest import random_scalar
 
@@ -538,3 +539,154 @@ def test_substitute_over_a_list_matches_one_polynomial_at_a_time(polys, mapping)
     for rf in got:
         for _, c in rf.numerator.terms + rf.denominator.terms:
             _assert_lowest_terms(c)
+
+
+# ---------------------------------------------------------------------------
+# the polynomial parser against the grammar, the formatter and a reference
+
+
+@given(_eval_polys)
+@example(X * X * Y)
+@example(ParamPolynomial.constant(GaussianRational(0, Fraction(-(10**30), 2**89 - 1))) * X * X)
+@example(X * GaussianRational(Fraction(10**30, 7919), Fraction(-3, 65537)) - ONE)
+def test_parse_inverts_format(p):
+    got = parse_polynomial(format_polynomial(p))
+    assert got == p
+    for _, c in got.terms:
+        _assert_lowest_terms(c)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (" x +\t2 * y\n", X + Y * 2),
+        ("x+x", X * 2),
+        ("y*x", X * Y),
+        ("y*x*y", X * Y * Y),
+        ("x-x", ParamPolynomial.zero()),
+        ("+x", X),
+        ("2/4*x", X * GaussianRational(Fraction(1, 2))),
+        ("007/014*x", X * GaussianRational(Fraction(1, 2))),
+        ("(1+2i)*x", X * GaussianRational(1, 2)),
+        ("(-3/6i)*x", X * GaussianRational(0, Fraction(-1, 2))),
+        ("-(2)*x", X * -2),
+        ("(0)*x+1", ONE),
+        ("1+2i", ParamPolynomial.constant(GaussianRational(1, 2))),
+        ("x+y-3+2i", X + Y + ParamPolynomial.constant(GaussianRational(-3, 2))),
+        ("1/2i*x-1/2i*x", ParamPolynomial.zero()),
+    ],
+)
+def test_parse_non_canonical_spellings(text, expected):
+    assert parse_polynomial(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty polynomial text"),
+        (" \t", "empty polynomial text"),
+        ("x**y", "empty factor in 'x**y'"),
+        ("*x", "term starts with '*' in '*x'"),
+        ("x*", "empty factor in 'x*'"),
+        ("x*2", "bad factor '2' in 'x*2'"),
+        ("x*(1)", "bad factor '(1)' in 'x*(1)'"),
+        ("(x)*y", "not a valid scalar: 'x'"),
+        ("((1))*y", "not a valid scalar: '(1)'"),
+        ("x+", "dangling sign in 'x+'"),
+        ("-", "dangling sign in '-'"),
+        ("--x", "dangling sign in '--x'"),
+        ("x+-y", "dangling sign in 'x+-y'"),
+        ("x + -y", "dangling sign in 'x + -y'"),
+        ("3x", "not a valid scalar: '3x'"),
+        ("x(1)", "not a valid scalar: 'x(1)'"),
+        ("\u0663*x", "not a valid scalar: '\u0663'"),
+        ("x+(1", "unbalanced parentheses in 'x+(1'"),
+        ("x + (1", "unbalanced parentheses in 'x+(1'"),
+        ("x)+(y", "unbalanced parentheses in 'x)+(y'"),
+        ("3x+(", "unbalanced parentheses in '3x+('"),
+        ("1/0*x", "zero denominator in scalar: '1/0'"),
+        ("(1/0)*x", "zero denominator in scalar: '1/0'"),
+        ("x+1/0*y", "zero denominator in scalar: '1/0'"),
+        ("1/0i", "zero denominator in scalar: '1/0i'"),
+        ("(2+1/00i)*x", "zero denominator in scalar: '2+1/00i'"),
+        ("1/0+(", "unbalanced parentheses in '1/0+('"),
+        ("1/0+3x", "zero denominator in scalar: '1/0'"),
+        ("3x+1/0", "not a valid scalar: '3x'"),
+    ],
+)
+def test_parse_rejection_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text)
+    assert str(err.value) == message
+
+
+_IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def _parse_polynomial_reference(text):
+    # the parser that cut the text at signs, then each term at stars, outside
+    # parentheses, and multiplied and added GaussianRational coefficients
+    compact = "".join(text.split())
+    if not compact:
+        raise ParseError("empty polynomial text")
+    acc = {}
+    for raw in _split_top_level_reference(compact, "+-"):
+        sign = GaussianRational(1)
+        body = raw
+        while body and body[0] in "+-":
+            if body[0] == "-":
+                sign = -sign
+            body = body[1:]
+        if not body:
+            raise ParseError(f"dangling sign in {text!r}")
+        if body.startswith("*"):
+            raise ParseError(f"term starts with '*' in {text!r}")
+        coeff = sign
+        names = []
+        for idx, token in enumerate(_split_top_level_reference(body, "*")):
+            token = token.lstrip("*")
+            if not token:
+                raise ParseError(f"empty factor in {text!r}")
+            if idx == 0:
+                inner = token[1:-1] if token.startswith("(") and token.endswith(")") else token
+                try:
+                    coeff = coeff * parse_scalar(inner)
+                    continue
+                except ParseError:
+                    if not _IDENTIFIER.match(token):
+                        raise
+            elif not _IDENTIFIER.match(token):
+                raise ParseError(f"bad factor {token!r} in {text!r}")
+            names.append(token)
+        mono = tuple(sorted(names))
+        acc[mono] = acc.get(mono, GaussianRational(0)) + coeff
+    return ParamPolynomial.from_dict(acc)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+
+
+# well-formed pieces, near misses and stray marks, so that texts mix
+# accepted terms with every kind of rejection
+_POLY_PIECE = st.sampled_from(
+    ["x", "y", "k1_2", "_", "2", "0", "007", "1/2", "2/4", "1/0", "3i", "1/2i", "1/0i",
+     "(1+2i)", "(-3/4i)", "(2)", "(-1)", "(2+1/0i)", "(x)", "((1))", "(1)(2)", "3x", "i",
+     "\u0663", "+", "-", "*", "(", ")", "/", " "]
+)
+
+
+@given(
+    st.one_of(
+        st.lists(_POLY_PIECE, max_size=10).map("".join),
+        st.text(alphabet="()+-*/xyi012 ", max_size=24),
+        _eval_polys.map(format_polynomial),
+    )
+)
+@example("x+(1")
+@example("(1+2i)*x*y-(3/4i)*y*y+5")
+def test_parse_polynomial_matches_reference(text):
+    assert _parsed(parse_polynomial, text) == _parsed(_parse_polynomial_reference, text)

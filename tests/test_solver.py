@@ -36,6 +36,7 @@ from ybx.polynomials import ParamMatrix, ParamPolynomial, RationalFunction, pars
 from ybx.scalars import GaussianRational
 from ybx.solver import (
     SolutionBranch,
+    SolutionFamily,
     _factor,
     branch_matrix,
     branch_satisfied_by,
@@ -1269,3 +1270,32 @@ def test_residual_branch_sampling_raises():
         sample(stuck, 0, assignment)
     zeros = {name: GaussianRational(0) for name in branches[0].free_parameters}
     assert sample(stuck, 0, zeros).is_zero()
+
+
+def test_sample_names_the_first_nonzero_residual_entry():
+    """A perturbed original-frame template fails anti-commutation, and
+    diag(t, -t) anti-commutes with a conjugated J(2) but fails the
+    equation; each error names its residual and the first nonzero entry."""
+    w = ExactMatrix.from_rows([[1, 2, 0], [0, 1, -1], [3, 0, 1]])
+    sim = similarity_from_jordan(spec((0, [3])), w)
+    family = to_original(solve(sim), sim)
+    t = family.template
+    bent = t.entries[:4] + (t.entries[4] + GaussianRational(0, 1),) + t.entries[5:]
+    broken = SolutionFamily(
+        family.n, family.frame, family.branches, ParamMatrix(3, 3, bent), family.matrix
+    )
+    ones = {name: GaussianRational(1) for name in family.branches[0].free_parameters}
+    with pytest.raises(ResidualNonzero) as err:
+        sample(broken, 0, ones)
+    assert (err.value.which, err.value.position) == ("anti-commutation", (0, 1))
+
+    w2 = ExactMatrix.from_rows([[2, 1], [1, 1]])
+    sim2 = similarity_from_jordan(spec((0, [2])), w2)
+    t_var = ParamPolynomial.variable("t")
+    diagonal = ParamMatrix.from_rows([[t_var, ParamPolynomial.zero()], [ParamPolynomial.zero(), -t_var]])
+    template = ParamMatrix.from_exact(w2) @ diagonal @ ParamMatrix.from_exact(sim2.w_inv)
+    family2 = SolutionFamily(2, "original", (SolutionBranch((), (), (), ("t",)),), template, sim2.a)
+    with pytest.raises(ResidualNonzero) as err:
+        sample(family2, 0, {"t": GaussianRational(Fraction(1, 3), 2)})
+    assert (err.value.which, err.value.position) == ("equation", (0, 0))
+    assert sample(family2, 0, {"t": GaussianRational(0)}).is_zero()
