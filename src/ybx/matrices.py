@@ -17,10 +17,12 @@ ParamMatrix (polynomials.py) is the other Grid.
 Products work in integers, in one kernel that mat_mul and residuals share:
 each factor is scaled to Gaussian integers over a common denominator (per
 row or column in mat_mul, per matrix in residuals, which then chains its
-four products without dividing), every entry is a few integer dot products
+products without dividing), every entry is a few integer dot products
 (imaginary ones only where a row or column has an imaginary part), and each
 nonzero result part is one Fraction.  So an n x n product makes O(n^2)
 Fractions instead of O(n^3) Fraction operations, each with its own gcd.
+residuals takes AX and XA; when AX + XA = 0, XA = -AX gives
+AXA - XAX = AX (A + X), one product more instead of two.
 ParamPolynomial.evaluate scales its values with the same _scaled.
 
 Elimination has one kernel, RowSpan, which works entry by entry on Fractions
@@ -218,21 +220,37 @@ def _integer_form(m: ExactMatrix) -> tuple[list[_IntVector], list[_IntVector], i
     return rows, [(re[j::c], im and im[j::c]) for j in range(c)], d
 
 
+def _combination(u: _IntVector, v: _IntVector, su: int, sv: int) -> _IntVector:
+    """The Gaussian-integer vector su*u + sv*v."""
+    (u_re, u_im), (v_re, v_im) = u, v
+    re = [su * p + sv * q for p, q in zip(u_re, v_re)]
+    if u_im is None and v_im is None:
+        return re, None
+    im = [su * p + sv * q for p, q in zip(u_im or repeat(0), v_im or repeat(0))]
+    return re, im if any(im) else None
+
+
 def residuals(a: ExactMatrix, x: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     """(A*X + X*A, A*X*A - X*A*X); x is an anti-commuting solution for a
-    exactly when both are zero.  With A and X scaled to integers over da and
-    dx, they are AX + XA over da*dx and AXA*dx - XAX*da over (da*dx)**2."""
+    exactly when both are zero.  With A and X scaled to integers A', X' over
+    da and dx, the first is A'X' + X'A' over da*dx.  When it is zero,
+    X'A' = -A'X', so the second is A'X' (dx*A' + da*X') over (da*dx)**2,
+    one product; otherwise it is A'X'A'*dx - X'A'X'*da over the same."""
     if not a.is_square():
         raise NotSquare("residuals", a.shape)
     if a.shape != x.shape:
         raise DimensionMismatch("residuals", a.shape, x.shape)
     (a_rows, a_cols, da), (x_rows, x_cols, dx) = _integer_form(a), _integer_form(x)
     ax, xa = _products(a_rows, x_cols), _products(x_rows, a_cols)
-    axa, xax = _products(ax, a_cols), _products(xa, x_cols)
     d = da * dx
     anti = tuple(_over(p + q, r + s, d) for (p, r), (q, s) in zip(_pairs(ax), _pairs(xa)))
-    ybe = tuple(_over(p * dx - q * da, r * dx - s * da, d * d)
-                for (p, r), (q, s) in zip(_pairs(axa), _pairs(xax)))
+    if any(anti):
+        axa, xax = _pairs(_products(ax, a_cols)), _pairs(_products(xa, x_cols))
+        parts = ((p * dx - q * da, r * dx - s * da) for (p, r), (q, s) in zip(axa, xax))
+    else:
+        sums = [_combination(u, v, dx, da) for u, v in zip(a_cols, x_cols)]  # dx*A' + da*X'
+        parts = _pairs(_products(ax, sums))
+    ybe = tuple(_over(re, im, d * d) for re, im in parts)
     return ExactMatrix(a.rows, a.cols, anti), ExactMatrix(a.rows, a.cols, ybe)
 
 

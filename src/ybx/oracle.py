@@ -257,27 +257,29 @@ def verify_family_membership(
     degenerate-at-grid, not a failure), and checks both residuals of the
     instantiated matrix against j.  A draw that misses a branch's residual
     system checks nothing; it counts as completed and in residual_skipped.
-    The first failure is reported as a counterexample.
+    The template is evaluated at all the other draws in one call.  The first
+    failure, in (branch, trial) order, is reported as a counterexample.
     """
     if j.shape != (family.n, family.n):
         raise DimensionMismatch("verify_family_membership", j.shape, (family.n, family.n))
     planned = len(family.branches) * trials
     completed = residual_skipped = 0
-    counterexample = None
+    draws = []
     for branch_index, branch in enumerate(family.branches):
         for trial in range(trials):
             values = random_branch_values(branch, random.Random(f"{seed}:{branch_index}:{trial}"))
             if values is None:
                 completed += 1  # degenerate at this grid; not a failure
-                continue
-            if any(poly.evaluate(values) for poly in branch.residual_system):
+            elif any(poly.evaluate(values) for poly in branch.residual_system):
                 completed += 1  # draw misses the unresolved constraints; skip
                 residual_skipped += 1
-                continue
-            k = family.template.evaluate(values)
-            if all(r.is_zero() for r in residuals(j, k)):
-                completed += 1
-            elif counterexample is None:
-                counterexample = k
+            else:
+                draws.append(values)
+    counterexample = None
+    for k in family.template.evaluate_all(draws):
+        if all(r.is_zero() for r in residuals(j, k)):
+            completed += 1
+        elif counterexample is None:
+            counterexample = k
     span_match = counterexample is None and completed == planned
     return OracleReport(planned, completed, span_match, counterexample, residual_skipped)

@@ -5,7 +5,9 @@ the parameters, the constraint systems they generate are quadratic, and
 branch assignments may be ratios of polynomials.  Canonical form everywhere:
 no zero coefficients, monomials sorted, terms in degree-lexicographic order,
 denominators monic.  Values are immutable.  Evaluation is integer arithmetic
-over one common denominator (_evaluate), scaled as matrix products are.
+over one common denominator (_evaluate), scaled as matrix products are; it
+takes a list of valuations, so ParamMatrix.evaluate_all scales each entry's
+coefficients once for all the points it evaluates at.
 Substitution works like evaluation: _substitute rewrites a list of
 polynomials in one pass, builds the powers of each value once for all of
 them, and multiplies and sums coefficient parts as Python ints wherever they
@@ -19,7 +21,11 @@ polynomial product, substitute, substitute_rational and evaluate.
 Text syntax (used by the file formats): terms ``coef*p1*p2`` joined by ``+``
 or ``-``, parameters as bare identifiers, powers written as repeated factors
 (``x*x``), complex coefficients with both parts nonzero parenthesized, and
-rational functions as ``(<poly>)/(<poly>)``.
+rational functions as ``(<poly>)/(<poly>)``.  parse_polynomial reads the
+whitespace-free text in one pass of one tokenizer regex, a term (sign,
+coefficient, names) per match, and sums coefficient parts per monomial as
+ints and Fractions, one GaussianRational per monomial at the end.  Only a
+text it cannot read goes on to _reject, which names the first rule broken.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NoReturn, Sequence
 
 from .errors import MissingParameter, ParseError
 from .matrices import DimensionMismatch, ExactMatrix, Grid, _scaled
@@ -198,7 +204,7 @@ class ParamPolynomial:
         return next(_substitute([self], mapping))
 
     def evaluate(self, assignment: Mapping[str, GaussianRational]) -> GaussianRational:
-        return next(_evaluate([self], assignment))
+        return next(_evaluate([self], [assignment]))
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -208,40 +214,44 @@ class ParamPolynomial:
 
 
 def _evaluate(
-    polys: Sequence[ParamPolynomial], assignment: Mapping[str, GaussianRational]
+    polys: Sequence[ParamPolynomial], valuations: Sequence[Mapping[str, GaussianRational]]
 ) -> Iterator[GaussianRational]:
-    """Each polynomial's value, in integers: the assignment is scaled once to
-    Gaussian integers over one d and each polynomial's coefficients over their
-    lcm l, as matrix products scale, so a value is one sum of integer term
-    products over l * d**top.  MissingParameter names what the first
-    incomplete polynomial lacks."""
+    """Each polynomial's value at each valuation, polynomial by polynomial, in
+    integers: each valuation is scaled once to Gaussian integers over its own
+    d and each polynomial's coefficients once over their lcm l, as matrix
+    products scale, so a value is one sum of integer term products over
+    l * d**top.  MissingParameter names what the first incomplete polynomial
+    lacks in the first incomplete valuation."""
     names = {v for p in polys for mono, _ in p.terms for v in mono}
-    try:
-        given = [assignment[v] for v in names]
-    except KeyError:
-        for p in polys:
-            missing = {v for mono, _ in p.terms for v in mono if v not in assignment}
-            if missing:
-                raise MissingParameter(sorted(missing)) from None
-    (given_re, given_im), d = _scaled(given)
-    values = dict(zip(names, zip(given_re, given_im or repeat(0))))
+    points = []
+    for assignment in valuations:
+        try:
+            given = [assignment[v] for v in names]
+        except KeyError:
+            for p in polys:
+                missing = {v for mono, _ in p.terms for v in mono if v not in assignment}
+                if missing:
+                    raise MissingParameter(sorted(missing)) from None
+        (given_re, given_im), d = _scaled(given)
+        points.append((dict(zip(names, zip(given_re, given_im or repeat(0)))), d))
     for p in polys:
-        # the sum so far is lifted by d at each rise in degree (Horner in d)
         (c_re, c_im), l = _scaled([c for _, c in p.terms])
-        re = im = degree = 0
-        for (mono, _), t_re, t_im in zip(p.terms, c_re, c_im or repeat(0)):
-            if len(mono) != degree:
-                lift = d ** (len(mono) - degree)
-                re, im, degree = re * lift, im * lift, len(mono)
-            for var in mono:
-                v_re, v_im = values[var]
-                if t_im:
-                    t_re, t_im = t_re * v_re - t_im * v_im, t_re * v_im + t_im * v_re
-                else:
-                    t_re, t_im = t_re * v_re, t_re * v_im
-            re += t_re
-            im += t_im
-        yield _over(re, im, l * d**degree)
+        for values, d in points:
+            # the sum so far is lifted by d at each rise in degree (Horner in d)
+            re = im = degree = 0
+            for (mono, _), t_re, t_im in zip(p.terms, c_re, c_im or repeat(0)):
+                if len(mono) != degree:
+                    lift = d ** (len(mono) - degree)
+                    re, im, degree = re * lift, im * lift, len(mono)
+                for var in mono:
+                    v_re, v_im = values[var]
+                    if t_im:
+                        t_re, t_im = t_re * v_re - t_im * v_im, t_re * v_im + t_im * v_re
+                    else:
+                        t_re, t_im = t_re * v_re, t_re * v_im
+                re += t_re
+                im += t_im
+            yield _over(re, im, l * d**degree)
 
 
 def _integral(q: Fraction) -> int | Fraction:
@@ -420,7 +430,15 @@ class ParamMatrix(Grid):
         return [flat[i * self.cols : (i + 1) * self.cols] for i in range(self.rows)]
 
     def evaluate(self, assignment: Mapping[str, GaussianRational]) -> ExactMatrix:
-        return ExactMatrix(self.rows, self.cols, tuple(_evaluate(self.entries, assignment)))
+        return self.evaluate_all([assignment])[0]
+
+    def evaluate_all(
+        self, valuations: Sequence[Mapping[str, GaussianRational]]
+    ) -> list[ExactMatrix]:
+        """The matrix at each valuation; each entry's coefficients are scaled once for all."""
+        flat = tuple(_evaluate(self.entries, valuations))
+        k = len(valuations)
+        return [ExactMatrix(self.rows, self.cols, flat[i::k]) for i in range(k)]
 
 
 def _needs_parens(scalar_text: str) -> bool:
@@ -478,44 +496,87 @@ def _split_top_level(text: str, separators: str) -> list[str]:
     return [text[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
+_RATIONAL_TEXT = r"[0-9]+(?:/[0-9]+)?"
+_NAMES_TEXT = r"[A-Za-z_][A-Za-z0-9_]*(?:\*[A-Za-z_][A-Za-z0-9_]*)*"
+# one well-formed term of compact text with its sign: a bare rational or
+# imaginary, or a parenthesized scalar, then names; or names alone.  A term
+# ends at the next sign or at the end of the text.
+_TERM_RE = _re.compile(
+    rf"([+-]?)(?:(?:({_RATIONAL_TEXT})(i?)"
+    rf"|\((-?{_RATIONAL_TEXT})(?:([+-]{_RATIONAL_TEXT})i|(i))?\))"
+    rf"(?:\*({_NAMES_TEXT}))?|({_NAMES_TEXT}))(?=[+-]|\Z)"
+)
+
+
+def _rational(text: str) -> int | Fraction:
+    """A coefficient part of the grammar, an int when it has no denominator."""
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den)) if den else int(num)
+
+
 def parse_polynomial(text: str) -> ParamPolynomial:
-    """Parse the polynomial grammar; inverse of format_polynomial."""
+    """Parse the polynomial grammar; inverse of format_polynomial.
+
+    One tokenizer pass reads the terms; coefficient parts are summed per
+    monomial as ints and Fractions and become one GaussianRational each."""
     compact = "".join(text.split())
     if not compact:
         raise ParseError("empty polynomial text")
-    acc: dict[Monomial, GaussianRational] = {}
-    for raw in _split_top_level(compact, "+-"):
-        sign = ONE
-        body = raw
-        while body and body[0] in "+-":
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:]
-        if not body:
-            raise ParseError(f"dangling sign in {text!r}")
-        if body.startswith("*"):
-            raise ParseError(f"term starts with '*' in {text!r}")
-        coeff = sign
-        names: list[str] = []
-        for idx, token in enumerate(_split_top_level(body, "*")):
-            token = token.lstrip("*")
-            if not token:
-                raise ParseError(f"empty factor in {text!r}")
-            if idx == 0:
-                inner = token[1:-1] if token.startswith("(") and token.endswith(")") else token
-                try:
-                    coeff = coeff * parse_scalar(inner)
-                    continue
-                except ParseError:
-                    # a first factor that is no name keeps the scalar's error
-                    if not _IDENT_RE.match(token):
-                        raise
-            elif not _IDENT_RE.match(token):
-                raise ParseError(f"bad factor {token!r} in {text!r}")
-            names.append(token)
-        mono = tuple(sorted(names))
-        acc[mono] = acc.get(mono, ZERO) + coeff
-    return ParamPolynomial.from_dict(acc)
+    acc: dict[Monomial, tuple] = {}
+    end = 0
+    try:
+        for m in _TERM_RE.finditer(compact):
+            if m.start() != end:
+                break
+            sign, bare, bare_i, first, second, first_i, names, only = m.groups()
+            if bare is not None:
+                re, im = (0, _rational(bare)) if bare_i else (_rational(bare), 0)
+            elif first is not None:
+                re, im = (0, _rational(first)) if first_i else (_rational(first), 0)
+                if second:
+                    im = _rational(second)
+            else:
+                re, im, names = 1, 0, only
+            if sign == "-":
+                re, im = -re, -im
+            mono = tuple(sorted(names.split("*"))) if names else ()
+            if mono in acc:
+                a_re, a_im = acc[mono]
+                acc[mono] = a_re + re, a_im + im
+            else:
+                acc[mono] = re, im
+            end = m.end()
+    except ZeroDivisionError:
+        pass  # the term at end has a zero denominator
+    if end != len(compact):
+        _reject(text, compact, end)
+    return _polynomial(acc)
+
+
+def _reject(text: str, compact: str, start: int) -> NoReturn:
+    """Raise the ParseError for the term at start, the first one _TERM_RE
+    does not read.  The rules apply in the grammar's order: parentheses
+    balance over the whole text; the term runs to the next sign outside
+    parentheses and has at most one leading sign; its factors are cut at the
+    stars outside parentheses, the first a scalar or a name, each other a
+    name."""
+    _split_top_level(compact, "+-")  # raises on unbalanced parentheses
+    piece = _split_top_level(compact[start:], "+-")[0]
+    body = piece[1:] if piece[0] in "+-" else piece
+    if not body:
+        raise ParseError(f"dangling sign in {text!r}")
+    if body.startswith("*"):
+        raise ParseError(f"term starts with '*' in {text!r}")
+    first, *others = _split_top_level(body, "*")
+    if not _IDENT_RE.match(first):
+        parse_scalar(first[1:-1] if first.startswith("(") and first.endswith(")") else first)
+    for factor in others:
+        factor = factor[1:]
+        if not factor:
+            raise ParseError(f"empty factor in {text!r}")
+        if not _IDENT_RE.match(factor):
+            raise ParseError(f"bad factor {factor!r} in {text!r}")
+    raise ParseError(f"bad term {piece!r} in {text!r}")
 
 
 def format_rational_function(rf: RationalFunction) -> str:

@@ -245,15 +245,19 @@ class _BranchState:
     Equations are (monic product, factors) pairs.  _factor runs only in
     _entering, on the initial system, assign's rewrites and both sides of a
     coefficient split, and in knows_nonzero on a polynomial whose names all
-    occur in some side condition.
+    occur in some side condition.  Those names are kept in recorded, which
+    add_disequality and assign update with the side conditions.
     """
 
-    __slots__ = ("equations", "assignments", "disequalities")
+    __slots__ = ("equations", "assignments", "disequalities", "recorded")
 
     def __init__(self, equations, assignments, disequalities):
         self.equations: list[tuple[ParamPolynomial, list[ParamPolynomial]]] = equations
         self.assignments: dict[str, RationalFunction] = assignments
         self.disequalities: dict[tuple, ParamPolynomial] = disequalities
+        self.recorded: set[str] = {
+            v for m in disequalities.values() for mono, _ in m.terms for v in mono
+        }
 
     def clone(self) -> "_BranchState":
         return _BranchState(list(self.equations), dict(self.assignments), dict(self.disequalities))
@@ -266,11 +270,8 @@ class _BranchState:
             return True
         m = _monic(p)
         self.disequalities.setdefault(m.terms, m)
+        self.recorded.update(v for mono, _ in m.terms for v in mono)
         return True
-
-    def recorded_names(self) -> set[str]:
-        """The names that occur in some side condition."""
-        return {v for m in self.disequalities.values() for mono, _ in m.terms for v in mono}
 
     def knows_nonzero(self, p: ParamPolynomial) -> bool:
         """Whether p != 0 follows from the recorded side conditions.
@@ -281,8 +282,7 @@ class _BranchState:
         """
         if p.is_constant():
             return bool(p.constant_value())
-        recorded = self.recorded_names()
-        if any(v not in recorded for mono, _ in p.terms for v in mono):
+        if any(v not in self.recorded for mono, _ in p.terms for v in mono):
             return False
         return all(f.terms in self.disequalities for f in _factor(p))
 
@@ -314,7 +314,7 @@ class _BranchState:
             ],
             {name: value},
         )
-        self.disequalities = {}
+        self.disequalities, self.recorded = {}, set()
         for m, hit in diseqs:
             if not self.add_disequality(next(out).numerator if hit else m):
                 return False
@@ -456,12 +456,12 @@ def _solve_linear(
     state: _BranchState, scope: Sequence[int], weights: Mapping[str, int]
 ) -> list[_BranchState] | None:
     """One solve-and-substitute step: [state] if made, [] if infeasible, None if none applies."""
-    recorded = state.recorded_names()
     for name, idx in _linear_occurrences(state, scope, weights):
         eq = state.equations[idx][0]
         # the coefficient's names are the other names of the terms with name;
         # one that no side condition uses rules it out before it is built
-        if not {v for mono, _ in eq.terms if name in mono for v in mono if v != name} <= recorded:
+        others = {v for mono, _ in eq.terms if name in mono for v in mono if v != name}
+        if not others <= state.recorded:
             continue
         coeff = eq.coefficient_of(name, 1)
         if state.knows_nonzero(coeff):
@@ -623,7 +623,7 @@ def branch_values(
     # the free values on its first step, before any assigned value is added
     results = _evaluate(
         [*branch.disequalities, *(rf.denominator for rf in rfs), *(rf.numerator for rf in rfs)],
-        values,
+        [values],
     )
     for condition, value in zip(branch.disequalities, results):
         if not value:

@@ -1299,3 +1299,21 @@ def test_sample_names_the_first_nonzero_residual_entry():
         sample(family2, 0, {"t": GaussianRational(Fraction(1, 3), 2)})
     assert (err.value.which, err.value.position) == ("equation", (0, 0))
     assert sample(family2, 0, {"t": GaussianRational(0)}).is_zero()
+
+
+def test_branch_state_keeps_the_names_of_its_side_conditions():
+    from ybx.solver import _BranchState  # noqa: PLC2701 - the names knows_nonzero rules out
+
+    x, y, z = (ParamPolynomial.variable(v) for v in "xyz")
+    state = _BranchState([], {}, {})
+    assert state.recorded == set()
+    assert state.add_disequality(x * y - ParamPolynomial.constant(1))
+    assert state.recorded == {"x", "y"}
+    child = state.clone()
+    assert child.add_disequality(z)
+    assert (state.recorded, child.recorded) == ({"x", "y"}, {"x", "y", "z"})
+    assert child.assign("y", RationalFunction.from_polynomial(ParamPolynomial.constant(2)))
+    assert child.recorded == {"x", "z"}
+    half = ParamPolynomial.constant(GaussianRational(Fraction(1, 2)))
+    assert child.knows_nonzero((x - half) * z)
+    assert not child.knows_nonzero(x * y)
