@@ -16,7 +16,7 @@ becomes one GaussianRational.  RationalFunction is a normalized pair,
 numerator over monic denominator, with no field arithmetic: it is made,
 substituted as a value, renamed and printed.  ParamMatrix is a Grid
 (matrices.py) of polynomials and adds only from_exact, variables, its
-polynomial product, substitute, substitute_rational and evaluate.
+polynomial product, substitute, substitute_rational, evaluate and evaluate_all.
 
 Text syntax (used by the file formats): terms ``coef*p1*p2`` joined by ``+``
 or ``-``, parameters as bare identifiers, powers written as repeated factors
@@ -576,6 +576,7 @@ def _reject(text: str, compact: str, start: int) -> NoReturn:
             raise ParseError(f"empty factor in {text!r}")
         if not _IDENT_RE.match(factor):
             raise ParseError(f"bad factor {factor!r} in {text!r}")
+    # not reached: _TERM_RE reads every term that these rules accept
     raise ParseError(f"bad term {piece!r} in {text!r}")
 
 
