@@ -2,13 +2,15 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from ybx.errors import MissingParameter, ParseError
+from ybx.errors import DimensionMismatch, MissingParameter, ParseError
+from ybx.jordan import JordanSpec, similarity_from_jordan
 from ybx.matrices import ExactMatrix, mat_mul
 from ybx.polynomials import (
     ParamMatrix,
@@ -22,8 +24,9 @@ from ybx.polynomials import (
     parse_rational_function,
 )
 from ybx.scalars import GaussianRational, parse_scalar
+from ybx.solver import solve, to_original
 
-from conftest import random_scalar
+from conftest import random_invertible, random_scalar
 
 X = ParamPolynomial.variable("x")
 Y = ParamPolynomial.variable("y")
@@ -690,3 +693,160 @@ _POLY_PIECE = st.sampled_from(
 @example("(1+2i)*x*y-(3/4i)*y*y+5")
 def test_parse_polynomial_matches_reference(text):
     assert _parsed(parse_polynomial, text) == _parsed(_parse_polynomial_reference, text)
+
+
+# ---------------------------------------------------------------------------
+# sums, products and the matrix product against GaussianRational term loops
+
+
+def _add_reference(p, q):
+    """Term by term in GaussianRational arithmetic: the reference for +."""
+    acc = dict(p.terms)
+    for mono, c in q.terms:
+        acc[mono] = acc.get(mono, GaussianRational(0)) + c
+    return ParamPolynomial.from_dict(acc)
+
+
+def _mul_reference(p, q):
+    """Every pair of terms in GaussianRational arithmetic: the reference for *."""
+    acc = {}
+    for m1, c1 in p.terms:
+        for m2, c2 in q.terms:
+            mono = tuple(sorted(m1 + m2))
+            acc[mono] = acc.get(mono, GaussianRational(0)) + c1 * c2
+    return ParamPolynomial.from_dict(acc)
+
+
+def _negated_reference(p):
+    return ParamPolynomial.from_dict({mono: -c for mono, c in p.terms})
+
+
+def _matmul_reference(a, b):
+    """Each entry a sum of reference products: the reference for @."""
+    return ParamMatrix.from_rows(
+        [
+            [
+                reduce(
+                    _add_reference,
+                    (_mul_reference(a[i, k], b[k, j]) for k in range(a.cols)),
+                    ParamPolynomial.zero(),
+                )
+                for j in range(b.cols)
+            ]
+            for i in range(a.rows)
+        ]
+    )
+
+
+def _assert_canonical(p):
+    assert p == ParamPolynomial.from_dict(dict(p.terms))
+    for _, c in p.terms:
+        assert c
+        _assert_lowest_terms(c)
+
+
+# a polynomial, a GaussianRational, or an int: every operand type + and * take
+_operands = st.one_of(
+    _eval_polys,
+    _eval_scalars,
+    st.integers(-(10**30), 10**30),
+    st.integers(-2, 2),
+)
+
+
+@given(_eval_polys, _operands)
+@example(X + Y, X - Y)
+@example(X * GaussianRational(0, 1) + ONE, X * GaussianRational(0, 1) - ONE)
+@example(X, 0)
+@example(X * GaussianRational(Fraction(1, 3)), GaussianRational(Fraction(-3, 2**89 - 1), 1))
+@example(ParamPolynomial.zero(), GaussianRational(0, -1))
+def test_sum_difference_and_product_match_reference(p, operand):
+    q = operand if isinstance(operand, ParamPolynomial) else ParamPolynomial.constant(operand)
+    for got, expected in [
+        (p + operand, _add_reference(p, q)),
+        (operand + p, _add_reference(q, p)),
+        (p - operand, _add_reference(p, _negated_reference(q))),
+        (operand - p, _add_reference(q, _negated_reference(p))),
+        (p * operand, _mul_reference(p, q)),
+        (operand * p, _mul_reference(q, p)),
+    ]:
+        assert got == expected
+        _assert_canonical(got)
+
+
+@given(_eval_polys, _eval_polys)
+@example(X + Y, X - Y)
+@example(X * GaussianRational(Fraction(10**30, 7919), 1), ONE * GaussianRational(0, 1) - Y)
+def test_exact_cancellation_gives_the_zero_polynomial(p, q):
+    for zero in (p - p, p + (-p), (-p) + p, p * q - q * p, (p + q) * (p - q) - (p * p - q * q)):
+        assert zero.is_zero() and zero.terms == ()
+    assert sum([p, q, -p, -q]) == ParamPolynomial.zero()
+    # x*y terms cancel in (x + y)(x - y), leaving x*x - y*y
+    assert ((X + Y) * (X - Y)).terms == (
+        (("x", "x"), GaussianRational(1)),
+        (("y", "y"), GaussianRational(-1)),
+    )
+
+
+@given(st.lists(_eval_entries, min_size=1, max_size=4))
+def test_sum_and_prod_of_many_match_reference(polys):
+    assert sum(polys) == reduce(_add_reference, polys, ParamPolynomial.zero())
+    product_ = math.prod(polys, start=ONE)
+    assert product_ == reduce(_mul_reference, polys, ONE)
+    _assert_canonical(product_)
+
+
+def _param_matrices(rows, cols):
+    return st.lists(_eval_entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda entries: ParamMatrix(rows, cols, tuple(entries))
+    )
+
+
+@given(
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda dims: st.tuples(_param_matrices(*dims[:2]), _param_matrices(*dims[1:]))
+    )
+)
+def test_param_matrix_product_matches_reference(pair):
+    a, b = pair
+    got = a @ b
+    assert got == _matmul_reference(a, b)
+    for p in got.entries:
+        _assert_canonical(p)
+
+
+def test_param_matrix_product_rejects_a_shape_mismatch():
+    a = ParamMatrix.from_rows([[X, Y, ONE], [ONE, X, Y]])
+    for b in (a, ParamMatrix.zeros(2, 2), ParamMatrix.zeros(4, 1)):
+        with pytest.raises(DimensionMismatch) as err:
+            a @ b
+        assert (err.value.op, err.value.left, err.value.right) == ("matmul", a.shape, b.shape)
+
+
+def test_param_matrix_rectangular_product_entry_by_entry():
+    half = GaussianRational(Fraction(1, 2))
+    a = ParamMatrix.from_rows([[X, ONE, ParamPolynomial.zero()], [Y, X * half, X - Y]])
+    b = ParamMatrix.from_rows([[Y, ONE], [X * 2, -X], [Y, X * GaussianRational(0, 1)]])
+    got = a @ b
+    assert got.shape == (2, 2)
+    assert got[0, 0] == parse_polynomial("2*x+x*y")
+    assert got[0, 1] == parse_polynomial("0")
+    assert got[1, 0] == parse_polynomial("x*x+x*y")
+    assert got[1, 1] == parse_polynomial("y-1/2*x*x+1i*x*x-1i*x*y")
+
+
+def test_param_matrix_product_matches_to_original():
+    # constant @ template @ constant, the product to_original forms, on one seeded W
+    w = random_invertible(random.Random(24), 5)
+    sim = similarity_from_jordan(JordanSpec.from_pairs([(0, [2, 2]), (1, [1])]), w)
+    family = solve(sim)
+    canon = sim.canonicalized()
+    expected = _matmul_reference(
+        _matmul_reference(ParamMatrix.from_exact(canon.w), family.template),
+        ParamMatrix.from_exact(canon.w_inv),
+    )
+    got = to_original(family, sim).template
+    assert got == expected
+    assert got.variables() == family.template.variables()
+    for p in got.entries:
+        _assert_canonical(p)
