@@ -4,19 +4,21 @@ These carry the symbolic solution families: matrix templates are linear in
 the parameters, the constraint systems they generate are quadratic, and
 branch assignments may be ratios of polynomials.  Canonical form everywhere:
 no zero coefficients, monomials sorted, terms in degree-lexicographic order,
-denominators monic.  Values are immutable.  Evaluation is integer arithmetic
-over one common denominator (_evaluate), scaled as matrix products are; it
-takes a list of valuations, so ParamMatrix.evaluate_all scales each entry's
-coefficients once for all the points it evaluates at.
-Substitution works like evaluation: _substitute rewrites a list of
-polynomials in one pass, builds the powers of each value once for all of
-them, and multiplies and sums coefficient parts as Python ints wherever they
-are integral, with a Fraction only where a part is not; each output term
-becomes one GaussianRational.  RationalFunction is a normalized pair,
-numerator over monic denominator, with no field arithmetic: it is made,
-substituted as a value, renamed and printed.  ParamMatrix is a Grid
-(matrices.py) of polynomials and adds only from_exact, variables, its
-polynomial product, substitute, substitute_rational, evaluate and evaluate_all.
+denominators monic.  Values are immutable.  Every sum and product, and
+substitution, runs on one kernel of coefficient parts: _parts writes a
+polynomial as {monomial: (re, im)}, ints where a part is integral and
+Fractions where not, _add_product and _times sum and multiply them, and
+_polynomial makes one GaussianRational per term.  Only scaling by a
+constant multiplies GaussianRationals term by term.  ParamMatrix @ sums
+each entry in one accumulator, as mat_mul does; _substitute builds each
+value's powers once for a whole list of polynomials.  Evaluation is integer
+arithmetic over one common denominator (_evaluate), scaled as matrix
+products are, once per entry for all the valuations of evaluate_all.
+RationalFunction is a normalized pair, numerator over monic denominator,
+with no field arithmetic: it is made, substituted as a value, renamed and
+printed.  ParamMatrix is a Grid (matrices.py) of polynomials and adds only
+from_exact, variables, its polynomial product, substitute,
+substitute_rational, evaluate and evaluate_all.
 
 Text syntax (used by the file formats): terms ``coef*p1*p2`` joined by ``+``
 or ``-``, parameters as bare identifiers, powers written as repeated factors
@@ -106,10 +108,9 @@ class ParamPolynomial:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for mono, c in other.terms:
-            acc[mono] = acc.get(mono, ZERO) + c
-        return ParamPolynomial.from_dict(acc)
+        acc = _parts(self)
+        _add_product(acc, (), 1, 0, _parts(other))
+        return _polynomial(acc)
 
     __radd__ = __add__
 
@@ -120,10 +121,7 @@ class ParamPolynomial:
         return self + (-other)
 
     def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __neg__(self) -> "ParamPolynomial":
         return ParamPolynomial(tuple((m, -c) for m, c in self.terms))
@@ -142,14 +140,7 @@ class ParamPolynomial:
             return ParamPolynomial(tuple((m, c * s) for m, c in self.terms))
         if not isinstance(other, ParamPolynomial):
             return NotImplemented
-        acc: dict[Monomial, GaussianRational] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                mono = tuple(sorted(m1 + m2))
-                prod = c1 * c2
-                prev = acc.get(mono)
-                acc[mono] = prod if prev is None else prev + prod
-        return ParamPolynomial.from_dict(acc)
+        return _polynomial(_times(_parts(self), _parts(other)))
 
     __rmul__ = __mul__
 
@@ -166,8 +157,7 @@ class ParamPolynomial:
         _, lead = self.leading()
         if lead == ONE:
             return self, ONE
-        inv = lead.reciprocal()
-        return ParamPolynomial(tuple((m, c * inv) for m, c in self.terms)), lead
+        return self * lead.reciprocal(), lead
 
     def coefficient_of(self, name: str, power: int) -> "ParamPolynomial":
         """Polynomial coefficient of name**power (with name factored out)."""
@@ -304,10 +294,7 @@ def _substitute(
     num**k * den**(top - k) over that polynomial's common denominator, the
     product of den**top over its mapped names, so denominators do not blow
     up term by term.  Powers of the values and their products are built
-    once for all the polynomials, and no factor 1 is multiplied.  Products
-    and sums run on coefficient parts that are Python ints wherever they are
-    integral and Fractions only where they are not; each output term becomes
-    one GaussianRational, so every part is a Fraction in lowest terms.
+    once for all the polynomials, and no factor 1 is multiplied.
     """
     one = ParamPolynomial.constant(1)
     unit = {(): (1, 0)}
@@ -408,16 +395,17 @@ class ParamMatrix(Grid):
     def __matmul__(self, other: "ParamMatrix") -> "ParamMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matmul", self.shape, other.shape)
+        # each entry sums its products in one accumulator, as mat_mul does
+        rows = [[_parts(p) for p in self.row(i)] for i in range(self.rows)]
+        columns = [[_parts(p) for p in other.col(j)] for j in range(other.cols)]
         out: list[ParamPolynomial] = []
-        columns = [other.col(j) for j in range(other.cols)]
-        for i in range(self.rows):
-            row = self.row(i)
+        for row in rows:
             for column in columns:
-                acc = ParamPolynomial.zero()
+                acc: dict = {}
                 for left, right in zip(row, column):
-                    if left and right:
-                        acc = acc + left * right
-                out.append(acc)
+                    for mono, (re, im) in left.items():
+                        _add_product(acc, mono, re, im, right)
+                out.append(_polynomial(acc))
         return ParamMatrix(self.rows, other.cols, tuple(out))
 
     def substitute(self, mapping: Mapping[str, ParamPolynomial]) -> "ParamMatrix":

@@ -465,13 +465,19 @@ def _solve_linear(
             continue
         coeff = eq.coefficient_of(name, 1)
         if state.knows_nonzero(coeff):
-            value = RationalFunction.make(-eq.coefficient_of(name, 0), coeff)
-            # a no-op for a constant coefficient, whose denominator is 1
-            state.add_disequality(value.denominator)
-            # the solved equation would substitute to zero
-            del state.equations[idx]
-            return [state] if state.assign(name, value) else []
+            return [state] if _solve_for(state, name, idx, coeff) else []
     return None
+
+
+def _solve_for(state: _BranchState, name: str, idx: int, coeff: ParamPolynomial) -> bool:
+    """Solve equation idx for name, with coeff its nonzero coefficient there,
+    and substitute; False when the state becomes infeasible."""
+    # the solved equation would substitute to zero
+    eq = state.equations.pop(idx)[0]
+    value = RationalFunction.make(-eq.coefficient_of(name, 0), coeff)
+    # records value's denominator, coeff made monic; a no-op for a constant
+    state.add_disequality(coeff)
+    return state.assign(name, value)
 
 
 def _find_factor_split(state: _BranchState, scope: Sequence[int]) -> list[_BranchState] | None:
@@ -503,13 +509,7 @@ def _find_coefficient_split(
     vanishing.equations[idx] = _entering(coeff)
     vanishing.equations.append(_entering(rest))
     solving = state.clone()
-    # also records the denominator of value: coeff made monic, or 1
-    solving.add_disequality(coeff)
-    del solving.equations[idx]
-    value = RationalFunction.make(-rest, coeff)
-    if not solving.assign(name, value):
-        return [vanishing]
-    return [vanishing, solving]
+    return [vanishing, solving] if _solve_for(solving, name, idx, coeff) else [vanishing]
 
 
 def _ordered(polys) -> tuple[ParamPolynomial, ...]:
