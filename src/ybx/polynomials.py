@@ -258,7 +258,7 @@ def _add_product(acc: dict, mono: Monomial, c_re, c_im, parts: dict) -> None:
     """acc += (c_re + c_im*i) * mono * parts."""
     for m, (re, im) in parts.items():
         if mono:
-            m = tuple(sorted(mono + m))
+            m = tuple(sorted(mono + m)) if m else mono
         if c_im or im:
             re, im = c_re * re - c_im * im, c_re * im + c_im * re
         else:
@@ -395,11 +395,10 @@ class ParamMatrix(Grid):
     def __matmul__(self, other: "ParamMatrix") -> "ParamMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matmul", self.shape, other.shape)
-        # each entry sums its products in one accumulator, as mat_mul does
-        rows = [[_parts(p) for p in self.row(i)] for i in range(self.rows)]
         columns = [[_parts(p) for p in other.col(j)] for j in range(other.cols)]
         out: list[ParamPolynomial] = []
-        for row in rows:
+        for i in range(self.rows):
+            row = [_parts(p) for p in self.row(i)]
             for column in columns:
                 acc: dict = {}
                 for left, right in zip(row, column):
