@@ -25,7 +25,7 @@ from .errors import DimensionMismatch, DisequalityViolated, GridTooLarge, NotSqu
 from .jordan import JordanSpec, assemble_jordan
 from .matrices import ExactMatrix, RowSpan, null_space_basis
 from .polynomials import ParamPolynomial, _substitute
-from .scalars import ZERO, _ZERO_PART, GaussianRational, _make, as_gaussian
+from .scalars import ZERO, GaussianRational, _make, as_gaussian
 from .solver import SolutionBranch, SolutionFamily, branch_satisfied_by, branch_values, residuals
 
 _GRID_DIMENSION_LIMIT = 6
@@ -161,8 +161,8 @@ def _random_rational(rng: random.Random) -> Fraction:
 
 def random_gaussian(rng: random.Random) -> GaussianRational:
     """Small random scalar: both parts have numerator and denominator in [-9, 9]."""
-    # each part is already a Fraction in lowest terms
-    return _make(_random_rational(rng), _random_rational(rng) or _ZERO_PART)
+    # each part is a Fraction in lowest terms; _make stores an integral one as its int
+    return _make(_random_rational(rng), _random_rational(rng))
 
 
 def first_unsatisfied(

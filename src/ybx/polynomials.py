@@ -6,19 +6,21 @@ branch assignments may be ratios of polynomials.  Canonical form everywhere:
 no zero coefficients, monomials sorted, terms in degree-lexicographic order,
 denominators monic.  Values are immutable.  Every sum and product, and
 substitution, runs on one kernel of coefficient parts: _parts writes a
-polynomial as {monomial: (re, im)}, ints where a part is integral and
-Fractions where not, _add_product and _times sum and multiply them, and
-_polynomial makes one GaussianRational per term.  Only scaling by a
-constant multiplies GaussianRationals term by term.  ParamMatrix @ sums
-each entry in one accumulator, as mat_mul does; _substitute builds each
-value's powers once for a whole list of polynomials.  Evaluation is integer
-arithmetic over one common denominator (_evaluate), scaled as matrix
-products are, once per entry for all the valuations of evaluate_all.
-RationalFunction is a normalized pair, numerator over monic denominator,
-with no field arithmetic: it is made, substituted as a value, renamed and
-printed.  ParamMatrix is a Grid (matrices.py) of polynomials and adds only
-from_exact, variables, its polynomial product, substitute,
-substitute_rational, evaluate and evaluate_all.
+polynomial as {monomial: (re, im)}, the parts as the scalars store them
+(ints where integral, Fractions where not), _add_product and _times sum
+and multiply them, and _polynomial makes one GaussianRational per term
+through scalars._make, so an integral coefficient stays an int throughout.
+Only scaling by a constant multiplies GaussianRationals term by term.
+ParamMatrix @ sums each entry in one accumulator, as mat_mul does;
+_substitute builds each value's powers once for a whole list of
+polynomials.  Evaluation is integer arithmetic over one common denominator
+(_evaluate), scaled as matrix products are, once per entry for all the
+valuations of evaluate_all.  RationalFunction is a normalized pair,
+numerator over monic denominator, with no field arithmetic: it is made,
+substituted as a value, renamed and printed.  ParamMatrix is a Grid
+(matrices.py) of polynomials and adds only from_exact, variables, its
+polynomial product, substitute, substitute_rational, evaluate and
+evaluate_all.
 
 Text syntax (used by the file formats): terms ``coef*p1*p2`` joined by ``+``
 or ``-``, parameters as bare identifiers, powers written as repeated factors
@@ -41,7 +43,8 @@ from typing import Iterator, Mapping, NoReturn, Sequence
 
 from .errors import MissingParameter, ParseError
 from .matrices import DimensionMismatch, ExactMatrix, Grid, _scaled
-from .scalars import ONE, ZERO, GaussianRational, _over, as_gaussian, format_scalar, parse_scalar
+from .scalars import ONE, ZERO, GaussianRational, _make, _over, as_gaussian
+from .scalars import format_scalar, parse_scalar
 
 Monomial = tuple[str, ...]
 
@@ -244,14 +247,9 @@ def _evaluate(
             yield _over(re, im, l * d**degree)
 
 
-def _integral(q: Fraction) -> int | Fraction:
-    """A coefficient part as _substitute computes with it: an int when integral."""
-    return q.numerator if q.denominator == 1 else q
-
-
 def _parts(p: ParamPolynomial) -> dict[Monomial, tuple]:
     """p as {monomial: (re, im)}, the form _substitute computes in."""
-    return {mono: (_integral(c.re), _integral(c.im)) for mono, c in p.terms}
+    return {mono: (c.re, c.im) for mono, c in p.terms}
 
 
 def _add_product(acc: dict, mono: Monomial, c_re, c_im, parts: dict) -> None:
@@ -279,8 +277,8 @@ def _times(a: dict, b: dict) -> dict:
 
 
 def _polynomial(parts: dict) -> ParamPolynomial:
-    """One GaussianRational per nonzero term, so each part is a Fraction in lowest terms."""
-    items = [(mono, GaussianRational(re, im)) for mono, (re, im) in parts.items() if re or im]
+    """One GaussianRational per nonzero term; _make stores each part in its one form."""
+    items = [(mono, _make(re, im)) for mono, (re, im) in parts.items() if re or im]
     items.sort(key=_term_key)
     return ParamPolynomial(tuple(items))
 
@@ -355,7 +353,7 @@ class RationalFunction:
         if num.is_zero():
             return cls(num, ParamPolynomial.constant(1))
         den_monic, lead = den.monic()
-        return cls(num * lead.reciprocal(), den_monic)
+        return cls(num if lead == ONE else num * lead.reciprocal(), den_monic)
 
     @classmethod
     def from_polynomial(cls, p: ParamPolynomial) -> "RationalFunction":

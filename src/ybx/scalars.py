@@ -2,28 +2,27 @@
 
 Everything in this package computes over Q(i).  Keeping scalars exact makes
 "equals zero" decidable, which the block-structure arguments require; there
-is deliberately no floating-point mode.  Both parts live in canonical lowest
-terms (fractions.Fraction), so equality is structural.  Values are immutable
-and safe to share between threads.
+is deliberately no floating-point mode.  Each part has exactly one
+representation, so equality is structural: an int when the part is
+integral, otherwise a fractions.Fraction in lowest terms with denominator
+greater than 1.  Values are immutable and safe to share between threads.
 
 The public constructor accepts only int and Fraction parts (anything else,
-floats and strings included, raises TypeError) and normalizes them with
-Fraction().  Arithmetic results skip that step through the private _make:
-every part it receives is already a Fraction, because Fraction arithmetic
-on Fractions returns Fractions in lowest terms, so the invariant "both parts
-are Fraction in lowest terms" holds for every value either way.
+floats and strings included, raises TypeError) and brings them to that
+form.  Arithmetic results go through the private _make instead, which
+takes ints and Fractions in lowest terms and turns only an integral
+Fraction into its int.  Integral parts stay ints through int arithmetic,
+the common case, so no Fraction is built for them; every division goes
+through Fraction, since int / int would give a float.
 
-Hashing uses the numerators and denominators of both parts, which lowest
-terms make unique, so it agrees with equality without the modular inverse
-that Fraction.__hash__ computes.
+Hashing uses the numerators and denominators of both parts, which the one
+representation makes unique (an int is its own numerator over 1), so it
+agrees with equality without the modular inverse that Fraction.__hash__
+computes.
 
-Real values share one zero Fraction, _ZERO_PART, as their imaginary part:
-the constructor stores it for a zero imaginary part, and +, -, unary -,
-conjugate, * and / return it when both operands are real instead of
-computing 0 +- 0.  That saves one Fraction operation per real operation and
-one object per stored real value.  It is an economy, not part of equality: a
-zero imaginary part that complex arithmetic produces is an equal Fraction of
-its own, so code compares parts by value, never by identity.
+A zero part is the int 0, _ZERO_PART.  +, -, * and / skip the imaginary
+arithmetic when both operands are real, and unary - and conjugate when the
+operand is.
 
 Text grammar (whitespace-insensitive)::
 
@@ -48,7 +47,7 @@ from .errors import ParseError
 
 _RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
 _UNSIGNED = r"[0-9]+(?:/[0-9]+)?"
-_ZERO_PART = Fraction(0)
+_ZERO_PART = 0
 
 _SCALAR_RE = _re.compile(
     rf"^(?:(?P<both_re>{_RATIONAL})(?P<sign>[+-])(?P<both_im>{_UNSIGNED})i"
@@ -61,16 +60,16 @@ _SCALAR_RE = _re.compile(
 class GaussianRational:
     """An element of Q(i): ``re + im*i`` with both parts exact rationals."""
 
-    re: Fraction
-    im: Fraction
+    re: int | Fraction
+    im: int | Fraction
 
     def __init__(self, re=0, im=0):
         if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
             raise TypeError(
                 f"Gaussian rational parts must be int or Fraction, got {re!r} and {im!r}"
             )
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im) if im else _ZERO_PART)
+        object.__setattr__(self, "re", re.numerator if re.denominator == 1 else Fraction(re))
+        object.__setattr__(self, "im", im.numerator if im.denominator == 1 else Fraction(im))
 
     def __hash__(self) -> int:
         re, im = self.re, self.im
@@ -131,12 +130,12 @@ class GaussianRational:
             if not other.re:
                 raise ZeroDivisionError("division by zero in Q(i)")
             if not self.im:
-                return _make(self.re / other.re, _ZERO_PART)
-            return _make(self.re / other.re, self.im / other.re)
+                return _make(Fraction(self.re, other.re), _ZERO_PART)
+            return _make(Fraction(self.re, other.re), Fraction(self.im, other.re))
         n = other.norm()
         return _make(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
+            Fraction(self.re * other.re + self.im * other.im, n),
+            Fraction(self.im * other.re - self.re * other.im, n),
         )
 
     def __rtruediv__(self, other):
@@ -163,7 +162,7 @@ class GaussianRational:
             return self
         return _make(self.re, -self.im)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int | Fraction:
         """The field norm re^2 + im^2 (a nonnegative rational)."""
         return self.re * self.re + self.im * self.im
 
@@ -185,11 +184,11 @@ class GaussianRational:
         n = _sqrt_fraction(self.norm())
         if n is None:
             return None
-        x2 = (self.re + n) / 2
+        x2 = Fraction(self.re + n, 2)
         x = _sqrt_fraction(x2)
         if x is None or x == 0:
             return None
-        y = self.im / (2 * x)
+        y = Fraction(self.im, 2 * x)
         root = GaussianRational(x, y)
         return root if root * root == self else None
 
@@ -205,11 +204,12 @@ _set_re = GaussianRational.re.__set__
 _set_im = GaussianRational.im.__set__
 
 
-def _make(re: Fraction, im: Fraction) -> GaussianRational:
-    """A GaussianRational from parts that are already Fractions in lowest terms."""
+def _make(re: int | Fraction, im: int | Fraction) -> GaussianRational:
+    """A GaussianRational from ints and Fractions in lowest terms; an integral
+    Fraction is stored as its int."""
     z = _new(GaussianRational)
-    _set_re(z, re)
-    _set_im(z, im)
+    _set_re(z, re if type(re) is int or re.denominator != 1 else re.numerator)
+    _set_im(z, im if type(im) is int or im.denominator != 1 else im.numerator)
     return z
 
 
@@ -244,7 +244,7 @@ def as_gaussian(value) -> GaussianRational:
     return coerced
 
 
-def _sqrt_fraction(q: Fraction) -> Fraction | None:
+def _sqrt_fraction(q: int | Fraction) -> Fraction | None:
     if q < 0:
         return None
     num, den = q.numerator, q.denominator

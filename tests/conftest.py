@@ -3,6 +3,7 @@ and the small matrix and family helpers several test modules use."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -78,6 +79,16 @@ def random_paired_spec(rng: random.Random, max_n: int = 8) -> JordanSpec:
         left = rng.randint(1, n - 1)
         spec = {lam: random_partition(rng, left), -lam: random_partition(rng, n - left)}
         return JordanSpec(tuple((e, tuple(sizes)) for e, sizes in spec.items()))
+
+
+def assert_canonical_parts(z: GaussianRational) -> None:
+    """Each part in its one form: an int when integral, otherwise a Fraction
+    in lowest terms with denominator > 1 (so never a float)."""
+    for part in (z.re, z.im):
+        if type(part) is not int:
+            assert type(part) is Fraction
+            assert part.denominator > 1
+            assert math.gcd(part.numerator, part.denominator) == 1
 
 
 def random_scalar(rng: random.Random, span: int = 4) -> GaussianRational:

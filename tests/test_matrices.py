@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -22,7 +21,7 @@ from ybx.polynomials import ParamMatrix, ParamPolynomial
 from ybx.scalars import ONE, ZERO, GaussianRational
 from ybx.solver import residual_ybe, residuals
 
-from conftest import mat_pow, random_invertible, random_matrix
+from conftest import assert_canonical_parts, mat_pow, random_invertible, random_matrix
 
 
 def J(n):
@@ -313,10 +312,7 @@ def test_mat_mul_matches_textbook_product(pair):
     assert product.shape == (a.rows, b.cols)
     assert product == textbook_product(a, b)
     for z in product.entries:
-        for part in (z.re, z.im):
-            assert type(part) is Fraction
-            assert part.denominator > 0
-            assert math.gcd(part.numerator, part.denominator) == 1
+        assert_canonical_parts(z)
 
 
 def test_mat_mul_one_by_one_and_large_denominators():
@@ -365,10 +361,7 @@ def test_residuals_match_textbook_products(pair):
     for g, e in zip(got, expected):
         assert first_nonzero_entry(g) == first_nonzero_entry(e)
         for z in g.entries:
-            for part in (z.re, z.im):
-                assert type(part) is Fraction
-                assert part.denominator > 0
-                assert math.gcd(part.numerator, part.denominator) == 1
+            assert_canonical_parts(z)
 
 
 # Jordan data of A (eigenvalue, sizes), with eigenvalues i and -i among them

@@ -26,7 +26,7 @@ from ybx.polynomials import (
 from ybx.scalars import GaussianRational, parse_scalar
 from ybx.solver import solve, to_original
 
-from conftest import random_invertible, random_scalar
+from conftest import assert_canonical_parts, random_invertible, random_scalar
 
 X = ParamPolynomial.variable("x")
 Y = ParamPolynomial.variable("y")
@@ -482,13 +482,6 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _assert_lowest_terms(value: GaussianRational):
-    for part in (value.re, value.im):
-        assert type(part) is Fraction
-        assert part.denominator > 0
-        assert math.gcd(part.numerator, part.denominator) == 1
-
-
 @given(_eval_polys, st.one_of(_complete_assignments, _eval_assignments))
 @example(ParamPolynomial.zero(), {})
 @example(ParamPolynomial.constant(GaussianRational(Fraction(-3, 7), 2)), {})
@@ -497,7 +490,7 @@ def test_evaluate_matches_term_by_term_reference(p, assignment):
     got = _outcome(p.evaluate, assignment)
     assert got == _outcome(evaluate_reference, p, assignment)
     if isinstance(got, GaussianRational):
-        _assert_lowest_terms(got)
+        assert_canonical_parts(got)
 
 
 @given(
@@ -515,7 +508,7 @@ def test_param_matrix_evaluate_matches_entrywise_reference(m, assignment):
     assert got == _outcome(matrix_evaluate_reference, m, assignment)
     if isinstance(got, ExactMatrix):
         for value in got.entries:
-            _assert_lowest_terms(value)
+            assert_canonical_parts(value)
 
 
 # integer, rational and complex coefficients, so that the values' numerators
@@ -544,7 +537,18 @@ def test_substitute_over_a_list_matches_one_polynomial_at_a_time(polys, mapping)
     assert got == [next(_substitute([p], mapping)) for p in polys]
     for rf in got:
         for _, c in rf.numerator.terms + rf.denominator.terms:
-            _assert_lowest_terms(c)
+            assert_canonical_parts(c)
+
+
+@given(_sub_polys, _sub_polys, _sub_scalars, st.dictionaries(st.sampled_from(NAMES), _sub_values))
+def test_no_polynomial_path_stores_a_float_or_an_integral_fraction(p, q, c, mapping):
+    product = ParamMatrix(1, 2, (p, q)) @ ParamMatrix(2, 1, (q, p))
+    value = p.substitute_rational(mapping)
+    results = [p + q, p - q, p * q, p * c, product.entries[0], value.numerator, value.denominator]
+    results.append(parse_polynomial(format_polynomial(p)))
+    for r in results:
+        for _, coefficient in r.terms:
+            assert_canonical_parts(coefficient)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +563,7 @@ def test_parse_inverts_format(p):
     got = parse_polynomial(format_polynomial(p))
     assert got == p
     for _, c in got.terms:
-        _assert_lowest_terms(c)
+        assert_canonical_parts(c)
 
 
 @pytest.mark.parametrize(
@@ -580,10 +584,19 @@ def test_parse_inverts_format(p):
         ("1+2i", ParamPolynomial.constant(GaussianRational(1, 2))),
         ("x+y-3+2i", X + Y + ParamPolynomial.constant(GaussianRational(-3, 2))),
         ("1/2i*x-1/2i*x", ParamPolynomial.zero()),
+        (
+            "-2/4+4/2*x+(6/3-8/4i)*y",
+            X * 2 + Y * GaussianRational(2, -2) + ParamPolynomial.constant(Fraction(-1, 2)),
+        ),
     ],
 )
 def test_parse_non_canonical_spellings(text, expected):
-    assert parse_polynomial(text) == expected
+    got = parse_polynomial(text)
+    assert got == expected
+    # equal values in the same form: 4/2 is stored as the int 2
+    assert [(type(c.re), type(c.im)) for _, c in got.terms] == [
+        (type(c.re), type(c.im)) for _, c in expected.terms
+    ]
 
 
 @pytest.mark.parametrize(
@@ -745,7 +758,7 @@ def _assert_canonical(p):
     assert p == ParamPolynomial.from_dict(dict(p.terms))
     for _, c in p.terms:
         assert c
-        _assert_lowest_terms(c)
+        assert_canonical_parts(c)
 
 
 # a polynomial, a GaussianRational, or an int: every operand type + and * take

@@ -1,9 +1,8 @@
-import math
 import operator
 import pytest
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ybx.errors import ParseError
@@ -11,10 +10,13 @@ from ybx.scalars import (
     _ZERO_PART,
     GaussianRational,
     _make,
+    _over,
     as_gaussian,
     format_scalar,
     parse_scalar,
 )
+
+from conftest import assert_canonical_parts
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
 scalars = st.builds(GaussianRational, fractions, fractions)
@@ -142,19 +144,12 @@ def test_constructor_rejects_non_rational_parts(re_, im_):
         GaussianRational(re_, im_)
 
 
-def _assert_normalized(z):
-    for part in (z.re, z.im):
-        assert type(part) is Fraction
-        assert part.denominator > 0
-        assert math.gcd(part.numerator, part.denominator) == 1
-
-
 @given(fractions, fractions)
 def test_make_matches_public_constructor(re_, im_):
     made, public = _make(re_, im_), GaussianRational(re_, im_)
     assert made == public
     assert hash(made) == hash(public)
-    _assert_normalized(made)
+    assert_canonical_parts(made)
 
 
 @given(mixed, mixed)
@@ -167,16 +162,16 @@ def test_arithmetic_results_are_normalized_and_match_the_formulas(a, b):
     if b:
         n = b.re * b.re + b.im * b.im
         expected[operator.truediv] = (
-            (a.re * b.re + a.im * b.im) / n,
-            (a.im * b.re - a.re * b.im) / n,
+            Fraction(a.re * b.re + a.im * b.im, n),
+            Fraction(a.im * b.re - a.re * b.im, n),
         )
     for op, (re_, im_) in expected.items():
         result, public = op(a, b), GaussianRational(re_, im_)
         assert result == public
         assert hash(result) == hash(public)
-        _assert_normalized(result)
+        assert_canonical_parts(result)
     for result in (-a, a.conjugate()):
-        _assert_normalized(result)
+        assert_canonical_parts(result)
 
 
 @given(fractions, fractions)
@@ -190,7 +185,7 @@ def test_real_results_share_the_zero_imaginary_part(x, y):
         assert result == public
         assert hash(result) == hash(public)
         assert result.im is _ZERO_PART and public.im is _ZERO_PART
-        _assert_normalized(result)
+        assert_canonical_parts(result)
 
 
 # numerators up to 10**30 over denominators up to 2**89
@@ -204,16 +199,44 @@ complex_real_imaginary = st.one_of(
 
 
 @given(complex_real_imaginary, complex_real_imaginary)
+@example(GaussianRational(2), GaussianRational(0, 1))
+@example(GaussianRational(Fraction(-3, 2), -2), GaussianRational(1))
 def test_equal_values_hash_equal_whatever_built_them(z, w):
+    (a, b), (c, d) = (z.re.numerator, z.re.denominator), (z.im.numerator, z.im.denominator)
     built = [
         GaussianRational(z.re, z.im),
+        GaussianRational(Fraction(z.re), Fraction(z.im)),  # Fraction(2) is stored as 2
         _make(z.re, z.im),
+        _make(Fraction(z.re), Fraction(z.im)),
+        _over(a * d, c * b, b * d),
+        # each part over twice its denominator: 4/2, -6/4 and so on
+        parse_scalar(f"{2 * a}/{2 * b}{'-' if c < 0 else '+'}{2 * abs(c)}/{2 * d}i"),
         (z + w) - w,  # a complex w leaves a computed zero part on a real z
         -(-z),
         z.conjugate().conjugate(),
     ]
     if w:
         built.append((z * w) / w)
+    assert_canonical_parts(z)
     for other in built:
         assert other == z
         assert hash(other) == hash(z)
+        assert (type(other.re), type(other.im)) == (type(z.re), type(z.im))
+
+
+small = st.integers(-60, 60)
+
+
+@given(mixed, mixed, st.integers(0, 4), small, small, st.integers(1, 12))
+def test_no_scalar_path_stores_a_float_or_an_integral_fraction(a, b, k, re_, im_, d):
+    sign = "-" if im_ < 0 else "+"
+    results = [a + b, a - b, a * b, -a, a.conjugate(), a**k, (a * a).sqrt(), _over(re_, im_, d)]
+    results += [_make(Fraction(re_, d), Fraction(im_, d)), parse_scalar(format_scalar(a))]
+    results.append(parse_scalar(f"{re_}/{d}{sign}{abs(im_)}/{d}i"))
+    if b:
+        results += [a / b, b.reciprocal()]
+    if a.sqrt() is not None:
+        results.append(a.sqrt())
+    for z in results:
+        assert_canonical_parts(z)
+
