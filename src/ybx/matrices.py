@@ -18,12 +18,18 @@ Products work in integers, in one kernel that mat_mul and residuals share:
 each factor is scaled to Gaussian integers over a common denominator (per
 row or column in mat_mul, per matrix in residuals, which then chains its
 products without dividing), every entry is a few integer dot products
-(imaginary ones only where a row or column has an imaginary part), and each
-nonzero result part is one Fraction.  So an n x n product makes O(n^2)
-Fractions instead of O(n^3) Fraction operations, each with its own gcd.
-residuals takes AX and XA; when AX + XA = 0, XA = -AX gives
-AXA - XAX = AX (A + X), one product more instead of two.
-ParamPolynomial.evaluate scales its values with the same _scaled.
+(imaginary ones only where a row or column has an imaginary part), and a
+result part is an int where the denominator divides it and one Fraction
+otherwise.  So an n x n product makes O(n^2) Fractions instead of O(n^3)
+Fraction operations, each with its own gcd.  The residuals of A and X are
+the integer rows of AX + XA and then of AXA - XAX (_residual_parts); when
+AX + XA = 0, XA = -AX gives AXA - XAX = AX (A + X), one product more
+instead of two.  residuals turns those rows into matrices; the zero test
+(_first_residual) reads them as integers, stops at the first nonzero entry
+and computes the quadratic only when AX + XA = 0.  It takes integer forms,
+so verify_family_membership scales A once for all its draws, and a
+template is evaluated straight to an integer form (polynomials.py): a
+GaussianRational is built only for the matrix a caller receives.
 
 Elimination has one kernel, RowSpan, which works entry by entry on Fractions
 and keeps its rows in reduced row echelon form: each row is 1 at its own
@@ -45,6 +51,8 @@ from .scalars import ONE, ZERO, GaussianRational, _over, as_gaussian
 
 # a Gaussian-integer vector (re, im); im may be None when every imaginary part is 0
 _IntVector = tuple[list[int], list[int] | None]
+# a matrix as (rows, columns, d): Gaussian-integer vectors over one common d
+_IntegerForm = tuple[list[_IntVector], list[_IntVector], int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,12 +220,22 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(a.rows, b.cols, entries)
 
 
-def _integer_form(m: ExactMatrix) -> tuple[list[_IntVector], list[_IntVector], int]:
+def _integer_form(m: ExactMatrix) -> _IntegerForm:
     """(rows, columns, d) of the Gaussian-integer matrix m * d, one d for all entries."""
     (re, im), d = _scaled(m.entries)
-    c = m.cols
-    rows = [(re[k : k + c], im and im[k : k + c]) for k in range(0, len(re), c)]
-    return rows, [(re[j::c], im and im[j::c]) for j in range(c)], d
+    return _form(re, im, d, m.cols)
+
+
+def _form(re: list[int], im: list[int] | None, d: int, cols: int) -> _IntegerForm:
+    """The integer form of the matrix with row-major entries (re + i*im) / d."""
+    rows = [(re[k : k + cols], im and im[k : k + cols]) for k in range(0, len(re), cols)]
+    return rows, [(re[j::cols], im and im[j::cols]) for j in range(cols)], d
+
+
+def _exact(rows: list[_IntVector], d: int) -> ExactMatrix:
+    """The ExactMatrix with these Gaussian-integer rows over d."""
+    entries = tuple(_over(re, im, d) for re, im in _pairs(rows))
+    return ExactMatrix(len(rows), len(rows[0][0]), entries)
 
 
 def _combination(u: _IntVector, v: _IntVector, su: int, sv: int) -> _IntVector:
@@ -230,28 +248,58 @@ def _combination(u: _IntVector, v: _IntVector, su: int, sv: int) -> _IntVector:
     return re, im if any(im) else None
 
 
+def _residual_parts(
+    a: _IntegerForm, x: _IntegerForm
+) -> Iterator[tuple[list[_IntVector], int]]:
+    """The rows of A*X + X*A as Gaussian integers over their denominator,
+    then those of A*X*A - X*A*X over theirs, from the integer forms A' over
+    da and X' over dx.  The first is A'X' + X'A' over da*dx.  When it is
+    zero, X'A' = -A'X', so the second is A'X' (dx*A' + da*X') over
+    (da*dx)**2, one product; otherwise it is A'X'A'*dx - X'A'X'*da over the
+    same.  Lazy: the second is computed only when it is asked for."""
+    (a_rows, a_cols, da), (x_rows, x_cols, dx) = a, x
+    ax, xa = _products(a_rows, x_cols), _products(x_rows, a_cols)
+    anti = [_combination(u, v, 1, 1) for u, v in zip(ax, xa)]
+    yield anti, da * dx
+    if any(_nonzero(row) for row in anti):
+        axa, xax = _products(ax, a_cols), _products(xa, x_cols)
+        ybe = [_combination(u, v, dx, -da) for u, v in zip(axa, xax)]
+    else:
+        sums = [_combination(u, v, dx, da) for u, v in zip(a_cols, x_cols)]  # dx*A' + da*X'
+        ybe = _products(ax, sums)
+    yield ybe, (da * dx) ** 2
+
+
+def _nonzero(v: _IntVector) -> bool:
+    """Whether the Gaussian-integer vector has a nonzero entry."""
+    re, im = v
+    return any(re) or im is not None and any(im)
+
+
+def _first_residual(a: _IntegerForm, x: _IntegerForm) -> tuple[int, tuple[int, int]] | None:
+    """(0 for A*X + X*A or 1 for A*X*A - X*A*X, (row, column)) of the first
+    nonzero residual entry in row-major order, or None when x is an
+    anti-commuting solution for a.  The quadratic is computed only when
+    A*X + X*A = 0."""
+    for which, (rows, _) in enumerate(_residual_parts(a, x)):
+        for i, row in enumerate(rows):
+            if _nonzero(row):
+                re, im = row
+                j = next(j for j, (p, q) in enumerate(zip(re, im or repeat(0))) if p or q)
+                return which, (i, j)
+    return None
+
+
 def residuals(a: ExactMatrix, x: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     """(A*X + X*A, A*X*A - X*A*X); x is an anti-commuting solution for a
-    exactly when both are zero.  With A and X scaled to integers A', X' over
-    da and dx, the first is A'X' + X'A' over da*dx.  When it is zero,
-    X'A' = -A'X', so the second is A'X' (dx*A' + da*X') over (da*dx)**2,
-    one product; otherwise it is A'X'A'*dx - X'A'X'*da over the same."""
+    exactly when both are zero.  Both are computed in integers by
+    _residual_parts."""
     if not a.is_square():
         raise NotSquare("residuals", a.shape)
     if a.shape != x.shape:
         raise DimensionMismatch("residuals", a.shape, x.shape)
-    (a_rows, a_cols, da), (x_rows, x_cols, dx) = _integer_form(a), _integer_form(x)
-    ax, xa = _products(a_rows, x_cols), _products(x_rows, a_cols)
-    d = da * dx
-    anti = tuple(_over(p + q, r + s, d) for (p, r), (q, s) in zip(_pairs(ax), _pairs(xa)))
-    if any(anti):
-        axa, xax = _pairs(_products(ax, a_cols)), _pairs(_products(xa, x_cols))
-        parts = ((p * dx - q * da, r * dx - s * da) for (p, r), (q, s) in zip(axa, xax))
-    else:
-        sums = [_combination(u, v, dx, da) for u, v in zip(a_cols, x_cols)]  # dx*A' + da*X'
-        parts = _pairs(_products(ax, sums))
-    ybe = tuple(_over(re, im, d * d) for re, im in parts)
-    return ExactMatrix(a.rows, a.cols, anti), ExactMatrix(a.rows, a.cols, ybe)
+    parts = _residual_parts(_integer_form(a), _integer_form(x))
+    return tuple(_exact(rows, d) for rows, d in parts)
 
 
 def rref(m: ExactMatrix) -> RrefResult:

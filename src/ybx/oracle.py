@@ -1,14 +1,18 @@
 """Independent verification machinery.
 
-Nothing here reuses the structural block-pattern construction: the
+Nothing here reuses the structural block-pattern construction.  The
 anticommutant is recomputed from scratch through the vectorization identity
-vec(U X + X V) = (I kron U + V^T kron I) vec(X) and an exact kernel, small
-solution sets are enumerated over a finite grid of anticommutant
-coordinates, and solution families are spot-checked at pseudorandom rational
-parameter values.  Example 4.2's systems and its family-to-branch pairing
-are decided by exact substitution (first_unsatisfied, branch_within); only
-family membership is still re-verified at random draws.  Agreement between
-these oracles and the structural path is what the test suite leans on.
+vec(U X + X V) = (I kron U + V^T kron I) vec(X) and an exact kernel; the
+operator is written entry by entry from the nonzero entries of U and V
+(_vectorized_operator), with no Kronecker product built.  Small solution
+sets are enumerated over a finite grid of anticommutant coordinates, and
+solution families are spot-checked at pseudorandom rational parameter
+values in Gaussian integers: verify_family_membership scales A once and
+tests each draw on the integer residual parts (matrices._first_residual).
+Example 4.2's systems and its family-to-branch pairing are decided by
+exact substitution (first_unsatisfied, branch_within); only family
+membership is still re-verified at random draws.  Agreement between these
+oracles and the structural path is what the test suite leans on.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from typing import Sequence
 from .anticommutant import anticommutant_basis
 from .errors import DimensionMismatch, DisequalityViolated, GridTooLarge, NotSquare
 from .jordan import JordanSpec, assemble_jordan
-from .matrices import ExactMatrix, RowSpan, null_space_basis
-from .polynomials import ParamPolynomial, _substitute
+from .matrices import ExactMatrix, RowSpan, _exact, _first_residual, _integer_form, null_space_basis
+from .polynomials import ParamPolynomial, _integer_forms, _substitute
 from .scalars import ZERO, GaussianRational, _make, as_gaussian
 from .solver import SolutionBranch, SolutionFamily, branch_satisfied_by, branch_values, residuals
 
@@ -52,24 +56,6 @@ class OracleReport:
     residual_skipped: int = 0
 
 
-def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product; entry ((p,q),(r,s)) = a[p,r] * b[q,s]."""
-    grid = [
-        [ZERO] * (a.cols * b.cols) for _ in range(a.rows * b.rows)
-    ]
-    for p in range(a.rows):
-        for r in range(a.cols):
-            factor = a[p, r]
-            if not factor:
-                continue
-            for q in range(b.rows):
-                for s in range(b.cols):
-                    v = b[q, s]
-                    if v:
-                        grid[p * b.rows + q][r * b.cols + s] = factor * v
-    return ExactMatrix.from_rows(grid)
-
-
 def vec(m: ExactMatrix) -> ExactMatrix:
     """Column-stacking vectorization: vec(m)[j*rows + i] = m[i, j]."""
     return ExactMatrix.column([m[i, j] for j in range(m.cols) for i in range(m.rows)])
@@ -89,10 +75,26 @@ def kron_anticommutant_kernel(u: ExactMatrix, v: ExactMatrix) -> list[ExactMatri
         raise NotSquare("kron_anticommutant_kernel u", u.shape)
     if not v.is_square():
         raise NotSquare("kron_anticommutant_kernel v", v.shape)
-    operator = kron(ExactMatrix.identity(v.rows), u) + kron(
-        v.transpose(), ExactMatrix.identity(u.rows)
-    )
-    return [unvec(w, u.rows, v.rows) for w in null_space_basis(operator)]
+    return [unvec(w, u.rows, v.rows) for w in null_space_basis(_vectorized_operator(u, v))]
+
+
+def _vectorized_operator(u: ExactMatrix, v: ExactMatrix) -> ExactMatrix:
+    """I kron U + V^T kron I for square U (n x n) and V (m x m), written entry
+    by entry: U[q, s] sits at (p*n + q, p*n + s) in each diagonal block p,
+    and V[r, p] at (p*n + q, r*n + q) for each q."""
+    n, m = u.rows, v.rows
+    size = n * m
+    entries = [ZERO] * (size * size)
+    u_entries = [(divmod(k, n), x) for k, x in enumerate(u.entries) if x]
+    for p in range(m):
+        for (q, s), x in u_entries:
+            entries[(p * n + q) * size + p * n + s] = x
+    for k, x in enumerate(v.entries):
+        if x:
+            r, p = divmod(k, m)
+            for q in range(n):
+                entries[(p * n + q) * size + r * n + q] += x
+    return ExactMatrix(size, size, tuple(entries))
 
 
 def cross_check_anticommutant(u_spec: JordanSpec, v_spec: JordanSpec) -> OracleReport:
@@ -257,8 +259,9 @@ def verify_family_membership(
     degenerate-at-grid, not a failure), and checks both residuals of the
     instantiated matrix against j.  A draw that misses a branch's residual
     system checks nothing; it counts as completed and in residual_skipped.
-    The template is evaluated at all the other draws in one call.  The first
-    failure, in (branch, trial) order, is reported as a counterexample.
+    The template is evaluated at all the other draws in one call, to integer
+    forms, and j is scaled once.  The first failure, in (branch, trial)
+    order, is reported as a counterexample.
     """
     if j.shape != (family.n, family.n):
         raise DimensionMismatch("verify_family_membership", j.shape, (family.n, family.n))
@@ -276,10 +279,12 @@ def verify_family_membership(
             else:
                 draws.append(values)
     counterexample = None
-    for k in family.template.evaluate_all(draws):
-        if all(r.is_zero() for r in residuals(j, k)):
+    a = _integer_form(j)
+    for k in _integer_forms(family.template, draws):
+        if _first_residual(a, k) is None:
             completed += 1
         elif counterexample is None:
-            counterexample = k
+            rows, _, d = k
+            counterexample = _exact(rows, d)
     span_match = counterexample is None and completed == planned
     return OracleReport(planned, completed, span_match, counterexample, residual_skipped)

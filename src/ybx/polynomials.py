@@ -15,9 +15,14 @@ ParamMatrix @ sums each entry in one accumulator, as mat_mul does;
 _substitute builds each value's powers once for a whole list of
 polynomials.  Evaluation is integer arithmetic over one common denominator
 (_evaluate), scaled as matrix products are, once per entry for all the
-valuations of evaluate_all.  RationalFunction is a normalized pair,
-numerator over monic denominator, with no field arithmetic: it is made,
-substituted as a value, renamed and printed.  ParamMatrix is a Grid
+valuations of evaluate_all.  It yields each value as Gaussian-integer parts
+over a denominator: evaluate, evaluate_all and solver.branch_values make
+scalars of them with scalars._over, and _integer_forms makes a template at
+each valuation the integer form that matrices.residuals multiplies, over
+the lcm of its entries' denominators, with no scalar built.
+RationalFunction is a normalized pair, numerator over monic denominator,
+with no field arithmetic: it is made, substituted as a value, renamed and
+printed.  ParamMatrix is a Grid
 (matrices.py) of polynomials and adds only from_exact, variables, its
 polynomial product, substitute, substitute_rational, evaluate and
 evaluate_all.
@@ -39,10 +44,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
+from math import lcm
 from typing import Iterator, Mapping, NoReturn, Sequence
 
 from .errors import MissingParameter, ParseError
-from .matrices import DimensionMismatch, ExactMatrix, Grid, _scaled
+from .matrices import DimensionMismatch, ExactMatrix, Grid, _form, _IntegerForm, _scaled
 from .scalars import ONE, ZERO, GaussianRational, _make, _over, as_gaussian
 from .scalars import format_scalar, parse_scalar
 
@@ -197,7 +203,7 @@ class ParamPolynomial:
         return next(_substitute([self], mapping))
 
     def evaluate(self, assignment: Mapping[str, GaussianRational]) -> GaussianRational:
-        return next(_evaluate([self], [assignment]))
+        return _over(*next(_evaluate([self], [assignment])))
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -208,13 +214,14 @@ class ParamPolynomial:
 
 def _evaluate(
     polys: Sequence[ParamPolynomial], valuations: Sequence[Mapping[str, GaussianRational]]
-) -> Iterator[GaussianRational]:
-    """Each polynomial's value at each valuation, polynomial by polynomial, in
-    integers: each valuation is scaled once to Gaussian integers over its own
-    d and each polynomial's coefficients once over their lcm l, as matrix
-    products scale, so a value is one sum of integer term products over
-    l * d**top.  MissingParameter names what the first incomplete polynomial
-    lacks in the first incomplete valuation."""
+) -> Iterator[tuple[int, int, int]]:
+    """Each polynomial's value at each valuation, polynomial by polynomial, as
+    Gaussian-integer parts over a positive denominator, (re, im, den): each
+    valuation is scaled once to Gaussian integers over its own d and each
+    polynomial's coefficients once over their lcm l, as matrix products
+    scale, so a value is one sum of integer term products over l * d**top.
+    MissingParameter names what the first incomplete polynomial lacks in the
+    first incomplete valuation."""
     names = {v for p in polys for mono, _ in p.terms for v in mono}
     points = []
     for assignment in valuations:
@@ -244,7 +251,7 @@ def _evaluate(
                         t_re, t_im = t_re * v_re, t_re * v_im
                 re += t_re
                 im += t_im
-            yield _over(re, im, l * d**degree)
+            yield re, im, l * d**degree
 
 
 def _parts(p: ParamPolynomial) -> dict[Monomial, tuple]:
@@ -421,9 +428,31 @@ class ParamMatrix(Grid):
         self, valuations: Sequence[Mapping[str, GaussianRational]]
     ) -> list[ExactMatrix]:
         """The matrix at each valuation; each entry's coefficients are scaled once for all."""
-        flat = tuple(_evaluate(self.entries, valuations))
+        flat = [_over(*value) for value in _evaluate(self.entries, valuations)]
         k = len(valuations)
-        return [ExactMatrix(self.rows, self.cols, flat[i::k]) for i in range(k)]
+        return [ExactMatrix(self.rows, self.cols, tuple(flat[i::k])) for i in range(k)]
+
+
+def _integer_forms(
+    m: ParamMatrix, valuations: Sequence[Mapping[str, GaussianRational]]
+) -> Iterator[_IntegerForm]:
+    """m at each valuation in the integer form that matrices.residuals
+    multiplies, over the lcm of its entries' denominators; no
+    GaussianRational is built.  Lazy: one form is made at a time."""
+    # three lists of parts, not a list of triples: the values of all the
+    # valuations then take no more memory than their scalars would
+    res, ims, dens = [], [], []
+    for re, im, den in _evaluate(m.entries, valuations):
+        res.append(re)
+        ims.append(im)
+        dens.append(den)
+    k = len(valuations)
+    for i in range(k):
+        denominators, im = dens[i::k], ims[i::k]
+        d = lcm(*denominators)
+        re = [p * (d // q) for p, q in zip(res[i::k], denominators)]
+        im = [p * (d // q) for p, q in zip(im, denominators)] if any(im) else None
+        yield _form(re, im, d, m.cols)
 
 
 def _needs_parens(scalar_text: str) -> bool:

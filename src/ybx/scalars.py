@@ -220,10 +220,14 @@ MINUS_ONE = GaussianRational(-1)
 
 
 def _over(re: int, im: int, d: int) -> GaussianRational:
-    """(re + im*i) / d for integers with d > 0: one Fraction per nonzero part."""
+    """(re + im*i) / d for integers with d > 0: a part that d divides is
+    stored as its int quotient, any other as one Fraction."""
     if not re and not im:
         return ZERO
-    return _make(Fraction(re, d) if re else _ZERO_PART, Fraction(im, d) if im else _ZERO_PART)
+    z = _new(GaussianRational)
+    _set_re(z, Fraction(re, d) if re % d else re // d)
+    _set_im(z, Fraction(im, d) if im % d else im // d)
+    return z
 
 
 def _coerce(value) -> GaussianRational | None:

@@ -42,10 +42,10 @@ from .jordan import (
     assemble_jordan,
     nilpotent_part,
 )
-from .matrices import ExactMatrix, block_diag, first_nonzero_entry, residuals
+from .matrices import ExactMatrix, _exact, _first_residual, _integer_form, block_diag, residuals
 from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction
-from .polynomials import _evaluate, _polynomial, _substitute
-from .scalars import GaussianRational, as_gaussian
+from .polynomials import _evaluate, _integer_forms, _polynomial, _substitute
+from .scalars import GaussianRational, _over, as_gaussian
 
 JORDAN_FRAME = "jordan"
 ORIGINAL_FRAME = "original"
@@ -625,15 +625,18 @@ def branch_values(
         [*branch.disequalities, *(rf.denominator for rf in rfs), *(rf.numerator for rf in rfs)],
         [values],
     )
-    for condition, value in zip(branch.disequalities, results):
-        if not value:
+    for condition, (re, im, _) in zip(branch.disequalities, results):
+        if not (re or im):
             raise DisequalityViolated(str(condition))
     denominators = [next(results) for _ in rfs]
-    for rf, denominator in zip(rfs, denominators):
-        if not denominator:
+    for rf, (re, im, _) in zip(rfs, denominators):
+        if not (re or im):
             raise DisequalityViolated(str(rf.denominator))
-    for (name, _), denominator in zip(branch.assignments, denominators):
-        values[name] = next(results) / denominator
+    for (name, _), (d_re, d_im, d) in zip(branch.assignments, denominators):
+        # (re + i*im)/n divided by (d_re + i*d_im)/d, in integers
+        re, im, n = next(results)
+        norm = d_re * d_re + d_im * d_im
+        values[name] = _over((re * d_re + im * d_im) * d, (im * d_re - re * d_im) * d, n * norm)
     return values
 
 
@@ -645,22 +648,23 @@ def sample(
     """Instantiate one branch at concrete parameter values, verified.
 
     The returned matrix is checked to anti-commute with the family's matrix
-    and to satisfy the quadratic equation; residual-system entries, if any,
-    must evaluate to zero.  Raises MissingParameter, DisequalityViolated, or
-    ResidualNonzero.
+    and to satisfy the quadratic equation, on the template's integer form;
+    residual-system entries, if any, must evaluate to zero.  Raises
+    MissingParameter, DisequalityViolated, or ResidualNonzero, which names
+    the first nonzero entry of A X + X A, else of A X A - X A X.
     """
     branch = family.branches[branch_index]
     values = branch_values(branch, assignment)
     for leftover in branch.residual_system:
         if leftover.evaluate(values):
             raise ResidualNonzero(f"unresolved constraint {leftover}")
-    k = family.template.evaluate(values)
-    anti, quad = residuals(family.matrix, k)
-    for which, residual in (("anti-commutation", anti), ("equation", quad)):
-        if not residual.is_zero():
-            pos = first_nonzero_entry(residual)
-            raise ResidualNonzero(which, (pos[0], pos[1]))
-    return k
+    (k,) = _integer_forms(family.template, [values])
+    defect = _first_residual(_integer_form(family.matrix), k)
+    if defect is not None:
+        which, position = defect
+        raise ResidualNonzero(("anti-commutation", "equation")[which], position)
+    rows, _, d = k
+    return _exact(rows, d)
 
 
 def branch_matrix(family: SolutionFamily, branch_index: int) -> list[list[RationalFunction]]:

@@ -3,6 +3,7 @@ and the small matrix and family helpers several test modules use."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 from ybx.jordan import JordanSpec, similarity_from_jordan
 from ybx.matrices import ExactMatrix, mat_mul, rref
 from ybx.scalars import GaussianRational
-from ybx.solver import SolutionFamily, solve
+from ybx.solver import SolutionBranch, SolutionFamily, solve
 
 EIGEN_POOL = (
     GaussianRational(0),
@@ -113,6 +114,23 @@ def random_invertible(rng: random.Random, n: int, span: int = 3) -> ExactMatrix:
             return candidate
 
 
+def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Kronecker product, the reference for the oracle's vectorized operator;
+    entry ((p,q),(r,s)) = a[p,r] * b[q,s]."""
+    grid = [[GaussianRational(0)] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
+    for p in range(a.rows):
+        for r in range(a.cols):
+            factor = a[p, r]
+            if not factor:
+                continue
+            for q in range(b.rows):
+                for s in range(b.cols):
+                    v = b[q, s]
+                    if v:
+                        grid[p * b.rows + q][r * b.cols + s] = factor * v
+    return ExactMatrix.from_rows(grid)
+
+
 def mat_pow(m: ExactMatrix, k: int) -> ExactMatrix:
     """m**k for a square m and k >= 0, by repeated multiplication."""
     out = ExactMatrix.identity(m.rows)
@@ -129,3 +147,16 @@ def single_block_family(n: int) -> SolutionFamily:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20250808)
+
+
+@pytest.fixture(scope="session")
+def nilpotent_branches():
+    """sizes -> solve's branches for the nilpotent Jordan matrix with those
+    block sizes, each partition solved once a session (the census and the
+    certifier share them)."""
+
+    @functools.cache
+    def branches(sizes: tuple[int, ...]) -> tuple[SolutionBranch, ...]:
+        return solve(similarity_from_jordan(JordanSpec(((GaussianRational(0), sizes),)))).branches
+
+    return branches

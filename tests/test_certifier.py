@@ -22,10 +22,9 @@ from sympy.polys.rings import ring
 
 from ybx.bundled import NAMES_CANONICAL_TO_SHORT, example_42_problem, golden_42_system
 from ybx.formats import similarity_from_problem
-from ybx.jordan import JordanSpec, similarity_from_jordan
 from ybx.oracle import branch_within, first_unsatisfied
 from ybx.polynomials import ParamPolynomial, RationalFunction, parse_polynomial
-from ybx.scalars import GaussianRational, as_gaussian
+from ybx.scalars import GaussianRational
 from ybx.solver import SolutionBranch, build_constraint_system, solve, solve_branches
 
 from conftest import partitions as _partitions
@@ -54,11 +53,6 @@ WIDE = [(3, 3, 3), (3, 3, 2, 2)]
 
 
 @functools.cache
-def _branches(sizes) -> tuple[SolutionBranch, ...]:
-    return solve(similarity_from_jordan(JordanSpec(((as_gaussian(0), sizes),)))).branches
-
-
-@functools.cache
 def _system(sizes) -> tuple[ParamPolynomial, ...]:
     return tuple(build_constraint_system(sizes)[1])
 
@@ -70,20 +64,20 @@ def _ids(p) -> str:
 # -- fully solved branches: exact substitution --------------------------------
 
 
-def test_partition_list():
+def test_partition_list(nilpotent_branches):
     assert len(PARTITIONS) == 60
-    assert sum(b.is_fully_solved() for p in PARTITIONS for b in _branches(p)) == 171
+    assert sum(b.is_fully_solved() for p in PARTITIONS for b in nilpotent_branches(p)) == 171
 
 
-def test_grade_order_solves_333_fully():
-    branches = _branches((3, 3, 3))
+def test_grade_order_solves_333_fully(nilpotent_branches):
+    branches = nilpotent_branches((3, 3, 3))
     assert len(branches) == 11
     assert all(b.is_fully_solved() for b in branches)
 
 
 @pytest.mark.parametrize("sizes", PARTITIONS + WIDE, ids=_ids)
-def test_fully_solved_branches_satisfy_the_system(sizes):
-    solved = [b for b in _branches(sizes) if b.is_fully_solved()]
+def test_fully_solved_branches_satisfy_the_system(sizes, nilpotent_branches):
+    solved = [b for b in nilpotent_branches(sizes) if b.is_fully_solved()]
     assert first_unsatisfied(solved, _system(sizes)) is None
 
 
@@ -94,11 +88,11 @@ def test_fully_solved_branches_satisfy_the_system(sizes):
     + WIDE,
     ids=_ids,
 )
-def test_fully_solved_branches_lie_only_within_themselves(sizes):
+def test_fully_solved_branches_lie_only_within_themselves(sizes, nilpotent_branches):
     # the leaves are disjoint, so no fully solved branch lies within another;
     # (2, 2, 2, 2) is left out: its 33 x 52 checks take about 29 s on a
     # 2-CPU x86_64 machine
-    branches = _branches(sizes)
+    branches = nilpotent_branches(sizes)
     for i, inner in enumerate(branches):
         if inner.is_fully_solved():
             assert [branch_within(inner, outer) for outer in branches] == [
@@ -123,20 +117,20 @@ def test_first_unsatisfied_names_branch_and_equation():
     assert first_unsatisfied(branches, system) == (2, system[3])
 
 
-def test_first_unsatisfied_reports_a_residual_branch():
+def test_first_unsatisfied_reports_a_residual_branch(nilpotent_branches):
     template, system = build_constraint_system((4, 3))
     (stuck,) = solve_branches(system, depth_limit=0, parameters=template.variables())
     # depth 0 still solves k1_1_1_1_1 = 0, which settles the first equation
     # but leaves the second to the residual system
     assert stuck.residual_system and stuck.assignments
-    solved = _branches((4, 3))
+    solved = nilpotent_branches((4, 3))
     assert all(b.is_fully_solved() for b in solved)
     assert first_unsatisfied([*solved, stuck], system) == (len(solved), system[1])
 
 
-def test_first_unsatisfied_edge_cases():
+def test_first_unsatisfied_edge_cases(nilpotent_branches):
     system = _system((4, 3))
-    assert first_unsatisfied(_branches((4, 3)), []) is None
+    assert first_unsatisfied(nilpotent_branches((4, 3)), []) is None
     assert first_unsatisfied([], system) is None
     # a branch without assignments settles no nonzero equation
     unsolved = SolutionBranch((), (), tuple(system), ())
@@ -202,13 +196,16 @@ def test_certifier_flags_unsound_and_empty_branches():
     assert _certify(branch([x - i]), [x * x - 1]) == "unsound"
 
 
-def test_residual_partitions():
-    residual = {p for p in PARTITIONS if not all(b.is_fully_solved() for b in _branches(p))}
+def test_residual_partitions(nilpotent_branches):
+    residual = {
+        p for p in PARTITIONS if not all(b.is_fully_solved() for b in nilpotent_branches(p))
+    }
     assert residual == set(EMPTY_RESIDUAL_BRANCHES)
 
 
 @pytest.mark.parametrize("sizes", list(EMPTY_RESIDUAL_BRANCHES), ids=_ids)
-def test_residual_branches_are_sound(sizes):
-    verdicts = [_certify(b, _system(sizes)) for b in _branches(sizes) if b.residual_system]
+def test_residual_branches_are_sound(sizes, nilpotent_branches):
+    branches = nilpotent_branches(sizes)
+    verdicts = [_certify(b, _system(sizes)) for b in branches if b.residual_system]
     assert "unsound" not in verdicts
     assert verdicts.count("empty") == EMPTY_RESIDUAL_BRANCHES[sizes]

@@ -9,6 +9,8 @@ from ybx.jordan import JordanSpec, assemble_jordan, jordan_form
 from ybx.matrices import (
     ExactMatrix,
     RowSpan,
+    _first_residual,
+    _integer_form,
     block_diag,
     first_nonzero_entry,
     mat_inverse,
@@ -21,7 +23,7 @@ from ybx.polynomials import ParamMatrix, ParamPolynomial
 from ybx.scalars import ONE, ZERO, GaussianRational
 from ybx.solver import residual_ybe, residuals
 
-from conftest import assert_canonical_parts, mat_pow, random_invertible, random_matrix
+from conftest import assert_canonical_parts, kron, mat_pow, random_invertible, random_matrix
 
 
 def J(n):
@@ -140,8 +142,6 @@ def test_null_space_vectors_are_in_kernel(rng):
 
 def test_null_space_of_vectorized_shift_operator():
     # the 9x9 operator of the vectorization oracle for U = V = J_3(0)
-    from ybx.oracle import kron
-
     j3 = J(3)
     operator = kron(ExactMatrix.identity(3), j3) + kron(j3.transpose(), ExactMatrix.identity(3))
     assert len(null_space_basis(operator)) == 3
@@ -353,6 +353,16 @@ def _residual_pairs(draw):
     return w @ a0 @ w_inv, w @ x0 @ w_inv
 
 
+def textbook_first_residual(a: ExactMatrix, x: ExactMatrix):
+    """(0 or 1, (row, column)) of the first nonzero entry of the textbook
+    A X + X A, else of A X A - X A X; None when both are zero."""
+    for which, residual in enumerate(textbook_residuals(a, x)):
+        spot = first_nonzero_entry(residual)
+        if spot is not None:
+            return which, spot[:2]
+    return None
+
+
 @given(_residual_pairs())
 def test_residuals_match_textbook_products(pair):
     a, x = pair
@@ -362,6 +372,8 @@ def test_residuals_match_textbook_products(pair):
         assert first_nonzero_entry(g) == first_nonzero_entry(e)
         for z in g.entries:
             assert_canonical_parts(z)
+    first = _first_residual(_integer_form(a), _integer_form(x))
+    assert first == textbook_first_residual(a, x)
 
 
 # Jordan data of A (eigenvalue, sizes), with eigenvalues i and -i among them
@@ -401,6 +413,8 @@ def test_residuals_match_textbook_products_on_anticommuting_pairs(pair):
     assert got[0].is_zero()
     assert got == expected
     assert first_nonzero_entry(got[1]) == first_nonzero_entry(expected[1])
+    first = _first_residual(_integer_form(a), _integer_form(x))
+    assert first == textbook_first_residual(a, x)
 
 
 @pytest.mark.parametrize("scale", [GaussianRational(1), GaussianRational(Fraction(2, 3), -5)])

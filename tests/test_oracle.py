@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import random
 
 import pytest
@@ -5,20 +7,21 @@ import pytest
 from ybx.bundled import (
     ALL_42_NAMES,
     NAMES_CANONICAL_TO_SHORT,
+    example_41_problem,
     example_42_problem,
     golden_42_families,
 )
-from ybx.errors import GridTooLarge
+from ybx.errors import GridTooLarge, ResidualNonzero
 from ybx.formats import similarity_from_problem
 from ybx.jordan import assemble_jordan, similarity_from_jordan
 from ybx.matrices import ExactMatrix, mat_mul
 from ybx.oracle import (
     OracleReport,
+    _vectorized_operator,
     branch_within,
     branches_agree,
     cross_check_anticommutant,
     grid_enumerate_solutions,
-    kron,
     kron_anticommutant_kernel,
     random_branch_values,
     random_gaussian,
@@ -28,9 +31,10 @@ from ybx.oracle import (
 )
 from ybx.polynomials import ParamMatrix, parse_polynomial, parse_rational_function
 from ybx.scalars import GaussianRational, format_scalar
-from ybx.solver import SolutionBranch, SolutionFamily, solve
+from ybx.solver import SolutionBranch, SolutionFamily, sample, solve, to_original
 
-from conftest import random_matrix, random_spec, single_block_family, spec
+from conftest import kron, random_matrix, random_spec, single_block_family, spec
+from test_family_bytes import W8
 
 
 def test_vectorization_identity(rng):
@@ -41,6 +45,23 @@ def test_vectorization_identity(rng):
         operator = kron(ExactMatrix.identity(2), u) + kron(v.transpose(), ExactMatrix.identity(3))
         assert mat_mul(operator, vec(x)) == vec(mat_mul(u, x) + mat_mul(x, v))
         assert unvec(vec(x), 3, 2) == x
+
+
+def test_vectorized_operator_matches_kronecker_products(rng):
+    """Pairs of different sizes with Fraction and imaginary entries, and
+    Jordan inputs with zero, nonzero and opposite eigenvalues."""
+    pairs = [(random_matrix(rng, 3, 3), random_matrix(rng, 2, 2)) for _ in range(5)]
+    u = ExactMatrix.from_rows([["1/2", "2-1/3i", 0], [0, "1i", 0], [3, 0, "-5/7"]])
+    pairs.append((u, ExactMatrix.from_rows([["-1/2", 0], ["1+1i", "2/9"]])))
+    jordan = [
+        spec((0, [3])), spec((0, [2, 1]), (1, [2])), spec((1, [2]), (-1, [1])), spec((5, [1]))
+    ]
+    pairs += [(assemble_jordan(s), assemble_jordan(t)) for s in jordan for t in jordan]
+    for u, v in pairs:
+        expected = kron(ExactMatrix.identity(v.rows), u) + kron(
+            v.transpose(), ExactMatrix.identity(u.rows)
+        )
+        assert _vectorized_operator(u, v) == expected
 
 
 def test_kernel_trivial():
@@ -297,3 +318,134 @@ def test_membership_finds_an_entry_that_breaks_only_the_equation():
     assert [str(z) for z in k.entries] == [
         "-2/7-1/4i", "-3/7-7i", "-2/7-1/4i", "0", "2/7+1/4i", "3/7+7i", "0", "0", "-2/7-1/4i",
     ]
+
+
+# -- pinned reports: draws, accounting and counterexamples -------------------
+
+
+@functools.cache
+def _pinned_family(name: str) -> SolutionFamily:
+    """Example 4.1 in the original frame, example 4.2, the fixed-W8
+    original-frame family of test_family_bytes and (2, 2, 2), whose residual
+    branches some draws miss."""
+    if name == "4.1":
+        sim = similarity_from_problem(example_41_problem())
+        return to_original(solve(sim), sim)
+    if name == "4.2":
+        return solve(similarity_from_problem(example_42_problem()))
+    if name == "w8":
+        jordan = spec((0, [3, 2]), (1, [2]), (-1, [1]))
+        sim = similarity_from_jordan(jordan, ExactMatrix.from_rows(W8))
+        return to_original(solve(sim), sim)
+    return solve(similarity_from_jordan(spec((0, [2, 2, 2]))))
+
+
+def _report_row(report: OracleReport) -> tuple:
+    return (
+        report.expected_dimension,
+        report.oracle_dimension,
+        report.span_match,
+        report.residual_skipped,
+        report.counterexample,
+    )
+
+
+# (family, trials, seed) -> (planned, completed, span_match, residual_skipped)
+MEMBERSHIP_REPORTS = {
+    ("4.1", 25, 0): (25, 25, True, 0),
+    ("4.1", 25, 7): (25, 25, True, 0),
+    ("4.2", 25, 0): (100, 100, True, 0),
+    ("4.2", 25, 7): (100, 100, True, 0),
+    ("w8", 5, 0): (10, 10, True, 0),
+    ("w8", 5, 7): (10, 10, True, 0),
+    ("2-2-2", 5, 0): (35, 35, True, 5),
+    ("2-2-2", 5, 7): (35, 35, True, 5),
+}
+
+
+@pytest.mark.parametrize("name, trials, seed", sorted(MEMBERSHIP_REPORTS))
+def test_membership_reports_pinned(name, trials, seed):
+    family = _pinned_family(name)
+    report = verify_family_membership(family, family.matrix, trials, seed)
+    assert _report_row(report) == (*MEMBERSHIP_REPORTS[name, trials, seed], None)
+
+
+def _corrupted(name: str, kind: str) -> SolutionFamily:
+    """For "flip", the family with one template entry negated, so that it no
+    longer anti-commutes with its matrix: entry 30 for example 4.2, entry 0
+    for example 4.1.  For "double", the template times 2: it still
+    anti-commutes, but A(2X)A = (2X)A(2X) fails wherever XAX != 0."""
+    family = _pinned_family(name)
+    t = family.template
+    if kind == "double":
+        entries = tuple(p * 2 for p in t.entries)
+    else:
+        k = 30 if name == "4.2" else 0
+        entries = t.entries[:k] + (-t.entries[k],) + t.entries[k + 1 :]
+    return SolutionFamily(
+        family.n, family.frame, family.branches, ParamMatrix(t.rows, t.cols, entries), family.matrix
+    )
+
+
+# (kind, seed) -> (planned, completed, span_match, residual_skipped), and the
+# counterexample's nonzero entries in row-major order
+CORRUPTED_42_REPORTS = {
+    ("flip", 0): (
+        (100, 0, False, 0),
+        ["-1/6+1/9i", "4+1i", "-9/5+9/5i", "1+2/7i", "1/6-1/9i", "9/5-9/5i",
+         "-1-2/3i", "-3/4-4/9i", "3+7/5i", "1/2+9i", "-1-2/3i", "-3-7/5i"],
+    ),
+    ("flip", 7): (
+        (100, 0, False, 0),
+        ["-9-7/2i", "-1+2/3i", "-1/3+3/2i", "1-5/2i", "9+7/2i", "1/3-3/2i",
+         "-2-1/3i", "-3/8-3/2i", "7/6+1/5i", "-9/5+1/3i", "-2-1/3i", "-7/6-1/5i"],
+    ),
+    ("double", 0): (
+        (100, 25, False, 0),
+        ["-2", "-3/2-2/3i", "7/3+12i", "-4", "-4/9+12/7i", "2", "3/2+2/3i", "4",
+         "-2", "2/3+3i", "-1/3-8i", "7+1i", "-2-2/3i", "-2/3-3i", "-7-1i"],
+    ),
+    ("double", 7): (
+        (100, 25, False, 0),
+        ["-2", "3/2+9/4i", "14/3+14/5i", "10/3-8i", "3+18i", "2", "-3/2-9/4i",
+         "-10/3+8i", "-2", "16/5+2i", "-1/4", "-10-6/5i", "4/3+12/7i", "-16/5-2i",
+         "10+6/5i"],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(CORRUPTED_42_REPORTS))
+def test_membership_counterexamples_pinned(kind, seed):
+    broken = _corrupted("4.2", kind)
+    counts, entries = CORRUPTED_42_REPORTS[kind, seed]
+    *row, counterexample = _report_row(verify_family_membership(broken, broken.matrix, 25, seed))
+    assert tuple(row) == counts
+    assert [str(x) for x in counterexample.entries if x] == entries
+
+
+def test_membership_dense_counterexample_pinned():
+    broken = _corrupted("4.1", "flip")
+    *row, counterexample = _report_row(verify_family_membership(broken, broken.matrix, 25, 7))
+    assert tuple(row) == (25, 0, False, 0)
+    text = " ".join(map(str, counterexample.entries))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ffadc3db2cad898ed1c50b801caf5e4c9cd3c06a950ff151c4451313d09224fa"
+    )
+
+
+# (family, corruption, branch, ResidualNonzero message of sample)
+SAMPLE_RESIDUAL_MESSAGES = [
+    ("4.2", "flip", 0, "anti-commutation residual is nonzero at entry (4, 3)"),
+    ("4.2", "double", 1, "equation residual is nonzero at entry (0, 3)"),
+    ("4.1", "flip", 0, "anti-commutation residual is nonzero at entry (0, 0)"),
+]
+
+
+@pytest.mark.parametrize("name, kind, branch, message", SAMPLE_RESIDUAL_MESSAGES)
+def test_sample_residual_messages_pinned(name, kind, branch, message):
+    broken = _corrupted(name, kind)
+    free = broken.branches[branch].free_parameters
+    values = {n: GaussianRational(k + 2, 1) for k, n in enumerate(free)}
+    with pytest.raises(ResidualNonzero) as caught:
+        sample(broken, branch, values)
+    assert str(caught.value) == message

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from ybx.errors import DimensionMismatch, MissingParameter, ParseError
 from ybx.jordan import JordanSpec, similarity_from_jordan
-from ybx.matrices import ExactMatrix, mat_mul
+from ybx.matrices import ExactMatrix, _exact, mat_mul
 from ybx.polynomials import (
     ParamMatrix,
     ParamPolynomial,
     RationalFunction,
+    _integer_forms,
     _split_top_level,
     _substitute,
     format_polynomial,
@@ -509,6 +510,11 @@ def test_param_matrix_evaluate_matches_entrywise_reference(m, assignment):
     if isinstance(got, ExactMatrix):
         for value in got.entries:
             assert_canonical_parts(value)
+        # the integer form that residuals multiplies: rows and columns over one d
+        ((rows, cols, d),) = _integer_forms(m, [assignment])
+        assert d > 0
+        assert _exact(rows, d) == got
+        assert _exact(cols, d) == got.transpose()
 
 
 # integer, rational and complex coefficients, so that the values' numerators

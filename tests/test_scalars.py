@@ -240,3 +240,29 @@ def test_no_scalar_path_stores_a_float_or_an_integral_fraction(a, b, k, re_, im_
     for z in results:
         assert_canonical_parts(z)
 
+
+
+# Gaussian integers over a positive denominator, each part scaled by the
+# denominator or not, so that every case of _over is drawn
+gaussian_parts = st.one_of(small, st.integers(-(10**30), 10**30))
+
+
+@given(
+    gaussian_parts,
+    gaussian_parts,
+    st.one_of(st.just(1), st.integers(1, 2**40)),
+    st.booleans(),
+    st.booleans(),
+)
+@example(0, 0, 1, False, False)
+@example(3, -2, 2, True, True)
+@example(6, 3, 4, False, True)
+@example(-(10**30), 7, 1, False, False)
+def test_over_matches_make_of_fractions(re_, im_, d, re_divisible, im_divisible):
+    re_, im_ = re_ * d if re_divisible else re_, im_ * d if im_divisible else im_
+    z = _over(re_, im_, d)
+    expected = _make(Fraction(re_, d), Fraction(im_, d))
+    assert z == expected
+    assert hash(z) == hash(expected)
+    assert (type(z.re), type(z.im)) == (type(expected.re), type(expected.im))
+    assert_canonical_parts(z)
