@@ -14,20 +14,28 @@ ExactMatrix adds a from_rows that coerces its entries, identity, column,
 to_rows, is_square, transpose, negation, scalar * and @ through mat_mul.
 ParamMatrix (polynomials.py) is the other Grid.
 
-Products work in integers, in one kernel that mat_mul and residuals share:
-each factor is scaled to Gaussian integers over a common denominator (per
-row or column in mat_mul, per matrix in residuals, which then chains its
-products without dividing), every entry is a few integer dot products
-(imaginary ones only where a row or column has an imaginary part), and a
-result part is an int where the denominator divides it and one Fraction
-otherwise.  So an n x n product makes O(n^2) Fractions instead of O(n^3)
-Fraction operations, each with its own gcd.  The residuals of A and X are
-the integer rows of AX + XA and then of AXA - XAX (_residual_parts); when
-AX + XA = 0, XA = -AX gives AXA - XAX = AX (A + X), one product more
-instead of two.  residuals turns those rows into matrices; the zero test
-(_first_residual) reads them as integers, stops at the first nonzero entry
-and computes the quadratic only when AX + XA = 0.  It takes integer forms,
-so verify_family_membership scales A once for all its draws, and a
+Products work in integers, in one kernel that mat_mul and residuals share
+(_products): each factor is scaled to Gaussian integers over a common
+denominator (per row or column in mat_mul, per matrix in residuals, which
+then chains its products without dividing), and each row of the right
+factor is packed into one Python int per part (_pack), its entries signed
+digits of s bits (Kronecker substitution, or Q-adic packing).  A row of
+the product is then k multiply-adds of those ints by the row's entries,
+in big-int arithmetic, instead of one dot product per entry.
+The width comes from an exact bound (_slot): with |re| + |im| < 2**b on
+each side, a part of an entry of a sum of two products is below
+2k * 2**(bl + br), so s = bl + br + (2k).bit_length() + 1 holds it as a
+digit; residuals counts its scale factors into b.  Digits are read back
+as centred residues (_unpack).  A result part is an int where the
+denominator divides it and one Fraction otherwise.  The residuals of A
+and X are the packed rows of AX + XA and then of AXA - XAX
+(_residual_rows); when AX + XA = 0, XA = -AX gives AXA - XAX =
+AX (A + X), one product more instead of two, with AX unpacked as its left
+factor.  residuals unpacks those rows into matrices; the zero test
+(_first_residual) reads the packed rows, zero exactly when every digit
+is, unpacks only the first nonzero one to name its column, and computes
+the quadratic only when AX + XA = 0.  It takes integer forms, so
+verify_family_membership scales A once for all its draws, and a
 template is evaluated straight to an integer form (polynomials.py): a
 GaussianRational is built only for the matrix a caller receives.
 
@@ -41,9 +49,9 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, lshift, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotSquare, SingularMatrix
@@ -51,8 +59,8 @@ from .scalars import ONE, ZERO, GaussianRational, _over, as_gaussian
 
 # a Gaussian-integer vector (re, im); im may be None when every imaginary part is 0
 _IntVector = tuple[list[int], list[int] | None]
-# a matrix as (rows, columns, d): Gaussian-integer vectors over one common d
-_IntegerForm = tuple[list[_IntVector], list[_IntVector], int]
+# a matrix as (rows, d): Gaussian-integer rows over one common d
+_IntegerForm = tuple[list[_IntVector], int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,24 +191,73 @@ def _scaled(vector: Sequence[GaussianRational]) -> tuple[_IntVector, int]:
     return ([x.re.numerator * (d // x.re.denominator) for x in vector], im), d
 
 
-def _products(rows: list[_IntVector], cols: list[_IntVector]) -> list[_IntVector]:
-    """The rows of the integer product of the matrices with these rows and columns."""
-    out = []
+def _bits(rows: list[_IntVector]) -> int:
+    """A b with |re| + |im| < 2**b for every entry of these rows."""
+    re = max(map(abs, chain.from_iterable(r for r, _ in rows)))
+    im = max(map(abs, chain.from_iterable(i for _, i in rows if i is not None)), default=0)
+    return (re + im).bit_length()
+
+
+def _slot(bits: int, k: int) -> int:
+    """The digit width s for a sum of two products of inner dimension k whose
+    left and right entries have _bits summing to at most bits.  Each part of
+    such an entry is a sum of at most 2k terms, each below 2**bits in size
+    (|a_re b_re - a_im b_im| <= (|a_re| + |a_im|)(|b_re| + |b_im|)), so it is
+    a signed s-bit digit: below 2**(s - 1) in size."""
+    return bits + (2 * k).bit_length() + 1
+
+
+def _pack(rows: list[_IntVector], s: int) -> _IntVector:
+    """The rows as one int per row and part, entry j the signed digit at bit
+    s*j; im is None when every row is real."""
+    shifts = range(0, s * len(rows[0][0]), s)
+    re = [sum(map(lshift, r, shifts)) for r, _ in rows]
+    if all(i is None for _, i in rows):
+        return re, None
+    return re, [0 if i is None else sum(map(lshift, i, shifts)) for _, i in rows]
+
+
+def _unpack(p: int, s: int, n: int) -> list[int]:
+    """The n signed s-bit digits of p, lowest first: each is p's low s bits
+    as a centred residue, taken off before the next."""
+    mask, half, base = (1 << s) - 1, 1 << (s - 1), 1 << s
+    digits = []
+    for _ in range(n):
+        d = p & mask
+        p >>= s
+        if d >= half:
+            d -= base
+            p += 1
+        digits.append(d)
+    return digits
+
+
+def _rows(packed: _IntVector, s: int, n: int) -> list[_IntVector]:
+    """The Gaussian-integer rows of n entries that these rows pack at width s."""
+    re, im = packed
+    return [
+        (_unpack(p, s, n), _unpack(q, s, n) if q else None) for p, q in zip(re, im or repeat(0))
+    ]
+
+
+def _products(rows: list[_IntVector], packed: _IntVector) -> _IntVector:
+    """The packed rows of the integer product of the matrix with these rows
+    and the matrix with these packed rows: each is one sum of multiples of
+    the packed rows, and each digit is an entry while the width holds it."""
+    br, bi = packed
+    out_re, out_im = [], []
     for ar, ai in rows:
-        out_re, out_im = [], []
-        for br, bi in cols:
-            re = sum(map(mul, ar, br))
-            im = 0
-            if ai is not None:
-                im = sum(map(mul, ai, br))
-                if bi is not None:
-                    re -= sum(map(mul, ai, bi))
+        re = sum(map(mul, ar, br))
+        im = 0
+        if ai is not None:
+            im = sum(map(mul, ai, br))
             if bi is not None:
-                im += sum(map(mul, ar, bi))
-            out_re.append(re)
-            out_im.append(im)
-        out.append((out_re, out_im if any(out_im) else None))
-    return out
+                re -= sum(map(mul, ai, bi))
+        if bi is not None:
+            im += sum(map(mul, ar, bi))
+        out_re.append(re)
+        out_im.append(im)
+    return out_re, out_im if any(out_im) else None
 
 
 def _pairs(rows: list[_IntVector]) -> Iterator[tuple[int, int]]:
@@ -214,22 +271,27 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         raise DimensionMismatch("mat_mul", a.shape, b.shape)
     a_rows = [_scaled(a.row(i)) for i in range(a.rows)]
     b_cols = [_scaled(b.col(j)) for j in range(b.cols)]
-    rows = _products([v for v, _ in a_rows], [v for v, _ in b_cols])
+    left = [v for v, _ in a_rows]
+    # the rows of b with each column scaled by its own denominator
+    re, im = zip(*(v for v, _ in b_cols))
+    zeros = [0] * b.rows
+    right = list(zip(zip(*re), zip(*(i or zeros for i in im)) if any(im) else repeat(None)))
+    s = _slot(_bits(left) + _bits(right), a.cols)
+    rows = _rows(_products(left, _pack(right, s)), s, b.cols)
     dens = (da * db for _, da in a_rows for _, db in b_cols)
     entries = tuple(_over(re, im, d) for (re, im), d in zip(_pairs(rows), dens))
     return ExactMatrix(a.rows, b.cols, entries)
 
 
 def _integer_form(m: ExactMatrix) -> _IntegerForm:
-    """(rows, columns, d) of the Gaussian-integer matrix m * d, one d for all entries."""
+    """(rows, d) of the Gaussian-integer matrix m * d, one d for all entries."""
     (re, im), d = _scaled(m.entries)
     return _form(re, im, d, m.cols)
 
 
 def _form(re: list[int], im: list[int] | None, d: int, cols: int) -> _IntegerForm:
     """The integer form of the matrix with row-major entries (re + i*im) / d."""
-    rows = [(re[k : k + cols], im and im[k : k + cols]) for k in range(0, len(re), cols)]
-    return rows, [(re[j::cols], im and im[j::cols]) for j in range(cols)], d
+    return [(re[k : k + cols], im and im[k : k + cols]) for k in range(0, len(re), cols)], d
 
 
 def _exact(rows: list[_IntVector], d: int) -> ExactMatrix:
@@ -248,26 +310,37 @@ def _combination(u: _IntVector, v: _IntVector, su: int, sv: int) -> _IntVector:
     return re, im if any(im) else None
 
 
-def _residual_parts(
+def _residual_rows(
     a: _IntegerForm, x: _IntegerForm
-) -> Iterator[tuple[list[_IntVector], int]]:
-    """The rows of A*X + X*A as Gaussian integers over their denominator,
-    then those of A*X*A - X*A*X over theirs, from the integer forms A' over
-    da and X' over dx.  The first is A'X' + X'A' over da*dx.  When it is
-    zero, X'A' = -A'X', so the second is A'X' (dx*A' + da*X') over
-    (da*dx)**2, one product; otherwise it is A'X'A'*dx - X'A'X'*da over the
-    same.  Lazy: the second is computed only when it is asked for."""
-    (a_rows, a_cols, da), (x_rows, x_cols, dx) = a, x
-    ax, xa = _products(a_rows, x_cols), _products(x_rows, a_cols)
-    anti = [_combination(u, v, 1, 1) for u, v in zip(ax, xa)]
-    yield anti, da * dx
-    if any(_nonzero(row) for row in anti):
-        axa, xax = _products(ax, a_cols), _products(xa, x_cols)
-        ybe = [_combination(u, v, dx, -da) for u, v in zip(axa, xax)]
+) -> Iterator[tuple[_IntVector, int, int]]:
+    """(packed rows, width s, denominator) of A*X + X*A, then of
+    A*X*A - X*A*X, from the integer forms A' over da and X' over dx.  The
+    first is A'X' + X'A' over da*dx, summed packed at one width.  When it
+    is zero, X'A' = -A'X', so the second is A'X' (dx*A' + da*X') over
+    (da*dx)**2, one product whose left factor is A'X' unpacked; otherwise
+    it is A'X'A'*dx - X'A'X'*da over the same, the scale factors counted in
+    its width.  Lazy: the second is computed only when it is asked for."""
+    (a_rows, da), (x_rows, dx) = a, x
+    n = len(a_rows)
+    s = _slot(_bits(a_rows) + _bits(x_rows), n)
+    ax, xa = _products(a_rows, _pack(x_rows, s)), _products(x_rows, _pack(a_rows, s))
+    anti = _combination(ax, xa, 1, 1)
+    yield anti, s, da * dx
+    ax_rows = _rows(ax, s, n)
+    if _nonzero(anti):
+        xa_rows = _rows(xa, s, n)
+        bits = max(
+            _bits(ax_rows) + _bits(a_rows) + dx.bit_length(),
+            _bits(xa_rows) + _bits(x_rows) + da.bit_length(),
+        )
+        s = _slot(bits, n)
+        axa, xax = _products(ax_rows, _pack(a_rows, s)), _products(xa_rows, _pack(x_rows, s))
+        ybe = _combination(axa, xax, dx, -da)
     else:
-        sums = [_combination(u, v, dx, da) for u, v in zip(a_cols, x_cols)]  # dx*A' + da*X'
-        ybe = _products(ax, sums)
-    yield ybe, (da * dx) ** 2
+        sums = [_combination(u, v, dx, da) for u, v in zip(a_rows, x_rows)]  # dx*A' + da*X'
+        s = _slot(_bits(ax_rows) + _bits(sums), n)
+        ybe = _products(ax_rows, _pack(sums, s))
+    yield ybe, s, (da * dx) ** 2
 
 
 def _nonzero(v: _IntVector) -> bool:
@@ -279,27 +352,28 @@ def _nonzero(v: _IntVector) -> bool:
 def _first_residual(a: _IntegerForm, x: _IntegerForm) -> tuple[int, tuple[int, int]] | None:
     """(0 for A*X + X*A or 1 for A*X*A - X*A*X, (row, column)) of the first
     nonzero residual entry in row-major order, or None when x is an
-    anti-commuting solution for a.  The quadratic is computed only when
+    anti-commuting solution for a.  Rows are tested packed, and only the
+    first nonzero one is unpacked; the quadratic is computed only when
     A*X + X*A = 0."""
-    for which, (rows, _) in enumerate(_residual_parts(a, x)):
-        for i, row in enumerate(rows):
-            if _nonzero(row):
-                re, im = row
-                j = next(j for j, (p, q) in enumerate(zip(re, im or repeat(0))) if p or q)
-                return which, (i, j)
+    n = len(a[0])
+    for which, ((re, im), s, _) in enumerate(_residual_rows(a, x)):
+        for i, (p, q) in enumerate(zip(re, im or repeat(0))):
+            if p or q:
+                row = zip(_unpack(p, s, n), _unpack(q, s, n))
+                return which, (i, next(j for j, (u, v) in enumerate(row) if u or v))
     return None
 
 
 def residuals(a: ExactMatrix, x: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     """(A*X + X*A, A*X*A - X*A*X); x is an anti-commuting solution for a
     exactly when both are zero.  Both are computed in integers by
-    _residual_parts."""
+    _residual_rows and unpacked."""
     if not a.is_square():
         raise NotSquare("residuals", a.shape)
     if a.shape != x.shape:
         raise DimensionMismatch("residuals", a.shape, x.shape)
-    parts = _residual_parts(_integer_form(a), _integer_form(x))
-    return tuple(_exact(rows, d) for rows, d in parts)
+    parts = _residual_rows(_integer_form(a), _integer_form(x))
+    return tuple(_exact(_rows(packed, s, a.cols), d) for packed, s, d in parts)
 
 
 def rref(m: ExactMatrix) -> RrefResult:

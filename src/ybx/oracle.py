@@ -284,7 +284,7 @@ def verify_family_membership(
         if _first_residual(a, k) is None:
             completed += 1
         elif counterexample is None:
-            rows, _, d = k
+            rows, d = k
             counterexample = _exact(rows, d)
     span_match = counterexample is None and completed == planned
     return OracleReport(planned, completed, span_match, counterexample, residual_skipped)

@@ -14,8 +14,10 @@ Only scaling by a constant multiplies GaussianRationals term by term.
 ParamMatrix @ sums each entry in one accumulator, as mat_mul does;
 _substitute builds each value's powers once for a whole list of
 polynomials.  Evaluation is integer arithmetic over one common denominator
-(_evaluate), scaled as matrix products are, once per entry for all the
-valuations of evaluate_all.  It yields each value as Gaussian-integer parts
+(_evaluate), scaled as matrix products are: each polynomial's coefficients
+once (_coefficients), and a ParamMatrix's once for its life, kept in a
+private field on its first evaluation, since a template is evaluated once
+per draw.  It yields each value as Gaussian-integer parts
 over a denominator: evaluate, evaluate_all and solver.branch_values make
 scalars of them with scalars._over, and _integer_forms makes a template at
 each valuation the integer form that matrices.residuals multiplies, over
@@ -40,7 +42,7 @@ text it cannot read goes on to _reject, which names the first rule broken.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
@@ -203,7 +205,7 @@ class ParamPolynomial:
         return next(_substitute([self], mapping))
 
     def evaluate(self, assignment: Mapping[str, GaussianRational]) -> GaussianRational:
-        return _over(*next(_evaluate([self], [assignment])))
+        return _over(*next(_evaluate([_coefficients(self)], [assignment])))
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -212,34 +214,44 @@ class ParamPolynomial:
         return f"ParamPolynomial({format_polynomial(self)!r})"
 
 
+# a polynomial's monomials and its coefficients as Gaussian integers over
+# their lcm l: (monomials, re, im, l), im None when every coefficient is real
+_Coefficients = tuple[list[Monomial], list[int], list[int] | None, int]
+
+
+def _coefficients(p: ParamPolynomial) -> _Coefficients:
+    """p's coefficients scaled as _evaluate multiplies them."""
+    (re, im), l = _scaled([c for _, c in p.terms])
+    return [mono for mono, _ in p.terms], re, im, l
+
+
 def _evaluate(
-    polys: Sequence[ParamPolynomial], valuations: Sequence[Mapping[str, GaussianRational]]
+    polys: Sequence[_Coefficients], valuations: Sequence[Mapping[str, GaussianRational]]
 ) -> Iterator[tuple[int, int, int]]:
     """Each polynomial's value at each valuation, polynomial by polynomial, as
     Gaussian-integer parts over a positive denominator, (re, im, den): each
-    valuation is scaled once to Gaussian integers over its own d and each
-    polynomial's coefficients once over their lcm l, as matrix products
-    scale, so a value is one sum of integer term products over l * d**top.
-    MissingParameter names what the first incomplete polynomial lacks in the
-    first incomplete valuation."""
-    names = {v for p in polys for mono, _ in p.terms for v in mono}
+    valuation is scaled once to Gaussian integers over its own d, and each
+    polynomial comes with its coefficients scaled over their lcm l
+    (_coefficients), as matrix products scale, so a value is one sum of
+    integer term products over l * d**top.  MissingParameter names what the
+    first incomplete polynomial lacks in the first incomplete valuation."""
+    names = {v for monos, *_ in polys for mono in monos for v in mono}
     points = []
     for assignment in valuations:
         try:
             given = [assignment[v] for v in names]
         except KeyError:
-            for p in polys:
-                missing = {v for mono, _ in p.terms for v in mono if v not in assignment}
+            for monos, *_ in polys:
+                missing = {v for mono in monos for v in mono if v not in assignment}
                 if missing:
                     raise MissingParameter(sorted(missing)) from None
         (given_re, given_im), d = _scaled(given)
         points.append((dict(zip(names, zip(given_re, given_im or repeat(0)))), d))
-    for p in polys:
-        (c_re, c_im), l = _scaled([c for _, c in p.terms])
+    for monos, c_re, c_im, l in polys:
         for values, d in points:
             # the sum so far is lifted by d at each rise in degree (Horner in d)
             re = im = degree = 0
-            for (mono, _), t_re, t_im in zip(p.terms, c_re, c_im or repeat(0)):
+            for mono, t_re, t_im in zip(monos, c_re, c_im or repeat(0)):
                 if len(mono) != degree:
                     lift = d ** (len(mono) - degree)
                     re, im, degree = re * lift, im * lift, len(mono)
@@ -385,6 +397,10 @@ class RationalFunction:
 class ParamMatrix(Grid):
     """Matrix with polynomial entries."""
 
+    # each entry's _coefficients, made on the first evaluation and kept for
+    # the next: a template is evaluated once per draw
+    _coefficient_cache: list | None = field(default=None, init=False, repr=False, compare=False)
+
     _zero = ParamPolynomial.zero()
 
     @classmethod
@@ -412,6 +428,12 @@ class ParamMatrix(Grid):
                 out.append(_polynomial(acc))
         return ParamMatrix(self.rows, other.cols, tuple(out))
 
+    def _entry_coefficients(self) -> list[_Coefficients]:
+        if self._coefficient_cache is None:
+            scaled = [_coefficients(p) for p in self.entries]
+            object.__setattr__(self, "_coefficient_cache", scaled)
+        return self._coefficient_cache
+
     def substitute(self, mapping: Mapping[str, ParamPolynomial]) -> "ParamMatrix":
         return ParamMatrix(self.rows, self.cols, tuple(p.substitute(mapping) for p in self.entries))
 
@@ -428,7 +450,7 @@ class ParamMatrix(Grid):
         self, valuations: Sequence[Mapping[str, GaussianRational]]
     ) -> list[ExactMatrix]:
         """The matrix at each valuation; each entry's coefficients are scaled once for all."""
-        flat = [_over(*value) for value in _evaluate(self.entries, valuations)]
+        flat = [_over(*value) for value in _evaluate(self._entry_coefficients(), valuations)]
         k = len(valuations)
         return [ExactMatrix(self.rows, self.cols, tuple(flat[i::k])) for i in range(k)]
 
@@ -442,7 +464,7 @@ def _integer_forms(
     # three lists of parts, not a list of triples: the values of all the
     # valuations then take no more memory than their scalars would
     res, ims, dens = [], [], []
-    for re, im, den in _evaluate(m.entries, valuations):
+    for re, im, den in _evaluate(m._entry_coefficients(), valuations):
         res.append(re)
         ims.append(im)
         dens.append(den)

@@ -13,19 +13,24 @@ Third, that degree-<=2 polynomial system is split into explicit branches:
 parameter assignments plus "must stay nonzero" side conditions, with honest
 residual systems when the case split cannot finish within the depth limit.
 One depth-first worklist loop runs the split; depth counts splits only, and
-every branch comes from its one leaf site.  The loop visits the system in
-grade order: each unknown has a weight from its block sizes, every equation
-is homogeneous in those weights, the equations in the weight-0 unknowns
-(K0^2 = 0 for the weight-0 part K0) are split first, and the unknowns of
-higher weight, which then mostly enter linearly, are solved from the
-highest weight down.  Each split partitions the solution set, so the
-branches are disjoint and none is merged.
+every branch comes from its one leaf site.  The loop tries one ordered table
+of named rules (_RULES): "linear" solves and substitutes, and the splits
+"factor" and "coefficient" apply only below the depth limit.  A leaf with a
+residual system records why the search stopped there, as the branch's
+reason: "depth_limit" when a split would still apply (told from the
+equations, without building children), "no_rule" when none does.  The loop
+visits the system in grade order: each unknown has a weight from its block
+sizes, every equation is homogeneous in those weights, the equations in the
+weight-0 unknowns (K0^2 = 0 for the weight-0 part K0) are split first, and
+the unknowns of higher weight, which then mostly enter linearly, are solved
+from the highest weight down.  Each split partitions the solution set, so
+the branches are disjoint and none is merged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, product
 from typing import Iterable, Mapping, Sequence
 
@@ -44,7 +49,7 @@ from .jordan import (
 )
 from .matrices import ExactMatrix, _exact, _first_residual, _integer_form, block_diag, residuals
 from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction
-from .polynomials import _evaluate, _integer_forms, _polynomial, _substitute
+from .polynomials import _coefficients, _evaluate, _integer_forms, _polynomial, _substitute
 from .scalars import GaussianRational, _over, as_gaussian
 
 JORDAN_FRAME = "jordan"
@@ -64,13 +69,18 @@ class SolutionBranch:
     `assignments` pins some parameters to rational functions of the free
     ones, `disequalities` are polynomials that must evaluate nonzero, and a
     nonempty `residual_system` marks a branch the case split could not finish
-    (its equations must additionally vanish).
+    (its equations must additionally vanish).  The search gives such a
+    branch its `reason`: "depth_limit" when a split still applied but the
+    depth limit stopped it, "no_rule" when no rule applied.  It is empty on
+    every other branch and on a branch read from a file, and it takes no
+    part in equality.
     """
 
     assignments: tuple[tuple[str, RationalFunction], ...]
     disequalities: tuple[ParamPolynomial, ...]
     residual_system: tuple[ParamPolynomial, ...]
     free_parameters: tuple[str, ...]
+    reason: str = field(default="", compare=False)
 
     def assignment_map(self) -> dict[str, RationalFunction]:
         return dict(self.assignments)
@@ -85,6 +95,7 @@ class SolutionBranch:
             tuple(p.rename(mapping) for p in self.disequalities),
             tuple(p.rename(mapping) for p in self.residual_system),
             tuple(mapping.get(n, n) for n in self.free_parameters),
+            self.reason,
         )
 
 
@@ -343,12 +354,12 @@ def solve_branches(
 
     One depth-first worklist loop pops (depth, state) pairs.  Each pass
     collapses repeated and known-nonzero factors (an infeasible state is
-    dropped), then takes the first step that applies: solve a parameter that
-    appears linearly with a coefficient known to be nonzero (a nonzero
-    constant or recorded) and substitute; or, while depth < depth_limit,
-    split on a factorization f*g = 0 (branch f = 0 versus f != 0, g = 0) or
-    on the coefficient of a linear occurrence being zero or not.  Depth
-    counts splits only.
+    dropped), then takes the first rule of _RULES that applies: "linear"
+    solves a parameter that appears linearly with a coefficient known to be
+    nonzero (a nonzero constant or recorded) and substitutes; while depth <
+    depth_limit, "factor" splits on a factorization f*g = 0 (branch f = 0
+    versus f != 0, g = 0) and "coefficient" on the coefficient of a linear
+    occurrence being zero or not.  Depth counts splits only.
 
     The steps visit the system in grade order by `weights` (from
     constraint_weights; a name without a weight has weight 0).  While some,
@@ -357,13 +368,14 @@ def solve_branches(
     there; linear occurrences go by descending weight, then by name.
     Without weights that is name order over all equations.
 
-    A state with no step left is a leaf, and its remaining equations stay as
-    an honest residual system.  Side conditions are recorded monic and once
-    each, and a leaf records each assignment denominator they do not already
-    cover.  Every step preserves the solution set, so when no residual
-    systems remain the returned branches jointly cover all of it.  Each
-    split partitions it and a linear solve is a bijection, so the leaves are
-    disjoint; none is merged.
+    A state with no rule left is a leaf, and its remaining equations stay as
+    an honest residual system, with the reason the search stopped there:
+    "depth_limit" when a split would still apply, else "no_rule".  Side
+    conditions are recorded monic and once each, and a leaf records each
+    assignment denominator they do not already cover.  Every step preserves
+    the solution set, so when no residual systems remain the returned
+    branches jointly cover all of it.  Each split partitions it and a linear
+    solve is a bijection, so the leaves are disjoint; none is merged.
     """
     if parameters is None:
         seen: set[str] = set()
@@ -380,20 +392,22 @@ def solve_branches(
         depth, state = stack.pop()
         if not _normalize(state):
             continue
+        children = None
         for scope in _scopes(state, weights):
-            children = _solve_linear(state, scope, weights)
-            split = children is None and depth < depth_limit
-            if split:
-                children = _find_factor_split(state, scope) or _find_coefficient_split(
-                    state, scope, weights
-                )
+            for _, apply, splits in _RULES:
+                if splits and depth >= depth_limit:
+                    break
+                children = apply(state, scope, weights)
+                if children is not None:
+                    break
             if children is not None:
                 break
         if children is None:
-            out.append(_finalize(state, universe))
+            stopped = depth >= depth_limit and _would_split(state, weights)
+            out.append(_finalize(state, universe, "depth_limit" if stopped else "no_rule"))
         else:
             # reversed, so the first child is popped next: depth-first order
-            stack.extend((depth + split, child) for child in reversed(children))
+            stack.extend((depth + splits, child) for child in reversed(children))
     return out
 
 
@@ -480,7 +494,9 @@ def _solve_for(state: _BranchState, name: str, idx: int, coeff: ParamPolynomial)
     return state.assign(name, value)
 
 
-def _find_factor_split(state: _BranchState, scope: Sequence[int]) -> list[_BranchState] | None:
+def _find_factor_split(
+    state: _BranchState, scope: Sequence[int], weights: Mapping[str, int]
+) -> list[_BranchState] | None:
     for idx in scope:
         factors = state.equations[idx][1]
         if len(factors) < 2:
@@ -512,15 +528,37 @@ def _find_coefficient_split(
     return [vanishing, solving] if _solve_for(solving, name, idx, coeff) else [vanishing]
 
 
+# the branch search's rules as (name, step, whether it splits), tried in
+# this order on each scope.  A step gives the children of a state in the
+# equations at scope ([] when it is infeasible), or None when it does not
+# apply; a split runs only below the depth limit and adds one to the depth
+# of its children.
+_RULES = (
+    ("linear", _solve_linear, False),
+    ("factor", _find_factor_split, True),
+    ("coefficient", _find_coefficient_split, True),
+)
+
+
+def _would_split(state: _BranchState, weights: Mapping[str, int]) -> bool:
+    """Whether a split rule applies to some equation, told without building
+    children: one has two factors or more, or a name of degree 1."""
+    everything = range(len(state.equations))
+    return any(len(factors) > 1 for _, factors in state.equations) or (
+        next(_linear_occurrences(state, everything, weights), None) is not None
+    )
+
+
 def _ordered(polys) -> tuple[ParamPolynomial, ...]:
     return tuple(sorted(polys, key=lambda p: (p.degree(), str(p))))
 
 
-def _finalize(state: _BranchState, universe) -> SolutionBranch:
+def _finalize(state: _BranchState, universe, reason: str) -> SolutionBranch:
     """The leaf's branch; records uncovered denominators on the leaf's state.
 
     Called only right after _normalize, so the equations are monic and
-    distinct and form the residual system as they stand.
+    distinct and form the residual system as they stand; reason is kept
+    only on a branch with a residual system.
     """
     for rf in state.assignments.values():
         if not state.knows_nonzero(rf.denominator):
@@ -528,7 +566,8 @@ def _finalize(state: _BranchState, universe) -> SolutionBranch:
     assignments = tuple(sorted(state.assignments.items()))
     free = tuple(name for name in universe if name not in state.assignments)
     residual = _ordered(eq for eq, _ in state.equations)
-    return SolutionBranch(assignments, _ordered(state.disequalities.values()), residual, free)
+    diseqs = _ordered(state.disequalities.values())
+    return SolutionBranch(assignments, diseqs, residual, free, reason if residual else "")
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +660,8 @@ def branch_values(
     rfs = [rf for _, rf in branch.assignments]
     # lazy, so a violated condition or a zero denominator stops it; it reads
     # the free values on its first step, before any assigned value is added
-    results = _evaluate(
-        [*branch.disequalities, *(rf.denominator for rf in rfs), *(rf.numerator for rf in rfs)],
-        [values],
-    )
+    polys = [*branch.disequalities, *(rf.denominator for rf in rfs), *(rf.numerator for rf in rfs)]
+    results = _evaluate([_coefficients(p) for p in polys], [values])
     for condition, (re, im, _) in zip(branch.disequalities, results):
         if not (re or im):
             raise DisequalityViolated(str(condition))
@@ -663,7 +700,7 @@ def sample(
     if defect is not None:
         which, position = defect
         raise ResidualNonzero(("anti-commutation", "equation")[which], position)
-    rows, _, d = k
+    rows, d = k
     return _exact(rows, d)
 
 

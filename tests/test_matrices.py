@@ -11,6 +11,9 @@ from ybx.matrices import (
     RowSpan,
     _first_residual,
     _integer_form,
+    _pack,
+    _rows,
+    _unpack,
     block_diag,
     first_nonzero_entry,
     mat_inverse,
@@ -301,7 +304,8 @@ def _matrices(draw, rows: int, cols: int) -> ExactMatrix:
 
 @st.composite
 def _factor_pairs(draw):
-    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    # inner dimensions 8 and 9 add a bit to the packed digit width
+    r, k, c = draw(st.integers(1, 4)), draw(st.integers(1, 9)), draw(st.integers(1, 4))
     return draw(_matrices(r, k)), draw(_matrices(k, c))
 
 
@@ -325,6 +329,39 @@ def test_mat_mul_one_by_one_and_large_denominators():
     col = ExactMatrix.column([p, -q])
     assert mat_mul(row, col) == ExactMatrix.zeros(1, 1)
     assert mat_mul(col, row) == textbook_product(col, row)
+
+
+@pytest.mark.parametrize("s", [2, 3, 8, 61, 64, 100])
+def test_pack_unpack_round_trip_at_digit_extremes(s):
+    top = 2 ** (s - 1) - 1
+    rows = [
+        ([top, 0, -top, 0, 0, top, -top], None),  # zeros between, negative top digit
+        ([-top] * 7, [top, -top, 0, 1, -1, 0, top]),
+        ([0, 0, 0, 0, 0, 0, -1], [-top, 0, 0, 0, 0, 0, 0]),
+    ]
+    packed = _pack(rows, s)
+    assert _rows(packed, s, 7) == rows
+    for p, (re, _) in zip(packed[0], rows):
+        assert _unpack(p, s, 7) == re
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 17])
+@pytest.mark.parametrize("units", [(1, 1), (1j, 1j), (1 + 1j, 1 - 1j)], ids=str)
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+def test_products_fill_the_digit_width(k, units, signs):
+    # every entry of A is sa*ua*M and every entry of X is sx*ux*M, the
+    # largest M of its bit length: each residual entry is the largest its
+    # width must hold (for 1 + i times 1 - i, |re| + |im| is what bounds
+    # it).  With J all ones, J J = k J.
+    m = 2**40 - 1
+    (sa, sx), (ua, ux) = signs, (GaussianRational(int(u.real), int(u.imag)) for u in units)
+    ones = ExactMatrix.from_rows([[1] * k for _ in range(k)])
+    a, x = ones * (ua * (sa * m)), ones * (ux * (sx * m))
+    assert mat_mul(a, x) == ones * (ua * ux * (sa * sx * m * m * k))
+    anti, ybe = residuals(a, x)
+    assert anti == ones * (ua * ux * (2 * sa * sx * m * m * k))
+    assert ybe == ones * (ua * ux * (sa * ua - sx * ux) * (sa * sx * m**3 * k * k))
+    assert _first_residual(_integer_form(a), _integer_form(x)) == (0, (0, 0))
 
 
 def textbook_residuals(a: ExactMatrix, x: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:

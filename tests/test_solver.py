@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import operator
 import random
@@ -265,6 +266,8 @@ def test_single_block_depth_zero_leaves_honest_residual(n):
     family = solve(similarity_from_jordan(spec((0, [n]))), depth_limit=0)
     assert len(family.branches) == 1
     assert family.branches[0].residual_system
+    assert family.branches[0].reason == "depth_limit"
+    assert "reason" not in family_to_json(family)["branches"][0]
     assert all(name.startswith("k1_1_1_1_") for name in family.parameters())
 
 
@@ -732,6 +735,7 @@ def test_solve_branches_irreducible_quadratic_is_residual():
     branches = solve_branches([parse_polynomial("2+x*x")], depth_limit=4)
     assert len(branches) == 1
     assert branches[0].residual_system
+    assert branches[0].reason == "no_rule"
     assert branches[0].free_parameters == ("x",)
 
 
@@ -739,8 +743,13 @@ def test_solve_branches_depth_limit_leaves_residuals():
     system = [parse_polynomial(t) for t in ("a*b", "c*d", "e*f")]
     branches = solve_branches(system, depth_limit=1)
     assert any(b.residual_system for b in branches)
+    for b in branches:
+        assert b.reason == ("depth_limit" if b.residual_system else "")
+        # rename carries the reason, and equality ignores it
+        assert b.rename({"a": "z"}).reason == b.reason
+        assert b == dataclasses.replace(b, reason="no_rule")
     total = solve_branches(system, depth_limit=8)
-    assert all(not b.residual_system for b in total)
+    assert all(not b.residual_system and not b.reason for b in total)
     assert len(total) == 8
 
 
