@@ -45,7 +45,7 @@ import re as _re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
+from itertools import filterfalse, repeat
 from math import lcm
 from typing import Iterator, Mapping, NoReturn, Sequence
 
@@ -184,13 +184,14 @@ class ParamPolynomial:
         if not shared:
             return (), self
         content = sorted(v for v in shared for _ in range(min(m.count(v) for m, _ in self.terms)))
-        quotient = {}
+        quotient = []
         for mono, c in self.terms:
             rest = list(mono)
             for v in content:
                 rest.remove(v)
-            quotient[tuple(rest)] = c
-        return tuple(content), ParamPolynomial.from_dict(quotient)
+            quotient.append((tuple(rest), c))
+        # the order of monomials is multiplicative: the quotient keeps it
+        return tuple(content), ParamPolynomial(tuple(quotient))
 
     def substitute(self, mapping: Mapping[str, "ParamPolynomial"]) -> "ParamPolynomial":
         rational = {var: RationalFunction.from_polynomial(p) for var, p in mapping.items()}
@@ -310,13 +311,16 @@ def _substitute(
     With top the highest power of a mapped v in a polynomial, v**k becomes
     num**k * den**(top - k) over that polynomial's common denominator, the
     product of den**top over its mapped names, so denominators do not blow
-    up term by term.  Powers of the values and their products are built
-    once for all the polynomials, and no factor 1 is multiplied.
+    up term by term.  Powers of the values, their products and the common
+    denominators are built once for all the polynomials, and no factor 1 is
+    multiplied.  A term without a mapped name keeps its monomial.
     """
     one = ParamPolynomial.constant(1)
     unit = {(): (1, 0)}
     powers: dict[tuple[str, bool], list[dict]] = {}
-    products: dict[tuple[tuple[str, int, int], ...], dict] = {}
+    # keyed by (mapped names, their top powers, a term's powers of them)
+    products: dict[tuple, dict] = {}
+    denominators: dict[tuple, ParamPolynomial] = {}
 
     def factors(var: str, k: int, top: int) -> Iterator[dict]:
         """num**k and den**(top - k) of var's value, leaving out each 1."""
@@ -331,23 +335,24 @@ def _substitute(
                     table.append(_times(table[-1], table[1]))
                 yield table[e]
 
-    def product(key: tuple[tuple[str, int, int], ...]) -> dict:
+    def product(key: tuple) -> dict:
         if key not in products:
-            fs = [f for var, k, t in key for f in factors(var, k, t)]
+            fs = [f for var, t, k in zip(*key) for f in factors(var, k, t)]
             products[key] = reduce(_times, fs) if fs else unit
         return products[key]
 
     for p in polys:
-        used = {v for mono, _ in p.terms for v in mono if v in mapping}
-        top = [(var, max(mono.count(var) for mono, _ in p.terms)) for var in sorted(used)]
+        names = tuple(sorted({v for mono, _ in p.terms for v in mono if v in mapping}))
+        tops = tuple(max(mono.count(var) for mono, _ in p.terms) for var in names)
         acc: dict = {}
-        for mono, (re, im) in _parts(p).items():
-            key = tuple((var, mono.count(var), t) for var, t in top)
-            rest = tuple(v for v in mono if v not in used)
-            _add_product(acc, rest, re, im, product(key))
-        # num**0 * den**top for each name: the common denominator
-        den = product(tuple((var, 0, t) for var, t in top))
-        yield RationalFunction.make(_polynomial(acc), _polynomial(den))
+        for mono, c in p.terms:
+            counts = tuple(map(mono.count, names))
+            rest = tuple(filterfalse(mapping.__contains__, mono)) if any(counts) else mono
+            _add_product(acc, rest, c.re, c.im, product((names, tops, counts)))
+        if (names, tops) not in denominators:
+            # num**0 * den**top for each name: the common denominator
+            denominators[names, tops] = _polynomial(product((names, tops, (0,) * len(names))))
+        yield RationalFunction.make(_polynomial(acc), denominators[names, tops])
 
 
 def _as_poly(value) -> ParamPolynomial | None:

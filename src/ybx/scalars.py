@@ -15,10 +15,10 @@ Fraction into its int.  Integral parts stay ints through int arithmetic,
 the common case, so no Fraction is built for them; every division goes
 through Fraction, since int / int would give a float.
 
-Hashing uses the numerators and denominators of both parts, which the one
-representation makes unique (an int is its own numerator over 1), so it
-agrees with equality without the modular inverse that Fraction.__hash__
-computes.
+A value with int parts hashes the two ints; any other hashes the numerators
+and denominators of both parts, which the one representation makes unique,
+so hashing agrees with equality without the modular inverse that
+Fraction.__hash__ computes.
 
 A zero part is the int 0, _ZERO_PART.  +, -, * and / skip the imaginary
 arithmetic when both operands are real, and unary - and conjugate when the
@@ -73,6 +73,8 @@ class GaussianRational:
 
     def __hash__(self) -> int:
         re, im = self.re, self.im
+        if type(re) is int and type(im) is int:
+            return hash((re, im))
         return hash((re.numerator, re.denominator, im.numerator, im.denominator))
 
     def __bool__(self) -> bool:

@@ -13,7 +13,9 @@ Third, that degree-<=2 polynomial system is split into explicit branches:
 parameter assignments plus "must stay nonzero" side conditions, with honest
 residual systems when the case split cannot finish within the depth limit.
 One depth-first worklist loop runs the split; depth counts splits only, and
-every branch comes from its one leaf site.  The loop tries one ordered table
+every branch comes from its one leaf site.  An equation enters the search
+once (_entering), as a record of its monic product, factors and names that
+the steps read instead of its terms.  The loop tries one ordered table
 of named rules (_RULES): "linear" solves and substitutes, and the splits
 "factor" and "coefficient" apply only below the depth limit.  A leaf with a
 residual system records why the search stopped there, as the branch's
@@ -31,8 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, product
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate, chain, pairwise, product
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .anticommutant import anticommutant_basis
 from .errors import (
@@ -50,7 +52,7 @@ from .jordan import (
 from .matrices import ExactMatrix, _exact, _first_residual, _integer_form, block_diag, residuals
 from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction
 from .polynomials import _coefficients, _evaluate, _integer_forms, _polynomial, _substitute
-from .scalars import GaussianRational, _over, as_gaussian
+from .scalars import ZERO, GaussianRational, _over, as_gaussian
 
 JORDAN_FRAME = "jordan"
 ORIGINAL_FRAME = "original"
@@ -199,71 +201,83 @@ def constraint_weights(j0_sizes: Sequence[int], names: Iterable[str]) -> dict[st
 # branch search
 
 
-def _monic(p: ParamPolynomial) -> ParamPolynomial:
-    return p.monic()[0]
+class _Equation(NamedTuple):
+    """An equation's record: monic product of its factors, factors, names, names of degree 1."""
+
+    product: ParamPolynomial
+    factors: list[ParamPolynomial]
+    names: frozenset[str]
+    linear: frozenset[str]
 
 
-def _factor(p: ParamPolynomial) -> list[ParamPolynomial]:
-    """Split into nonconstant factors, radical-style (repeats collapsed).
+def _record(product: ParamPolynomial, factors: list[ParamPolynomial]) -> _Equation:
+    """The record of a product of factors; its terms are read once."""
+    monos = [mono for mono, _ in product.terms]
+    names = frozenset(chain.from_iterable(monos))
+    # monomials are sorted, so a squared name sits next to itself
+    squared = {v for mono in monos if len(mono) > 1 for v, w in pairwise(mono) if v == w}
+    return _Equation(product, factors, names, names - squared)
 
-    Handles the shapes the constraint systems produce: the monomial content,
-    each variable once, and a single-variable quadratic quotient with roots
-    in Q(i); any other quotient comes back atomic.  Every factor is monic (a
-    variable, x - root, or the monic quotient), and they are distinct: no
-    variable divides the quotient, so its roots are nonzero and it is not a
-    bare variable.  The list is invariant under units (p is made monic
-    first) and stable on products of its own output: for every
-    order-preserving sub-list L of it, _factor(product of L) is L.
+
+def _entering(p: ParamPolynomial) -> _Equation:
+    """p's record, the one place where an equation enters the search: p made
+    monic once, and split radical-style (repeats collapsed) into the monomial
+    content, each variable once, and a single-variable quadratic quotient
+    with roots in Q(i); any other quotient comes back atomic.  Every factor
+    is monic (a variable, x - root, or the monic quotient), and they are
+    distinct: no variable divides the quotient, so its roots are nonzero and
+    it is not a bare variable.  The factors are invariant under units and
+    stable on products of their own: for every order-preserving sub-list L
+    of them, the record of the product of L has the factors L.  Monomials
+    are in a multiplicative order, so the monic p is the product of its
+    factors unless a repeat collapsed; only then are they multiplied back.
+    A constant p keeps itself and has no factors.
     """
     if p.is_constant():
-        return []
-    content, rest = _monic(p).monomial_content()
+        return _record(p, [])
+    monic = p.monic()[0]
+    content, rest = monic.monomial_content()
     factors = [ParamPolynomial.variable(v) for v in sorted(set(content))]
+    whole = len(factors) == len(content)
     if not rest.is_constant():
-        factors.extend(_factor_atomic(rest))
-    return factors
+        roots = _roots(rest)
+        if roots is None:
+            factors.append(rest)
+        else:
+            var = ParamPolynomial.variable(rest.terms[-1][0][0])
+            factors.extend(var - ParamPolynomial.constant(r) for r in roots)
+            whole = whole and len(roots) == 2
+    return _record(monic if whole else math.prod(factors), factors)
 
 
-def _factor_atomic(p: ParamPolynomial) -> list[ParamPolynomial]:
-    variables = p.variables()
-    if len(variables) == 1 and p.degree() == 2:
-        # coefficients in the only variable are constants
-        name = variables[0]
-        av, bv, cv = (p.coefficient_of(name, k).constant_value() for k in (2, 1, 0))
-        disc = bv**2 - as_gaussian(4) * av * cv
-        root = disc.sqrt()
-        if root is not None:
-            two_a = (av + av).reciprocal()
-            r1 = (-bv + root) * two_a
-            r2 = (-bv - root) * two_a
-            var = ParamPolynomial.variable(name)
-            out = [var - ParamPolynomial.constant(r1)]
-            if r1 != r2:
-                out.append(var - ParamPolynomial.constant(r2))
-            return out
-    return [_monic(p)]
-
-
-def _entering(p: ParamPolynomial) -> tuple[ParamPolynomial, list[ParamPolynomial]]:
-    """(monic product of p's factors, the factors); a constant p keeps itself."""
-    factors = _factor(p)
-    return math.prod(factors, start=ParamPolynomial.constant(1)) if factors else p, factors
+def _roots(p: ParamPolynomial) -> list[GaussianRational] | None:
+    """The distinct roots in Q(i) of a monic quadratic p in one variable, else None."""
+    if len(p.variables()) != 1 or p.degree() != 2:
+        return None
+    coefficients = {len(mono): c for mono, c in p.terms}  # one variable: degree is power
+    b, c = coefficients.get(1, ZERO), coefficients.get(0, ZERO)
+    root = (b * b - 4 * c).sqrt()
+    if root is None:
+        return None
+    r1, r2 = (-b + root) / 2, (-b - root) / 2
+    return [r1] if r1 == r2 else [r1, r2]
 
 
 class _BranchState:
     """Mutable search state: equations, assignments, side conditions.
 
-    Equations are (monic product, factors) pairs.  _factor runs only in
-    _entering, on the initial system, assign's rewrites and both sides of a
-    coefficient split, and in knows_nonzero on a polynomial whose names all
-    occur in some side condition.  Those names are kept in recorded, which
-    add_disequality and assign update with the side conditions.
+    Equations are _Equation records, built by _entering for the initial
+    system, assign's rewrites and both sides of a coefficient split, and by
+    _record where _normalize or a factor split keeps some factors.
+    knows_nonzero factors only a polynomial whose names all occur in some
+    side condition.  Those names are kept in recorded, which add_disequality
+    and assign update with the side conditions.
     """
 
     __slots__ = ("equations", "assignments", "disequalities", "recorded")
 
     def __init__(self, equations, assignments, disequalities):
-        self.equations: list[tuple[ParamPolynomial, list[ParamPolynomial]]] = equations
+        self.equations: list[_Equation] = equations
         self.assignments: dict[str, RationalFunction] = assignments
         self.disequalities: dict[tuple, ParamPolynomial] = disequalities
         self.recorded: set[str] = {
@@ -279,7 +293,7 @@ class _BranchState:
             return False
         if p.is_constant():
             return True
-        m = _monic(p)
+        m = p.monic()[0]
         self.disequalities.setdefault(m.terms, m)
         self.recorded.update(v for mono, _ in m.terms for v in mono)
         return True
@@ -295,33 +309,30 @@ class _BranchState:
             return bool(p.constant_value())
         if any(v not in self.recorded for mono, _ in p.terms for v in mono):
             return False
-        return all(f.terms in self.disequalities for f in _factor(p))
+        return all(f.terms in self.disequalities for f in _entering(p).factors)
 
     def assign(self, name: str, value: RationalFunction) -> bool:
         """Substitute name := value everywhere; returns False if infeasible.
 
         One _substitute pass rewrites every side condition, assignment
         numerator and denominator, and equation that mentions name, so the
-        powers of value are built once.  An equation without name keeps its
-        (product, factors) pair.  False when a side condition becomes zero
-        or an assignment denominator vanishes; the state may then be
-        half-rebuilt, and every caller drops it.
+        powers of value are built once.  An equation's record names its
+        names, and an equation without name keeps its record.  False when a
+        side condition becomes zero or an assignment denominator vanishes;
+        the state may then be half-rebuilt, and every caller drops it.
         """
-
-        def mentions(*polys: ParamPolynomial) -> bool:
-            return any(name in mono for p in polys for mono, _ in p.terms)
-
-        diseqs = [(m, mentions(m)) for m in self.disequalities.values()]
+        conditions = self.disequalities.values()
+        diseqs = [(m, any(name in mono for mono, _ in m.terms)) for m in conditions]
         rfs = [
-            (var, rf, mentions(rf.numerator, rf.denominator))
+            (var, rf, any(name in mono for mono, _ in rf.numerator.terms + rf.denominator.terms))
             for var, rf in self.assignments.items()
         ]
-        eqs = [(pair, mentions(pair[0])) for pair in self.equations]
+        eqs = [(eq, name in eq.names) for eq in self.equations]
         out = _substitute(
             [
                 *(m for m, hit in diseqs if hit),
                 *(p for _, rf, hit in rfs if hit for p in (rf.numerator, rf.denominator)),
-                *(pair[0] for pair, hit in eqs if hit),
+                *(eq.product for eq, hit in eqs if hit),
             ],
             {name: value},
         )
@@ -340,7 +351,7 @@ class _BranchState:
                 )
             self.assignments[var] = rf
         self.assignments[name] = value
-        self.equations = [_entering(next(out).numerator) if hit else pair for pair, hit in eqs]
+        self.equations = [_entering(next(out).numerator) if hit else eq for eq, hit in eqs]
         return True
 
 
@@ -377,17 +388,14 @@ def solve_branches(
     branches jointly cover all of it.  Each split partitions it and a linear
     solve is a bijection, so the leaves are disjoint; none is merged.
     """
+    equations = [_entering(p) for p in system]
     if parameters is None:
-        seen: set[str] = set()
-        for p in system:
-            seen.update(p.variables())
-        universe = tuple(sorted(seen))
-    else:
-        universe = tuple(parameters)
+        parameters = sorted(set().union(*(eq.names for eq in equations)))
+    universe = tuple(parameters)
     weights = weights or {}
 
     out: list[SolutionBranch] = []
-    stack = [(0, _BranchState([_entering(p) for p in system], {}, {}))]
+    stack = [(0, _BranchState(equations, {}, {}))]
     while stack:
         depth, state = stack.pop()
         if not _normalize(state):
@@ -403,7 +411,10 @@ def solve_branches(
             if children is not None:
                 break
         if children is None:
-            stopped = depth >= depth_limit and _would_split(state, weights)
+            # a split still applies: two factors or more, or a name of degree 1
+            stopped = depth >= depth_limit and any(
+                len(eq.factors) > 1 or eq.linear for eq in state.equations
+            )
             out.append(_finalize(state, universe, "depth_limit" if stopped else "no_rule"))
         else:
             # reversed, so the first child is popped next: depth-first order
@@ -415,11 +426,7 @@ def _scopes(state: _BranchState, weights: Mapping[str, int]) -> list[Sequence[in
     """The equation indices the steps look at, in turn: the equations in the
     weight-0 unknowns alone, then all, or all at once when that is either."""
     everything = range(len(state.equations))
-    graded = [
-        idx
-        for idx, (eq, _) in enumerate(state.equations)
-        if not any(weights.get(v, 0) for v in eq.variables())
-    ]
+    graded = [i for i, eq in enumerate(state.equations) if not any(map(weights.get, eq.names))]
     return [graded, everything] if 0 < len(graded) < len(everything) else [everything]
 
 
@@ -427,21 +434,21 @@ def _normalize(state: _BranchState) -> bool:
     """Canonicalize equations in one pass; False when the branch is infeasible.
 
     Each equation keeps its factors that are not recorded nonzero (a constant
-    has none), its product is rebuilt only when one was dropped, and repeats
+    has none), its record is rebuilt only when one was dropped, and repeats
     are dropped.  One pass suffices: the search loop normalizes again after
     every substitution, and the reduced equations are monic and distinct.
     """
-    cleaned: dict[tuple, tuple[ParamPolynomial, list[ParamPolynomial]]] = {}
-    for eq, factors in state.equations:
-        if eq.is_zero():
+    cleaned: dict[tuple, _Equation] = {}
+    for eq in state.equations:
+        if eq.product.is_zero():
             continue
         # each factor is monic and atomic: known nonzero iff recorded
-        live = [f for f in factors if f.terms not in state.disequalities]
+        live = [f for f in eq.factors if f.terms not in state.disequalities]
         if not live:
             return False
-        if len(live) < len(factors):
-            eq = math.prod(live, start=ParamPolynomial.constant(1))
-        cleaned.setdefault(eq.terms, (eq, live))
+        if len(live) < len(eq.factors):
+            eq = _record(math.prod(live), live)
+        cleaned.setdefault(eq.product.terms, eq)
     state.equations = list(cleaned.values())
     return True
 
@@ -450,15 +457,10 @@ def _linear_occurrences(state: _BranchState, scope: Sequence[int], weights: Mapp
     """(name, equation index) of each degree-1 occurrence in the equations at
     scope, by descending weight, then by name.
 
-    Each equation's names of degree 1 are read from its terms once.  No
-    coefficient is built here: the step that takes an occurrence builds it.
+    Each equation's names of degree 1 come from its record.  No coefficient
+    is built here: the step that takes an occurrence builds it.
     """
-    linear = []
-    for idx in scope:
-        eq = state.equations[idx][0]
-        # monomials are sorted, so a squared name sits next to itself
-        squared = {v for mono, _ in eq.terms for v, w in zip(mono, mono[1:]) if v == w}
-        linear.append((idx, {v for mono, _ in eq.terms for v in mono} - squared))
+    linear = [(idx, state.equations[idx].linear) for idx in scope]
     names = set().union(*(once for _, once in linear))
     for name in sorted(names, key=lambda v: (-weights.get(v, 0), v)):
         for idx, once in linear:
@@ -471,7 +473,7 @@ def _solve_linear(
 ) -> list[_BranchState] | None:
     """One solve-and-substitute step: [state] if made, [] if infeasible, None if none applies."""
     for name, idx in _linear_occurrences(state, scope, weights):
-        eq = state.equations[idx][0]
+        eq = state.equations[idx].product
         # the coefficient's names are the other names of the terms with name;
         # one that no side condition uses rules it out before it is built
         others = {v for mono, _ in eq.terms if name in mono for v in mono if v != name}
@@ -487,7 +489,7 @@ def _solve_for(state: _BranchState, name: str, idx: int, coeff: ParamPolynomial)
     """Solve equation idx for name, with coeff its nonzero coefficient there,
     and substitute; False when the state becomes infeasible."""
     # the solved equation would substitute to zero
-    eq = state.equations.pop(idx)[0]
+    eq = state.equations.pop(idx).product
     value = RationalFunction.make(-eq.coefficient_of(name, 0), coeff)
     # records value's denominator, coeff made monic; a no-op for a constant
     state.add_disequality(coeff)
@@ -498,14 +500,14 @@ def _find_factor_split(
     state: _BranchState, scope: Sequence[int], weights: Mapping[str, int]
 ) -> list[_BranchState] | None:
     for idx in scope:
-        factors = state.equations[idx][1]
+        factors = state.equations[idx].factors
         if len(factors) < 2:
             continue
         head, tail = factors[0], factors[1:]
         zero_side = state.clone()
-        zero_side.equations[idx] = (head, [head])
+        zero_side.equations[idx] = _record(head, [head])
         nonzero_side = state.clone()
-        nonzero_side.equations[idx] = (math.prod(tail, start=ParamPolynomial.constant(1)), tail)
+        nonzero_side.equations[idx] = _record(math.prod(tail), tail)
         nonzero_side.add_disequality(head)
         return [zero_side, nonzero_side]
     return None
@@ -520,7 +522,7 @@ def _find_coefficient_split(
     if occurrence is None:
         return None
     name, idx = occurrence
-    coeff, rest = (state.equations[idx][0].coefficient_of(name, k) for k in (1, 0))
+    coeff, rest = (state.equations[idx].product.coefficient_of(name, k) for k in (1, 0))
     vanishing = state.clone()
     vanishing.equations[idx] = _entering(coeff)
     vanishing.equations.append(_entering(rest))
@@ -540,15 +542,6 @@ _RULES = (
 )
 
 
-def _would_split(state: _BranchState, weights: Mapping[str, int]) -> bool:
-    """Whether a split rule applies to some equation, told without building
-    children: one has two factors or more, or a name of degree 1."""
-    everything = range(len(state.equations))
-    return any(len(factors) > 1 for _, factors in state.equations) or (
-        next(_linear_occurrences(state, everything, weights), None) is not None
-    )
-
-
 def _ordered(polys) -> tuple[ParamPolynomial, ...]:
     return tuple(sorted(polys, key=lambda p: (p.degree(), str(p))))
 
@@ -565,7 +558,7 @@ def _finalize(state: _BranchState, universe, reason: str) -> SolutionBranch:
             state.add_disequality(rf.denominator)
     assignments = tuple(sorted(state.assignments.items()))
     free = tuple(name for name in universe if name not in state.assignments)
-    residual = _ordered(eq for eq, _ in state.equations)
+    residual = _ordered(eq.product for eq in state.equations)
     diseqs = _ordered(state.disequalities.values())
     return SolutionBranch(assignments, diseqs, residual, free, reason if residual else "")
 

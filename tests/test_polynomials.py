@@ -350,6 +350,8 @@ def test_monomial_content_divides_out_exactly(rng):
     p = _draw_nonzero_poly(rng) * _monomial(shift)
     content, quotient = p.monomial_content()
     assert quotient * _monomial(content) == p
+    # the quotient keeps p's terms in canonical order, with no sort
+    assert quotient.terms == ParamPolynomial.from_dict(dict(quotient.terms)).terms
     assert not set(NAMES).intersection(*(mono for mono, _ in quotient.terms))
 
 

@@ -123,6 +123,58 @@ def test_structural_equality_and_hash():
     assert GaussianRational(1, 2) != GaussianRational(1, 3)
 
 
+# each value built by every route: the public constructor, _make, _over,
+# parse_scalar and arithmetic; int parts and Fraction parts hash differently
+ROUTES = [
+    [
+        GaussianRational(Fraction(4, 2)),
+        _make(2, 0),
+        _over(4, 0, 2),
+        parse_scalar("4/2"),
+        GaussianRational(Fraction(1, 2)) * 4,
+        GaussianRational(3) - GaussianRational(1),
+    ],
+    [
+        GaussianRational(Fraction(-3, 6)),
+        _make(Fraction(-1, 2), 0),
+        _over(-3, 0, 6),
+        parse_scalar("-1/2"),
+        GaussianRational(1) / GaussianRational(-2),
+        GaussianRational(Fraction(1, 6)) * -3,
+    ],
+    [
+        GaussianRational(Fraction(4, 2), Fraction(-3, 6)),
+        _make(2, Fraction(-1, 2)),
+        _over(4, -1, 2),
+        parse_scalar("2-1/2i"),
+        GaussianRational(1, 0) + GaussianRational(1, Fraction(-1, 2)),
+        GaussianRational(4, -1) / 2,
+    ],
+    [
+        GaussianRational(0, Fraction(6, 2)),
+        _make(0, 3),
+        _over(0, 6, 2),
+        parse_scalar("3i"),
+        GaussianRational(0, 1) * 3,
+        GaussianRational(1, 3) - 1,
+    ],
+]
+
+
+@pytest.mark.parametrize("values", ROUTES)
+def test_equal_values_hash_alike_by_every_route(values):
+    from ybx.polynomials import ParamPolynomial, parse_polynomial
+
+    for value in values:
+        assert value == values[0] and hash(value) == hash(values[0]), value
+    # a dict keyed by polynomial terms finds the key whichever route built it
+    table = {ParamPolynomial(((("x",), values[0]),)).terms: "found"}
+    for value in values:
+        assert table[ParamPolynomial(((("x",), value),)).terms] == "found"
+    text = f"({values[0]})*x" if "i" in str(values[0]) else f"{values[0]}*x"
+    assert table[parse_polynomial(text).terms] == "found"
+
+
 def test_as_gaussian_coercions():
     assert as_gaussian("1/2") == GaussianRational(Fraction(1, 2))
     assert as_gaussian(3) == GaussianRational(3)

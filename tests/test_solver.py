@@ -38,7 +38,7 @@ from ybx.scalars import GaussianRational
 from ybx.solver import (
     SolutionBranch,
     SolutionFamily,
-    _factor,
+    _entering,
     branch_matrix,
     branch_satisfied_by,
     branch_values,
@@ -581,6 +581,28 @@ def test_constraint_system_is_graded():
                 assert all(_reference_weight(sizes, v) == 0 for v in eq.variables()), (sizes, eq)
 
 
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_weight_zero_equations_are_the_square_of_the_block_corners(s, k):
+    # k equal blocks of size s: the equations in the weight-0 unknowns alone
+    # are, up to units, the nonzero entries of K^2 for the k x k matrix K of
+    # the template's entries at the blocks' first rows and columns
+    template, system = build_constraint_system((s,) * k)
+    weights = constraint_weights((s,) * k, template.variables())
+    graded = {
+        eq.monic()[0].terms for eq in system if not any(weights[v] for v in eq.variables())
+    }
+    corners = [[template[u * s, v * s] for v in range(k)] for u in range(k)]
+    zero = ParamPolynomial.zero()
+    square = [
+        sum((corners[u][w] * corners[w][v] for w in range(k)), zero)
+        for u in range(k)
+        for v in range(k)
+    ]
+    assert len(graded) == k * k
+    assert graded == {entry.monic()[0].terms for entry in square if not entry.is_zero()}
+
+
 @pytest.mark.parametrize(
     "sizes, by_name, by_grade", [((3, 3), (4, 1), (4, 0)), ((3, 3, 2), (11, 4), (7, 0))]
 )
@@ -864,10 +886,14 @@ def test_solve_branches_keeps_root_order_of_entering_equation():
 
 
 # _normalize tests "known nonzero" on each factor by lookup alone, which is
-# sound only because every factor _factor returns is already atomic.  The
-# branch search keeps each equation's factors instead of factoring it again,
-# which gives the same answer only because _factor is invariant under units
-# and stable on products of its own output.
+# sound only because every factor of a record _entering builds is already
+# atomic.  The branch search keeps each equation's factors instead of
+# factoring it again, which gives the same answer only because the factors
+# are invariant under units and stable on products of their own.
+def _factors(p):
+    return _entering(p).factors
+
+
 monomials = st.lists(st.sampled_from(("a", "b", "c")), max_size=2).map(lambda v: tuple(sorted(v)))
 small = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-1, 1))
 at_most_quadratic = st.dictionaries(monomials, small, max_size=5).map(ParamPolynomial.from_dict)
@@ -892,15 +918,15 @@ units = st.sampled_from(UNITS)
 
 
 def _assert_factors_atomic(p, unit):
-    factors = _factor(p)
+    factors = _factors(p)
     assert len({f.terms for f in factors}) == len(factors), (p, factors)
     for f in factors:
         assert f.monic()[0] == f, (p, f)
-        assert _factor(f) == [f], (p, f)
-    assert _factor(p * unit) == factors, (p, unit)
+        assert _factors(f) == [f], (p, f)
+    assert _factors(p * unit) == factors, (p, unit)
     for keep in product((False, True), repeat=len(factors)):
         sub = [f for f, kept in zip(factors, keep) if kept]
-        assert _factor(math.prod(sub, start=ParamPolynomial.constant(1))) == sub, (p, sub)
+        assert _factors(math.prod(sub, start=ParamPolynomial.constant(1))) == sub, (p, sub)
 
 
 @given(quadratics, units)
@@ -914,6 +940,43 @@ def test_constraint_system_factors_are_atomic(sizes):
     for eq in system:
         for unit in UNITS:
             _assert_factors_atomic(eq, unit)
+
+
+def _hand_made_equations():
+    x, y = ParamPolynomial.variable("x"), ParamPolynomial.variable("y")
+    one = ParamPolynomial.constant(1)
+    return [
+        x * x * y,
+        (x - one) * (x - one) * y,
+        parse_polynomial("2*x*x-3*x+1"),  # roots 1 and 1/2
+        parse_polynomial("x*x+x+1"),  # no root in Q(i)
+        parse_polynomial("3/2"),
+    ]
+
+
+def test_entering_records_its_product_factors_and_names():
+    # every equation of every partition with n <= 8, and hand-made ones that
+    # collapse a repeated content variable or a double root, or do not split
+    partitions = [p for n in range(1, 9) for p in _partitions(n, n)]
+    system = [eq for sizes in partitions for eq in build_constraint_system(sizes)[1]]
+    for p in system + _hand_made_equations():
+        record = _entering(p)
+        if p.is_constant():
+            assert (record.product, record.factors) == (p, [])
+        else:
+            assert record.product == math.prod(record.factors, start=ParamPolynomial.constant(1))
+            assert record.product.terms[-1][1] == GaussianRational(1)
+        assert sorted(record.names) == list(record.product.variables())
+        terms = record.product.terms
+        once = {v for v in record.names if all(mono.count(v) <= 1 for mono, _ in terms)}
+        assert record.linear == once, p
+    # the repeats collapse; the others keep the monic p itself as the product
+    records = [_entering(p) for p in _hand_made_equations()]
+    assert [[str(f) for f in r.factors] for r in records] == [
+        ["x", "y"], ["y", "-1+x"], ["-1+x", "-1/2+x"], ["1+x+x*x"], []
+    ]
+    assert [str(r.product) for r in records[:2]] == ["x*y", "-y+x*y"]
+    assert all(r.product == p.monic()[0] for r, p in zip(records[2:4], _hand_made_equations()[2:4]))
 
 
 # knows_nonzero against its factor-only reference, over side conditions that
@@ -959,7 +1022,7 @@ def test_knows_nonzero_matches_the_factor_reference(data):
     if p.is_constant():
         expected = p != ParamPolynomial.zero()
     else:
-        expected = all(f.terms in state.disequalities for f in _factor(p))
+        expected = all(f.terms in state.disequalities for f in _factors(p))
     assert state.knows_nonzero(p) == expected, (conditions, p)
 
 
@@ -1185,8 +1248,6 @@ def test_branch_values_reports_the_first_violated_condition_then_a_vanishing_den
 
 
 def test_assignment_denominators_are_listed(rng):
-    from ybx.solver import _factor  # noqa: PLC2701 - asserting an internal invariant
-
     for _ in range(10):
         s = random_spec(rng, max_n=6, require_zero=True)
         family = solve(similarity_from_jordan(s))
@@ -1196,7 +1257,7 @@ def test_assignment_denominators_are_listed(rng):
                 den = rf.denominator
                 if den.is_constant():
                     continue
-                factors = _factor(den)
+                factors = _factors(den)
                 assert den.monic()[0].terms in listed or all(
                     f.terms in listed for f in factors
                 )
@@ -1253,18 +1314,19 @@ def test_assign_drops_a_state_whose_side_condition_vanishes():
 
 def test_assign_keeps_an_equation_without_the_name(monkeypatch):
     import ybx.solver
-    from ybx.solver import _BranchState, _entering  # noqa: PLC2701 - assign's rewrite
+    from ybx.solver import _BranchState  # noqa: PLC2701 - assign's rewrite
 
     x, y, z = (ParamPolynomial.variable(v) for v in "xyz")
     untouched, rewritten = _entering(x * z), _entering(x * y - z)
     state = _BranchState([untouched, rewritten], {}, {})
+    # _entering is the one function that factors: it sees the rewrite alone
     factored = []
-    monkeypatch.setattr(ybx.solver, "_factor", lambda p: factored.append(p) or _factor(p))
+    monkeypatch.setattr(ybx.solver, "_entering", lambda p: factored.append(p) or _entering(p))
     assert state.assign("y", RationalFunction.from_polynomial(z))
-    eq, factors = state.equations[0]
-    assert eq is untouched[0] and factors is untouched[1]
+    assert factored == [x * z - z]
+    assert state.equations[0] is untouched
     assert state.equations[1] == _entering(x * z - z)
-    assert untouched[0] not in factored
+    assert untouched.product not in factored
 
 def test_residual_branch_sampling_raises():
     template, system = build_constraint_system((4, 3))
