@@ -14,10 +14,10 @@ ExactMatrix adds a from_rows that coerces its entries, identity, column,
 to_rows, is_square, transpose, negation, scalar * and @ through mat_mul.
 ParamMatrix (polynomials.py) is the other Grid.
 
-Products work in integers, in one kernel that mat_mul and residuals share
-(_products): each factor is scaled to Gaussian integers over a common
-denominator (per row or column in mat_mul, per matrix in residuals, which
-then chains its products without dividing), and each row of the right
+Products work in integers, in one kernel that mat_mul, residuals and
+_conjugates share (_products): each factor is scaled to Gaussian integers
+over a common denominator (per row or column in mat_mul, per matrix in the
+others; residuals chains its products without dividing), and each row of the right
 factor is packed into one Python int per part (_pack), its entries signed
 digits of s bits (Kronecker substitution, or Q-adic packing).  A row of
 the product is then k multiply-adds of those ints by the row's entries,
@@ -26,8 +26,11 @@ The width comes from an exact bound (_slot): with |re| + |im| < 2**b on
 each side, a part of an entry of a sum of two products is below
 2k * 2**(bl + br), so s = bl + br + (2k).bit_length() + 1 holds it as a
 digit; residuals counts its scale factors into b.  Digits are read back
-as centred residues (_unpack).  A result part is an int where the
-denominator divides it and one Fraction otherwise.  The residuals of A
+as centred residues (_unpack), a long row in groups of bytes, in time
+linear in its length.  A result part is an int where the denominator
+divides it and one Fraction otherwise.  solver.to_original conjugates a
+template through _conjugates, which packs one block of n digits per
+monomial, so W multiplies them all at once.  The residuals of A
 and X are the packed rows of AX + XA and then of AXA - XAX
 (_residual_rows); when AX + XA = 0, XA = -AX gives AXA - XAX =
 AX (A + X), one product more instead of two, with AX unpacked as its left
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from math import lcm
 from operator import add, itemgetter, lshift, mul, sub
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotSquare, SingularMatrix
 from .scalars import ONE, ZERO, GaussianRational, _over, as_gaussian
@@ -218,17 +221,27 @@ def _pack(rows: list[_IntVector], s: int) -> _IntVector:
 
 
 def _unpack(p: int, s: int, n: int) -> list[int]:
-    """The n signed s-bit digits of p, lowest first: each is p's low s bits
-    as a centred residue, taken off before the next."""
+    """The n signed s-bit digits of p, lowest first: each is the low s bits
+    as a centred residue, taken off before the next.  A long row is first
+    cut into groups of digits in whole bytes (eight digits fill s bytes),
+    about 4096 bits each, so reading it is linear in its length."""
     mask, half, base = (1 << s) - 1, 1 << (s - 1), 1 << s
-    digits = []
-    for _ in range(n):
-        d = p & mask
-        p >>= s
-        if d >= half:
-            d -= base
-            p += 1
-        digits.append(d)
+    per = 8 * max(1, 512 // s)  # digits per group
+    groups = [p]
+    if n > per:
+        data = (p & ((1 << s * n) - 1)).to_bytes((s * n + 7) // 8, "little")
+        step = s * per // 8  # bytes per group
+        groups = [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
+    digits, q = [], 0
+    for group in groups:
+        q += group  # and the carry out of the group before
+        for _ in range(min(per, n - len(digits))):
+            d = q & mask
+            q >>= s
+            if d >= half:
+                d -= base
+                q += 1
+            digits.append(d)
     return digits
 
 
@@ -281,6 +294,33 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     dens = (da * db for _, da in a_rows for _, db in b_cols)
     entries = tuple(_over(re, im, d) for (re, im), d in zip(_pairs(rows), dens))
     return ExactMatrix(a.rows, b.cols, entries)
+
+
+def _conjugates(
+    w: ExactMatrix, w_inv: ExactMatrix, cs: Sequence[Mapping[int, GaussianRational]]
+) -> list[ExactMatrix]:
+    """W C W^-1 for each n x n C of the nonempty cs, given by its nonzero
+    entries as {row-major index: value}.  W^-1 is packed once, wide enough
+    for an entry of a result (n*n products of three); row l of the wide
+    [C_1 W^-1 | ... | C_m W^-1], block k at digit k*n, is a sum of packed
+    rows, and one product by W gives every result's row i as m*n digits."""
+    n, m = w.rows, len(cs)
+    (w_rows, dw), (v_rows, dv) = _integer_form(w), _integer_form(w_inv)
+    # the C stacked over one denominator: row k*n + l is row l of cs[k]
+    at = [k * n * n + idx for k, c in enumerate(cs) for idx in c]
+    (re, im), dc = _scaled([x for c in cs for x in c.values()])
+    # each part dense again: the scaled values at their positions, 0 elsewhere
+    re, im = (p and list(map(dict(zip(at, p)).get, range(m * n * n), repeat(0))) for p in (re, im))
+    c_rows, _ = _form(re, im, dc, n)
+    s = _slot(_bits(w_rows) + _bits(c_rows) + _bits(v_rows), n * n)
+    cv = _products(c_rows, _pack(v_rows, s))
+    shifts = range(0, s * n * m, s * n)
+    wide = tuple(p and [sum(map(lshift, p[l::n], shifts)) for l in range(n)] for p in cv)
+    d, rows = dw * dc * dv, _rows(_products(w_rows, wide), s, m * n)
+    flat = [_over(p, q, d) for p, q in _pairs(rows)]
+    # entry (i, j) of the k-th result is digit k*n + j of row i
+    blocks = (range(k * n, len(flat), m * n) for k in range(m))
+    return [ExactMatrix(n, n, tuple(chain.from_iterable(flat[i : i + n] for i in b))) for b in blocks]
 
 
 def _integer_form(m: ExactMatrix) -> _IntegerForm:

@@ -11,7 +11,6 @@ polynomial as {monomial: (re, im)}, the parts as the scalars store them
 and multiply them, and _polynomial makes one GaussianRational per term
 through scalars._make, so an integral coefficient stays an int throughout.
 Only scaling by a constant multiplies GaussianRationals term by term.
-ParamMatrix @ sums each entry in one accumulator, as mat_mul does;
 _substitute builds each value's powers once for a whole list of
 polynomials.  Evaluation is integer arithmetic over one common denominator
 (_evaluate), scaled as matrix products are: each polynomial's coefficients
@@ -25,9 +24,9 @@ the lcm of its entries' denominators, with no scalar built.
 RationalFunction is a normalized pair, numerator over monic denominator,
 with no field arithmetic: it is made, substituted as a value, renamed and
 printed.  ParamMatrix is a Grid
-(matrices.py) of polynomials and adds only from_exact, variables, its
-polynomial product, substitute, substitute_rational, evaluate and
-evaluate_all.
+(matrices.py) of polynomials and adds only variables, substitute,
+substitute_rational, evaluate and evaluate_all; it has no matrix product
+(solver.to_original conjugates a template through matrices._conjugates).
 
 Text syntax (used by the file formats): terms ``coef*p1*p2`` joined by ``+``
 or ``-``, parameters as bare identifiers, powers written as repeated factors
@@ -50,7 +49,7 @@ from math import lcm
 from typing import Iterator, Mapping, NoReturn, Sequence
 
 from .errors import MissingParameter, ParseError
-from .matrices import DimensionMismatch, ExactMatrix, Grid, _form, _IntegerForm, _scaled
+from .matrices import ExactMatrix, Grid, _form, _IntegerForm, _scaled
 from .scalars import ONE, ZERO, GaussianRational, _make, _over, as_gaussian
 from .scalars import format_scalar, parse_scalar
 
@@ -408,30 +407,11 @@ class ParamMatrix(Grid):
 
     _zero = ParamPolynomial.zero()
 
-    @classmethod
-    def from_exact(cls, m: ExactMatrix) -> "ParamMatrix":
-        return cls(m.rows, m.cols, tuple(ParamPolynomial.constant(x) for x in m.entries))
-
     def variables(self) -> tuple[str, ...]:
         seen: set[str] = set()
         for p in self.entries:
             seen.update(p.variables())
         return tuple(sorted(seen))
-
-    def __matmul__(self, other: "ParamMatrix") -> "ParamMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("matmul", self.shape, other.shape)
-        columns = [[_parts(p) for p in other.col(j)] for j in range(other.cols)]
-        out: list[ParamPolynomial] = []
-        for i in range(self.rows):
-            row = [_parts(p) for p in self.row(i)]
-            for column in columns:
-                acc: dict = {}
-                for left, right in zip(row, column):
-                    for mono, (re, im) in left.items():
-                        _add_product(acc, mono, re, im, right)
-                out.append(_polynomial(acc))
-        return ParamMatrix(self.rows, other.cols, tuple(out))
 
     def _entry_coefficients(self) -> list[_Coefficients]:
         if self._coefficient_cache is None:

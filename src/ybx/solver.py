@@ -49,7 +49,8 @@ from .jordan import (
     assemble_jordan,
     nilpotent_part,
 )
-from .matrices import ExactMatrix, _exact, _first_residual, _integer_form, block_diag, residuals
+from .matrices import ExactMatrix, _conjugates, _exact, _first_residual, _integer_form, block_diag
+from .matrices import residuals
 from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction
 from .polynomials import _coefficients, _evaluate, _integer_forms, _polynomial, _substitute
 from .scalars import ZERO, GaussianRational, _over, as_gaussian
@@ -220,21 +221,28 @@ def _record(product: ParamPolynomial, factors: list[ParamPolynomial]) -> _Equati
 
 
 def _entering(p: ParamPolynomial) -> _Equation:
-    """p's record, the one place where an equation enters the search: p made
-    monic once, and split radical-style (repeats collapsed) into the monomial
-    content, each variable once, and a single-variable quadratic quotient
-    with roots in Q(i); any other quotient comes back atomic.  Every factor
-    is monic (a variable, x - root, or the monic quotient), and they are
-    distinct: no variable divides the quotient, so its roots are nonzero and
-    it is not a bare variable.  The factors are invariant under units and
-    stable on products of their own: for every order-preserving sub-list L
-    of them, the record of the product of L has the factors L.  Monomials
-    are in a multiplicative order, so the monic p is the product of its
-    factors unless a repeat collapsed; only then are they multiplied back.
-    A constant p keeps itself and has no factors.
-    """
+    """p's record, the one place where an equation enters the search: the
+    monic p and its factors (_factored), multiplied back only when a repeat
+    collapsed.  A constant p keeps itself and has no factors."""
     if p.is_constant():
         return _record(p, [])
+    monic, factors, whole = _factored(p)
+    return _record(monic if whole else math.prod(factors), factors)
+
+
+def _factored(p: ParamPolynomial) -> tuple[ParamPolynomial, list[ParamPolynomial], bool]:
+    """(p monic, its factors, whether they multiply back to it) for a
+    nonconstant p, which is made monic once, and split radical-style
+    (repeats collapsed) into the monomial content, each variable once, and
+    a single-variable quadratic quotient with roots in Q(i); any other
+    quotient comes back atomic.  Every factor is monic (a variable,
+    x - root, or the monic quotient), and they are distinct: no variable
+    divides the quotient, so its roots are nonzero and it is not a bare
+    variable.  The factors are invariant under units and stable on
+    products of their own: for every order-preserving sub-list L of them,
+    the factors of the product of L are L.  Monomials are in a
+    multiplicative order, so the monic p is their product unless a repeat
+    collapsed."""
     monic = p.monic()[0]
     content, rest = monic.monomial_content()
     factors = [ParamPolynomial.variable(v) for v in sorted(set(content))]
@@ -247,7 +255,7 @@ def _entering(p: ParamPolynomial) -> _Equation:
             var = ParamPolynomial.variable(rest.terms[-1][0][0])
             factors.extend(var - ParamPolynomial.constant(r) for r in roots)
             whole = whole and len(roots) == 2
-    return _record(monic if whole else math.prod(factors), factors)
+    return monic, factors, whole
 
 
 def _roots(p: ParamPolynomial) -> list[GaussianRational] | None:
@@ -309,7 +317,7 @@ class _BranchState:
             return bool(p.constant_value())
         if any(v not in self.recorded for mono, _ in p.terms for v in mono):
             return False
-        return all(f.terms in self.disequalities for f in _entering(p).factors)
+        return all(f.terms in self.disequalities for f in _factored(p)[1])
 
     def assign(self, name: str, value: RationalFunction) -> bool:
         """Substitute name := value everywhere; returns False if infeasible.
@@ -617,7 +625,10 @@ def solve(sim: SimilarityData, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Soluti
 
 
 def to_original(family: SolutionFamily, sim: SimilarityData) -> SolutionFamily:
-    """Conjugate a jordan-frame family by W into original coordinates."""
+    """Conjugate a jordan-frame family by W into original coordinates.  With
+    the template split by monomial, T = sum of mu * C_mu, each entry of
+    W T W^-1 is one polynomial in the entries of the W C_mu W^-1, which
+    matrices._conjugates forms together: any polynomial template."""
     if family.frame != JORDAN_FRAME:
         raise ValueError("family is not in jordan frame")
     sim_c = sim.canonicalized()
@@ -625,10 +636,18 @@ def to_original(family: SolutionFamily, sim: SimilarityData) -> SolutionFamily:
         raise DimensionMismatch("to_original", (family.n, family.n), (sim_c.spec.n, sim_c.spec.n))
     if family.matrix != assemble_jordan(sim_c.spec):
         raise ValueError("family does not belong to this similarity data")
-    template = (
-        ParamMatrix.from_exact(sim_c.w) @ family.template
-    ) @ ParamMatrix.from_exact(sim_c.w_inv)
-    return SolutionFamily(family.n, ORIGINAL_FRAME, family.branches, template, sim_c.a)
+    n, template = family.n, family.template
+    coefficients: dict[tuple[str, ...], dict[int, GaussianRational]] = {}  # C_mu by mu
+    for idx, p in enumerate(template.entries):
+        for mono, c in p.terms:
+            coefficients.setdefault(mono, {})[idx] = c
+    if coefficients:  # else the template is zero, and so is W 0 W^-1
+        monos = sorted(coefficients, key=lambda mono: (len(mono), mono))  # degree-lex
+        conjugates = _conjugates(sim_c.w, sim_c.w_inv, [coefficients[mono] for mono in monos])
+        entries = zip(*(m.entries for m in conjugates))
+        terms = (tuple((mono, c) for mono, c in zip(monos, e) if c) for e in entries)
+        template = ParamMatrix(n, n, tuple(map(ParamPolynomial, terms)))
+    return SolutionFamily(n, ORIGINAL_FRAME, family.branches, template, sim_c.a)
 
 
 def branch_values(

@@ -1,5 +1,6 @@
 """Shared helpers: seeded random generators for specs, matrices, and scalars,
-and the small matrix and family helpers several test modules use."""
+the small matrix and family helpers several test modules use, and the
+term-by-term references for polynomial sums, products and matrix products."""
 
 from __future__ import annotations
 
@@ -7,11 +8,13 @@ import functools
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from ybx.jordan import JordanSpec, similarity_from_jordan
 from ybx.matrices import ExactMatrix, mat_mul, rref
+from ybx.polynomials import ParamMatrix, ParamPolynomial
 from ybx.scalars import GaussianRational
 from ybx.solver import SolutionBranch, SolutionFamily, solve
 
@@ -142,6 +145,52 @@ def mat_pow(m: ExactMatrix, k: int) -> ExactMatrix:
 def single_block_family(n: int) -> SolutionFamily:
     """All anti-commuting solutions for one nilpotent block of size n (ValueError if n < 1)."""
     return solve(similarity_from_jordan(JordanSpec.from_pairs([(0, [n])])))
+
+
+def _add_reference(p, q):
+    """Term by term in GaussianRational arithmetic: the reference for +."""
+    acc = dict(p.terms)
+    for mono, c in q.terms:
+        acc[mono] = acc.get(mono, GaussianRational(0)) + c
+    return ParamPolynomial.from_dict(acc)
+
+
+def _mul_reference(p, q):
+    """Every pair of terms in GaussianRational arithmetic: the reference for *."""
+    acc = {}
+    for m1, c1 in p.terms:
+        for m2, c2 in q.terms:
+            mono = tuple(sorted(m1 + m2))
+            acc[mono] = acc.get(mono, GaussianRational(0)) + c1 * c2
+    return ParamPolynomial.from_dict(acc)
+
+
+def _negated_reference(p):
+    return ParamPolynomial.from_dict({mono: -c for mono, c in p.terms})
+
+
+def _matmul_reference(a, b):
+    """The product of two matrices as a ParamMatrix, each entry a sum of
+    reference products; an ExactMatrix factor counts as constant
+    polynomials."""
+
+    def entry(m, i, j):
+        x = m[i, j]
+        return x if isinstance(x, ParamPolynomial) else ParamPolynomial.constant(x)
+
+    return ParamMatrix.from_rows(
+        [
+            [
+                reduce(
+                    _add_reference,
+                    (_mul_reference(entry(a, i, k), entry(b, k, j)) for k in range(a.cols)),
+                    ParamPolynomial.zero(),
+                )
+                for j in range(b.cols)
+            ]
+            for i in range(a.rows)
+        ]
+    )
 
 
 @pytest.fixture

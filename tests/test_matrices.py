@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from ybx.jordan import JordanSpec, assemble_jordan, jordan_form
 from ybx.matrices import (
     ExactMatrix,
     RowSpan,
+    _conjugates,
     _first_residual,
     _integer_form,
     _pack,
@@ -26,7 +28,14 @@ from ybx.polynomials import ParamMatrix, ParamPolynomial
 from ybx.scalars import ONE, ZERO, GaussianRational
 from ybx.solver import residual_ybe, residuals
 
-from conftest import assert_canonical_parts, kron, mat_pow, random_invertible, random_matrix
+from conftest import (
+    _matmul_reference,
+    assert_canonical_parts,
+    kron,
+    mat_pow,
+    random_invertible,
+    random_matrix,
+)
 
 
 def J(n):
@@ -239,7 +248,8 @@ def test_grid_contract(kind):
 
 
 def test_grid_arithmetic_does_not_mix_types():
-    exact, param = ExactMatrix.identity(2), ParamMatrix.from_exact(ExactMatrix.identity(2))
+    exact = ExactMatrix.identity(2)
+    param = _matmul_reference(exact, exact)  # the same identity, of constant polynomials
     for left, right in ((exact, param), (param, exact)):
         with pytest.raises(TypeError):
             left + right
@@ -343,6 +353,60 @@ def test_pack_unpack_round_trip_at_digit_extremes(s):
     assert _rows(packed, s, 7) == rows
     for p, (re, _) in zip(packed[0], rows):
         assert _unpack(p, s, 7) == re
+
+
+def _unpack_reference(p, s, n):
+    """The digit loop: the low s bits as a centred residue, shifted off the
+    whole int before the next digit."""
+    mask, half, base = (1 << s) - 1, 1 << (s - 1), 1 << s
+    digits = []
+    for _ in range(n):
+        d = p & mask
+        p >>= s
+        if d >= half:
+            d -= base
+            p += 1
+        digits.append(d)
+    return digits
+
+
+def test_unpack_matches_the_digit_loop():
+    # every width from 2 to 200 bits, rows of 1 to 600 digits; the digits
+    # are drawn from the whole signed range, extremes included, so borrows
+    # run across the byte groups _unpack reads
+    rnd = random.Random(29)
+    for s in range(2, 201):
+        half = 1 << (s - 1)
+        per = 8 * max(1, 512 // s)  # digits in one group
+        lengths = {1, 7, per, per + 1, rnd.randint(1, 600), 600 if s % 25 == 0 else 2 * per + 3}
+        for n in sorted(x for x in lengths if x <= 600):
+            digits = [rnd.choice((-half, half - 1, -1, 0, rnd.randrange(-half, half))) for _ in range(n)]
+            p = sum(d << (s * j) for j, d in enumerate(digits))
+            assert _unpack(p, s, n) == _unpack_reference(p, s, n) == digits
+            # only the low n*s bits count, as in the digit loop
+            assert _unpack(p + (5 << (s * n)), s, n) == digits
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("units", [(1, 1, 1), (1j, 1j, 1j), (1 + 1j, 1 - 1j, 1 + 1j)], ids=str)
+@pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, 1), (-1, -1, -1)])
+def test_conjugates_fill_the_digit_width(n, units, signs):
+    # W, every C and V all ones times a unit, a sign and the largest M of its
+    # bit length: each entry of W C V is n*n products of three, the largest
+    # its packed width must hold (any W and V multiply; V need not be W^-1)
+    m = 2**40 - 1
+    uw, uc, uv = (GaussianRational(int(u.real), int(u.imag)) for u in units)
+    sw, sc, sv = signs
+    ones = ExactMatrix.from_rows([[1] * n for _ in range(n)])
+    w, v = ones * (uw * (sw * m)), ones * (uv * (sv * m))
+    c = {idx: uc * (sc * m) for idx in range(n * n)}
+    half = {idx: x * GaussianRational(Fraction(1, 2)) for idx, x in c.items()}
+    expected = ones * (uw * uc * uv * (sw * sc * sv * m**3 * n * n))
+    assert _conjugates(w, v, [c, {}, half]) == [
+        expected,
+        ExactMatrix.zeros(n, n),
+        expected * GaussianRational(Fraction(1, 2)),
+    ]
 
 
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 17])

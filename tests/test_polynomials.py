@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from ybx.errors import DimensionMismatch, MissingParameter, ParseError
-from ybx.jordan import JordanSpec, similarity_from_jordan
+from ybx.errors import MissingParameter, ParseError
+from ybx.bundled import example_41_spec, example_41_w
+from ybx.jordan import JordanSpec, assemble_jordan, similarity_from_jordan
 from ybx.matrices import ExactMatrix, _exact, mat_mul
 from ybx.polynomials import (
     ParamMatrix,
@@ -25,9 +26,17 @@ from ybx.polynomials import (
     parse_rational_function,
 )
 from ybx.scalars import GaussianRational, parse_scalar
-from ybx.solver import solve, to_original
+from ybx.solver import SolutionBranch, SolutionFamily, solve, to_original
 
-from conftest import assert_canonical_parts, random_invertible, random_scalar
+from conftest import (
+    _add_reference,
+    _matmul_reference,
+    _mul_reference,
+    _negated_reference,
+    assert_canonical_parts,
+    random_invertible,
+    random_scalar,
+)
 
 X = ParamPolynomial.variable("x")
 Y = ParamPolynomial.variable("y")
@@ -271,15 +280,15 @@ def test_param_matrix_evaluate_commutes_with_product(rng):
             [[random_poly(rng, terms=2) for _ in range(cols)] for _ in range(inner)]
         )
         assignment = {name: random_scalar(rng, 3) for name in ("x", "y", "z")}
-        left = (a @ b).evaluate(assignment)
+        left = _matmul_reference(a, b).evaluate(assignment)
         right = mat_mul(a.evaluate(assignment), b.evaluate(assignment))
         assert left == right
 
 
 def test_param_matrix_from_exact_and_substitution():
-    m = ParamMatrix.from_exact(ExactMatrix.identity(2))
-    assert m[0, 0] == ONE and m[0, 1].is_zero()
+    # an exact factor of the reference product counts as constant polynomials
     t = ParamMatrix.from_rows([[X, Y], [ParamPolynomial.zero(), X]])
+    assert _matmul_reference(ExactMatrix.identity(2), t) == t
     swapped = t.substitute({"x": Y, "y": X})
     assert swapped[0, 0] == Y and swapped[0, 1] == X
     ratios = t.substitute_rational({"x": RationalFunction.make(ONE, Y)})
@@ -550,11 +559,20 @@ def test_substitute_over_a_list_matches_one_polynomial_at_a_time(polys, mapping)
             assert_canonical_parts(c)
 
 
+# two zero blocks of size 1, by a W with Fraction and imaginary entries
+_SIM2 = similarity_from_jordan(
+    JordanSpec.from_pairs([(0, [1, 1])]),
+    ExactMatrix.from_rows([[2, Fraction(1, 3)], [GaussianRational(0, 1), 1]]),
+)
+
+
 @given(_sub_polys, _sub_polys, _sub_scalars, st.dictionaries(st.sampled_from(NAMES), _sub_values))
 def test_no_polynomial_path_stores_a_float_or_an_integral_fraction(p, q, c, mapping):
-    product = ParamMatrix(1, 2, (p, q)) @ ParamMatrix(2, 1, (q, p))
+    zero = ParamPolynomial.zero()
+    family = _jordan_family(_SIM2, ParamMatrix.from_rows([[p, q], [zero, q * c]]))
+    conjugated = to_original(family, _SIM2).template
     value = p.substitute_rational(mapping)
-    results = [p + q, p - q, p * q, p * c, product.entries[0], value.numerator, value.denominator]
+    results = [p + q, p - q, p * q, p * c, *conjugated.entries, value.numerator, value.denominator]
     results.append(parse_polynomial(format_polynomial(p)))
     for r in results:
         for _, coefficient in r.terms:
@@ -725,45 +743,6 @@ def test_parse_polynomial_matches_reference(text):
 # sums, products and the matrix product against GaussianRational term loops
 
 
-def _add_reference(p, q):
-    """Term by term in GaussianRational arithmetic: the reference for +."""
-    acc = dict(p.terms)
-    for mono, c in q.terms:
-        acc[mono] = acc.get(mono, GaussianRational(0)) + c
-    return ParamPolynomial.from_dict(acc)
-
-
-def _mul_reference(p, q):
-    """Every pair of terms in GaussianRational arithmetic: the reference for *."""
-    acc = {}
-    for m1, c1 in p.terms:
-        for m2, c2 in q.terms:
-            mono = tuple(sorted(m1 + m2))
-            acc[mono] = acc.get(mono, GaussianRational(0)) + c1 * c2
-    return ParamPolynomial.from_dict(acc)
-
-
-def _negated_reference(p):
-    return ParamPolynomial.from_dict({mono: -c for mono, c in p.terms})
-
-
-def _matmul_reference(a, b):
-    """Each entry a sum of reference products: the reference for @."""
-    return ParamMatrix.from_rows(
-        [
-            [
-                reduce(
-                    _add_reference,
-                    (_mul_reference(a[i, k], b[k, j]) for k in range(a.cols)),
-                    ParamPolynomial.zero(),
-                )
-                for j in range(b.cols)
-            ]
-            for i in range(a.rows)
-        ]
-    )
-
-
 def _assert_canonical(p):
     assert p == ParamPolynomial.from_dict(dict(p.terms))
     for _, c in p.terms:
@@ -817,38 +796,12 @@ def test_sum_and_prod_of_many_match_reference(polys):
     _assert_canonical(prod)
 
 
-def _param_matrices(rows, cols):
-    return st.lists(_eval_entries, min_size=rows * cols, max_size=rows * cols).map(
-        lambda entries: ParamMatrix(rows, cols, tuple(entries))
-    )
-
-
-@given(
-    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
-        lambda dims: st.tuples(_param_matrices(*dims[:2]), _param_matrices(*dims[1:]))
-    )
-)
-def test_param_matrix_product_matches_reference(pair):
-    a, b = pair
-    got = a @ b
-    assert got == _matmul_reference(a, b)
-    for p in got.entries:
-        _assert_canonical(p)
-
-
-def test_param_matrix_product_rejects_a_shape_mismatch():
-    a = ParamMatrix.from_rows([[X, Y, ONE], [ONE, X, Y]])
-    for b in (a, ParamMatrix.zeros(2, 2), ParamMatrix.zeros(4, 1)):
-        with pytest.raises(DimensionMismatch) as err:
-            a @ b
-        assert (err.value.op, err.value.left, err.value.right) == ("matmul", a.shape, b.shape)
-
-
 def test_param_matrix_rectangular_product_entry_by_entry():
+    # the reference product that the tests compare templates with, by hand
     half = GaussianRational(Fraction(1, 2))
     a = ParamMatrix.from_rows([[X, ONE, ParamPolynomial.zero()], [Y, X * half, X - Y]])
     b = ParamMatrix.from_rows([[Y, ONE], [X * 2, -X], [Y, X * GaussianRational(0, 1)]])
-    got = a @ b
+    got = _matmul_reference(a, b)
     assert got.shape == (2, 2)
     assert got[0, 0] == parse_polynomial("2*x+x*y")
     assert got[0, 1] == parse_polynomial("0")
@@ -856,18 +809,58 @@ def test_param_matrix_rectangular_product_entry_by_entry():
     assert got[1, 1] == parse_polynomial("y-1/2*x*x+1i*x*x-1i*x*y")
 
 
-def test_param_matrix_product_matches_to_original():
-    # constant @ template @ constant, the product to_original forms, on one seeded W
-    w = random_invertible(random.Random(24), 5)
-    sim = similarity_from_jordan(JordanSpec.from_pairs([(0, [2, 2]), (1, [1])]), w)
-    family = solve(sim)
-    canon = sim.canonicalized()
-    expected = _matmul_reference(
-        _matmul_reference(ParamMatrix.from_exact(canon.w), family.template),
-        ParamMatrix.from_exact(canon.w_inv),
-    )
-    got = to_original(family, sim).template
-    assert got == expected
-    assert got.variables() == family.template.variables()
-    for p in got.entries:
-        _assert_canonical(p)
+def _jordan_family(sim, template):
+    """A jordan-frame family of sim with this template and one free branch."""
+    spec = sim.canonicalized().spec
+    branch = SolutionBranch((), (), (), template.variables())
+    return SolutionFamily(spec.n, "jordan", (branch,), template, assemble_jordan(spec))
+
+
+def _conjugation_cases():
+    """(similarity, jordan-frame family) pairs whose templates to_original maps."""
+    two_blocks = JordanSpec.from_pairs([(0, [2, 2]), (1, [1])])
+    # a seeded real W and solve's template
+    sim = similarity_from_jordan(two_blocks, random_invertible(random.Random(24), 5))
+    yield sim, solve(sim)
+    # a W with non-real Gaussian entries
+    i = GaussianRational(0, 1)
+    w = ExactMatrix.from_rows([[1, i, 0, 0, 2], [0, 1, 2 - i, 0, 0], [1 + i, 0, 1, i, 0],
+                              [0, 0, 0, 1, -i], [i, 0, 0, 0, 1]])
+    sim = similarity_from_jordan(two_blocks, w)
+    yield sim, solve(sim)
+    # example 4.1: the folded single-block template in x and y, with constant terms added
+    sim = similarity_from_jordan(example_41_spec(), example_41_w())
+    folded = solve(sim).template
+    constants = [[0] * 8 for _ in range(8)]
+    constants[0][0], constants[2][1], constants[7][3] = 1, Fraction(-1, 2) + i, 3
+    extra = ParamMatrix.from_rows([[ParamPolynomial.constant(c) for c in row] for row in constants])
+    yield sim, _jordan_family(sim, folded + extra)
+    # coefficients other than +-1, a product of two names and a constant term
+    odd = [[ParamPolynomial.zero()] * 3 for _ in range(3)]
+    odd[0][1] = X * GaussianRational(Fraction(3, 2)) - Y * (2 * i)
+    odd[0][2] = X * Y * GaussianRational(Fraction(1, 3), 2) + ONE * 7
+    odd[1][2] = Y * GaussianRational(Fraction(-5, 7))
+    spec3 = JordanSpec.from_pairs([(0, [3])])
+    w = ExactMatrix.from_rows([[2, 1, 0], [1, -1, 3], [0, 1, 1]])
+    sim = similarity_from_jordan(spec3, w)
+    yield sim, _jordan_family(sim, ParamMatrix.from_rows(odd))
+    # W^-1 over a large denominator (det W = m**3 - 2m), so the packed width is wide
+    m = 10**12 + 39
+    w = ExactMatrix.from_rows([[m, 1, 0], [1, m, 1], [0, 1, -m]])
+    sim = similarity_from_jordan(spec3, w)
+    yield sim, _jordan_family(sim, ParamMatrix.from_rows(odd))
+    # the zero template of a nonsingular matrix
+    sim = similarity_from_jordan(JordanSpec.from_pairs([(1, [2]), (-1, [1])]), w)
+    yield sim, solve(sim)
+
+
+def test_to_original_matches_the_reference_conjugation():
+    # W T W^-1 entry by entry in GaussianRational arithmetic, on every case
+    for sim, family in _conjugation_cases():
+        canon = sim.canonicalized()
+        expected = _matmul_reference(_matmul_reference(canon.w, family.template), canon.w_inv)
+        got = to_original(family, sim).template
+        assert got == expected
+        assert got.variables() == family.template.variables()
+        for p in got.entries:
+            _assert_canonical(p)

@@ -53,7 +53,7 @@ from ybx.solver import (
 )
 
 from conftest import partitions as _partitions
-from conftest import random_spec, single_block_family, spec
+from conftest import _matmul_reference, random_spec, single_block_family, spec
 
 
 def bundled_sim_41():
@@ -686,8 +686,11 @@ def _dense_constraint_system(sizes):
     for name, element in zip(basis.parameter_names, basis.basis):
         var = ParamPolynomial.variable(name)
         template = template + ParamMatrix(s.n, s.n, tuple(var * c for c in element.entries))
-    j0 = ParamMatrix.from_exact(assemble_jordan(s))
-    product = (template @ (template - j0)) @ j0
+    j0 = assemble_jordan(s)
+    # T (T - J0) J0 as (T T - T J0) J0
+    product = _matmul_reference(
+        _matmul_reference(template, template) - _matmul_reference(template, j0), j0
+    )
     system, seen = [], set()
     for entry in product.entries:
         if entry.is_zero():
@@ -1319,7 +1322,7 @@ def test_assign_keeps_an_equation_without_the_name(monkeypatch):
     x, y, z = (ParamPolynomial.variable(v) for v in "xyz")
     untouched, rewritten = _entering(x * z), _entering(x * y - z)
     state = _BranchState([untouched, rewritten], {}, {})
-    # _entering is the one function that factors: it sees the rewrite alone
+    # _entering builds every record assign makes: it sees the rewrite alone
     factored = []
     monkeypatch.setattr(ybx.solver, "_entering", lambda p: factored.append(p) or _entering(p))
     assert state.assign("y", RationalFunction.from_polynomial(z))
@@ -1364,7 +1367,7 @@ def test_sample_names_the_first_nonzero_residual_entry():
     sim2 = similarity_from_jordan(spec((0, [2])), w2)
     t_var = ParamPolynomial.variable("t")
     diagonal = ParamMatrix.from_rows([[t_var, ParamPolynomial.zero()], [ParamPolynomial.zero(), -t_var]])
-    template = ParamMatrix.from_exact(w2) @ diagonal @ ParamMatrix.from_exact(sim2.w_inv)
+    template = _matmul_reference(_matmul_reference(w2, diagonal), sim2.w_inv)
     family2 = SolutionFamily(2, "original", (SolutionBranch((), (), (), ("t",)),), template, sim2.a)
     with pytest.raises(ResidualNonzero) as err:
         sample(family2, 0, {"t": GaussianRational(Fraction(1, 3), 2)})
