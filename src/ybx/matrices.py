@@ -29,8 +29,9 @@ digit; residuals counts its scale factors into b.  Digits are read back
 as centred residues (_unpack), a long row in groups of bytes, in time
 linear in its length.  A result part is an int where the denominator
 divides it and one Fraction otherwise.  solver.to_original conjugates a
-template through _conjugates, which packs one block of n digits per
-monomial, so W multiplies them all at once.  The residuals of A
+template through _conjugates, which takes the template's C_mu already
+scaled over one denominator (ParamMatrix._split) and packs one block of
+n digits per monomial, so W multiplies them all at once.  The residuals of A
 and X are the packed rows of AX + XA and then of AXA - XAX
 (_residual_rows); when AX + XA = 0, XA = -AX gives AXA - XAX =
 AX (A + X), one product more instead of two, with AX unpacked as its left
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from math import lcm
 from operator import add, itemgetter, lshift, mul, sub
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotSquare, SingularMatrix
 from .scalars import ONE, ZERO, GaussianRational, _over, as_gaussian
@@ -64,6 +65,9 @@ from .scalars import ONE, ZERO, GaussianRational, _over, as_gaussian
 _IntVector = tuple[list[int], list[int] | None]
 # a matrix as (rows, d): Gaussian-integer rows over one common d
 _IntegerForm = tuple[list[_IntVector], int]
+# a sparse matrix as (row-major indices of its nonzero entries, re, im) of
+# Gaussian-integer parts, over a denominator kept apart; im None when real
+_SparseForm = tuple[list[int], list[int], list[int] | None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,21 +301,23 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def _conjugates(
-    w: ExactMatrix, w_inv: ExactMatrix, cs: Sequence[Mapping[int, GaussianRational]]
+    w: ExactMatrix, w_inv: ExactMatrix, cs: Sequence[_SparseForm], dc: int
 ) -> list[ExactMatrix]:
-    """W C W^-1 for each n x n C of the nonempty cs, given by its nonzero
-    entries as {row-major index: value}.  W^-1 is packed once, wide enough
-    for an entry of a result (n*n products of three); row l of the wide
-    [C_1 W^-1 | ... | C_m W^-1], block k at digit k*n, is a sum of packed
-    rows, and one product by W gives every result's row i as m*n digits."""
+    """W C W^-1 for each n x n C of the nonempty cs, given as its nonzero
+    entries' row-major indices and Gaussian-integer parts over dc, the one
+    denominator of all the C (ParamMatrix._split).  W^-1 is packed once,
+    wide enough for an entry of a result (n*n products of three); row l of
+    the wide [C_1 W^-1 | ... | C_m W^-1], block k at digit k*n, is a sum of
+    packed rows, and one product by W gives every result's row i as m*n
+    digits."""
     n, m = w.rows, len(cs)
     (w_rows, dw), (v_rows, dv) = _integer_form(w), _integer_form(w_inv)
-    # the C stacked over one denominator: row k*n + l is row l of cs[k]
-    at = [k * n * n + idx for k, c in enumerate(cs) for idx in c]
-    (re, im), dc = _scaled([x for c in cs for x in c.values()])
-    # each part dense again: the scaled values at their positions, 0 elsewhere
-    re, im = (p and list(map(dict(zip(at, p)).get, range(m * n * n), repeat(0))) for p in (re, im))
-    c_rows, _ = _form(re, im, dc, n)
+    # the C stacked and dense: row k*n + l is row l of cs[k]
+    re, im = [0] * (m * n * n), [0] * (m * n * n)
+    for k, (at, c_re, c_im) in enumerate(cs):
+        for idx, p, q in zip(at, c_re, c_im or repeat(0)):
+            re[k * n * n + idx], im[k * n * n + idx] = p, q
+    c_rows, _ = _form(re, im if any(im) else None, dc, n)
     s = _slot(_bits(w_rows) + _bits(c_rows) + _bits(v_rows), n * n)
     cv = _products(c_rows, _pack(v_rows, s))
     shifts = range(0, s * n * m, s * n)

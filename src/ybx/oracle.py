@@ -28,9 +28,10 @@ from .anticommutant import anticommutant_basis
 from .errors import DimensionMismatch, DisequalityViolated, GridTooLarge, NotSquare
 from .jordan import JordanSpec, assemble_jordan
 from .matrices import ExactMatrix, RowSpan, _exact, _first_residual, _integer_form, null_space_basis
-from .polynomials import ParamPolynomial, _integer_forms, _substitute
+from .polynomials import ParamPolynomial, _Coefficients, _integer_forms, _substitute
 from .scalars import ZERO, GaussianRational, _make, as_gaussian
-from .solver import SolutionBranch, SolutionFamily, branch_satisfied_by, branch_values, residuals
+from .solver import SolutionBranch, SolutionFamily, _branch_polynomials, _branch_values
+from .solver import branch_satisfied_by, residuals
 
 _GRID_DIMENSION_LIMIT = 6
 _GRID_POINT_LIMIT = 10**6
@@ -215,10 +216,18 @@ def random_branch_values(
 ) -> dict[str, GaussianRational] | None:
     """A random full valuation lying in the branch, or None when every draw
     hits a side condition (degenerate at this sampling grid)."""
+    return _random_branch_values(branch, _branch_polynomials(branch), rng)
+
+
+def _random_branch_values(
+    branch: SolutionBranch, scaled: Sequence[_Coefficients], rng: random.Random
+) -> dict[str, GaussianRational] | None:
+    """random_branch_values with the branch's polynomials already scaled
+    (solver._branch_polynomials), so that every redraw reuses them."""
     for _ in range(_REDRAW_LIMIT):
         candidate = {name: random_gaussian(rng) for name in branch.free_parameters}
         try:
-            return branch_values(branch, candidate)
+            return _branch_values(branch, candidate, scaled)
         except DisequalityViolated:
             continue
     return None
@@ -259,9 +268,10 @@ def verify_family_membership(
     degenerate-at-grid, not a failure), and checks both residuals of the
     instantiated matrix against j.  A draw that misses a branch's residual
     system checks nothing; it counts as completed and in residual_skipped.
-    The template is evaluated at all the other draws in one call, to integer
-    forms, and j is scaled once.  The first failure, in (branch, trial)
-    order, is reported as a counterexample.
+    Each branch's side conditions and assignments are scaled once for all
+    its draws; the template is evaluated at all the other draws in one
+    call, to integer forms, and j is scaled once.  The first failure, in
+    (branch, trial) order, is reported as a counterexample.
     """
     if j.shape != (family.n, family.n):
         raise DimensionMismatch("verify_family_membership", j.shape, (family.n, family.n))
@@ -269,8 +279,10 @@ def verify_family_membership(
     completed = residual_skipped = 0
     draws = []
     for branch_index, branch in enumerate(family.branches):
+        scaled = _branch_polynomials(branch)
         for trial in range(trials):
-            values = random_branch_values(branch, random.Random(f"{seed}:{branch_index}:{trial}"))
+            rng = random.Random(f"{seed}:{branch_index}:{trial}")
+            values = _random_branch_values(branch, scaled, rng)
             if values is None:
                 completed += 1  # degenerate at this grid; not a failure
             elif any(poly.evaluate(values) for poly in branch.residual_system):

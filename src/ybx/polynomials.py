@@ -12,21 +12,25 @@ and multiply them, and _polynomial makes one GaussianRational per term
 through scalars._make, so an integral coefficient stays an int throughout.
 Only scaling by a constant multiplies GaussianRationals term by term.
 _substitute builds each value's powers once for a whole list of
-polynomials.  Evaluation is integer arithmetic over one common denominator
-(_evaluate), scaled as matrix products are: each polynomial's coefficients
-once (_coefficients), and a ParamMatrix's once for its life, kept in a
-private field on its first evaluation, since a template is evaluated once
-per draw.  It yields each value as Gaussian-integer parts
-over a denominator: evaluate, evaluate_all and solver.branch_values make
-scalars of them with scalars._over, and _integer_forms makes a template at
-each valuation the integer form that matrices.residuals multiplies, over
-the lcm of its entries' denominators, with no scalar built.
+polynomials.  Evaluation is integer arithmetic over one common denominator,
+scaled as matrix products are.  A polynomial goes through _evaluate with
+its coefficients scaled over their lcm (_coefficients), and each value
+comes out as Gaussian-integer parts over a denominator, which evaluate and
+solver.branch_values make scalars of with scalars._over.  A ParamMatrix is
+split by monomial once for its life, T = sum of mu * C_mu with every C_mu
+over one denominator L (ParamMatrix._split), kept in a private field on
+first use, since a template is evaluated once per draw.  _integer_forms
+reads the split: it scales a valuation over one d and adds each
+monomial's value, lifted to d**(top - degree), times C_mu into the
+entries, so the template at that valuation is the integer form that
+matrices.residuals multiplies, over L * d**top, with no scalar built.
+evaluate_all makes matrices of those forms, and solver.to_original
+conjugates the same C_mu (matrices._conjugates).
 RationalFunction is a normalized pair, numerator over monic denominator,
 with no field arithmetic: it is made, substituted as a value, renamed and
-printed.  ParamMatrix is a Grid
-(matrices.py) of polynomials and adds only variables, substitute,
-substitute_rational, evaluate and evaluate_all; it has no matrix product
-(solver.to_original conjugates a template through matrices._conjugates).
+printed.  ParamMatrix is a Grid (matrices.py) of polynomials and adds only
+variables, its split, substitute, substitute_rational, evaluate and
+evaluate_all; it has no matrix product.
 
 Text syntax (used by the file formats): terms ``coef*p1*p2`` joined by ``+``
 or ``-``, parameters as bare identifiers, powers written as repeated factors
@@ -44,12 +48,11 @@ import re as _re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import filterfalse, repeat
-from math import lcm
+from itertools import accumulate, filterfalse, repeat
 from typing import Iterator, Mapping, NoReturn, Sequence
 
 from .errors import MissingParameter, ParseError
-from .matrices import ExactMatrix, Grid, _form, _IntegerForm, _scaled
+from .matrices import ExactMatrix, Grid, _exact, _form, _IntegerForm, _scaled, _SparseForm
 from .scalars import ONE, ZERO, GaussianRational, _make, _over, as_gaussian
 from .scalars import format_scalar, parse_scalar
 
@@ -205,7 +208,7 @@ class ParamPolynomial:
         return next(_substitute([self], mapping))
 
     def evaluate(self, assignment: Mapping[str, GaussianRational]) -> GaussianRational:
-        return _over(*next(_evaluate([_coefficients(self)], [assignment])))
+        return _over(*next(_evaluate([_coefficients(self)], assignment)))
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -226,44 +229,41 @@ def _coefficients(p: ParamPolynomial) -> _Coefficients:
 
 
 def _evaluate(
-    polys: Sequence[_Coefficients], valuations: Sequence[Mapping[str, GaussianRational]]
+    polys: Sequence[_Coefficients], assignment: Mapping[str, GaussianRational]
 ) -> Iterator[tuple[int, int, int]]:
-    """Each polynomial's value at each valuation, polynomial by polynomial, as
-    Gaussian-integer parts over a positive denominator, (re, im, den): each
-    valuation is scaled once to Gaussian integers over its own d, and each
+    """Each polynomial's value at the assignment, polynomial by polynomial,
+    as Gaussian-integer parts over a positive denominator, (re, im, den):
+    the values are scaled once to Gaussian integers over one d, and each
     polynomial comes with its coefficients scaled over their lcm l
     (_coefficients), as matrix products scale, so a value is one sum of
     integer term products over l * d**top.  MissingParameter names what the
-    first incomplete polynomial lacks in the first incomplete valuation."""
+    first incomplete polynomial lacks."""
     names = {v for monos, *_ in polys for mono in monos for v in mono}
-    points = []
-    for assignment in valuations:
-        try:
-            given = [assignment[v] for v in names]
-        except KeyError:
-            for monos, *_ in polys:
-                missing = {v for mono in monos for v in mono if v not in assignment}
-                if missing:
-                    raise MissingParameter(sorted(missing)) from None
-        (given_re, given_im), d = _scaled(given)
-        points.append((dict(zip(names, zip(given_re, given_im or repeat(0)))), d))
+    try:
+        given = [assignment[v] for v in names]
+    except KeyError:
+        for monos, *_ in polys:
+            missing = {v for mono in monos for v in mono if v not in assignment}
+            if missing:
+                raise MissingParameter(sorted(missing)) from None
+    (given_re, given_im), d = _scaled(given)
+    values = dict(zip(names, zip(given_re, given_im or repeat(0))))
     for monos, c_re, c_im, l in polys:
-        for values, d in points:
-            # the sum so far is lifted by d at each rise in degree (Horner in d)
-            re = im = degree = 0
-            for mono, t_re, t_im in zip(monos, c_re, c_im or repeat(0)):
-                if len(mono) != degree:
-                    lift = d ** (len(mono) - degree)
-                    re, im, degree = re * lift, im * lift, len(mono)
-                for var in mono:
-                    v_re, v_im = values[var]
-                    if t_im:
-                        t_re, t_im = t_re * v_re - t_im * v_im, t_re * v_im + t_im * v_re
-                    else:
-                        t_re, t_im = t_re * v_re, t_re * v_im
-                re += t_re
-                im += t_im
-            yield re, im, l * d**degree
+        # the sum so far is lifted by d at each rise in degree (Horner in d)
+        re = im = degree = 0
+        for mono, t_re, t_im in zip(monos, c_re, c_im or repeat(0)):
+            if len(mono) != degree:
+                lift = d ** (len(mono) - degree)
+                re, im, degree = re * lift, im * lift, len(mono)
+            for var in mono:
+                v_re, v_im = values[var]
+                if t_im:
+                    t_re, t_im = t_re * v_re - t_im * v_im, t_re * v_im + t_im * v_re
+                else:
+                    t_re, t_im = t_re * v_re, t_re * v_im
+            re += t_re
+            im += t_im
+        yield re, im, l * d**degree
 
 
 def _parts(p: ParamPolynomial) -> dict[Monomial, tuple]:
@@ -401,9 +401,9 @@ class RationalFunction:
 class ParamMatrix(Grid):
     """Matrix with polynomial entries."""
 
-    # each entry's _coefficients, made on the first evaluation and kept for
-    # the next: a template is evaluated once per draw
-    _coefficient_cache: list | None = field(default=None, init=False, repr=False, compare=False)
+    # the template split by monomial, made on first use and kept: a template
+    # is evaluated once per draw
+    _split_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     _zero = ParamPolynomial.zero()
 
@@ -413,11 +413,24 @@ class ParamMatrix(Grid):
             seen.update(p.variables())
         return tuple(sorted(seen))
 
-    def _entry_coefficients(self) -> list[_Coefficients]:
-        if self._coefficient_cache is None:
-            scaled = [_coefficients(p) for p in self.entries]
-            object.__setattr__(self, "_coefficient_cache", scaled)
-        return self._coefficient_cache
+    def _split(self) -> tuple[list[Monomial], list[_SparseForm], int]:
+        """T = sum of mu * C_mu, as (monomials in degree-lex order, each C_mu
+        as the row-major indices of its nonzero entries and their
+        Gaussian-integer parts, one denominator L of them all)."""
+        if self._split_cache is None:
+            by_mono: dict[Monomial, list[tuple[int, GaussianRational]]] = {}
+            for idx, p in enumerate(self.entries):
+                for mono, c in p.terms:
+                    by_mono.setdefault(mono, []).append((idx, c))
+            monos = sorted(by_mono, key=lambda mono: (len(mono), mono))
+            (re, im), l = _scaled([c for mono in monos for _, c in by_mono[mono]])
+            ends = list(accumulate(len(by_mono[mono]) for mono in monos))
+            split = [
+                ([idx for idx, _ in by_mono[mono]], re[a:b], im[a:b] if im and any(im[a:b]) else None)
+                for mono, a, b in zip(monos, [0, *ends], ends)
+            ]
+            object.__setattr__(self, "_split_cache", (monos, split, l))
+        return self._split_cache
 
     def substitute(self, mapping: Mapping[str, ParamPolynomial]) -> "ParamMatrix":
         return ParamMatrix(self.rows, self.cols, tuple(p.substitute(mapping) for p in self.entries))
@@ -434,32 +447,49 @@ class ParamMatrix(Grid):
     def evaluate_all(
         self, valuations: Sequence[Mapping[str, GaussianRational]]
     ) -> list[ExactMatrix]:
-        """The matrix at each valuation; each entry's coefficients are scaled once for all."""
-        flat = [_over(*value) for value in _evaluate(self._entry_coefficients(), valuations)]
-        k = len(valuations)
-        return [ExactMatrix(self.rows, self.cols, tuple(flat[i::k])) for i in range(k)]
+        """The matrix at each valuation, through its integer forms."""
+        return [_exact(rows, d) for rows, d in _integer_forms(self, valuations)]
 
 
 def _integer_forms(
     m: ParamMatrix, valuations: Sequence[Mapping[str, GaussianRational]]
 ) -> Iterator[_IntegerForm]:
     """m at each valuation in the integer form that matrices.residuals
-    multiplies, over the lcm of its entries' denominators; no
-    GaussianRational is built.  Lazy: one form is made at a time."""
-    # three lists of parts, not a list of triples: the values of all the
-    # valuations then take no more memory than their scalars would
-    res, ims, dens = [], [], []
-    for re, im, den in _evaluate(m._entry_coefficients(), valuations):
-        res.append(re)
-        ims.append(im)
-        dens.append(den)
-    k = len(valuations)
-    for i in range(k):
-        denominators, im = dens[i::k], ims[i::k]
-        d = lcm(*denominators)
-        re = [p * (d // q) for p, q in zip(res[i::k], denominators)]
-        im = [p * (d // q) for p, q in zip(im, denominators)] if any(im) else None
-        yield _form(re, im, d, m.cols)
+    multiplies; no GaussianRational is built.  Through the split T = sum of
+    mu * C_mu over L: a valuation is scaled to Gaussian integers over one d,
+    each monomial's value is lifted to d**(top - degree), top the largest
+    degree, and added times C_mu into the entries, over L * d**top.
+    MissingParameter names what the first entry lacking a value lacks, in
+    the first incomplete valuation.  Lazy: one form is made at a time."""
+    monos, split, l = m._split()
+    names = sorted({v for mono in monos for v in mono})
+    top = len(monos[-1]) if monos else 0
+    for assignment in valuations:
+        try:
+            given = [assignment[v] for v in names]
+        except KeyError:
+            for p in m.entries:
+                missing = [v for v in p.variables() if v not in assignment]
+                if missing:
+                    raise MissingParameter(missing) from None
+        (given_re, given_im), d = _scaled(given)
+        values = dict(zip(names, zip(given_re, given_im or repeat(0))))
+        lifts = [d ** (top - k) for k in range(top + 1)]
+        re, im = [0] * len(m.entries), [0] * len(m.entries)
+        for mono, (at, c_re, c_im) in zip(monos, split):
+            v_re, v_im = lifts[len(mono)], 0
+            for var in mono:
+                x_re, x_im = values[var]
+                v_re, v_im = v_re * x_re - v_im * x_im, v_re * x_im + v_im * x_re
+            if c_im is None:
+                for k, a in zip(at, c_re):
+                    re[k] += a * v_re
+                    im[k] += a * v_im
+            else:
+                for k, a, b in zip(at, c_re, c_im):
+                    re[k] += a * v_re - b * v_im
+                    im[k] += a * v_im + b * v_re
+        yield _form(re, im if any(im) else None, l * lifts[0], m.cols)
 
 
 def _needs_parens(scalar_text: str) -> bool:

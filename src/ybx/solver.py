@@ -52,7 +52,8 @@ from .jordan import (
 from .matrices import ExactMatrix, _conjugates, _exact, _first_residual, _integer_form, block_diag
 from .matrices import residuals
 from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction
-from .polynomials import _coefficients, _evaluate, _integer_forms, _polynomial, _substitute
+from .polynomials import _Coefficients, _coefficients, _evaluate, _integer_forms, _polynomial
+from .polynomials import _substitute
 from .scalars import ZERO, GaussianRational, _over, as_gaussian
 
 JORDAN_FRAME = "jordan"
@@ -626,9 +627,11 @@ def solve(sim: SimilarityData, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Soluti
 
 def to_original(family: SolutionFamily, sim: SimilarityData) -> SolutionFamily:
     """Conjugate a jordan-frame family by W into original coordinates.  With
-    the template split by monomial, T = sum of mu * C_mu, each entry of
-    W T W^-1 is one polynomial in the entries of the W C_mu W^-1, which
-    matrices._conjugates forms together: any polynomial template."""
+    the template's split by monomial, T = sum of mu * C_mu over one
+    denominator (ParamMatrix._split), each entry of W T W^-1 is one
+    polynomial in the entries of the W C_mu W^-1, which
+    matrices._conjugates forms together from the scaled C_mu: any
+    polynomial template."""
     if family.frame != JORDAN_FRAME:
         raise ValueError("family is not in jordan frame")
     sim_c = sim.canonicalized()
@@ -637,13 +640,9 @@ def to_original(family: SolutionFamily, sim: SimilarityData) -> SolutionFamily:
     if family.matrix != assemble_jordan(sim_c.spec):
         raise ValueError("family does not belong to this similarity data")
     n, template = family.n, family.template
-    coefficients: dict[tuple[str, ...], dict[int, GaussianRational]] = {}  # C_mu by mu
-    for idx, p in enumerate(template.entries):
-        for mono, c in p.terms:
-            coefficients.setdefault(mono, {})[idx] = c
-    if coefficients:  # else the template is zero, and so is W 0 W^-1
-        monos = sorted(coefficients, key=lambda mono: (len(mono), mono))  # degree-lex
-        conjugates = _conjugates(sim_c.w, sim_c.w_inv, [coefficients[mono] for mono in monos])
+    monos, cs, dc = template._split()
+    if monos:  # else the template is zero, and so is W 0 W^-1
+        conjugates = _conjugates(sim_c.w, sim_c.w_inv, cs, dc)
         entries = zip(*(m.entries for m in conjugates))
         terms = (tuple((mono, c) for mono, c in zip(monos, e) if c) for e in entries)
         template = ParamMatrix(n, n, tuple(map(ParamPolynomial, terms)))
@@ -660,6 +659,24 @@ def branch_values(
     values.  Raises MissingParameter or DisequalityViolated accordingly: the
     first violated side condition, else the first vanishing denominator.
     """
+    return _branch_values(branch, assignment, _branch_polynomials(branch))
+
+
+def _branch_polynomials(branch: SolutionBranch) -> list[_Coefficients]:
+    """The branch's side conditions, then its assignments' denominators and
+    numerators, scaled as _evaluate takes them: once for all of its draws."""
+    rfs = [rf for _, rf in branch.assignments]
+    polys = [*branch.disequalities, *(rf.denominator for rf in rfs), *(rf.numerator for rf in rfs)]
+    return list(map(_coefficients, polys))
+
+
+def _branch_values(
+    branch: SolutionBranch,
+    assignment: Mapping[str, GaussianRational],
+    scaled: Sequence[_Coefficients],
+) -> dict[str, GaussianRational]:
+    """branch_values with the branch's polynomials already scaled
+    (_branch_polynomials)."""
     free = set(branch.free_parameters)
     given = set(assignment)
     missing = sorted(free - given)
@@ -669,16 +686,14 @@ def branch_values(
     if extra:
         raise ValueError(f"unknown parameters for this branch: {', '.join(extra)}")
     values = {name: as_gaussian(v) for name, v in assignment.items()}
-    rfs = [rf for _, rf in branch.assignments]
     # lazy, so a violated condition or a zero denominator stops it; it reads
     # the free values on its first step, before any assigned value is added
-    polys = [*branch.disequalities, *(rf.denominator for rf in rfs), *(rf.numerator for rf in rfs)]
-    results = _evaluate([_coefficients(p) for p in polys], [values])
+    results = _evaluate(scaled, values)
     for condition, (re, im, _) in zip(branch.disequalities, results):
         if not (re or im):
             raise DisequalityViolated(str(condition))
-    denominators = [next(results) for _ in rfs]
-    for rf, (re, im, _) in zip(rfs, denominators):
+    denominators = [next(results) for _ in branch.assignments]
+    for (_, rf), (re, im, _) in zip(branch.assignments, denominators):
         if not (re or im):
             raise DisequalityViolated(str(rf.denominator))
     for (name, _), (d_re, d_im, d) in zip(branch.assignments, denominators):

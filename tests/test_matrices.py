@@ -399,10 +399,13 @@ def test_conjugates_fill_the_digit_width(n, units, signs):
     sw, sc, sv = signs
     ones = ExactMatrix.from_rows([[1] * n for _ in range(n)])
     w, v = ones * (uw * (sw * m)), ones * (uv * (sv * m))
-    c = {idx: uc * (sc * m) for idx in range(n * n)}
-    half = {idx: x * GaussianRational(Fraction(1, 2)) for idx, x in c.items()}
+    # C = uc * sc * M and C / 2 at every index, and an empty C between, over one denominator 2
+    def scaled_c(times):
+        re, im = uc.re * sc * m * times, uc.im * sc * m * times
+        return list(range(n * n)), [re] * (n * n), [im] * (n * n) if im else None
+
     expected = ones * (uw * uc * uv * (sw * sc * sv * m**3 * n * n))
-    assert _conjugates(w, v, [c, {}, half]) == [
+    assert _conjugates(w, v, [scaled_c(2), ([], [], None), scaled_c(1)], 2) == [
         expected,
         ExactMatrix.zeros(n, n),
         expected * GaussianRational(Fraction(1, 2)),

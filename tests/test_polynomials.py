@@ -17,6 +17,8 @@ from ybx.polynomials import (
     ParamMatrix,
     ParamPolynomial,
     RationalFunction,
+    _coefficients,
+    _evaluate,
     _integer_forms,
     _split_top_level,
     _substitute,
@@ -525,9 +527,78 @@ def test_param_matrix_evaluate_matches_entrywise_reference(m, assignment):
         ((rows, d),) = _integer_forms(m, [assignment])
         assert d > 0
         assert _exact(rows, d) == got
-        # the coefficients kept from the evaluation take no part in eq, hash or repr
+        # the split kept from the evaluation takes no part in eq, hash or repr
         fresh = ParamMatrix(m.rows, m.cols, m.entries)
         assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+
+
+def integer_forms_reference(m: ParamMatrix, valuations) -> list[ExactMatrix]:
+    """Each entry on its own through _evaluate, then every entry over the lcm
+    of their denominators: the reference for _integer_forms."""
+    polys = [_coefficients(p) for p in m.entries]
+    forms = []
+    for assignment in valuations:
+        values = [next(_evaluate([p], assignment)) for p in polys]
+        d = math.lcm(*(den for _, _, den in values))
+        rows = [
+            ([re * (d // den) for re, _, den in values[i : i + m.cols]],
+             [im * (d // den) for _, im, den in values[i : i + m.cols]])
+            for i in range(0, len(values), m.cols)
+        ]
+        forms.append(_exact(rows, d))
+    return forms
+
+
+def _through_the_split(m: ParamMatrix, valuations) -> list[ExactMatrix]:
+    forms = list(_integer_forms(m, valuations))
+    assert all(d > 0 for _, d in forms)
+    return [_exact(rows, d) for rows, d in forms]
+
+
+# monomials of degree 0 to 2, so templates mix constants, linear and quadratic terms
+_split_entries = st.dictionaries(
+    st.lists(st.sampled_from(NAMES), max_size=2).map(lambda v: tuple(sorted(v))),
+    _eval_scalars,
+    max_size=3,
+).map(ParamPolynomial.from_dict)
+_split_templates = st.integers(1, 3).flatmap(
+    lambda rows: st.integers(1, 3).flatmap(
+        lambda cols: st.lists(_split_entries, min_size=rows * cols, max_size=rows * cols).map(
+            lambda entries: ParamMatrix(rows, cols, tuple(entries))
+        )
+    )
+)
+_CONSTANTS_ONLY = ParamMatrix.from_rows(
+    [[ParamPolynomial.constant(GaussianRational(Fraction(10**30 + 1, 65537), -2)), ONE],
+     [ParamPolynomial.zero(), ParamPolynomial.constant(GaussianRational(0, Fraction(1, 3)))]]
+)
+
+
+@given(
+    _split_templates,
+    st.lists(st.one_of(_complete_assignments, _eval_assignments), min_size=1, max_size=4),
+)
+@example(ParamMatrix.zeros(2, 3), [{}, {"x": GaussianRational(1, 1)}])
+@example(_CONSTANTS_ONLY, [{}, {"x": GaussianRational(Fraction(2, 7919))}])
+@example(
+    ParamMatrix.from_rows([[X * Y, X - Y * GaussianRational(0, 2)], [Y * Y + ONE, ONE]]),
+    [{"x": GaussianRational(Fraction(1, 2), 1), "y": GaussianRational(-3)}, {"x": GaussianRational(1)}],
+)
+def test_integer_forms_match_the_entrywise_reference(m, valuations):
+    # the same matrices, or the same MissingParameter for the same first
+    # incomplete valuation, as evaluating entry by entry over the lcm
+    got = _outcome(_through_the_split, m, valuations)
+    assert got == _outcome(integer_forms_reference, m, valuations)
+    assert _outcome(m.evaluate_all, valuations) == got
+    # the split's monomials come in degree-lex order, and C_mu over L is T's coefficients
+    monos, split, l = m._split()
+    assert monos == sorted(monos, key=lambda mono: (len(mono), mono))
+    for mono, (at, re, im) in zip(monos, split):
+        assert l > 0 and all(re[k] or (im and im[k]) for k in range(len(at)))
+        for k, idx in enumerate(at):
+            c = dict(m.entries[idx].terms)[mono]
+            assert c == GaussianRational(Fraction(re[k], l), Fraction(im[k] if im else 0, l))
+    assert sum(len(at) for at, _, _ in split) == sum(len(p.terms) for p in m.entries)
 
 
 # integer, rational and complex coefficients, so that the values' numerators
@@ -849,6 +920,16 @@ def _conjugation_cases():
     w = ExactMatrix.from_rows([[m, 1, 0], [1, m, 1], [0, 1, -m]])
     sim = similarity_from_jordan(spec3, w)
     yield sim, _jordan_family(sim, ParamMatrix.from_rows(odd))
+    # a constant term in every entry, coefficients 2, -4/3 and 5i/2 on one
+    # name each and a square, over a W with Gaussian entries
+    consts = [[GaussianRational(Fraction(r - c, 3), r * c) for c in range(3)] for r in range(3)]
+    dense = [[ParamPolynomial.constant(x) for x in row] for row in consts]
+    dense[0][0] = dense[0][0] + X * 2
+    dense[1][2] = dense[1][2] - Y * GaussianRational(Fraction(4, 3))
+    dense[2][1] = dense[2][1] + X * X * GaussianRational(0, Fraction(5, 2)) + Y * 2
+    gaussian_w = ExactMatrix.from_rows([[1, i, 0], [2, 1, 1 - i], [0, i, 1]])
+    sim = similarity_from_jordan(spec3, gaussian_w)
+    yield sim, _jordan_family(sim, ParamMatrix.from_rows(dense))
     # the zero template of a nonsingular matrix
     sim = similarity_from_jordan(JordanSpec.from_pairs([(1, [2]), (-1, [1])]), w)
     yield sim, solve(sim)
@@ -861,6 +942,16 @@ def test_to_original_matches_the_reference_conjugation():
         expected = _matmul_reference(_matmul_reference(canon.w, family.template), canon.w_inv)
         got = to_original(family, sim).template
         assert got == expected
+        # the same conjugation read off the split: sum of mu * (W C_mu W^-1) / L
+        monos, split, l = family.template._split()
+        for mono, (at, re, im) in zip(monos, split):
+            zero = GaussianRational(0)
+            c = [zero] * (family.n * family.n)
+            for k, idx in enumerate(at):
+                c[idx] = GaussianRational(Fraction(re[k], l), Fraction(im[k] if im else 0, l))
+            c_mu = ExactMatrix(family.n, family.n, tuple(c))
+            conjugate = mat_mul(mat_mul(canon.w, c_mu), canon.w_inv)
+            assert conjugate.entries == tuple(dict(p.terms).get(mono, zero) for p in got.entries)
         assert got.variables() == family.template.variables()
         for p in got.entries:
             _assert_canonical(p)

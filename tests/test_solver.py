@@ -15,6 +15,7 @@ from ybx.bundled import (
     example_41_matrix,
     example_41_spec,
     example_41_w,
+    example_42_problem,
     golden_42_families,
     golden_42_system,
 )
@@ -30,7 +31,7 @@ from ybx.jordan import (
     similarity_from_jordan,
     validate_similarity,
 )
-from ybx.formats import dumps_canonical, family_to_json
+from ybx.formats import dumps_canonical, family_to_json, similarity_from_problem
 from ybx.matrices import ExactMatrix, mat_mul
 from ybx.oracle import random_branch_values, random_gaussian
 from ybx.polynomials import ParamMatrix, ParamPolynomial, RationalFunction, parse_polynomial
@@ -38,6 +39,8 @@ from ybx.scalars import GaussianRational
 from ybx.solver import (
     SolutionBranch,
     SolutionFamily,
+    _branch_polynomials,
+    _branch_values,
     _entering,
     branch_matrix,
     branch_satisfied_by,
@@ -1248,6 +1251,35 @@ def test_branch_values_reports_the_first_violated_condition_then_a_vanishing_den
     }
     with pytest.raises(MissingParameter):
         branch_values(branch, {"y": g(2)})
+
+
+def _values_or_message(fn, *args):
+    try:
+        return fn(*args)
+    except DisequalityViolated as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("which", ["4.2", "2,2,2,2"])
+def test_prescaled_branch_values_match_branch_values(which, nilpotent_branches):
+    # the branch's polynomials scaled once serve every draw: the same
+    # valuation, or the same violated side condition or denominator
+    if which == "4.2":
+        branches = solve(similarity_from_problem(example_42_problem())).branches
+    else:
+        branches = nilpotent_branches((2, 2, 2, 2))
+    violated = 0
+    for index, branch in enumerate(branches):
+        scaled = _branch_polynomials(branch)
+        rng = random.Random(f"prescaled:{which}:{index}")
+        draws = [{name: random_gaussian(rng) for name in branch.free_parameters} for _ in range(3)]
+        # each free name at 0 in turn, so that draws land on side conditions
+        draws += [{**draws[0], name: GaussianRational(0)} for name in branch.free_parameters]
+        for draw in draws:
+            expected = _values_or_message(branch_values, branch, draw)
+            assert _values_or_message(_branch_values, branch, draw, scaled) == expected
+            violated += isinstance(expected, str)
+    assert violated
 
 
 def test_assignment_denominators_are_listed(rng):
