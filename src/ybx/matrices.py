@@ -33,14 +33,14 @@ template through _conjugates, which takes the template's C_mu already
 scaled over one denominator (ParamMatrix._split) and packs one block of
 n digits per monomial, so W multiplies them all at once.  The residuals of A
 and X are the packed rows of AX + XA and then of AXA - XAX
-(_residual_rows); when AX + XA = 0, XA = -AX gives AXA - XAX =
-AX (A + X), one product more instead of two, with AX unpacked as its left
-factor.  residuals unpacks those rows into matrices; the zero test
-(_first_residual) reads the packed rows, zero exactly when every digit
-is, unpacks only the first nonzero one to name its column, and computes
-the quadratic only when AX + XA = 0.  It takes integer forms, so
-verify_family_membership scales A once for all its draws, and a
-template is evaluated straight to an integer form (polynomials.py): a
+(_residual_rows), one chain at one width chosen up front: the quadratic
+multiplies A and X by the packed XA and AX already in hand, with nothing
+unpacked or packed again.  residuals unpacks those rows into matrices;
+the zero test (_first_residual) reads the packed rows, zero exactly when
+every digit is, unpacks only the first nonzero one to name its column,
+and computes the quadratic only when AX + XA = 0.  It takes integer
+forms, so verify_family_membership scales A once for all its draws, and
+a template is evaluated straight to an integer form (polynomials.py): a
 GaussianRational is built only for the matrix a caller receives.
 
 Elimination has one kernel, RowSpan, which works entry by entry on Fractions
@@ -360,39 +360,26 @@ def _residual_rows(
     a: _IntegerForm, x: _IntegerForm
 ) -> Iterator[tuple[_IntVector, int, int]]:
     """(packed rows, width s, denominator) of A*X + X*A, then of
-    A*X*A - X*A*X, from the integer forms A' over da and X' over dx.  The
-    first is A'X' + X'A' over da*dx, summed packed at one width.  When it
-    is zero, X'A' = -A'X', so the second is A'X' (dx*A' + da*X') over
-    (da*dx)**2, one product whose left factor is A'X' unpacked; otherwise
-    it is A'X'A'*dx - X'A'X'*da over the same, the scale factors counted in
-    its width.  Lazy: the second is computed only when it is asked for."""
+    A*X*A - X*A*X, from the n x n integer forms A' over da and X' over dx:
+    A'X' + X'A' over da*dx, then dx*A'(X'A') - da*X'(A'X') over
+    (da*dx)**2, each right factor a packed product already in hand.  A
+    packed product is an exact sum of its digits times powers of 2**s
+    whatever s is, so only the digits read back must fit, and one s serves
+    the chain.  With |re| + |im| < 2**ba on A' and 2**bx on X', an entry
+    of A'X' or X'A' has |re| + |im| < n * 2**(ba + bx) <= 2**(ba + bx +
+    n.bit_length()).  The quadratic is then a sum of two products of inner
+    dimension n, dx*A' by X'A' and da*X' by A'X', whose left and right
+    _bits sum to at most bits + n.bit_length() with bits as taken here,
+    which _slot holds; the anti-commutator's entries are smaller.  Lazy: the second is
+    computed only when it is asked for."""
     (a_rows, da), (x_rows, dx) = a, x
     n = len(a_rows)
-    s = _slot(_bits(a_rows) + _bits(x_rows), n)
+    ba, bx = _bits(a_rows), _bits(x_rows)
+    bits = max(2 * ba + bx + dx.bit_length(), ba + 2 * bx + da.bit_length())
+    s = _slot(bits + n.bit_length(), n)
     ax, xa = _products(a_rows, _pack(x_rows, s)), _products(x_rows, _pack(a_rows, s))
-    anti = _combination(ax, xa, 1, 1)
-    yield anti, s, da * dx
-    ax_rows = _rows(ax, s, n)
-    if _nonzero(anti):
-        xa_rows = _rows(xa, s, n)
-        bits = max(
-            _bits(ax_rows) + _bits(a_rows) + dx.bit_length(),
-            _bits(xa_rows) + _bits(x_rows) + da.bit_length(),
-        )
-        s = _slot(bits, n)
-        axa, xax = _products(ax_rows, _pack(a_rows, s)), _products(xa_rows, _pack(x_rows, s))
-        ybe = _combination(axa, xax, dx, -da)
-    else:
-        sums = [_combination(u, v, dx, da) for u, v in zip(a_rows, x_rows)]  # dx*A' + da*X'
-        s = _slot(_bits(ax_rows) + _bits(sums), n)
-        ybe = _products(ax_rows, _pack(sums, s))
-    yield ybe, s, (da * dx) ** 2
-
-
-def _nonzero(v: _IntVector) -> bool:
-    """Whether the Gaussian-integer vector has a nonzero entry."""
-    re, im = v
-    return any(re) or im is not None and any(im)
+    yield _combination(ax, xa, 1, 1), s, da * dx
+    yield _combination(_products(a_rows, xa), _products(x_rows, ax), dx, -da), s, (da * dx) ** 2
 
 
 def _first_residual(a: _IntegerForm, x: _IntegerForm) -> tuple[int, tuple[int, int]] | None:

@@ -31,7 +31,7 @@ from .matrices import ExactMatrix, RowSpan, _exact, _first_residual, _integer_fo
 from .polynomials import ParamPolynomial, _Coefficients, _integer_forms, _substitute
 from .scalars import ZERO, GaussianRational, _make, as_gaussian
 from .solver import SolutionBranch, SolutionFamily, _branch_polynomials, _branch_values
-from .solver import branch_satisfied_by, residuals
+from .solver import branch_satisfied_by
 
 _GRID_DIMENSION_LIMIT = 6
 _GRID_POINT_LIMIT = 10**6
@@ -145,13 +145,13 @@ def grid_enumerate_solutions(
     count = len(values) ** dim if values else 0
     if dim > _GRID_DIMENSION_LIMIT or count > _GRID_POINT_LIMIT:
         raise GridTooLarge(dim, count)
-    solutions = []
+    a, solutions = _integer_form(j), []
     for coords in _cartesian(values, repeat=dim):
         k = ExactMatrix.zeros(j.rows, j.cols)
         for c, e in zip(coords, basis):
             if c:
                 k = k + e * c
-        if all(r.is_zero() for r in residuals(j, k)):
+        if _first_residual(a, _integer_form(k)) is None:
             solutions.append(k)
     return solutions
 

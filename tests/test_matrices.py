@@ -521,20 +521,41 @@ def test_residuals_match_textbook_products_on_anticommuting_pairs(pair):
     assert first == textbook_first_residual(a, x)
 
 
-@pytest.mark.parametrize("scale", [GaussianRational(1), GaussianRational(Fraction(2, 3), -5)])
-def test_residuals_of_a_complex_anticommuting_pair(scale):
-    """A = diag(i, -i) and X = [[0, s], [t, 0]] anti-commute, and
-    A X A - X A X = A X (A + X) is nonzero; perturbing X breaks both."""
-    i = GaussianRational(0, 1)
-    a = ExactMatrix.from_rows([[i, 0], [0, -i]])
-    x = ExactMatrix.from_rows([[0, scale], [scale * 3, 0]])
+def check_diagonal_anticommuting_pair(d, s, t):
+    """A = diag(d, -d) and X = [[0, s], [t, 0]] anti-commute, and
+    A X A - X A X = A X (A + X) is nonzero; perturbing X breaks both.  Both
+    residuals and the first nonzero entry match the textbook products."""
+    a = ExactMatrix.from_rows([[d, 0], [0, -d]])
+    x = ExactMatrix.from_rows([[0, s], [t, 0]])
     anti, ybe = residuals(a, x)
     assert anti.is_zero()
     assert ybe == mat_mul(mat_mul(a, x), a + x) == textbook_residuals(a, x)[1]
     assert not ybe.is_zero()
-    bent = x + ExactMatrix.from_rows([[scale, 0], [0, 0]])
+    assert _first_residual(_integer_form(a), _integer_form(x)) == textbook_first_residual(a, x)
+    bent = x + ExactMatrix.from_rows([[s, 0], [0, 0]])
     assert residuals(a, bent) == textbook_residuals(a, bent)
     assert not residuals(a, bent)[0].is_zero()
+    assert _first_residual(_integer_form(a), _integer_form(bent)) == (0, (0, 0))
+
+
+@pytest.mark.parametrize("scale", [GaussianRational(1), GaussianRational(Fraction(2, 3), -5)])
+def test_residuals_of_a_complex_anticommuting_pair(scale):
+    check_diagonal_anticommuting_pair(GaussianRational(0, 1), scale, scale * 3)
+
+
+@pytest.mark.parametrize("units", [(1, 1), (1j, 1 + 1j), (1 - 1j, 1j)], ids=str)
+@pytest.mark.parametrize("large", ["A", "X"])
+def test_residuals_of_skewed_anticommuting_pairs(large, units):
+    # one side 40-bit integers, the other +-1 over 40-bit denominators: the
+    # quadratic is dx*A'X'A' - da*X'A'X', so its width must count dx (large
+    # A, denominators on X) and da (large X, a denominator on A)
+    m = 2**40 - 1
+    ua, ux = (GaussianRational(int(u.real), int(u.imag)) for u in units)
+    if large == "A":
+        d, s, t = ua * m, ux * Fraction(1, 2**40 - 3), ux * Fraction(-1, 2**40 - 5)
+    else:
+        d, s, t = ua * Fraction(1, 2**40 - 3), ux * m, ux * -m
+    check_diagonal_anticommuting_pair(d, s, t)
 
 
 def textbook_reduce_rows(work: list[list[GaussianRational]], width: int) -> tuple[int, list[int]]:
