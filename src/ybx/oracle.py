@@ -27,7 +27,8 @@ from typing import Sequence
 from .anticommutant import anticommutant_basis
 from .errors import DimensionMismatch, DisequalityViolated, GridTooLarge, NotSquare
 from .jordan import JordanSpec, assemble_jordan
-from .matrices import ExactMatrix, RowSpan, _exact, _first_residual, _integer_form, null_space_basis
+from .matrices import ExactMatrix, RowSpan, _exact, _first_residual, _form, _integer_form, _scaled
+from .matrices import null_space_basis
 from .polynomials import ParamPolynomial, _Coefficients, _integer_forms, _substitute
 from .scalars import ZERO, GaussianRational, _make, as_gaussian
 from .solver import SolutionBranch, SolutionFamily, _branch_polynomials, _branch_values
@@ -136,7 +137,8 @@ def grid_enumerate_solutions(
     Sound and complete relative to the grid: enumeration runs over
     coordinates in the vectorized-kernel basis of {X : JX + XJ = 0} (every
     solution anti-commutes, so nothing outside that subspace is missed), and
-    each candidate is checked against both equations exactly.  Refuses with
+    each candidate is checked against both equations exactly, in Gaussian
+    integers; only a solution becomes an ExactMatrix.  Refuses with
     GridTooLarge when the coordinate count exceeds 6 or the grid 10^6 points.
     """
     values = [as_gaussian(v) for v in entry_set]
@@ -145,14 +147,18 @@ def grid_enumerate_solutions(
     count = len(values) ** dim if values else 0
     if dim > _GRID_DIMENSION_LIMIT or count > _GRID_POINT_LIMIT:
         raise GridTooLarge(dim, count)
-    a, solutions = _integer_form(j), []
-    for coords in _cartesian(values, repeat=dim):
-        k = ExactMatrix.zeros(j.rows, j.cols)
-        for c, e in zip(coords, basis):
-            if c:
-                k = k + e * c
-        if _first_residual(a, _integer_form(k)) is None:
-            solutions.append(k)
+    # every value times every basis element, scaled once over one d: a
+    # candidate's integer form is the sum of one of these per element
+    (re, im), d = _scaled([c * x for e in basis for c in values for x in e.entries])
+    size, n = j.rows * j.cols, len(values)
+    multiples = [(re[t : t + size], im and im[t : t + size]) for t in range(0, len(re), size)]
+    a, zero, solutions = _integer_form(j), [0] * size, []
+    for picks in _cartesian(*(multiples[t * n : (t + 1) * n] for t in range(dim))):
+        k_re = [sum(col) for col in zip(zero, *(p for p, _ in picks))]
+        k_im = im and [sum(col) for col in zip(zero, *(q for _, q in picks))]
+        form = _form(k_re, k_im if k_im and any(k_im) else None, d, j.cols)
+        if _first_residual(a, form) is None:
+            solutions.append(_exact(*form))
     return solutions
 
 

@@ -12,16 +12,18 @@ and multiply them, and _polynomial makes one GaussianRational per term
 through scalars._make, so an integral coefficient stays an int throughout.
 Only scaling by a constant multiplies GaussianRationals term by term.
 _substitute builds each value's powers once for a whole list of
-polynomials.  Evaluation is integer arithmetic over one common denominator,
-scaled as matrix products are.  A polynomial goes through _evaluate with
-its coefficients scaled over their lcm (_coefficients), and each value
-comes out as Gaussian-integer parts over a denominator, which evaluate and
-solver.branch_values make scalars of with scalars._over.  A ParamMatrix is
-split by monomial once for its life, T = sum of mu * C_mu with every C_mu
-over one denominator L (ParamMatrix._split), kept in a private field on
-first use, since a template is evaluated once per draw.  _integer_forms
-reads the split: it scales a valuation over one d and adds each
-monomial's value, lifted to d**(top - degree), times C_mu into the
+polynomials, and a polynomial whose mapped names all take the value 0 costs
+no arithmetic: its terms without a mapped name are the result, as they
+stand, over 1.  Evaluation is integer arithmetic over one common
+denominator, scaled as matrix products are.  A polynomial goes through
+_evaluate with its coefficients scaled over their lcm (_coefficients), and
+each value comes out as Gaussian-integer parts over a denominator, which
+evaluate and solver.branch_values make scalars of with scalars._over.  A
+ParamMatrix is split by monomial once for its life, T = sum of mu * C_mu
+with every C_mu over one denominator L (ParamMatrix._split), kept in a
+private field on first use, since a template is evaluated once per draw.
+_integer_forms reads the split: it scales a valuation over one d and adds
+each monomial's value, lifted to d**(top - degree), times C_mu into the
 entries, so the template at that valuation is the integer form that
 matrices.residuals multiplies, over L * d**top, with no scalar built.
 evaluate_all makes matrices of those forms, and solver.to_original
@@ -313,8 +315,16 @@ def _substitute(
     up term by term.  Powers of the values, their products and the common
     denominators are built once for all the polynomials, and no factor 1 is
     multiplied.  A term without a mapped name keeps its monomial.
+
+    A zero value kills every term with its name and has denominator 1
+    (RationalFunction.make).  So when every mapped name of a polynomial has
+    the value 0, or it has none, the result is its other terms as they
+    stand, over 1: no power, product, _make or sort.  Otherwise the common
+    denominator keeps den**top for every mapped name, zero or not: with
+    a := 0 and b := x/y, a*b + 1 is (y)/(y), as for any other value of a.
     """
     one = ParamPolynomial.constant(1)
+    mapped = mapping.keys()
     unit = {(): (1, 0)}
     powers: dict[tuple[str, bool], list[dict]] = {}
     # keyed by (mapped names, their top powers, a term's powers of them)
@@ -342,6 +352,10 @@ def _substitute(
 
     for p in polys:
         names = tuple(sorted({v for mono, _ in p.terms for v in mono if v in mapping}))
+        if not any(mapping[v].numerator for v in names):
+            kept = (t for t in p.terms if mapped.isdisjoint(t[0]))
+            yield RationalFunction(ParamPolynomial(tuple(kept)) if names else p, one)
+            continue
         tops = tuple(max(mono.count(var) for mono, _ in p.terms) for var in names)
         acc: dict = {}
         for mono, c in p.terms:

@@ -321,9 +321,14 @@ def _draw_nonzero_poly(rng):
 
 
 def _draw_mapping(rng):
+    """Rational values, a third of them zero: a zero numerator over any
+    denominator, which make reduces to 0 over 1."""
     names = rng.sample(NAMES, rng.randint(1, 2))
     return {
-        var: RationalFunction.make(random_poly(rng, NAMES, 3), _draw_nonzero_poly(rng))
+        var: RationalFunction.make(
+            ParamPolynomial.zero() if rng.randrange(3) == 0 else random_poly(rng, NAMES, 3),
+            _draw_nonzero_poly(rng),
+        )
         for var in names
     }
 
@@ -392,6 +397,19 @@ def test_substitute_rational_denominator_is_product_of_top_powers(rng):
         assert result.denominator == ONE
     else:
         assert result.denominator == expected.monic()[0]
+
+
+def test_a_zero_value_keeps_the_common_denominator_of_the_other_names():
+    # a := 0 kills a*b, but the constant term is still lifted by the
+    # denominator y of b := x/y: the result is (y)/(y), not 1
+    a, b = ParamPolynomial.variable("a"), ParamPolynomial.variable("b")
+    zero = RationalFunction.from_polynomial(ParamPolynomial.zero())
+    (got,) = _substitute([a * b + ONE], {"a": zero, "b": RationalFunction.make(X, Y)})
+    assert format_rational_function(got) == "(y)/(y)"
+    # with zero values alone the surviving terms stand as they are, over 1
+    p = a * b + GaussianRational(Fraction(1, 2), 3) * b + ONE
+    (got,) = _substitute([p], {"a": zero})
+    assert got.numerator.terms == p.terms[:2] and got.denominator == ONE
 
 
 def _draw_matrix_mapping(rng):
@@ -612,9 +630,10 @@ _sub_monomials = st.lists(st.sampled_from(NAMES), max_size=3).map(lambda v: tupl
 _sub_polys = st.dictionaries(_sub_monomials, _sub_scalars, max_size=4).map(
     ParamPolynomial.from_dict
 )
+# zero, polynomial and rational values
 _sub_values = st.builds(
     RationalFunction.make,
-    _sub_polys,
+    st.one_of(st.just(ParamPolynomial.zero()), _sub_polys),
     st.dictionaries(_sub_monomials, _sub_scalars.filter(bool), min_size=1, max_size=4).map(
         ParamPolynomial.from_dict
     ),

@@ -1347,6 +1347,40 @@ def test_assign_drops_a_state_whose_side_condition_vanishes():
     assert not state.assign("y", RationalFunction.from_polynomial(x))
 
 
+ZERO_VALUE = RationalFunction.from_polynomial(ParamPolynomial.zero())
+
+
+def test_assign_drops_a_state_whose_side_condition_a_zero_kills():
+    from ybx.solver import _BranchState  # noqa: PLC2701 - the search's infeasibility exit
+
+    a, b = ParamPolynomial.variable("a"), ParamPolynomial.variable("b")
+    state = _BranchState([], {}, {})
+    state.add_disequality(a * b)
+    assert not state.assign("a", ZERO_VALUE)
+
+
+def test_assign_drops_a_state_whose_assignment_denominator_a_zero_kills():
+    from ybx.solver import _BranchState  # noqa: PLC2701 - the search's infeasibility exit
+
+    a, x = ParamPolynomial.variable("a"), ParamPolynomial.variable("x")
+    state = _BranchState([], {"c": RationalFunction.make(x, a)}, {})
+    assert not state.assign("a", ZERO_VALUE)
+
+
+def test_normalize_drops_an_equation_a_zero_kills():
+    from ybx.solver import _BranchState, _normalize  # noqa: PLC2701 - assign, then a search pass
+
+    a, b, x = (ParamPolynomial.variable(v) for v in "abx")
+    one = ParamPolynomial.constant(1)
+    state = _BranchState([_entering(a * b), _entering(a * b + x - one)], {}, {})
+    assert state.assign("a", ZERO_VALUE)
+    assert state.equations[0].product.is_zero()
+    assert state.equations[1] == _entering(x - one)
+    assert _normalize(state)
+    assert state.equations == [_entering(x - one)]
+    assert state.assignments == {"a": ZERO_VALUE}
+
+
 def test_assign_keeps_an_equation_without_the_name(monkeypatch):
     import ybx.solver
     from ybx.solver import _BranchState  # noqa: PLC2701 - assign's rewrite
