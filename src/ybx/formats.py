@@ -14,6 +14,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ParseError
 from .jordan import JordanSpec, SimilarityData, jordan_form, similarity_from_jordan
@@ -23,6 +24,7 @@ from .polynomials import (
     format_polynomial,
     format_rational_function,
     parse_polynomial,
+    parse_polynomials,
     parse_rational_function,
 )
 from .scalars import GaussianRational, format_scalar, parse_scalar
@@ -34,8 +36,12 @@ def matrix_to_grid(m: Grid) -> list[list[str]]:
     return [[str(x) for x in m.row(i)] for i in range(m.rows)]
 
 
-# what a grid of each name holds: its matrix type and the parser of one entry
-_GRID_KINDS = {"matrix": (ExactMatrix, parse_scalar), "template": (ParamMatrix, parse_polynomial)}
+# what a grid of each name holds: its matrix type and the parser of its
+# entries, which reads them in row-major order
+_GRID_KINDS = {
+    "matrix": (ExactMatrix, partial(map, parse_scalar)),
+    "template": (ParamMatrix, parse_polynomials),
+}
 
 
 def _grid_from_json(grid, what: str) -> Grid:
@@ -50,7 +56,7 @@ def _grid_from_json(grid, what: str) -> Grid:
     if any(len(row) != width for row in grid):
         raise ParseError(f"{what} rows have inconsistent lengths")
     kind, parse = _GRID_KINDS[what]
-    return kind.from_rows([[parse(_as_str(x)) for x in row] for row in grid])
+    return kind(len(grid), width, tuple(parse(_as_str(x) for row in grid for x in row)))
 
 
 def grid_to_matrix(grid) -> ExactMatrix:

@@ -35,13 +35,17 @@ n digits per monomial, so W multiplies them all at once.  The residuals of A
 and X are the packed rows of AX + XA and then of AXA - XAX
 (_residual_rows), one chain at one width chosen up front: the quadratic
 multiplies A and X by the packed XA and AX already in hand, with nothing
-unpacked or packed again.  residuals unpacks those rows into matrices;
-the zero test (_first_residual) reads the packed rows, zero exactly when
-every digit is, unpacks only the first nonzero one to name its column,
-and computes the quadratic only when AX + XA = 0.  It takes integer
-forms, so verify_family_membership scales A once for all its draws, and
-a template is evaluated straight to an integer form (polynomials.py): a
-GaussianRational is built only for the matrix a caller receives.
+unpacked or packed again.  The width is taken for a batch of X at once
+(_chain_width), wide enough for the widest, and A is packed once at it:
+a wider width than an X needs is exact too, so verify_family_membership
+scales and packs A once for all the draws of a family, and residuals
+and solver.sample pass a batch of one.  residuals unpacks those rows
+into matrices; the zero test (_first_residual) reads the packed rows,
+zero exactly when every digit is, unpacks only the first nonzero one to
+name its column, and computes the quadratic only when AX + XA = 0.  It
+takes integer forms, and a template is evaluated straight to an integer
+form (polynomials.py): a GaussianRational is built only for the matrix
+a caller receives.
 
 Elimination has one kernel, RowSpan, which works entry by entry on Fractions
 and keeps its rows in reduced row echelon form: each row is 1 at its own
@@ -356,40 +360,52 @@ def _combination(u: _IntVector, v: _IntVector, su: int, sv: int) -> _IntVector:
     return re, im if any(im) else None
 
 
-def _residual_rows(
-    a: _IntegerForm, x: _IntegerForm
-) -> Iterator[tuple[_IntVector, int, int]]:
-    """(packed rows, width s, denominator) of A*X + X*A, then of
-    A*X*A - X*A*X, from the n x n integer forms A' over da and X' over dx:
-    A'X' + X'A' over da*dx, then dx*A'(X'A') - da*X'(A'X') over
-    (da*dx)**2, each right factor a packed product already in hand.  A
-    packed product is an exact sum of its digits times powers of 2**s
-    whatever s is, so only the digits read back must fit, and one s serves
-    the chain.  With |re| + |im| < 2**ba on A' and 2**bx on X', an entry
-    of A'X' or X'A' has |re| + |im| < n * 2**(ba + bx) <= 2**(ba + bx +
-    n.bit_length()).  The quadratic is then a sum of two products of inner
-    dimension n, dx*A' by X'A' and da*X' by A'X', whose left and right
-    _bits sum to at most bits + n.bit_length() with bits as taken here,
-    which _slot holds; the anti-commutator's entries are smaller.  Lazy: the second is
-    computed only when it is asked for."""
-    (a_rows, da), (x_rows, dx) = a, x
-    n = len(a_rows)
-    ba, bx = _bits(a_rows), _bits(x_rows)
-    bits = max(2 * ba + bx + dx.bit_length(), ba + 2 * bx + da.bit_length())
+def _chain_width(a: _IntegerForm, xs: Sequence[_IntegerForm]) -> tuple[int, _IntVector]:
+    """(s, A' packed at s): one digit width that holds the residual chain
+    (_residual_rows) of the n x n integer form A' over da with each X' over
+    dx of xs, and A' packed once at it for all of them.  A packed product
+    is an exact sum of its digits times powers of 2**s whatever s is, so
+    only the digits read back must fit, and a width wider than one X'
+    needs is exact too.  With |re| + |im| < 2**ba on A' and 2**bx on X', an
+    entry of A'X' or X'A' has |re| + |im| < n * 2**(ba + bx) <= 2**(ba + bx
+    + n.bit_length()).  The quadratic is then a sum of two products of
+    inner dimension n, dx*A' by X'A' and da*X' by A'X', whose left and
+    right _bits sum to at most bits + n.bit_length() with bits as taken
+    here, which _slot holds; the anti-commutator's entries are smaller."""
+    a_rows, da = a
+    n, ba, bits = len(a_rows), _bits(a_rows), 0
+    for x_rows, dx in xs:
+        bx = _bits(x_rows)
+        bits = max(bits, 2 * ba + bx + dx.bit_length(), ba + 2 * bx + da.bit_length())
     s = _slot(bits + n.bit_length(), n)
-    ax, xa = _products(a_rows, _pack(x_rows, s)), _products(x_rows, _pack(a_rows, s))
-    yield _combination(ax, xa, 1, 1), s, da * dx
-    yield _combination(_products(a_rows, xa), _products(x_rows, ax), dx, -da), s, (da * dx) ** 2
+    return s, _pack(a_rows, s)
 
 
-def _first_residual(a: _IntegerForm, x: _IntegerForm) -> tuple[int, tuple[int, int]] | None:
+def _residual_rows(
+    a: _IntegerForm, x: _IntegerForm, s: int, packed_a: _IntVector
+) -> Iterator[tuple[_IntVector, int]]:
+    """(packed rows, denominator) at width s of A*X + X*A, then of
+    A*X*A - X*A*X, from the n x n integer forms A' over da and X' over dx,
+    with s and packed_a from _chain_width: A'X' + X'A' over da*dx, then
+    dx*A'(X'A') - da*X'(A'X') over (da*dx)**2, each right factor a packed
+    product already in hand.  Lazy: the second is computed only when it is
+    asked for."""
+    (a_rows, da), (x_rows, dx) = a, x
+    ax, xa = _products(a_rows, _pack(x_rows, s)), _products(x_rows, packed_a)
+    yield _combination(ax, xa, 1, 1), da * dx
+    yield _combination(_products(a_rows, xa), _products(x_rows, ax), dx, -da), (da * dx) ** 2
+
+
+def _first_residual(
+    a: _IntegerForm, x: _IntegerForm, s: int, packed_a: _IntVector
+) -> tuple[int, tuple[int, int]] | None:
     """(0 for A*X + X*A or 1 for A*X*A - X*A*X, (row, column)) of the first
     nonzero residual entry in row-major order, or None when x is an
-    anti-commuting solution for a.  Rows are tested packed, and only the
-    first nonzero one is unpacked; the quadratic is computed only when
-    A*X + X*A = 0."""
+    anti-commuting solution for a; s and packed_a come from _chain_width.
+    Rows are tested packed, and only the first nonzero one is unpacked; the
+    quadratic is computed only when A*X + X*A = 0."""
     n = len(a[0])
-    for which, ((re, im), s, _) in enumerate(_residual_rows(a, x)):
+    for which, ((re, im), _) in enumerate(_residual_rows(a, x, s, packed_a)):
         for i, (p, q) in enumerate(zip(re, im or repeat(0))):
             if p or q:
                 row = zip(_unpack(p, s, n), _unpack(q, s, n))
@@ -400,13 +416,15 @@ def _first_residual(a: _IntegerForm, x: _IntegerForm) -> tuple[int, tuple[int, i
 def residuals(a: ExactMatrix, x: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     """(A*X + X*A, A*X*A - X*A*X); x is an anti-commuting solution for a
     exactly when both are zero.  Both are computed in integers by
-    _residual_rows and unpacked."""
+    _residual_rows, a batch of one, and unpacked."""
     if not a.is_square():
         raise NotSquare("residuals", a.shape)
     if a.shape != x.shape:
         raise DimensionMismatch("residuals", a.shape, x.shape)
-    parts = _residual_rows(_integer_form(a), _integer_form(x))
-    return tuple(_exact(_rows(packed, s, a.cols), d) for packed, s, d in parts)
+    a_form, x_form = _integer_form(a), _integer_form(x)
+    s, packed_a = _chain_width(a_form, [x_form])
+    parts = _residual_rows(a_form, x_form, s, packed_a)
+    return tuple(_exact(_rows(packed, s, a.cols), d) for packed, d in parts)
 
 
 def rref(m: ExactMatrix) -> RrefResult:

@@ -7,8 +7,12 @@ operator is written entry by entry from the nonzero entries of U and V
 (_vectorized_operator), with no Kronecker product built.  Small solution
 sets are enumerated over a finite grid of anticommutant coordinates, and
 solution families are spot-checked at pseudorandom rational parameter
-values in Gaussian integers: verify_family_membership scales A once and
-tests each draw on the integer residual parts (matrices._first_residual).
+values in Gaussian integers: verify_family_membership evaluates the
+template at every draw first, takes one digit width for all of them
+(matrices._chain_width), scales and packs A once at it, and tests each
+draw on the integer residual parts (matrices._first_residual).  A random
+part is read from a fixed table of the 19 x 18 rationals num/den that
+random_gaussian can draw, with the same generator calls as building it.
 Example 4.2's systems and its family-to-branch pairing are decided by
 exact substitution (first_unsatisfied, branch_within); only family
 membership is still re-verified at random draws.  Agreement between these
@@ -27,8 +31,8 @@ from typing import Sequence
 from .anticommutant import anticommutant_basis
 from .errors import DimensionMismatch, DisequalityViolated, GridTooLarge, NotSquare
 from .jordan import JordanSpec, assemble_jordan
-from .matrices import ExactMatrix, RowSpan, _exact, _first_residual, _form, _integer_form, _scaled
-from .matrices import null_space_basis
+from .matrices import ExactMatrix, RowSpan, _chain_width, _exact, _first_residual, _form
+from .matrices import _integer_form, _scaled, null_space_basis
 from .polynomials import ParamPolynomial, _Coefficients, _integer_forms, _substitute
 from .scalars import ZERO, GaussianRational, _make, as_gaussian
 from .solver import SolutionBranch, SolutionFamily, _branch_polynomials, _branch_values
@@ -38,6 +42,11 @@ _GRID_DIMENSION_LIMIT = 6
 _GRID_POINT_LIMIT = 10**6
 _REDRAW_LIMIT = 100
 _DENOMINATORS = tuple(d for d in range(-9, 10) if d)
+# every part random_gaussian draws: row num + 9 holds Fraction(num, den) for
+# each den of _DENOMINATORS, in their order, an integral one as its int
+_PARTS = tuple(
+    tuple(_make(Fraction(num, den), 0).re for den in _DENOMINATORS) for num in range(-9, 10)
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,21 +166,19 @@ def grid_enumerate_solutions(
         k_re = [sum(col) for col in zip(zero, *(p for p, _ in picks))]
         k_im = im and [sum(col) for col in zip(zero, *(q for _, q in picks))]
         form = _form(k_re, k_im if k_im and any(k_im) else None, d, j.cols)
-        if _first_residual(a, form) is None:
+        if _first_residual(a, form, *_chain_width(a, [form])) is None:
             solutions.append(_exact(*form))
     return solutions
 
 
-def _random_rational(rng: random.Random) -> Fraction:
-    num = rng.randint(-9, 9)
-    den = rng.choice(_DENOMINATORS)
-    return Fraction(num, den)
-
-
 def random_gaussian(rng: random.Random) -> GaussianRational:
-    """Small random scalar: both parts have numerator and denominator in [-9, 9]."""
-    # each part is a Fraction in lowest terms; _make stores an integral one as its int
-    return _make(_random_rational(rng), _random_rational(rng))
+    """Small random scalar: both parts have numerator and denominator in [-9, 9].
+
+    Each part is a randint for the numerator, then a choice of the
+    denominator, read from _PARTS: the same calls, and so the same stream,
+    as building Fraction(num, den) for each draw."""
+    re = rng.choice(_PARTS[rng.randint(-9, 9) + 9])
+    return _make(re, rng.choice(_PARTS[rng.randint(-9, 9) + 9]))
 
 
 def first_unsatisfied(
@@ -276,7 +283,8 @@ def verify_family_membership(
     system checks nothing; it counts as completed and in residual_skipped.
     Each branch's side conditions and assignments are scaled once for all
     its draws; the template is evaluated at all the other draws in one
-    call, to integer forms, and j is scaled once.  The first failure, in
+    call, to integer forms, and j is scaled and packed once, at one digit
+    width that holds every draw's residual chain.  The first failure, in
     (branch, trial) order, is reported as a counterexample.
     """
     if j.shape != (family.n, family.n):
@@ -297,9 +305,10 @@ def verify_family_membership(
             else:
                 draws.append(values)
     counterexample = None
-    a = _integer_form(j)
-    for k in _integer_forms(family.template, draws):
-        if _first_residual(a, k) is None:
+    a, forms = _integer_form(j), list(_integer_forms(family.template, draws))
+    width = _chain_width(a, forms)
+    for k in forms:
+        if _first_residual(a, k, *width) is None:
             completed += 1
         elif counterexample is None:
             rows, d = k

@@ -37,26 +37,29 @@ evaluate_all; it has no matrix product.
 Text syntax (used by the file formats): terms ``coef*p1*p2`` joined by ``+``
 or ``-``, parameters as bare identifiers, powers written as repeated factors
 (``x*x``), complex coefficients with both parts nonzero parenthesized, and
-rational functions as ``(<poly>)/(<poly>)``.  parse_polynomial reads the
-whitespace-free text in one pass of one tokenizer regex, a term (sign,
-coefficient, names) per match, and sums coefficient parts per monomial as
-ints and Fractions, one GaussianRational per monomial at the end.  Only a
-text it cannot read goes on to _reject, which names the first rule broken.
+rational functions as ``(<poly>)/(<poly>)``.  parse_polynomials reads a
+list of texts, a whole template grid, and parse_polynomial is that list of
+one.  Each whitespace-free text is read in one pass of one tokenizer
+regex, a term (sign, coefficient, names) per match, and coefficient parts
+are summed per monomial as ints and Fractions, one GaussianRational per
+monomial at the end.  A bare coefficient (its sign folded into the
+numerator before any Fraction is made) and a monomial are converted once
+per distinct text in the list, not once per term.  Only a text it cannot
+read goes on to _reject, which names the first rule broken.
 """
 
 from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, filterfalse, repeat
-from typing import Iterator, Mapping, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .errors import MissingParameter, ParseError
 from .matrices import ExactMatrix, Grid, _exact, _form, _IntegerForm, _scaled, _SparseForm
 from .scalars import ONE, ZERO, GaussianRational, _make, _over, as_gaussian
-from .scalars import format_scalar, parse_scalar
+from .scalars import _rational, format_scalar, parse_scalar
 
 Monomial = tuple[str, ...]
 
@@ -573,49 +576,63 @@ _TERM_RE = _re.compile(
 )
 
 
-def _rational(text: str) -> int | Fraction:
-    """A coefficient part of the grammar, an int when it has no denominator."""
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den)) if den else int(num)
-
-
 def parse_polynomial(text: str) -> ParamPolynomial:
-    """Parse the polynomial grammar; inverse of format_polynomial.
+    """Parse the polynomial grammar; inverse of format_polynomial."""
+    return parse_polynomials([text])[0]
 
-    One tokenizer pass reads the terms; coefficient parts are summed per
-    monomial as ints and Fractions and become one GaussianRational each."""
-    compact = "".join(text.split())
-    if not compact:
-        raise ParseError("empty polynomial text")
-    acc: dict[Monomial, tuple] = {}
-    end = 0
-    try:
-        for m in _TERM_RE.finditer(compact):
-            if m.start() != end:
-                break
-            sign, bare, bare_i, first, second, first_i, names, only = m.groups()
-            if bare is not None:
-                re, im = (0, _rational(bare)) if bare_i else (_rational(bare), 0)
-            elif first is not None:
-                re, im = (0, _rational(first)) if first_i else (_rational(first), 0)
-                if second:
-                    im = _rational(second)
-            else:
-                re, im, names = 1, 0, only
-            if sign == "-":
-                re, im = -re, -im
-            mono = tuple(sorted(names.split("*"))) if names else ()
-            if mono in acc:
-                a_re, a_im = acc[mono]
-                acc[mono] = a_re + re, a_im + im
-            else:
-                acc[mono] = re, im
-            end = m.end()
-    except ZeroDivisionError:
-        pass  # the term at end has a zero denominator
-    if end != len(compact):
-        _reject(text, compact, end)
-    return _polynomial(acc)
+
+def parse_polynomials(texts: Iterable[str]) -> list[ParamPolynomial]:
+    """parse_polynomial of each text, in order, through one set of tables.
+
+    One tokenizer pass reads each text's terms.  A bare coefficient, its
+    sign folded into the numerator, and a monomial are converted once per
+    distinct text for the whole list; coefficient parts are summed per
+    monomial as ints and Fractions and become one GaussianRational each.
+    The first text that does not parse raises the ParseError it raises
+    alone."""
+    coefficients: dict[str, tuple] = {}
+    monomials: dict[str | None, Monomial] = {None: ()}
+    out = []
+    for text in texts:
+        compact = "".join(text.split())
+        if not compact:
+            raise ParseError("empty polynomial text")
+        acc: dict[Monomial, tuple] = {}
+        end = 0
+        try:
+            for m in _TERM_RE.finditer(compact):
+                if m.start() != end:
+                    break
+                sign, bare, bare_i, first, second, first_i, names, only = m.groups()
+                if bare is not None:
+                    key = sign + bare + bare_i
+                    parts = coefficients.get(key)
+                    if parts is None:
+                        q = _rational(bare, sign == "-")
+                        parts = coefficients[key] = (0, q) if bare_i else (q, 0)
+                    re, im = parts
+                elif first is not None:
+                    q = _rational(first, sign == "-")
+                    re, im = (0, q) if first_i else (q, 0)
+                    if second:
+                        im = _rational(second, sign == "-")
+                else:
+                    re, im, names = (-1 if sign == "-" else 1), 0, only
+                mono = monomials.get(names)
+                if mono is None:
+                    mono = monomials[names] = tuple(sorted(names.split("*")))
+                if mono in acc:
+                    a_re, a_im = acc[mono]
+                    acc[mono] = a_re + re, a_im + im
+                else:
+                    acc[mono] = re, im
+                end = m.end()
+        except ZeroDivisionError:
+            pass  # the term at end has a zero denominator
+        if end != len(compact):
+            _reject(text, compact, end)
+        out.append(_polynomial(acc))
+    return out
 
 
 def _reject(text: str, compact: str, start: int) -> NoReturn:

@@ -11,9 +11,11 @@ The public constructor accepts only int and Fraction parts (anything else,
 floats and strings included, raises TypeError) and brings them to that
 form.  Arithmetic results go through the private _make instead, which
 takes ints and Fractions in lowest terms and turns only an integral
-Fraction into its int.  Integral parts stay ints through int arithmetic,
-the common case, so no Fraction is built for them; every division goes
-through Fraction, since int / int would give a float.
+Fraction into its int, reading Fraction's own slots.  Integral parts stay
+ints through int arithmetic, the common case, so no Fraction is built for
+them; every division goes through Fraction, since int / int would give a
+float.  parse_scalar, and the polynomial parser, make each part of a text
+once, an int or Fraction(int, int) (_rational), and store it through _make.
 
 A value with int parts hashes the two ints; any other hashes the numerators
 and denominators of both parts, which the one representation makes unique,
@@ -210,8 +212,9 @@ def _make(re: int | Fraction, im: int | Fraction) -> GaussianRational:
     """A GaussianRational from ints and Fractions in lowest terms; an integral
     Fraction is stored as its int."""
     z = _new(GaussianRational)
-    _set_re(z, re if type(re) is int or re.denominator != 1 else re.numerator)
-    _set_im(z, im if type(im) is int or im.denominator != 1 else im.numerator)
+    # Fraction's own slots, not its numerator and denominator properties
+    _set_re(z, re if type(re) is int or re._denominator != 1 else re._numerator)
+    _set_im(z, im if type(im) is int or im._denominator != 1 else im._numerator)
     return z
 
 
@@ -260,21 +263,28 @@ def _sqrt_fraction(q: int | Fraction) -> Fraction | None:
     return None
 
 
+def _rational(text: str, negative: bool = False) -> int | Fraction:
+    """An unsigned or signed rational of the grammar, negated when negative
+    says so, as a scalar part: an int when it has no denominator, else a
+    Fraction in lowest terms (ZeroDivisionError on a zero denominator)."""
+    num, _, den = text.partition("/")
+    n = -int(num) if negative else int(num)
+    return Fraction(n, int(den)) if den else n
+
+
 def parse_scalar(text: str) -> GaussianRational:
     """Parse the scalar grammar; whitespace anywhere is ignored."""
     compact = "".join(text.split())
     m = _SCALAR_RE.match(compact)
     if m is None:
         raise ParseError(f"not a valid scalar: {text!r}")
+    re_only, im_only, both_re = m.group("re_only", "im_only", "both_re")
     try:
-        if m.group("re_only") is not None:
-            return GaussianRational(Fraction(m.group("re_only")))
-        if m.group("im_only") is not None:
-            return GaussianRational(0, Fraction(m.group("im_only")))
-        im = Fraction(m.group("both_im"))
-        if m.group("sign") == "-":
-            im = -im
-        return GaussianRational(Fraction(m.group("both_re")), im)
+        if re_only is not None:
+            return _make(_rational(re_only), _ZERO_PART)
+        if im_only is not None:
+            return _make(_ZERO_PART, _rational(im_only))
+        return _make(_rational(both_re), _rational(m["both_im"], m["sign"] == "-"))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in scalar: {text!r}") from None
 

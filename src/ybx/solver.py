@@ -20,18 +20,23 @@ of named rules (_RULES): "linear" solves and substitutes, and the splits
 "factor" and "coefficient" apply only below the depth limit.  A leaf with a
 residual system records why the search stopped there, as the branch's
 reason: "depth_limit" when a split would still apply (told from the
-equations, without building children), "no_rule" when none does.  The loop
-visits the system in grade order: each unknown has a weight from its block
-sizes, every equation is homogeneous in those weights, the equations in the
-weight-0 unknowns (K0^2 = 0 for the weight-0 part K0) are split first, and
-the unknowns of higher weight, which then mostly enter linearly, are solved
-from the highest weight down.  Each split partitions the solution set, so
-the branches are disjoint and none is merged.
+equations, without building children), "no_rule" when none does.  At
+DEBUG level the "ybx.solver" logger gets each rule that fires, by its
+_RULES name, with its depth, and each leaf with its branch's reason; the
+level is read once per search (_debug_logger), so the default search pays
+nothing per node.  The loop visits the system in grade order: each unknown
+has a weight from its block sizes, every equation is homogeneous in those
+weights, the equations in the weight-0 unknowns (K0^2 = 0 for the weight-0
+part K0) are split first, and the unknowns of higher weight, which then
+mostly enter linearly, are solved from the highest weight down.  Each
+split partitions the solution set, so the branches are disjoint and none
+is merged.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, pairwise, product
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -49,8 +54,8 @@ from .jordan import (
     assemble_jordan,
     nilpotent_part,
 )
-from .matrices import ExactMatrix, _conjugates, _exact, _first_residual, _integer_form, block_diag
-from .matrices import residuals
+from .matrices import ExactMatrix, _chain_width, _conjugates, _exact, _first_residual
+from .matrices import _integer_form, block_diag, residuals
 from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction
 from .polynomials import _Coefficients, _coefficients, _evaluate, _integer_forms, _polynomial
 from .polynomials import _substitute
@@ -59,6 +64,17 @@ from .scalars import ZERO, GaussianRational, _over, as_gaussian
 JORDAN_FRAME = "jordan"
 ORIGINAL_FRAME = "original"
 DEFAULT_DEPTH_LIMIT = 8
+
+
+def _debug_logger():
+    """The "ybx.solver" logger when it is enabled for DEBUG, else None.  Only
+    a program that has imported logging can have set it up, so the package
+    does not import logging itself (the import costs about 0.8 MB)."""
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger(__name__)
+    return log if log.isEnabledFor(logging.DEBUG) else None
 
 
 def residual_ybe(a: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
@@ -403,6 +419,7 @@ def solve_branches(
     universe = tuple(parameters)
     weights = weights or {}
 
+    log = _debug_logger()
     out: list[SolutionBranch] = []
     stack = [(0, _BranchState(equations, {}, {}))]
     while stack:
@@ -411,7 +428,7 @@ def solve_branches(
             continue
         children = None
         for scope in _scopes(state, weights):
-            for _, apply, splits in _RULES:
+            for rule, apply, splits in _RULES:
                 if splits and depth >= depth_limit:
                     break
                 children = apply(state, scope, weights)
@@ -425,7 +442,11 @@ def solve_branches(
                 len(eq.factors) > 1 or eq.linear for eq in state.equations
             )
             out.append(_finalize(state, universe, "depth_limit" if stopped else "no_rule"))
+            if log is not None:
+                log.debug("leaf at depth %d, reason %r", depth, out[-1].reason)
         else:
+            if log is not None:
+                log.debug("rule %s at depth %d", rule, depth)
             # reversed, so the first child is popped next: depth-first order
             stack.extend((depth + splits, child) for child in reversed(children))
     return out
@@ -723,7 +744,8 @@ def sample(
         if leftover.evaluate(values):
             raise ResidualNonzero(f"unresolved constraint {leftover}")
     (k,) = _integer_forms(family.template, [values])
-    defect = _first_residual(_integer_form(family.matrix), k)
+    a = _integer_form(family.matrix)
+    defect = _first_residual(a, k, *_chain_width(a, [k]))
     if defect is not None:
         which, position = defect
         raise ResidualNonzero(("anti-commutation", "equation")[which], position)

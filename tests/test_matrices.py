@@ -10,6 +10,7 @@ from ybx.jordan import JordanSpec, assemble_jordan, jordan_form
 from ybx.matrices import (
     ExactMatrix,
     RowSpan,
+    _chain_width,
     _conjugates,
     _first_residual,
     _integer_form,
@@ -428,7 +429,7 @@ def test_products_fill_the_digit_width(k, units, signs):
     anti, ybe = residuals(a, x)
     assert anti == ones * (ua * ux * (2 * sa * sx * m * m * k))
     assert ybe == ones * (ua * ux * (sa * ua - sx * ux) * (sa * sx * m**3 * k * k))
-    assert _first_residual(_integer_form(a), _integer_form(x)) == (0, (0, 0))
+    assert first_residual(a, x) == (0, (0, 0))
 
 
 def textbook_residuals(a: ExactMatrix, x: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
@@ -457,6 +458,12 @@ def _residual_pairs(draw):
     return w @ a0 @ w_inv, w @ x0 @ w_inv
 
 
+def first_residual(a: ExactMatrix, x: ExactMatrix):
+    """_first_residual on the integer forms of a and x, a batch of one."""
+    a_form, x_form = _integer_form(a), _integer_form(x)
+    return _first_residual(a_form, x_form, *_chain_width(a_form, [x_form]))
+
+
 def textbook_first_residual(a: ExactMatrix, x: ExactMatrix):
     """(0 or 1, (row, column)) of the first nonzero entry of the textbook
     A X + X A, else of A X A - X A X; None when both are zero."""
@@ -476,7 +483,7 @@ def test_residuals_match_textbook_products(pair):
         assert first_nonzero_entry(g) == first_nonzero_entry(e)
         for z in g.entries:
             assert_canonical_parts(z)
-    first = _first_residual(_integer_form(a), _integer_form(x))
+    first = first_residual(a, x)
     assert first == textbook_first_residual(a, x)
 
 
@@ -517,8 +524,25 @@ def test_residuals_match_textbook_products_on_anticommuting_pairs(pair):
     assert got[0].is_zero()
     assert got == expected
     assert first_nonzero_entry(got[1]) == first_nonzero_entry(expected[1])
-    first = _first_residual(_integer_form(a), _integer_form(x))
+    first = first_residual(a, x)
     assert first == textbook_first_residual(a, x)
+
+
+@given(
+    _anticommuting_pairs(),
+    st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)), min_size=1, max_size=4),
+)
+def test_one_chain_width_for_a_batch_gives_each_x_its_own_answer(pair, scales):
+    """_chain_width takes the width of the widest X in the batch; every
+    other X, tested at that wider width against the one packed A, gets the
+    answer of the textbook products."""
+    a, x = pair
+    xs = [x * GaussianRational(Fraction(3**p, 2**q)) for p, q in scales] + [x + a]
+    a_form, forms = _integer_form(a), [_integer_form(y) for y in xs]
+    width = _chain_width(a_form, forms)
+    assert width[0] == max(_chain_width(a_form, [form])[0] for form in forms)
+    got = [_first_residual(a_form, form, *width) for form in forms]
+    assert got == [textbook_first_residual(a, y) for y in xs]
 
 
 def check_diagonal_anticommuting_pair(d, s, t):
@@ -531,11 +555,11 @@ def check_diagonal_anticommuting_pair(d, s, t):
     assert anti.is_zero()
     assert ybe == mat_mul(mat_mul(a, x), a + x) == textbook_residuals(a, x)[1]
     assert not ybe.is_zero()
-    assert _first_residual(_integer_form(a), _integer_form(x)) == textbook_first_residual(a, x)
+    assert first_residual(a, x) == textbook_first_residual(a, x)
     bent = x + ExactMatrix.from_rows([[s, 0], [0, 0]])
     assert residuals(a, bent) == textbook_residuals(a, bent)
     assert not residuals(a, bent)[0].is_zero()
-    assert _first_residual(_integer_form(a), _integer_form(bent)) == (0, (0, 0))
+    assert first_residual(a, bent) == (0, (0, 0))
 
 
 @pytest.mark.parametrize("scale", [GaussianRational(1), GaussianRational(Fraction(2, 3), -5)])

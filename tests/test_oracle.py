@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from ybx.bundled import (
 from ybx.errors import GridTooLarge, ResidualNonzero
 from ybx.formats import similarity_from_problem
 from ybx.jordan import assemble_jordan, similarity_from_jordan
-from ybx.matrices import ExactMatrix, mat_mul
+from ybx.matrices import ExactMatrix, _bits, _integer_form, mat_inverse, mat_mul, residuals
 from ybx.oracle import (
     OracleReport,
     _vectorized_operator,
@@ -29,7 +30,7 @@ from ybx.oracle import (
     vec,
     verify_family_membership,
 )
-from ybx.polynomials import ParamMatrix, parse_polynomial, parse_rational_function
+from ybx.polynomials import ParamMatrix, ParamPolynomial, parse_polynomial, parse_rational_function
 from ybx.scalars import GaussianRational, format_scalar
 from ybx.solver import SolutionBranch, SolutionFamily, sample, solve, to_original
 
@@ -318,6 +319,105 @@ def test_membership_finds_an_entry_that_breaks_only_the_equation():
     assert [str(z) for z in k.entries] == [
         "-2/7-1/4i", "-3/7-7i", "-2/7-1/4i", "0", "2/7+1/4i", "3/7+7i", "0", "0", "-2/7-1/4i",
     ]
+
+
+# -- one chain width per family --------------------------------------------
+
+
+def _membership_one_draw_at_a_time(family: SolutionFamily, trials: int, seed: int) -> OracleReport:
+    """verify_family_membership's report, each draw instantiated with
+    ParamMatrix.evaluate and tested alone with matrices.residuals."""
+    completed = skipped = 0
+    counterexample = None
+    for b, branch in enumerate(family.branches):
+        for t in range(trials):
+            values = random_branch_values(branch, random.Random(f"{seed}:{b}:{t}"))
+            if values is None or any(p.evaluate(values) for p in branch.residual_system):
+                completed += 1
+                skipped += values is not None
+                continue
+            x = family.template.evaluate(values)
+            if all(r.is_zero() for r in residuals(family.matrix, x)):
+                completed += 1
+            elif counterexample is None:
+                counterexample = x
+    planned = len(family.branches) * trials
+    return OracleReport(planned, completed, counterexample is None and completed == planned,
+                        counterexample, skipped)
+
+
+def _conjugated_2x2_family(entries, branches) -> SolutionFamily:
+    """W M W^-1 for the 2 x 2 polynomial matrix M given by the texts of its
+    entries, over A = W J2 W^-1, with W dense and rational."""
+    w = ExactMatrix.from_rows([[1, GaussianRational(Fraction(2, 3))], [3, 7]])
+    w_inv = mat_inverse(w)
+    m = [[parse_polynomial(t) for t in row] for row in entries]
+    t = [
+        [sum((m[k][l] * (w[i, k] * w_inv[l, j]) for k in range(2) for l in range(2)),
+             ParamPolynomial.zero()) for j in range(2)]
+        for i in range(2)
+    ]
+    a = mat_mul(mat_mul(w, ExactMatrix.from_rows([[0, 1], [0, 0]])), w_inv)
+    return SolutionFamily(2, "original", tuple(branches), ParamMatrix.from_rows(t), a)
+
+
+def _branch(assignments: dict, free: tuple) -> SolutionBranch:
+    parsed = tuple(sorted((n, parse_rational_function(t)) for n, t in assignments.items()))
+    diseqs = tuple({rf.denominator for _, rf in parsed if not rf.is_polynomial()})
+    return SolutionBranch(parsed, diseqs, (), free)
+
+
+# X = [[a, b], [0, -a]] anti-commutes with J2 and solves J X J = X J X only
+# where a = 0: b quartic over a linear denominator gives draws whose
+# integer forms differ widely in size
+_QUARTIC = "(y*y*y*y+3)/(y+2)"
+_WIDE_BRANCHES = (
+    _branch({"a": "0", "b": _QUARTIC}, ("y",)),
+    _branch({"a": "0"}, ("b",)),
+)
+
+
+def test_membership_at_one_width_matches_each_draw_alone():
+    family = _conjugated_2x2_family([["a", "b"], ["0", "-a"]], _WIDE_BRANCHES)
+    sizes = []
+    for t in range(12):
+        values = random_branch_values(family.branches[0], random.Random(f"5:0:{t}"))
+        sizes.append(_bits(_integer_form(family.template.evaluate(values))[0]))
+    assert max(sizes) - min(sizes) >= 20
+    report = verify_family_membership(family, family.matrix, 12, seed=5)
+    assert report == _membership_one_draw_at_a_time(family, 12, 5)
+    assert report.span_match and report.oracle_dimension == 24
+
+
+@pytest.mark.parametrize(
+    "entries, which",
+    [
+        # a quartic a breaks only the equation: the quadratic residual
+        ([["a", "b"], ["0", "-a"]], 1),
+        # an entry below the diagonal breaks the anti-commutation
+        ([["a", "b"], ["a", "-a"]], 0),
+    ],
+)
+def test_membership_at_one_width_reports_the_first_failing_draw(entries, which):
+    """The first branch passes every draw; the second and third fail at
+    every draw with a nonzero, and the report names the first failure in
+    (branch, trial) order, as testing each draw alone does."""
+    branches = (
+        *_WIDE_BRANCHES[:1],
+        _branch({"a": _QUARTIC}, ("b", "y")),
+        _branch({"a": "y", "b": _QUARTIC}, ("y",)),
+    )
+    family = _conjugated_2x2_family(entries, branches)
+    report = verify_family_membership(family, family.matrix, 6, seed=9)
+    assert report == _membership_one_draw_at_a_time(family, 6, 9)
+    assert not report.span_match and report.oracle_dimension == 6
+    first = next(
+        family.template.evaluate(values)
+        for t in range(6)
+        if (values := random_branch_values(branches[1], random.Random(f"9:1:{t}")))["a"]
+    )
+    assert report.counterexample == first
+    assert not residuals(family.matrix, first)[which].is_zero()
 
 
 # -- pinned reports: draws, accounting and counterexamples -------------------

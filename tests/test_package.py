@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import ybx
 
 # the public surface, spelled out so that adding or removing a name is a
@@ -50,3 +54,12 @@ PUBLIC_NAMES = [
 def test_public_surface_is_pinned():
     assert sorted(ybx.__all__) == PUBLIC_NAMES
     assert all(getattr(ybx, name, None) is not None for name in ybx.__all__)
+
+
+def test_the_package_does_not_import_logging():
+    """The search logs only where a program has set logging up, so importing
+    the package and its command line leaves the logging module unloaded."""
+    code = "import sys, ybx.cli; sys.exit('logging' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ybx.errors import MissingParameter, ParseError
+from ybx.formats import family_from_json
 from ybx.bundled import example_41_spec, example_41_w
 from ybx.jordan import JordanSpec, assemble_jordan, similarity_from_jordan
 from ybx.matrices import ExactMatrix, _exact, mat_mul
@@ -25,6 +26,7 @@ from ybx.polynomials import (
     format_polynomial,
     format_rational_function,
     parse_polynomial,
+    parse_polynomials,
     parse_rational_function,
 )
 from ybx.scalars import GaussianRational, parse_scalar
@@ -717,44 +719,162 @@ def test_parse_non_canonical_spellings(text, expected):
     ]
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("", "empty polynomial text"),
-        (" \t", "empty polynomial text"),
-        ("x**y", "empty factor in 'x**y'"),
-        ("*x", "term starts with '*' in '*x'"),
-        ("x*", "empty factor in 'x*'"),
-        ("x*2", "bad factor '2' in 'x*2'"),
-        ("x*(1)", "bad factor '(1)' in 'x*(1)'"),
-        ("(x)*y", "not a valid scalar: 'x'"),
-        ("((1))*y", "not a valid scalar: '(1)'"),
-        ("x+", "dangling sign in 'x+'"),
-        ("-", "dangling sign in '-'"),
-        ("--x", "dangling sign in '--x'"),
-        ("x+-y", "dangling sign in 'x+-y'"),
-        ("x + -y", "dangling sign in 'x + -y'"),
-        ("3x", "not a valid scalar: '3x'"),
-        ("x(1)", "not a valid scalar: 'x(1)'"),
-        ("\u0663*x", "not a valid scalar: '\u0663'"),
-        ("x+(1", "unbalanced parentheses in 'x+(1'"),
-        ("x + (1", "unbalanced parentheses in 'x+(1'"),
-        ("x)+(y", "unbalanced parentheses in 'x)+(y'"),
-        ("3x+(", "unbalanced parentheses in '3x+('"),
-        ("1/0*x", "zero denominator in scalar: '1/0'"),
-        ("(1/0)*x", "zero denominator in scalar: '1/0'"),
-        ("x+1/0*y", "zero denominator in scalar: '1/0'"),
-        ("1/0i", "zero denominator in scalar: '1/0i'"),
-        ("(2+1/00i)*x", "zero denominator in scalar: '2+1/00i'"),
-        ("1/0+(", "unbalanced parentheses in '1/0+('"),
-        ("1/0+3x", "zero denominator in scalar: '1/0'"),
-        ("3x+1/0", "not a valid scalar: '3x'"),
-    ],
-)
+# (text, the ParseError message that parse_polynomial raises on it)
+REJECTION_MESSAGES = [
+    ("", "empty polynomial text"),
+    (" \t", "empty polynomial text"),
+    ("x**y", "empty factor in 'x**y'"),
+    ("*x", "term starts with '*' in '*x'"),
+    ("x*", "empty factor in 'x*'"),
+    ("x*2", "bad factor '2' in 'x*2'"),
+    ("x*(1)", "bad factor '(1)' in 'x*(1)'"),
+    ("(x)*y", "not a valid scalar: 'x'"),
+    ("((1))*y", "not a valid scalar: '(1)'"),
+    ("x+", "dangling sign in 'x+'"),
+    ("-", "dangling sign in '-'"),
+    ("--x", "dangling sign in '--x'"),
+    ("x+-y", "dangling sign in 'x+-y'"),
+    ("x + -y", "dangling sign in 'x + -y'"),
+    ("3x", "not a valid scalar: '3x'"),
+    ("x(1)", "not a valid scalar: 'x(1)'"),
+    ("\u0663*x", "not a valid scalar: '\u0663'"),
+    ("x+(1", "unbalanced parentheses in 'x+(1'"),
+    ("x + (1", "unbalanced parentheses in 'x+(1'"),
+    ("x)+(y", "unbalanced parentheses in 'x)+(y'"),
+    ("3x+(", "unbalanced parentheses in '3x+('"),
+    ("1/0*x", "zero denominator in scalar: '1/0'"),
+    ("(1/0)*x", "zero denominator in scalar: '1/0'"),
+    ("x+1/0*y", "zero denominator in scalar: '1/0'"),
+    ("1/0i", "zero denominator in scalar: '1/0i'"),
+    ("(2+1/00i)*x", "zero denominator in scalar: '2+1/00i'"),
+    ("1/0+(", "unbalanced parentheses in '1/0+('"),
+    ("1/0+3x", "zero denominator in scalar: '1/0'"),
+    ("3x+1/0", "not a valid scalar: '3x'"),
+]
+
+
+@pytest.mark.parametrize("text, message", REJECTION_MESSAGES)
 def test_parse_rejection_messages(text, message):
     with pytest.raises(ParseError) as err:
         parse_polynomial(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", REJECTION_MESSAGES)
+def test_a_bad_template_entry_fails_as_it_fails_alone(text, message):
+    """A bad entry in the middle of a template grid, read with the whole
+    grid by family_from_json, raises the message it raises alone; entries
+    before and after it share coefficient and monomial texts."""
+    family = {
+        "n": 3,
+        "frame": "jordan",
+        "matrix": [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+        "template": [["x", "-1/2*x*y", "y"], ["1/2*y", text, "-x"], ["y*x", "-1/2*x", "x+1"]],
+        "branches": [],
+    }
+    with pytest.raises(ParseError) as err:
+        family_from_json(family)
+    assert str(err.value) == message
+
+
+# spellings of the texts parse_polynomials reads as one grid: a few
+# coefficients and monomials shared across the list, terms in any order,
+# names in any order, repeated monomials and cancelling pairs
+_READER_NAMES = ("x", "y", "k1_2")
+_reader_coefficients = st.lists(
+    st.one_of(
+        st.just(GaussianRational(1)),
+        st.just(GaussianRational(-1)),
+        st.builds(GaussianRational, st.fractions(-4, 4, max_denominator=6)),
+        st.builds(GaussianRational, st.integers(0, 0), st.fractions(-4, 4, max_denominator=6)),
+        st.builds(
+            GaussianRational,
+            st.fractions(-4, 4, max_denominator=6),
+            st.fractions(-4, 4, max_denominator=6),
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+_reader_monomials = st.lists(
+    st.lists(st.sampled_from(_READER_NAMES), max_size=3).map(tuple), min_size=1, max_size=4
+)
+
+
+def _term_text(draw, c: GaussianRational, names: tuple) -> str:
+    """One signed term of value c times the names, spelled one of the ways
+    the grammar allows for c: a bare real or imaginary rational with the
+    term's sign, a parenthesized scalar under either sign, or names alone."""
+    names = draw(st.permutations(names))
+    factor = "*".join(names)
+    ways = ["paren"]
+    if not c.im:
+        ways.append("bare")
+    if not c.re and c.im:
+        ways.append("bare_i")
+    if names and c in (GaussianRational(1), GaussianRational(-1)):
+        ways.append("names")
+    way = draw(st.sampled_from(ways))
+    if way == "names":
+        return ("-" if c.re < 0 else "+") + factor
+    if way == "bare":
+        sign, coefficient = ("-" if c.re < 0 else "+"), str(abs(c.re))
+    elif way == "bare_i":
+        sign, coefficient = ("-" if c.im < 0 else "+"), f"{abs(c.im)}i"
+    else:
+        sign = draw(st.sampled_from("+-"))
+        coefficient = f"({c if sign == '+' else -c})"
+    return sign + coefficient + ("*" + factor if names else "")
+
+
+@st.composite
+def _reader_grids(draw):
+    """(texts, the polynomials they spell), the values summed term by term
+    in GaussianRationals."""
+    coefficients, monomials = draw(_reader_coefficients), draw(_reader_monomials)
+    texts, values = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        terms = draw(
+            st.lists(
+                st.tuples(st.sampled_from(coefficients), st.sampled_from(monomials)),
+                min_size=1,
+                max_size=5,
+            )
+        )
+        if draw(st.booleans()):
+            c, names = terms[0]
+            terms += [(-c, names)]  # a pair that cancels
+        terms = draw(st.permutations(terms))
+        acc: dict = {}
+        for c, names in terms:
+            mono = tuple(sorted(names))
+            acc[mono] = acc.get(mono, GaussianRational(0)) + c
+        text = "".join(_term_text(draw, c, names) for c, names in terms)
+        if text.startswith("+") and draw(st.booleans()):
+            text = text[1:]
+        texts.append(text)
+        values.append(ParamPolynomial.from_dict(acc))
+    return texts, values
+
+
+@given(_reader_grids())
+@example(
+    (
+        ["1/2*x-1/2*x", "(1+1/2i)*y*x-(-1-1/2i)*x*y", "-(1/2)*x+1/2*y*x"],
+        [
+            ParamPolynomial.zero(),
+            X * Y * GaussianRational(2, 1),
+            (X * Y - X) * GaussianRational(Fraction(1, 2)),
+        ],
+    )
+)
+def test_parse_polynomials_reads_a_grid_as_each_text_alone(grid):
+    texts, values = grid
+    got = parse_polynomials(texts)
+    assert got == [parse_polynomial(t) for t in texts] == values
+    for p in got:
+        for _, c in p.terms:
+            assert_canonical_parts(c)
 
 
 _IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")

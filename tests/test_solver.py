@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 import operator
 import random
@@ -37,6 +38,7 @@ from ybx.oracle import random_branch_values, random_gaussian
 from ybx.polynomials import ParamMatrix, ParamPolynomial, RationalFunction, parse_polynomial
 from ybx.scalars import GaussianRational
 from ybx.solver import (
+    _RULES,
     SolutionBranch,
     SolutionFamily,
     _branch_polynomials,
@@ -617,6 +619,29 @@ def test_grade_order_solves_what_name_order_leaves_residual(sizes, by_name, by_g
     for weights, expected in ((None, by_name), (constraint_weights(sizes, names), by_grade)):
         branches = solve_branches(system, parameters=names, weights=weights)
         assert (len(branches), sum(not b.is_fully_solved() for b in branches)) == expected
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (2, 2, 2, 2)])
+def test_search_logs_each_rule_and_leaf_at_debug(sizes, caplog):
+    """At DEBUG the search logs every rule that fires, by its _RULES name,
+    and every leaf with its branch's reason, in the order it returns them;
+    at the default level it logs nothing, and never at WARNING."""
+    template, system = build_constraint_system(sizes)
+    names = template.variables()
+    weights = constraint_weights(sizes, names)
+    quiet = solve_branches(system, parameters=names, weights=weights)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="ybx.solver"):
+        branches = solve_branches(system, parameters=names, weights=weights)
+    assert branches == quiet
+    records = [r for r in caplog.records if r.name == "ybx.solver"]
+    leaves = [r.args[1] for r in records if r.msg.startswith("leaf")]
+    rules = [r.args[0] for r in records if r.msg.startswith("rule")]
+    assert leaves == [b.reason for b in branches]
+    assert any(leaves) and rules
+    assert set(rules) <= {name for name, _, _ in _RULES}
+    assert len(leaves) + len(rules) == len(records)
+    assert not any(r.levelno >= logging.WARNING for r in caplog.records)
 
 
 def test_constraint_system_two_blocks_equals_golden_six(rng):
