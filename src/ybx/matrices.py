@@ -47,10 +47,14 @@ takes integer forms, and a template is evaluated straight to an integer
 form (polynomials.py): a GaussianRational is built only for the matrix
 a caller receives.
 
-Elimination has one kernel, RowSpan, which works entry by entry on Fractions
+Spans have one kernel, RowSpan, which works entry by entry on Fractions
 and keeps its rows in reduced row echelon form: each row is 1 at its own
-pivot and 0 at every other row's pivot.  rref, null_space_basis and
-mat_inverse read their answers off those rows.
+pivot and 0 at every other row's pivot.  rref and null_space_basis read
+their answers off those rows.  mat_inverse runs fraction-free on the
+integer form instead: Bareiss's Gauss-Jordan on [W' | I] over Z[i], with
+the same pivot rule, keeps every entry a Gaussian integer (each update
+divides exactly by the pivot before), and makes one GaussianRational per
+entry of the inverse at the end.
 """
 
 from __future__ import annotations
@@ -204,7 +208,7 @@ def _scaled(vector: Sequence[GaussianRational]) -> tuple[_IntVector, int]:
 
 def _bits(rows: list[_IntVector]) -> int:
     """A b with |re| + |im| < 2**b for every entry of these rows."""
-    re = max(map(abs, chain.from_iterable(r for r, _ in rows)))
+    re = max(map(abs, chain.from_iterable(r for r, _ in rows)), default=0)
     im = max(map(abs, chain.from_iterable(i for _, i in rows if i is not None)), default=0)
     return (re + im).bit_length()
 
@@ -360,7 +364,9 @@ def _combination(u: _IntVector, v: _IntVector, su: int, sv: int) -> _IntVector:
     return re, im if any(im) else None
 
 
-def _chain_width(a: _IntegerForm, xs: Sequence[_IntegerForm]) -> tuple[int, _IntVector]:
+def _chain_width(
+    a: _IntegerForm, xs: Sequence[_IntegerForm], extra: int = 0
+) -> tuple[int, _IntVector]:
     """(s, A' packed at s): one digit width that holds the residual chain
     (_residual_rows) of the n x n integer form A' over da with each X' over
     dx of xs, and A' packed once at it for all of them.  A packed product
@@ -371,11 +377,15 @@ def _chain_width(a: _IntegerForm, xs: Sequence[_IntegerForm]) -> tuple[int, _Int
     + n.bit_length()).  The quadratic is then a sum of two products of
     inner dimension n, dx*A' by X'A' and da*X' by A'X', whose left and
     right _bits sum to at most bits + n.bit_length() with bits as taken
-    here, which _slot holds; the anti-commutator's entries are smaller."""
+    here, which _slot holds; the anti-commutator's entries are smaller.
+    bx is the _bits of the rows of an x plus extra: an x may stand for
+    every matrix whose entries are sums of at most 2**extra of its rows'
+    entries, as in grid enumeration, where x holds every candidate's
+    summands."""
     a_rows, da = a
     n, ba, bits = len(a_rows), _bits(a_rows), 0
     for x_rows, dx in xs:
-        bx = _bits(x_rows)
+        bx = _bits(x_rows) + extra
         bits = max(bits, 2 * ba + bx + dx.bit_length(), ba + 2 * bx + da.bit_length())
     s = _slot(bits + n.bit_length(), n)
     return s, _pack(a_rows, s)
@@ -458,17 +468,70 @@ def null_space_basis(m: ExactMatrix) -> list[ExactMatrix]:
 
 
 def mat_inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse; raises SingularMatrix (carrying the rank) if none exists."""
+    """Exact inverse; raises SingularMatrix (carrying the rank) if none exists.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [W' | I] over Z[i], W' the
+    integer form of m over d.  A column's pivot is its first nonzero entry
+    in a row not yet pivoted, swapped up when needed.  Every other row
+    becomes (p*x - f*y) / prev, with p the pivot, f the row's entry in the
+    column, y the pivot row and prev the pivot before; each entry is then a
+    minor of [W' | I] (Sylvester's identity), so the division is exact.  A
+    column leaves the rows once it is eliminated.  After the last pivot D
+    the left part is D * I and the rows hold D * W'^-1, so the inverse is
+    d * row / D, made over a positive int for _over: over |D| with D's
+    sign when D is real, else times conj(D) over |D|**2.  im is None while
+    every row is real, and then the elimination computes nothing for it."""
     if not m.is_square():
         raise NotSquare("mat_inverse", m.shape)
     n = m.rows
-    rows = RowSpan(
-        list(m.row(i)) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)
-    ).rows
-    rank = sum(p < n for p, _ in rows)
+    form, d = _integer_form(m)
+    zeros = [0] * n
+    re = [r + [int(i == j) for j in range(n)] for i, (r, _) in enumerate(form)]
+    im = None
+    if any(q is not None for _, q in form):
+        im = [(q or zeros) + zeros for _, q in form]
+    rank, pr, pi = 0, 1, 0  # the pivot before, pr + i*pi
+    for _ in range(n):
+        i = next((i for i in range(rank, n) if re[i][0] or im and im[i][0]), None)
+        if i is None:  # no pivot in this column: m is singular; count on
+            re, im = [r[1:] for r in re], im and [q[1:] for q in im]
+            continue
+        re[rank], re[i] = re[i], re[rank]
+        p, yr = re[rank][0], re[rank][1:]
+        if im is None:
+            for k in range(n):
+                if k != rank:
+                    f = re[k][0]
+                    re[k] = [(p * x - f * y) // pr for x, y in zip(re[k][1:], yr)]
+            re[rank], pr = yr, p
+        else:
+            im[rank], im[i] = im[i], im[rank]
+            q, yi = im[rank][0], im[rank][1:]
+            norm = pr * pr + pi * pi
+            for k in range(n):
+                if k != rank:
+                    fr, fi = re[k][0], im[k][0]
+                    # (p + iq)x - (fr + i*fi)y, then times conj(prev) over |prev|**2
+                    num = [
+                        (p * a - q * b - fr * c + fi * e, p * b + q * a - fr * e - fi * c)
+                        for a, b, c, e in zip(re[k][1:], im[k][1:], yr, yi)
+                    ]
+                    re[k] = [(u * pr + v * pi) // norm for u, v in num]
+                    im[k] = [(v * pr - u * pi) // norm for u, v in num]
+            re[rank], im[rank], pr, pi = yr, yi, p, q
+        rank += 1
     if rank < n:
         raise SingularMatrix(rank, n)
-    return ExactMatrix(n, n, tuple(x for _, row in rows for x in row[n:]))
+    if pi:  # d * conj(D) over |D|**2
+        den, cr, ci = pr * pr + pi * pi, d * pr, -d * pi
+    else:  # d * sign(D) over |D|
+        den, cr, ci = abs(pr), -d if pr < 0 else d, 0
+    entries = (
+        _over(cr * x - ci * y, cr * y + ci * x, den)
+        for r, s in zip(re, im or repeat(zeros))
+        for x, y in zip(r, s)
+    )
+    return ExactMatrix(n, n, tuple(entries))
 
 
 class RowSpan:

@@ -161,12 +161,15 @@ def grid_enumerate_solutions(
     (re, im), d = _scaled([c * x for e in basis for c in values for x in e.entries])
     size, n = j.rows * j.cols, len(values)
     multiples = [(re[t : t + size], im and im[t : t + size]) for t in range(0, len(re), size)]
+    # a candidate's entries are sums of dim of the multiples' entries, so
+    # one width for the multiples with dim.bit_length() bits more holds all
     a, zero, solutions = _integer_form(j), [0] * size, []
+    width = _chain_width(a, [(multiples, d)], dim.bit_length())
     for picks in _cartesian(*(multiples[t * n : (t + 1) * n] for t in range(dim))):
         k_re = [sum(col) for col in zip(zero, *(p for p, _ in picks))]
         k_im = im and [sum(col) for col in zip(zero, *(q for _, q in picks))]
         form = _form(k_re, k_im if k_im and any(k_im) else None, d, j.cols)
-        if _first_residual(a, form, *_chain_width(a, [form])) is None:
+        if _first_residual(a, form, *width) is None:
             solutions.append(_exact(*form))
     return solutions
 

@@ -116,6 +116,21 @@ def test_solve_singular_w_exit_3(tmp_path):
     assert main(["solve", problem, str(tmp_path / "out.json")]) == 3
 
 
+def test_solve_singular_complex_w_exit_3(tmp_path, capsys):
+    # row 1 is i times row 0
+    problem = write(
+        tmp_path / "problem.json",
+        {
+            "jordan": [{"eigenvalue": "0", "sizes": [2]}, {"eigenvalue": "1", "sizes": [1]}],
+            "w": [["1", "1i", "0"], ["1i", "-1", "0"], ["0", "2/3", "1+1i"]],
+        },
+    )
+    out = tmp_path / "out.json"
+    assert main(["solve", problem, str(out)]) == 3
+    assert capsys.readouterr().err == "error: similarity matrix W is singular: rank 2 < 3\n"
+    assert not out.exists()
+
+
 def test_depth_env_override(tmp_path, shift3_problem, monkeypatch):
     monkeypatch.setenv("YBX_DEPTH_LIMIT", "not a number")
     assert main(["solve", shift3_problem, str(tmp_path / "out.json")]) == 2

@@ -671,6 +671,138 @@ def test_elimination_matches_textbook_gauss_jordan(m):
             assert mat_inverse(m) == inverse
 
 
+def check_inverse_against_textbook(m: ExactMatrix) -> None:
+    """mat_inverse agrees with the Fraction Gauss-Jordan reference: the same
+    inverse, or SingularMatrix with the same rank."""
+    rank, inverse = textbook_inverse(m)
+    if inverse is None:
+        with pytest.raises(SingularMatrix) as err:
+            mat_inverse(m)
+        assert (err.value.rank, err.value.size) == (rank, m.rows)
+    else:
+        assert mat_inverse(m) == inverse
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2], [3, 4]],  # det -2: the last pivot is negative
+        [[3, 1, 0], [1, -1, 2], [0, 2, -5]],  # det 8, through the pivot -4
+        [["1", "1i"], ["2", "3"]],  # det 3 - 2i
+        [["1+1i", "2"], ["-1i", "3-2i"]],  # Gaussian pivots throughout
+        [["2i", "0"], ["0", "3"]],  # det 6i
+        [["1/2", "1/3i"], ["-2/5", "1+1i"]],  # Gaussian det over a common denominator
+    ],
+    ids=["neg-det", "neg-pivot", "gaussian-det", "gaussian-pivots", "imaginary-det", "rational-gaussian"],
+)
+def test_inverse_with_negative_and_gaussian_determinants(rows):
+    m = ExactMatrix.from_rows(rows)
+    check_inverse_against_textbook(m)
+    assert mat_mul(m, mat_inverse(m)) == ExactMatrix.identity(m.rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1], [1, 0]],
+        [[0, 2, 1], [0, 1, 0], [3, 0, 1]],
+        [[1, 1, 0], [1, 1, 1], [0, 2, 1]],  # the second column's pivot needs a swap
+        [["0", "1i"], ["1-1i", "0"]],
+    ],
+    ids=["swap-2", "swap-past-a-row", "swap-after-a-pivot", "swap-gaussian"],
+)
+def test_inverse_swaps_past_a_zero_pivot(rows):
+    check_inverse_against_textbook(ExactMatrix.from_rows(rows))
+
+
+def test_inverse_of_the_smallest_matrices():
+    # there is no 0 x 0 matrix to invert: the grid refuses the shape
+    with pytest.raises(ValueError):
+        ExactMatrix(0, 0, ())
+    for value in ["5", "-3", "2/7", "-7/2", "1+2i", "-3i", "1/3-1/5i"]:
+        m = ExactMatrix.from_rows([[value]])
+        check_inverse_against_textbook(m)
+        assert mat_inverse(m)[0, 0] == ONE / m[0, 0]
+    with pytest.raises(SingularMatrix) as err:
+        mat_inverse(ExactMatrix.from_rows([[0]]))
+    assert (err.value.rank, err.value.size) == (0, 1)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_inverse_reports_every_short_rank(complex_entries):
+    # B C with B n x r and C r x n, each holding I_r, has rank exactly r.
+    # B's rows and C's columns after the first are shuffled, so the pivots
+    # do not lead; C's first column is zero, so the elimination passes a
+    # column with no pivot before it finds any
+    rng = random.Random(f"short-rank:{complex_entries}")
+
+    def entry():
+        return GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3) if complex_entries else 0)
+
+    n = 5
+    for r in range(n):
+        if r == 0:
+            m = ExactMatrix.zeros(n, n)
+        else:
+            b = [[ONE if i == j else ZERO for j in range(r)] for i in range(r)]
+            b += [[entry() for _ in range(r)] for _ in range(n - r)]
+            c = [[ONE if i == j else ZERO for j in range(r)] + [entry() for _ in range(n - r - 1)]
+                 for i in range(r)]
+            rng.shuffle(b)
+            order = list(range(n - 1))
+            rng.shuffle(order)
+            c = [[ZERO] + [row[j] for j in order] for row in c]
+            m = ExactMatrix.from_rows(b) @ ExactMatrix.from_rows(c)
+        with pytest.raises(SingularMatrix) as err:
+            mat_inverse(m)
+        assert (err.value.rank, err.value.size) == (r, n)
+        assert textbook_inverse(m) == (r, None)
+
+
+def test_inverse_with_denominators_near_2_to_the_40():
+    big = [2**40 - 3, 2**40 - 5, 2**40 + 15, 2**40 - 87]
+    rows = [
+        [Fraction(1, big[0]), Fraction(-(2**39), big[1]), Fraction(3, 7)],
+        [GaussianRational(Fraction(5, big[2]), Fraction(-1, big[3])), 1, Fraction(2**40, big[0])],
+        [0, GaussianRational(0, Fraction(1, big[1])), Fraction(-1, big[2] * big[3])],
+    ]
+    m = ExactMatrix.from_rows(rows)
+    check_inverse_against_textbook(m)
+    real = ExactMatrix.from_rows([[Fraction(i + j + 1, big[(i * 3 + j) % 4]) for j in range(3)]
+                                  for i in range(3)])
+    check_inverse_against_textbook(real)
+
+
+def dense_w(rng: random.Random, n: int) -> ExactMatrix:
+    """Dense integer W = P L D U with unit triangular L, U (entries in
+    {-1, 0, 1}) and pivots 2, 3, 5 on D among ones: det W = +-30."""
+    pivots = [1] * (n - 3) + [2, 3, 5]
+    rng.shuffle(pivots)
+    lower = [[rng.randint(-1, 1) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[rng.randint(-1, 1) if j > i else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        upper[i][i] = pivots[i]
+    w = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    rng.shuffle(w)
+    return ExactMatrix.from_rows(w)
+
+
+def test_inverse_of_a_dense_integer_w_and_of_a_jordan_chain_basis():
+    w = dense_w(random.Random("dense-w"), 20)
+    check_inverse_against_textbook(w)
+    # det W = +-30, so 30 W^-1 is an integer matrix and W^-1 itself is not
+    inverse = mat_inverse(w)
+    assert all((x * 30).re.denominator == 1 for x in inverse.entries)
+    assert any(x.re.denominator > 1 for x in inverse.entries)
+    # the chain basis jordan_form finds for A = W J W^-1 has rational entries
+    w = dense_w(random.Random("chain-basis"), 12)
+    spec = JordanSpec.from_pairs([(0, [4, 3]), (1, [2, 1]), (-1, [2])])
+    a = mat_mul(mat_mul(w, assemble_jordan(spec)), mat_inverse(w))
+    basis = jordan_form(a, [0, 1, -1]).w
+    assert any(x.re.denominator > 1 for x in basis.entries)
+    check_inverse_against_textbook(basis)
+
+
 @st.composite
 def _vector_runs(draw) -> list[list[GaussianRational]]:
     """Vectors of one width, some of them integer combinations of earlier ones."""
