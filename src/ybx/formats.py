@@ -213,9 +213,13 @@ def family_from_json(obj) -> SolutionFamily:
         if not isinstance(free, list) or not all(isinstance(x, str) for x in free):
             raise ParseError("free_parameters must be a list of names")
         assigned = {name for name, _ in assignments}
+        polys = [*disequalities, *residual]
+        polys += [p for _, rf in assignments for p in (rf.numerator, rf.denominator)]
+        used = {v for p in polys for v in p.variables()}
         for fault, wrong in (
             ("both assigns and frees", assigned & set(free)),
             ("neither assigns nor frees", names - assigned - set(free)),
+            ("uses names it does not free", used - set(free)),
         ):
             if wrong:
                 raise ParseError(f"branch {index} {fault}: {', '.join(sorted(wrong))}")

@@ -7,10 +7,12 @@ operator is written entry by entry from the nonzero entries of U and V
 (_vectorized_operator), with no Kronecker product built.  Small solution
 sets are enumerated over a finite grid of anticommutant coordinates, and
 solution families are spot-checked at pseudorandom rational parameter
-values in Gaussian integers: verify_family_membership evaluates the
-template at every draw first, takes one digit width for all of them
-(matrices._chain_width), scales and packs A once at it, and tests each
-draw on the integer residual parts (matrices._first_residual).  A random
+values in Gaussian integers: a draw's assigned values come from
+solver.branch_values, through the split its branch keeps for every draw,
+and verify_family_membership evaluates the template at every draw first,
+takes one digit width for all of them (matrices._chain_width), scales and
+packs A once at it, and tests each draw on the integer residual parts
+(matrices._first_residual).  A random
 part is read from a fixed table of the 19 x 18 rationals num/den that
 random_gaussian can draw, with the same generator calls as building it.
 Example 4.2's systems and its family-to-branch pairing are decided by
@@ -33,10 +35,9 @@ from .errors import DimensionMismatch, DisequalityViolated, GridTooLarge, NotSqu
 from .jordan import JordanSpec, assemble_jordan
 from .matrices import ExactMatrix, RowSpan, _chain_width, _exact, _first_residual, _form
 from .matrices import _integer_form, _scaled, null_space_basis
-from .polynomials import ParamPolynomial, _Coefficients, _integer_forms, _substitute
+from .polynomials import ParamPolynomial, _integer_forms, _substitute
 from .scalars import ZERO, GaussianRational, _make, as_gaussian
-from .solver import SolutionBranch, SolutionFamily, _branch_polynomials, _branch_values
-from .solver import branch_satisfied_by
+from .solver import SolutionBranch, SolutionFamily, branch_satisfied_by, branch_values
 
 _GRID_DIMENSION_LIMIT = 6
 _GRID_POINT_LIMIT = 10**6
@@ -232,18 +233,10 @@ def random_branch_values(
 ) -> dict[str, GaussianRational] | None:
     """A random full valuation lying in the branch, or None when every draw
     hits a side condition (degenerate at this sampling grid)."""
-    return _random_branch_values(branch, _branch_polynomials(branch), rng)
-
-
-def _random_branch_values(
-    branch: SolutionBranch, scaled: Sequence[_Coefficients], rng: random.Random
-) -> dict[str, GaussianRational] | None:
-    """random_branch_values with the branch's polynomials already scaled
-    (solver._branch_polynomials), so that every redraw reuses them."""
     for _ in range(_REDRAW_LIMIT):
         candidate = {name: random_gaussian(rng) for name in branch.free_parameters}
         try:
-            return _branch_values(branch, candidate, scaled)
+            return branch_values(branch, candidate)
         except DisequalityViolated:
             continue
     return None
@@ -284,9 +277,10 @@ def verify_family_membership(
     degenerate-at-grid, not a failure), and checks both residuals of the
     instantiated matrix against j.  A draw that misses a branch's residual
     system checks nothing; it counts as completed and in residual_skipped.
-    Each branch's side conditions and assignments are scaled once for all
-    its draws; the template is evaluated at all the other draws in one
-    call, to integer forms, and j is scaled and packed once, at one digit
+    Each draw's values come from branch_values, through the split of the
+    side conditions and assignments that its branch makes once and keeps;
+    the template is evaluated at all the other draws in one call, to
+    integer forms, and j is scaled and packed once, at one digit
     width that holds every draw's residual chain.  The first failure, in
     (branch, trial) order, is reported as a counterexample.
     """
@@ -296,10 +290,9 @@ def verify_family_membership(
     completed = residual_skipped = 0
     draws = []
     for branch_index, branch in enumerate(family.branches):
-        scaled = _branch_polynomials(branch)
         for trial in range(trials):
             rng = random.Random(f"{seed}:{branch_index}:{trial}")
-            values = _random_branch_values(branch, scaled, rng)
+            values = random_branch_values(branch, rng)
             if values is None:
                 completed += 1  # degenerate at this grid; not a failure
             elif any(poly.evaluate(values) for poly in branch.residual_system):

@@ -15,19 +15,20 @@ _substitute builds each value's powers once for a whole list of
 polynomials, and a polynomial whose mapped names all take the value 0 costs
 no arithmetic: its terms without a mapped name are the result, as they
 stand, over 1.  Evaluation is integer arithmetic over one common
-denominator, scaled as matrix products are.  A polynomial goes through
-_evaluate with its coefficients scaled over their lcm (_coefficients), and
-each value comes out as Gaussian-integer parts over a denominator, which
-evaluate and solver.branch_values make scalars of with scalars._over.  A
-ParamMatrix is split by monomial once for its life, T = sum of mu * C_mu
-with every C_mu over one denominator L (ParamMatrix._split), kept in a
-private field on first use, since a template is evaluated once per draw.
-_integer_forms reads the split: it scales a valuation over one d and adds
-each monomial's value, lifted to d**(top - degree), times C_mu into the
-entries, so the template at that valuation is the integer form that
-matrices.residuals multiplies, over L * d**top, with no scalar built.
-evaluate_all makes matrices of those forms, and solver.to_original
-conjugates the same C_mu (matrices._conjugates).
+denominator, scaled as matrix products are, and has one kernel.  _split
+writes a list of polynomials by monomial, sum of mu * C_mu with every C_mu
+over one denominator L, and _evaluations reads a split: it scales a
+valuation over one d and adds each monomial's value, lifted to
+d**(top - degree), times C_mu into the values, which come out as
+Gaussian-integer parts over L * d**top, with no scalar built.  A ParamMatrix
+keeps the split of its entries in a private field on first use
+(ParamMatrix._split), as a solver.SolutionBranch keeps that of its
+conditions and assignments, since each is evaluated once per draw.
+_integer_forms shapes the values into the rows that matrices.residuals
+multiplies, evaluate_all makes matrices of those forms, and
+solver.to_original conjugates the same C_mu (matrices._conjugates).
+ParamPolynomial.evaluate is the split of a one-element list, made per call,
+and scalars._over makes its value.
 RationalFunction is a normalized pair, numerator over monic denominator,
 with no field arithmetic: it is made, substituted as a value, renamed and
 printed.  ParamMatrix is a Grid (matrices.py) of polynomials and adds only
@@ -213,62 +214,14 @@ class ParamPolynomial:
         return next(_substitute([self], mapping))
 
     def evaluate(self, assignment: Mapping[str, GaussianRational]) -> GaussianRational:
-        return _over(*next(_evaluate([_coefficients(self)], assignment)))
+        ((re,), (im,), d) = next(_evaluations([self], _split([self]), [assignment]))
+        return _over(re, im, d)
 
     def __str__(self) -> str:
         return format_polynomial(self)
 
     def __repr__(self) -> str:
         return f"ParamPolynomial({format_polynomial(self)!r})"
-
-
-# a polynomial's monomials and its coefficients as Gaussian integers over
-# their lcm l: (monomials, re, im, l), im None when every coefficient is real
-_Coefficients = tuple[list[Monomial], list[int], list[int] | None, int]
-
-
-def _coefficients(p: ParamPolynomial) -> _Coefficients:
-    """p's coefficients scaled as _evaluate multiplies them."""
-    (re, im), l = _scaled([c for _, c in p.terms])
-    return [mono for mono, _ in p.terms], re, im, l
-
-
-def _evaluate(
-    polys: Sequence[_Coefficients], assignment: Mapping[str, GaussianRational]
-) -> Iterator[tuple[int, int, int]]:
-    """Each polynomial's value at the assignment, polynomial by polynomial,
-    as Gaussian-integer parts over a positive denominator, (re, im, den):
-    the values are scaled once to Gaussian integers over one d, and each
-    polynomial comes with its coefficients scaled over their lcm l
-    (_coefficients), as matrix products scale, so a value is one sum of
-    integer term products over l * d**top.  MissingParameter names what the
-    first incomplete polynomial lacks."""
-    names = {v for monos, *_ in polys for mono in monos for v in mono}
-    try:
-        given = [assignment[v] for v in names]
-    except KeyError:
-        for monos, *_ in polys:
-            missing = {v for mono in monos for v in mono if v not in assignment}
-            if missing:
-                raise MissingParameter(sorted(missing)) from None
-    (given_re, given_im), d = _scaled(given)
-    values = dict(zip(names, zip(given_re, given_im or repeat(0))))
-    for monos, c_re, c_im, l in polys:
-        # the sum so far is lifted by d at each rise in degree (Horner in d)
-        re = im = degree = 0
-        for mono, t_re, t_im in zip(monos, c_re, c_im or repeat(0)):
-            if len(mono) != degree:
-                lift = d ** (len(mono) - degree)
-                re, im, degree = re * lift, im * lift, len(mono)
-            for var in mono:
-                v_re, v_im = values[var]
-                if t_im:
-                    t_re, t_im = t_re * v_re - t_im * v_im, t_re * v_im + t_im * v_re
-                else:
-                    t_re, t_im = t_re * v_re, t_re * v_im
-            re += t_re
-            im += t_im
-        yield re, im, l * d**degree
 
 
 def _parts(p: ParamPolynomial) -> dict[Monomial, tuple]:
@@ -430,23 +383,10 @@ class ParamMatrix(Grid):
             seen.update(p.variables())
         return tuple(sorted(seen))
 
-    def _split(self) -> tuple[list[Monomial], list[_SparseForm], int]:
-        """T = sum of mu * C_mu, as (monomials in degree-lex order, each C_mu
-        as the row-major indices of its nonzero entries and their
-        Gaussian-integer parts, one denominator L of them all)."""
+    def _split(self) -> _Split:
+        """The entries split by monomial (_split), T = sum of mu * C_mu."""
         if self._split_cache is None:
-            by_mono: dict[Monomial, list[tuple[int, GaussianRational]]] = {}
-            for idx, p in enumerate(self.entries):
-                for mono, c in p.terms:
-                    by_mono.setdefault(mono, []).append((idx, c))
-            monos = sorted(by_mono, key=lambda mono: (len(mono), mono))
-            (re, im), l = _scaled([c for mono in monos for _, c in by_mono[mono]])
-            ends = list(accumulate(len(by_mono[mono]) for mono in monos))
-            split = [
-                ([idx for idx, _ in by_mono[mono]], re[a:b], im[a:b] if im and any(im[a:b]) else None)
-                for mono, a, b in zip(monos, [0, *ends], ends)
-            ]
-            object.__setattr__(self, "_split_cache", (monos, split, l))
+            object.__setattr__(self, "_split_cache", _split(self.entries))
         return self._split_cache
 
     def substitute(self, mapping: Mapping[str, ParamPolynomial]) -> "ParamMatrix":
@@ -468,32 +408,58 @@ class ParamMatrix(Grid):
         return [_exact(rows, d) for rows, d in _integer_forms(self, valuations)]
 
 
-def _integer_forms(
-    m: ParamMatrix, valuations: Sequence[Mapping[str, GaussianRational]]
-) -> Iterator[_IntegerForm]:
-    """m at each valuation in the integer form that matrices.residuals
-    multiplies; no GaussianRational is built.  Through the split T = sum of
-    mu * C_mu over L: a valuation is scaled to Gaussian integers over one d,
-    each monomial's value is lifted to d**(top - degree), top the largest
-    degree, and added times C_mu into the entries, over L * d**top.
-    MissingParameter names what the first entry lacking a value lacks, in
-    the first incomplete valuation.  Lazy: one form is made at a time."""
-    monos, split, l = m._split()
+# polynomials split by monomial: (monomials in degree-lex order, each
+# monomial's coefficients as the indices of the polynomials that have it and
+# their Gaussian-integer parts, one denominator L of them all)
+_Split = tuple[list[Monomial], list[_SparseForm], int]
+
+
+def _split(polys: Sequence[ParamPolynomial]) -> _Split:
+    """The polynomials as sum of mu * C_mu, C_mu over one L, as _evaluations
+    takes them."""
+    by_mono: dict[Monomial, list[tuple[int, GaussianRational]]] = {}
+    for idx, p in enumerate(polys):
+        for mono, c in p.terms:
+            by_mono.setdefault(mono, []).append((idx, c))
+    monos = sorted(by_mono, key=lambda mono: (len(mono), mono))
+    (re, im), l = _scaled([c for mono in monos for _, c in by_mono[mono]])
+    ends = list(accumulate(len(by_mono[mono]) for mono in monos))
+    split = [
+        ([idx for idx, _ in by_mono[mono]], re[a:b], im[a:b] if im and any(im[a:b]) else None)
+        for mono, a, b in zip(monos, [0, *ends], ends)
+    ]
+    return monos, split, l
+
+
+def _evaluations(
+    polys: Sequence[ParamPolynomial],
+    split: _Split,
+    valuations: Iterable[Mapping[str, GaussianRational]],
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """The polynomials at each valuation, as their values' Gaussian-integer
+    parts over one positive denominator, (re, im, den); no GaussianRational
+    is built.  Through the split sum of mu * C_mu over L: a valuation is
+    scaled to Gaussian integers over one d, each monomial's value is lifted
+    to d**(top - degree), top the largest degree, and added times C_mu into
+    the values, over L * d**top.  MissingParameter names what the first
+    polynomial lacking a value lacks, in the first incomplete valuation.
+    Lazy: one valuation is evaluated at a time."""
+    monos, cs, l = split
     names = sorted({v for mono in monos for v in mono})
     top = len(monos[-1]) if monos else 0
     for assignment in valuations:
         try:
             given = [assignment[v] for v in names]
         except KeyError:
-            for p in m.entries:
+            for p in polys:
                 missing = [v for v in p.variables() if v not in assignment]
                 if missing:
                     raise MissingParameter(missing) from None
         (given_re, given_im), d = _scaled(given)
         values = dict(zip(names, zip(given_re, given_im or repeat(0))))
         lifts = [d ** (top - k) for k in range(top + 1)]
-        re, im = [0] * len(m.entries), [0] * len(m.entries)
-        for mono, (at, c_re, c_im) in zip(monos, split):
+        re, im = [0] * len(polys), [0] * len(polys)
+        for mono, (at, c_re, c_im) in zip(monos, cs):
             v_re, v_im = lifts[len(mono)], 0
             for var in mono:
                 x_re, x_im = values[var]
@@ -506,7 +472,17 @@ def _integer_forms(
                 for k, a, b in zip(at, c_re, c_im):
                     re[k] += a * v_re - b * v_im
                     im[k] += a * v_im + b * v_re
-        yield _form(re, im if any(im) else None, l * lifts[0], m.cols)
+        yield re, im, l * lifts[0]
+
+
+def _integer_forms(
+    m: ParamMatrix, valuations: Sequence[Mapping[str, GaussianRational]]
+) -> Iterator[_IntegerForm]:
+    """m at each valuation in the integer form that matrices.residuals
+    multiplies (_evaluations of its entries).  Lazy: one form is made at a
+    time."""
+    for re, im, d in _evaluations(m.entries, m._split(), valuations):
+        yield _form(re, im if any(im) else None, d, m.cols)
 
 
 def _needs_parens(scalar_text: str) -> bool:

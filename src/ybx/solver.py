@@ -56,9 +56,8 @@ from .jordan import (
 )
 from .matrices import ExactMatrix, _chain_width, _conjugates, _exact, _first_residual
 from .matrices import _integer_form, block_diag, residuals
-from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction
-from .polynomials import _Coefficients, _coefficients, _evaluate, _integer_forms, _polynomial
-from .polynomials import _substitute
+from .polynomials import ParamMatrix, ParamPolynomial, RationalFunction, _evaluations
+from .polynomials import _integer_forms, _polynomial, _split, _substitute
 from .scalars import ZERO, GaussianRational, _over, as_gaussian
 
 JORDAN_FRAME = "jordan"
@@ -101,9 +100,22 @@ class SolutionBranch:
     residual_system: tuple[ParamPolynomial, ...]
     free_parameters: tuple[str, ...]
     reason: str = field(default="", compare=False)
+    # the side conditions, then the assignments' denominators, then their
+    # numerators, and their split by monomial, made on first use and kept:
+    # a branch is evaluated once per draw
+    _split_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def assignment_map(self) -> dict[str, RationalFunction]:
         return dict(self.assignments)
+
+    def _split(self) -> tuple[list[ParamPolynomial], tuple]:
+        """(side conditions, then denominators, then numerators, their split)."""
+        if self._split_cache is None:
+            rfs = [rf for _, rf in self.assignments]
+            polys = [*self.disequalities, *(rf.denominator for rf in rfs)]
+            polys += [rf.numerator for rf in rfs]
+            object.__setattr__(self, "_split_cache", (polys, _split(polys)))
+        return self._split_cache
 
     def is_fully_solved(self) -> bool:
         return not self.residual_system
@@ -676,28 +688,13 @@ def branch_values(
     """Full parameter valuation for a branch at the given free values.
 
     Checks the free parameters are exactly covered, side conditions hold, and
-    evaluates the branch assignments, all in one evaluation over the free
-    values.  Raises MissingParameter or DisequalityViolated accordingly: the
-    first violated side condition, else the first vanishing denominator.
+    evaluates the branch assignments.  Its side conditions, denominators and
+    numerators are evaluated together, through the branch's split
+    (polynomials._evaluations), over one denominator, so each assigned value
+    is a quotient of Gaussian integers.  Raises MissingParameter or
+    DisequalityViolated accordingly: the first violated side condition, else
+    the first vanishing denominator.
     """
-    return _branch_values(branch, assignment, _branch_polynomials(branch))
-
-
-def _branch_polynomials(branch: SolutionBranch) -> list[_Coefficients]:
-    """The branch's side conditions, then its assignments' denominators and
-    numerators, scaled as _evaluate takes them: once for all of its draws."""
-    rfs = [rf for _, rf in branch.assignments]
-    polys = [*branch.disequalities, *(rf.denominator for rf in rfs), *(rf.numerator for rf in rfs)]
-    return list(map(_coefficients, polys))
-
-
-def _branch_values(
-    branch: SolutionBranch,
-    assignment: Mapping[str, GaussianRational],
-    scaled: Sequence[_Coefficients],
-) -> dict[str, GaussianRational]:
-    """branch_values with the branch's polynomials already scaled
-    (_branch_polynomials)."""
     free = set(branch.free_parameters)
     given = set(assignment)
     missing = sorted(free - given)
@@ -707,21 +704,18 @@ def _branch_values(
     if extra:
         raise ValueError(f"unknown parameters for this branch: {', '.join(extra)}")
     values = {name: as_gaussian(v) for name, v in assignment.items()}
-    # lazy, so a violated condition or a zero denominator stops it; it reads
-    # the free values on its first step, before any assigned value is added
-    results = _evaluate(scaled, values)
-    for condition, (re, im, _) in zip(branch.disequalities, results):
-        if not (re or im):
-            raise DisequalityViolated(str(condition))
-    denominators = [next(results) for _ in branch.assignments]
-    for (_, rf), (re, im, _) in zip(branch.assignments, denominators):
-        if not (re or im):
-            raise DisequalityViolated(str(rf.denominator))
-    for (name, _), (d_re, d_im, d) in zip(branch.assignments, denominators):
-        # (re + i*im)/n divided by (d_re + i*d_im)/d, in integers
-        re, im, n = next(results)
+    polys, split = branch._split()
+    ((re, im, _),) = _evaluations(polys, split, [values])
+    c, a = len(branch.disequalities), len(branch.assignments)
+    for p, part_re, part_im in zip(polys[: c + a], re, im):
+        if not (part_re or part_im):
+            raise DisequalityViolated(str(p))
+    for (name, _), d_re, d_im, n_re, n_im in zip(
+        branch.assignments, re[c : c + a], im[c : c + a], re[c + a :], im[c + a :]
+    ):
+        # numerator over denominator, both over one denominator that cancels
         norm = d_re * d_re + d_im * d_im
-        values[name] = _over((re * d_re + im * d_im) * d, (im * d_re - re * d_im) * d, n * norm)
+        values[name] = _over(n_re * d_re + n_im * d_im, n_im * d_re - n_re * d_im, norm)
     return values
 
 

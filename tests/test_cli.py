@@ -266,6 +266,11 @@ def test_sample_error_exit_codes(tmp_path, shift3_problem):
         ({"assignments": {"x": "0"}}, ["x=5", "y=1"], "branch 0 both assigns and frees: x"),
         ({"free_parameters": ["y"]}, ["y=1"], "branch 0 neither assigns nor frees: x"),
         ({"free_parameters": ["y"]}, ["x=5", "y=1"], "branch 0 neither assigns nor frees: x"),
+        (
+            {"assignments": {"x": "z"}, "free_parameters": ["y"]},
+            ["y=1"],
+            "branch 0 uses names it does not free: z",
+        ),
     ],
 )
 def test_sample_rejects_inconsistent_branch(

@@ -18,8 +18,6 @@ from ybx.polynomials import (
     ParamMatrix,
     ParamPolynomial,
     RationalFunction,
-    _coefficients,
-    _evaluate,
     _integer_forms,
     _split_top_level,
     _substitute,
@@ -553,20 +551,9 @@ def test_param_matrix_evaluate_matches_entrywise_reference(m, assignment):
 
 
 def integer_forms_reference(m: ParamMatrix, valuations) -> list[ExactMatrix]:
-    """Each entry on its own through _evaluate, then every entry over the lcm
-    of their denominators: the reference for _integer_forms."""
-    polys = [_coefficients(p) for p in m.entries]
-    forms = []
-    for assignment in valuations:
-        values = [next(_evaluate([p], assignment)) for p in polys]
-        d = math.lcm(*(den for _, _, den in values))
-        rows = [
-            ([re * (d // den) for re, _, den in values[i : i + m.cols]],
-             [im * (d // den) for _, im, den in values[i : i + m.cols]])
-            for i in range(0, len(values), m.cols)
-        ]
-        forms.append(_exact(rows, d))
-    return forms
+    """Each valuation entry by entry, term by term (matrix_evaluate_reference):
+    the reference for _integer_forms."""
+    return [matrix_evaluate_reference(m, assignment) for assignment in valuations]
 
 
 def _through_the_split(m: ParamMatrix, valuations) -> list[ExactMatrix]:

@@ -41,8 +41,6 @@ from ybx.solver import (
     _RULES,
     SolutionBranch,
     SolutionFamily,
-    _branch_polynomials,
-    _branch_values,
     _entering,
     branch_matrix,
     branch_satisfied_by,
@@ -1278,32 +1276,53 @@ def test_branch_values_reports_the_first_violated_condition_then_a_vanishing_den
         branch_values(branch, {"y": g(2)})
 
 
-def _values_or_message(fn, *args):
+def _values_or_message(branch, draw):
     try:
-        return fn(*args)
+        return branch_values(branch, draw)
     except DisequalityViolated as exc:
         return str(exc)
 
 
+def _values_by_substitution(branch, draw):
+    """branch_values by exact substitution of the draw's constant values:
+    the first vanishing side condition, else the first vanishing
+    denominator, in DisequalityViolated's words, or the full valuation."""
+    constants = {
+        name: RationalFunction.from_polynomial(ParamPolynomial.constant(value))
+        for name, value in draw.items()
+    }
+
+    def at(p):
+        return p.substitute_rational(constants).numerator.constant_value()
+
+    for p in [*branch.disequalities, *(rf.denominator for _, rf in branch.assignments)]:
+        if not at(p):
+            return str(DisequalityViolated(str(p)))
+    assigned = {name: at(rf.numerator) / at(rf.denominator) for name, rf in branch.assignments}
+    return {**draw, **assigned}
+
+
 @pytest.mark.parametrize("which", ["4.2", "2,2,2,2"])
-def test_prescaled_branch_values_match_branch_values(which, nilpotent_branches):
-    # the branch's polynomials scaled once serve every draw: the same
-    # valuation, or the same violated side condition or denominator
+def test_branch_values_match_exact_substitution(which, nilpotent_branches):
+    # the same valuation, or the same violated side condition or denominator
     if which == "4.2":
         branches = solve(similarity_from_problem(example_42_problem())).branches
     else:
         branches = nilpotent_branches((2, 2, 2, 2))
     violated = 0
     for index, branch in enumerate(branches):
-        scaled = _branch_polynomials(branch)
         rng = random.Random(f"prescaled:{which}:{index}")
         draws = [{name: random_gaussian(rng) for name in branch.free_parameters} for _ in range(3)]
         # each free name at 0 in turn, so that draws land on side conditions
         draws += [{**draws[0], name: GaussianRational(0)} for name in branch.free_parameters]
         for draw in draws:
-            expected = _values_or_message(branch_values, branch, draw)
-            assert _values_or_message(_branch_values, branch, draw, scaled) == expected
+            expected = _values_by_substitution(branch, draw)
+            assert _values_or_message(branch, draw) == expected
             violated += isinstance(expected, str)
+        # the split kept from the evaluation takes no part in eq, hash or repr
+        fresh = dataclasses.replace(branch)
+        assert branch._split_cache is not None and fresh._split_cache is None
+        assert branch == fresh and hash(branch) == hash(fresh) and repr(branch) == repr(fresh)
     assert violated
 
 
