@@ -47,8 +47,8 @@ class JordanBlockSpec:
     size: int
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"block size must be >= 1, got {self.size}")
+        if type(self.size) is not int or self.size < 1:
+            raise ValueError(f"block size must be an int >= 1, got {self.size!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,13 +67,13 @@ class JordanSpec:
             seen.add(eig)
             if not sizes:
                 raise ValueError(f"eigenvalue {eig} has no block sizes")
-            if any(s < 1 for s in sizes):
-                raise ValueError(f"eigenvalue {eig} has a block of size < 1")
+            if any(type(s) is not int or s < 1 for s in sizes):
+                raise ValueError(f"eigenvalue {eig} has a size that is not an int >= 1: {sizes}")
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple]) -> "JordanSpec":
         """Build from (eigenvalue, sizes) pairs; eigenvalues may be int/str/Fraction."""
-        return cls(tuple((as_gaussian(e), tuple(int(s) for s in sizes)) for e, sizes in pairs))
+        return cls(tuple((as_gaussian(e), tuple(sizes)) for e, sizes in pairs))
 
     @property
     def n(self) -> int:

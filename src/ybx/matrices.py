@@ -16,12 +16,13 @@ ParamMatrix (polynomials.py) is the other Grid.
 
 Products work in integers, in one kernel that mat_mul, residuals and
 _conjugates share (_products): each factor is scaled to Gaussian integers
-over a common denominator (per row or column in mat_mul, per matrix in the
-others; residuals chains its products without dividing), and each row of the right
-factor is packed into one Python int per part (_pack), its entries signed
-digits of s bits (Kronecker substitution, or Q-adic packing).  A row of
-the product is then k multiply-adds of those ints by the row's entries,
-in big-int arithmetic, instead of one dot product per entry.
+over one common denominator for the whole matrix (_integer_form, read back
+by _exact; residuals chains its products without dividing), and each row
+of the right factor is packed into one Python int per part (_pack), its
+entries signed digits of s bits (Kronecker substitution, or Q-adic
+packing).  A row of the product is then k multiply-adds of those ints by
+the row's entries, in big-int arithmetic, instead of one dot product per
+entry.
 The width comes from an exact bound (_slot): with |re| + |im| < 2**b on
 each side, a part of an entry of a sum of two products is below
 2k * 2**(bl + br), so s = bl + br + (2k).bit_length() + 1 holds it as a
@@ -194,16 +195,16 @@ class RrefResult(NamedTuple):
     pivot_columns: tuple[int, ...]
 
 
-def _scaled(vector: Sequence[GaussianRational]) -> tuple[_IntVector, int]:
-    """((re, im), d) with vector = (re + i*im) / d entrywise, d the lcm of the
-    part denominators; im is None when every imaginary part is zero."""
-    if any(x.im for x in vector):
-        d = lcm(*[x.re.denominator for x in vector], *[x.im.denominator for x in vector])
-        im = [x.im.numerator * (d // x.im.denominator) for x in vector]
+def _scaled(entries: Sequence[GaussianRational]) -> tuple[_IntVector, int]:
+    """((re, im), d) with entries = (re + i*im) / d entrywise, d the lcm of
+    the part denominators; im is None when every imaginary part is zero."""
+    if any(x.im for x in entries):
+        d = lcm(*[x.re.denominator for x in entries], *[x.im.denominator for x in entries])
+        im = [x.im.numerator * (d // x.im.denominator) for x in entries]
     else:
-        d = lcm(*[x.re.denominator for x in vector])
+        d = lcm(*[x.re.denominator for x in entries])
         im = None
-    return ([x.re.numerator * (d // x.re.denominator) for x in vector], im), d
+    return ([x.re.numerator * (d // x.re.denominator) for x in entries], im), d
 
 
 def _bits(rows: list[_IntVector]) -> int:
@@ -294,18 +295,9 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Exact matrix product; raises DimensionMismatch on shape conflict."""
     if a.cols != b.rows:
         raise DimensionMismatch("mat_mul", a.shape, b.shape)
-    a_rows = [_scaled(a.row(i)) for i in range(a.rows)]
-    b_cols = [_scaled(b.col(j)) for j in range(b.cols)]
-    left = [v for v, _ in a_rows]
-    # the rows of b with each column scaled by its own denominator
-    re, im = zip(*(v for v, _ in b_cols))
-    zeros = [0] * b.rows
-    right = list(zip(zip(*re), zip(*(i or zeros for i in im)) if any(im) else repeat(None)))
+    (left, da), (right, db) = _integer_form(a), _integer_form(b)
     s = _slot(_bits(left) + _bits(right), a.cols)
-    rows = _rows(_products(left, _pack(right, s)), s, b.cols)
-    dens = (da * db for _, da in a_rows for _, db in b_cols)
-    entries = tuple(_over(re, im, d) for (re, im), d in zip(_pairs(rows), dens))
-    return ExactMatrix(a.rows, b.cols, entries)
+    return _exact(_rows(_products(left, _pack(right, s)), s, b.cols), da * db)
 
 
 def _conjugates(

@@ -161,7 +161,7 @@ def grid_enumerate_solutions(
     # candidate's integer form is the sum of one of these per element
     (re, im), d = _scaled([c * x for e in basis for c in values for x in e.entries])
     size, n = j.rows * j.cols, len(values)
-    multiples = [(re[t : t + size], im and im[t : t + size]) for t in range(0, len(re), size)]
+    multiples, _ = _form(re, im, d, size)
     # a candidate's entries are sums of dim of the multiples' entries, so
     # one width for the multiples with dim.bit_length() bits more holds all
     a, zero, solutions = _integer_form(j), [0] * size, []

@@ -169,9 +169,9 @@ def build_constraint_system(
     Solutions of the system are exactly the template instances that solve
     the quadratic matrix equation.
     """
-    if not j0_sizes or any(s < 1 for s in j0_sizes):
-        raise ValueError("need at least one nilpotent block of positive size")
-    sizes = tuple(int(s) for s in j0_sizes)
+    sizes = tuple(j0_sizes)
+    if not sizes or any(type(s) is not int or s < 1 for s in sizes):
+        raise ValueError(f"need at least one nilpotent block, of positive int sizes, got {sizes}")
     spec = JordanSpec(((as_gaussian(0), sizes),))
     basis = anticommutant_basis(spec, spec)
     n0 = spec.n
@@ -757,10 +757,14 @@ def branch_satisfied_by(
     branch: SolutionBranch, values: Mapping[str, GaussianRational]
 ) -> bool:
     """Whether a full parameter valuation lies in this branch's stratum: branch_values
-    at its free coordinates (MissingParameter if one is missing) succeeds, gives
-    its assigned values and zeroes the residual system."""
+    at its free coordinates succeeds, gives its assigned values and zeroes the
+    residual system.  MissingParameter names every free or assigned name the
+    valuation lacks."""
+    missing = sorted({*branch.free_parameters, *(n for n, _ in branch.assignments)} - set(values))
+    if missing:
+        raise MissingParameter(missing)
     try:
-        full = branch_values(branch, {n: values[n] for n in branch.free_parameters if n in values})
+        full = branch_values(branch, {n: values[n] for n in branch.free_parameters})
     except DisequalityViolated:
         return False
     return all(full[name] == values[name] for name, _ in branch.assignments) and not any(

@@ -199,13 +199,23 @@ def rng() -> random.Random:
 
 
 @pytest.fixture(scope="session")
-def nilpotent_branches():
-    """sizes -> solve's branches for the nilpotent Jordan matrix with those
+def nilpotent_families():
+    """sizes -> solve's family for the nilpotent Jordan matrix with those
     block sizes, each partition solved once a session (the census and the
     certifier share them)."""
 
     @functools.cache
+    def family(sizes: tuple[int, ...]) -> SolutionFamily:
+        return solve(similarity_from_jordan(JordanSpec(((GaussianRational(0), sizes),))))
+
+    return family
+
+
+@pytest.fixture(scope="session")
+def nilpotent_branches(nilpotent_families):
+    """sizes -> the branches of nilpotent_families(sizes)."""
+
     def branches(sizes: tuple[int, ...]) -> tuple[SolutionBranch, ...]:
-        return solve(similarity_from_jordan(JordanSpec(((GaussianRational(0), sizes),)))).branches
+        return nilpotent_families(sizes).branches
 
     return branches

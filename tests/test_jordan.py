@@ -3,6 +3,7 @@ import pytest
 from ybx.bundled import example_41_matrix, example_41_spec, example_41_w
 from ybx.errors import IncompleteSpectrum, NotAnEigenvalue, SimilarityMismatch, SingularMatrix
 from ybx.jordan import (
+    JordanBlockSpec,
     JordanSpec,
     assemble_jordan,
     jordan_form,
@@ -59,6 +60,17 @@ def test_spec_validation():
         JordanSpec.from_pairs([(0, [0])])
     with pytest.raises(ValueError):
         JordanSpec(())
+
+
+@pytest.mark.parametrize("size", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_spec_rejects_a_size_that_is_not_an_int(size):
+    # refused, not truncated: 2.5 would otherwise be 2, True 1 and "3" 3
+    with pytest.raises(ValueError, match="not an int"):
+        JordanSpec.from_pairs([(0, (size, 1))])
+    with pytest.raises(ValueError, match="not an int"):
+        JordanSpec(((GaussianRational(0), (size,)),))
+    with pytest.raises(ValueError, match="an int >= 1"):
+        JordanBlockSpec(GaussianRational(0), size)
 
 
 def test_assemble_structure_random(rng):

@@ -192,6 +192,13 @@ def test_single_block_family_rejects_nonpositive_size(n):
         single_block_family(n)
 
 
+@pytest.mark.parametrize("sizes", [(2.9, 2), (True, 2), ("3",)], ids=["float", "bool", "str"])
+def test_build_constraint_system_rejects_a_size_that_is_not_an_int(sizes):
+    # refused, not truncated: (2.9, 2) would otherwise solve (2, 2)
+    with pytest.raises(ValueError, match="positive int sizes"):
+        build_constraint_system(sizes)
+
+
 def brute_force_solutions(n, values):
     j = jordan_block(0, n)
     found = []
@@ -1244,6 +1251,10 @@ def test_branch_satisfied_by_agrees_with_branch_values_on_a_vanishing_denominato
     assert not branch_satisfied_by(branch, {"x": g(3), "y": g(4), "z": g(2)})
     with pytest.raises(MissingParameter):
         branch_satisfied_by(branch, {"x": g(5), "y": g(0)})
+    # an assigned name missing from the valuation is named too
+    with pytest.raises(MissingParameter) as caught:
+        branch_satisfied_by(branch, {"y": g(4), "z": g(2)})
+    assert caught.value.names == ("x",)
 
 
 def test_branch_values_reports_the_first_violated_condition_then_a_vanishing_denominator():
