@@ -193,11 +193,13 @@ def validate_similarity(
 def jordan_form(a: ExactMatrix, eigenvalues: Sequence) -> SimilarityData:
     """Exact Jordan decomposition from a complete distinct-eigenvalue list.
 
-    For each eigenvalue the ranks of (A - lam*I)^k determine the block sizes,
-    and generalized-eigenvector chains are grown top-down: chain tops are
-    chosen from null-space bases at the highest power, extended greedily by
-    the first candidates independent of the lower kernel plus the vectors
-    carried down from longer chains, then propagated with (A - lam*I).
+    For each eigenvalue the kernels of (A - lam*I)^k are taken until they
+    stop growing, and generalized-eigenvector chains are grown top-down:
+    len(kernels[k]) - len(kernels[k-1]) chains reach level k, and those not
+    carried down from longer chains start there, at the first vectors of
+    the kernel basis independent of the lower kernel and the carried ones,
+    then propagated with (A - lam*I).  The chains are the columns of W and
+    their lengths the block sizes.
 
     Raises NotAnEigenvalue for a spurious value and IncompleteSpectrum if the
     generalized eigenspaces do not fill the whole space.  The result is in
@@ -211,31 +213,21 @@ def jordan_form(a: ExactMatrix, eigenvalues: Sequence) -> SimilarityData:
         raise ValueError("eigenvalue list contains duplicates")
 
     identity = ExactMatrix.identity(n)
-    per_eig: list[tuple[GaussianRational, list[list[ExactMatrix]], list[int]]] = []
-    covered = 0
+    columns: list[tuple[GaussianRational, ...]] = []
+    groups = []
     for lam in eigs:
         m = a - identity * lam
-        ranks = [n]
-        power = identity
-        kernels: list[list[ExactMatrix]] = [[]]
-        while True:
+        power, kernels = m, [[], null_space_basis(m)]
+        if not kernels[1]:
+            raise NotAnEigenvalue(lam)
+        while len(kernels[-1]) > len(kernels[-2]):  # at most n times
             power = mat_mul(power, m)
             kernels.append(null_space_basis(power))
-            ranks.append(n - len(kernels[-1]))
-            if ranks[-1] == ranks[-2]:
-                break
-            if len(ranks) > n + 1:
-                raise RuntimeError("rank sequence failed to stabilize")
-        if ranks[1] == n:
-            raise NotAnEigenvalue(lam)
-        index = len(ranks) - 2
-        blocks_ge = [ranks[k - 1] - ranks[k] for k in range(1, index + 1)]
-        covered += sum(blocks_ge)
 
         chains: list[list[tuple[GaussianRational, ...]]] = []
-        for k in range(index, 0, -1):
+        for k in range(len(kernels) - 2, 0, -1):
             span = RowSpan([v.col(0) for v in kernels[k - 1]] + [c[k - 1] for c in chains])
-            needed = blocks_ge[k - 1] - len(chains)
+            needed = len(kernels[k]) - len(kernels[k - 1]) - len(chains)
             for cand in kernels[k]:
                 if needed == 0:
                     break
@@ -249,17 +241,11 @@ def jordan_form(a: ExactMatrix, eigenvalues: Sequence) -> SimilarityData:
                     needed -= 1
             if needed:
                 raise RuntimeError(f"could not complete chains for eigenvalue {lam}")
-        per_eig.append((lam, chains, [len(c) for c in chains]))
+        groups.append((lam, tuple(map(len, chains))))
+        columns += (v for c in chains for v in c)
 
-    if covered != n:
-        raise IncompleteSpectrum(covered, n)
-
-    columns: list[tuple[GaussianRational, ...]] = []
-    groups = []
-    for lam, chains, sizes in per_eig:
-        groups.append((lam, tuple(sizes)))
-        for chain in chains:
-            columns.extend(chain)
+    if len(columns) != n:
+        raise IncompleteSpectrum(len(columns), n)
     spec = JordanSpec(tuple(groups))
     w = ExactMatrix.from_rows([[columns[j][i] for j in range(n)] for i in range(n)])
     try:

@@ -52,10 +52,11 @@ Spans have one kernel, RowSpan, which works entry by entry on Fractions
 and keeps its rows in reduced row echelon form: each row is 1 at its own
 pivot and 0 at every other row's pivot.  rref and null_space_basis read
 their answers off those rows.  mat_inverse runs fraction-free on the
-integer form instead: Bareiss's Gauss-Jordan on [W' | I] over Z[i], with
-the same pivot rule, keeps every entry a Gaussian integer (each update
-divides exactly by the pivot before), and makes one GaussianRational per
-entry of the inverse at the end.
+integer form W' = R + iS instead, in one loop over ordinary integers:
+Bareiss's Gauss-Jordan, with the same pivot rule, on [R | I] when W' is
+real and on its real form [[R, -S], [S, R] | I; 0] otherwise, keeps every
+entry an integer (each update divides exactly by the pivot before), and
+makes one GaussianRational per entry of the inverse at the end.
 """
 
 from __future__ import annotations
@@ -462,68 +463,46 @@ def null_space_basis(m: ExactMatrix) -> list[ExactMatrix]:
 def mat_inverse(m: ExactMatrix) -> ExactMatrix:
     """Exact inverse; raises SingularMatrix (carrying the rank) if none exists.
 
-    Fraction-free Gauss-Jordan (Bareiss) on [W' | I] over Z[i], W' the
-    integer form of m over d.  A column's pivot is its first nonzero entry
-    in a row not yet pivoted, swapped up when needed.  Every other row
-    becomes (p*x - f*y) / prev, with p the pivot, f the row's entry in the
-    column, y the pivot row and prev the pivot before; each entry is then a
-    minor of [W' | I] (Sylvester's identity), so the division is exact.  A
-    column leaves the rows once it is eliminated.  After the last pivot D
-    the left part is D * I and the rows hold D * W'^-1, so the inverse is
-    d * row / D, made over a positive int for _over: over |D| with D's
-    sign when D is real, else times conj(D) over |D|**2.  im is None while
-    every row is real, and then the elimination computes nothing for it."""
+    Fraction-free Gauss-Jordan (Bareiss) in integers on W' = R + iS, the
+    integer form of m over d: on [R | I] when S = 0, else on the real form
+    [[R, -S], [S, R] | I; 0], as W'(X + iY) = I exactly when RX - SY = I
+    and SX + RY = 0; its rank is twice W''s.  A column's pivot is its first
+    nonzero entry in a row not yet pivoted, swapped up when needed.  Every
+    other row becomes (p*x - f*y) // prev, with p the pivot, f the row's
+    entry in the column, y the pivot row and prev the pivot before; each
+    entry is then a minor (Sylvester's identity), so the division is exact.
+    A column leaves the rows once it is eliminated.  After the last pivot D
+    the rows hold D * X, then D * Y unless S = 0, and the inverse is
+    d * (X + iY), read back over |D| with D's sign."""
     if not m.is_square():
         raise NotSquare("mat_inverse", m.shape)
     n = m.rows
     form, d = _integer_form(m)
-    zeros = [0] * n
-    re = [r + [int(i == j) for j in range(n)] for i, (r, _) in enumerate(form)]
-    im = None
+    rows = [r for r, _ in form]
     if any(q is not None for _, q in form):
-        im = [(q or zeros) + zeros for _, q in form]
-    rank, pr, pi = 0, 1, 0  # the pivot before, pr + i*pi
-    for _ in range(n):
-        i = next((i for i in range(rank, n) if re[i][0] or im and im[i][0]), None)
+        s = [q or [0] * n for _, q in form]
+        rows = [r + [-x for x in q] for r, q in zip(rows, s)] + [q + r for r, q in zip(rows, s)]
+    size = len(rows)
+    rows = [r + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    rank, prev = 0, 1
+    for _ in range(size):
+        i = next((i for i in range(rank, size) if rows[i][0]), None)
         if i is None:  # no pivot in this column: m is singular; count on
-            re, im = [r[1:] for r in re], im and [q[1:] for q in im]
+            rows = [r[1:] for r in rows]
             continue
-        re[rank], re[i] = re[i], re[rank]
-        p, yr = re[rank][0], re[rank][1:]
-        if im is None:
-            for k in range(n):
-                if k != rank:
-                    f = re[k][0]
-                    re[k] = [(p * x - f * y) // pr for x, y in zip(re[k][1:], yr)]
-            re[rank], pr = yr, p
-        else:
-            im[rank], im[i] = im[i], im[rank]
-            q, yi = im[rank][0], im[rank][1:]
-            norm = pr * pr + pi * pi
-            for k in range(n):
-                if k != rank:
-                    fr, fi = re[k][0], im[k][0]
-                    # (p + iq)x - (fr + i*fi)y, then times conj(prev) over |prev|**2
-                    num = [
-                        (p * a - q * b - fr * c + fi * e, p * b + q * a - fr * e - fi * c)
-                        for a, b, c, e in zip(re[k][1:], im[k][1:], yr, yi)
-                    ]
-                    re[k] = [(u * pr + v * pi) // norm for u, v in num]
-                    im[k] = [(v * pr - u * pi) // norm for u, v in num]
-            re[rank], im[rank], pr, pi = yr, yi, p, q
+        rows[rank], rows[i] = rows[i], rows[rank]
+        p, y = rows[rank][0], rows[rank][1:]
+        for k in range(size):
+            if k != rank:
+                f = rows[k][0]
+                rows[k] = [(p * a - f * b) // prev for a, b in zip(rows[k][1:], y)]
+        rows[rank], prev = y, p
         rank += 1
-    if rank < n:
-        raise SingularMatrix(rank, n)
-    if pi:  # d * conj(D) over |D|**2
-        den, cr, ci = pr * pr + pi * pi, d * pr, -d * pi
-    else:  # d * sign(D) over |D|
-        den, cr, ci = abs(pr), -d if pr < 0 else d, 0
-    entries = (
-        _over(cr * x - ci * y, cr * y + ci * x, den)
-        for r, s in zip(re, im or repeat(zeros))
-        for x, y in zip(r, s)
-    )
-    return ExactMatrix(n, n, tuple(entries))
+    if rank < size:
+        raise SingularMatrix(rank * n // size, n)
+    c = -d if prev < 0 else d  # d * sign(D), over |D|
+    halves = zip(rows, rows[n:] or repeat(None))  # the rows of D * X and of D * Y
+    return _exact([([c * a for a in x], y and [c * b for b in y]) for x, y in halves], abs(prev))
 
 
 class RowSpan:

@@ -251,8 +251,10 @@ def branches_agree(
     is sampled `trials` times and the values must satisfy the other branch;
     any miss means the strata differ.  The shipped commands pair branches
     exactly with branch_within; this is kept as the acceptance suite's
-    randomized cross-check.
+    randomized cross-check.  trials < 1 is refused (ValueError).
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     for tag, (src, dst) in enumerate(((left, right), (right, left))):
         for trial in range(trials):
             rng = random.Random(f"{seed}:{tag}:{trial}")
@@ -280,10 +282,12 @@ def verify_family_membership(
     Each draw's values come from branch_values, through the split of the
     side conditions and assignments that its branch makes once and keeps;
     the template is evaluated at all the other draws in one call, to
-    integer forms, and j is scaled and packed once, at one digit
-    width that holds every draw's residual chain.  The first failure, in
-    (branch, trial) order, is reported as a counterexample.
+    integer forms, and j is scaled and packed once, at one digit width that
+    holds every draw's residual chain.  The first failure, in (branch,
+    trial) order, is reported as a counterexample; trials < 1 is a ValueError.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     if j.shape != (family.n, family.n):
         raise DimensionMismatch("verify_family_membership", j.shape, (family.n, family.n))
     planned = len(family.branches) * trials

@@ -167,11 +167,9 @@ def build_constraint_system(
     row-major order.  Each entry is summed from the template's signed names
     with Python-int coefficients and made one GaussianRational per term.
     Solutions of the system are exactly the template instances that solve
-    the quadratic matrix equation.
+    the quadratic matrix equation.  JordanSpec checks the sizes (ValueError).
     """
     sizes = tuple(j0_sizes)
-    if not sizes or any(type(s) is not int or s < 1 for s in sizes):
-        raise ValueError(f"need at least one nilpotent block, of positive int sizes, got {sizes}")
     spec = JordanSpec(((as_gaussian(0), sizes),))
     basis = anticommutant_basis(spec, spec)
     n0 = spec.n
@@ -719,6 +717,13 @@ def branch_values(
     return values
 
 
+def _branch(family: SolutionFamily, branch_index: int) -> SolutionBranch:
+    """The branch at branch_index, from 0 only: IndexError names the range."""
+    if not 0 <= branch_index < len(family.branches):
+        raise IndexError(f"branch index {branch_index} is not in 0..{len(family.branches) - 1}")
+    return family.branches[branch_index]
+
+
 def sample(
     family: SolutionFamily,
     branch_index: int,
@@ -730,9 +735,10 @@ def sample(
     and to satisfy the quadratic equation, on the template's integer form;
     residual-system entries, if any, must evaluate to zero.  Raises
     MissingParameter, DisequalityViolated, or ResidualNonzero, which names
-    the first nonzero entry of A X + X A, else of A X A - X A X.
+    the first nonzero entry of A X + X A, else of A X A - X A X, and
+    IndexError for a branch_index out of range.
     """
-    branch = family.branches[branch_index]
+    branch = _branch(family, branch_index)
     values = branch_values(branch, assignment)
     for leftover in branch.residual_system:
         if leftover.evaluate(values):
@@ -749,7 +755,7 @@ def sample(
 
 def branch_matrix(family: SolutionFamily, branch_index: int) -> list[list[RationalFunction]]:
     """The template with one branch's assignments substituted symbolically."""
-    branch = family.branches[branch_index]
+    branch = _branch(family, branch_index)
     return family.template.substitute_rational(branch.assignment_map())
 
 

@@ -69,9 +69,10 @@ def test_problem_shape_validation():
         problem_from_json([1, 2])
 
 
-@pytest.mark.parametrize("sizes", [[True, 2], [3, True]])
+@pytest.mark.parametrize("sizes", [[True, 2], [3, True], [2.5], [], ["3"]])
 def test_problem_rejects_bool_block_size(sizes):
-    # bool is an int subclass: [true, 2] would load as sizes (1, 2)
+    # bool is an int subclass: [true, 2] would load as sizes (1, 2); JordanSpec
+    # refuses every size that is not an int >= 1, and an empty list
     with pytest.raises(ParseError):
         problem_from_json({"jordan": [{"eigenvalue": "0", "sizes": sizes}]})
 

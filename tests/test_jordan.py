@@ -167,8 +167,9 @@ def test_jordan_form_not_an_eigenvalue():
 
 def test_jordan_form_incomplete_spectrum():
     a = assemble_jordan(JordanSpec.from_pairs([(0, [2]), (1, [1])]))
-    with pytest.raises(IncompleteSpectrum):
+    with pytest.raises(IncompleteSpectrum) as err:
         jordan_form(a, [0])
+    assert (err.value.covered, err.value.size) == (2, 3)
 
 
 def test_jordan_form_duplicate_eigenvalues_rejected():

@@ -692,8 +692,14 @@ def check_inverse_against_textbook(m: ExactMatrix) -> None:
         [["1+1i", "2"], ["-1i", "3-2i"]],  # Gaussian pivots throughout
         [["2i", "0"], ["0", "3"]],  # det 6i
         [["1/2", "1/3i"], ["-2/5", "1+1i"]],  # Gaussian det over a common denominator
+        # a Gaussian W = R + iS is eliminated as its real form [[R, -S], [S, R]]:
+        [["1i", "0", "0"], ["0", "1i", "0"], ["0", "0", "1i"]],  # R = 0, pivots from S
+        [["1+1i", "0"], ["0", "1i"]],  # R singular, W invertible
     ],
-    ids=["neg-det", "neg-pivot", "gaussian-det", "gaussian-pivots", "imaginary-det", "rational-gaussian"],
+    ids=[
+        "neg-det", "neg-pivot", "gaussian-det", "gaussian-pivots", "imaginary-det",
+        "rational-gaussian", "pivots-from-S", "singular-real-part",
+    ],
 )
 def test_inverse_with_negative_and_gaussian_determinants(rows):
     m = ExactMatrix.from_rows(rows)
@@ -713,6 +719,14 @@ def test_inverse_with_negative_and_gaussian_determinants(rows):
 )
 def test_inverse_swaps_past_a_zero_pivot(rows):
     check_inverse_against_textbook(ExactMatrix.from_rows(rows))
+
+
+def test_inverse_of_a_singular_gaussian_matrix_with_an_invertible_real_part():
+    # R = [[1, 0], [0, -1]] has full rank, but W = [[1, i], [i, -1]] has rank
+    # 1: its real form [[R, -S], [S, R]] has rank 2, reported as half of it
+    m = ExactMatrix.from_rows([["1", "1i"], ["1i", "-1"]])
+    assert textbook_inverse(m) == (1, None)
+    check_inverse_against_textbook(m)
 
 
 def test_inverse_of_the_smallest_matrices():

@@ -170,6 +170,18 @@ def test_membership_detects_corruption():
     assert report.counterexample is not None
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_membership_and_branch_agreement_refuse_fewer_than_one_trial(trials):
+    # trials=0 would report a match without checking anything, and trials=-1
+    # a negative planned count
+    family = single_block_family(3)
+    with pytest.raises(ValueError, match="at least one trial"):
+        verify_family_membership(family, family.matrix, trials, seed=1)
+    branch = family.branches[0]
+    with pytest.raises(ValueError, match="at least one trial"):
+        branches_agree(branch, branch, trials, seed=1)
+
+
 def test_membership_deterministic():
     family = single_block_family(4)
     first = verify_family_membership(family, family.matrix, 10, seed=11)

@@ -72,6 +72,17 @@ def test_residual_ybe_trivial_cases(rng):
     assert residual_ybe(a, a).is_zero()
 
 
+@pytest.mark.parametrize("index", [-1, 1])
+def test_sample_and_branch_matrix_refuse_a_branch_index_out_of_range(index):
+    # a negative index is not read from the end, as a list would
+    family = single_block_family(3)
+    assert len(family.branches) == 1
+    with pytest.raises(IndexError, match=r"0\.\.0"):
+        sample(family, index, {})
+    with pytest.raises(IndexError, match=r"0\.\.0"):
+        branch_matrix(family, index)
+
+
 def test_residual_ybe_example_41_at_33_0():
     sim = bundled_sim_41()
     family = to_original(solve(sim), sim)
@@ -195,7 +206,7 @@ def test_single_block_family_rejects_nonpositive_size(n):
 @pytest.mark.parametrize("sizes", [(2.9, 2), (True, 2), ("3",)], ids=["float", "bool", "str"])
 def test_build_constraint_system_rejects_a_size_that_is_not_an_int(sizes):
     # refused, not truncated: (2.9, 2) would otherwise solve (2, 2)
-    with pytest.raises(ValueError, match="positive int sizes"):
+    with pytest.raises(ValueError, match="not an int >= 1"):
         build_constraint_system(sizes)
 
 
