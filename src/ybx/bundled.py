@@ -18,7 +18,7 @@ from .formats import ProblemInput
 from .jordan import JordanSpec
 from .matrices import ExactMatrix
 from .polynomials import ParamMatrix, ParamPolynomial, parse_polynomial, parse_rational_function
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _over
 from .solver import SolutionBranch
 
 # -- example 4.1 ------------------------------------------------------------
@@ -100,17 +100,12 @@ def example_41_problem_jw() -> ProblemInput:
 
 def example_41_golden_template() -> ParamMatrix:
     """The expected original-coordinates template, entries (cx*x + cy*y)/33."""
-    x = ParamPolynomial.variable("x")
-    y = ParamPolynomial.variable("y")
-    rows = []
-    for rx, ry in zip(_B41_X33, _B41_Y33):
-        row = []
-        for cx, cy in zip(rx, ry):
-            row.append(
-                x * GaussianRational(Fraction(cx, 33)) + y * GaussianRational(Fraction(cy, 33))
-            )
-        rows.append(row)
-    return ParamMatrix.from_rows(rows)
+    entries = (
+        ParamPolynomial.from_dict({("x",): _over(cx, 0, 33), ("y",): _over(cy, 0, 33)})
+        for rx, ry in zip(_B41_X33, _B41_Y33)
+        for cx, cy in zip(rx, ry)
+    )
+    return ParamMatrix(8, 8, tuple(entries))
 
 
 # -- example 4.2 ------------------------------------------------------------

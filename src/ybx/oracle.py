@@ -37,7 +37,7 @@ from .matrices import ExactMatrix, RowSpan, _chain_width, _exact, _first_residua
 from .matrices import _integer_form, _scaled, null_space_basis
 from .polynomials import ParamPolynomial, _integer_forms, _substitute
 from .scalars import ZERO, GaussianRational, _make, as_gaussian
-from .solver import SolutionBranch, SolutionFamily, branch_satisfied_by, branch_values
+from .solver import SolutionBranch, SolutionFamily, _branch_point, branch_satisfied_by
 
 _GRID_DIMENSION_LIMIT = 6
 _GRID_POINT_LIMIT = 10**6
@@ -233,10 +233,16 @@ def random_branch_values(
 ) -> dict[str, GaussianRational] | None:
     """A random full valuation lying in the branch, or None when every draw
     hits a side condition (degenerate at this sampling grid)."""
+    point = _random_point(branch, rng)
+    return None if point is None else point[0]
+
+
+def _random_point(branch: SolutionBranch, rng: random.Random) -> tuple | None:
+    """random_branch_values as a solver._branch_point: (values, residual not zero there)."""
     for _ in range(_REDRAW_LIMIT):
         candidate = {name: random_gaussian(rng) for name in branch.free_parameters}
         try:
-            return branch_values(branch, candidate)
+            return _branch_point(branch, candidate)
         except DisequalityViolated:
             continue
     return None
@@ -258,12 +264,10 @@ def branches_agree(
     for tag, (src, dst) in enumerate(((left, right), (right, left))):
         for trial in range(trials):
             rng = random.Random(f"{seed}:{tag}:{trial}")
-            values = random_branch_values(src, rng)
-            if values is None:
+            point = _random_point(src, rng)
+            if point is None or point[1] is not None:
                 continue
-            if any(poly.evaluate(values) for poly in src.residual_system):
-                continue
-            if not branch_satisfied_by(dst, values):
+            if not branch_satisfied_by(dst, point[0]):
                 return False
     return True
 
@@ -279,8 +283,8 @@ def verify_family_membership(
     degenerate-at-grid, not a failure), and checks both residuals of the
     instantiated matrix against j.  A draw that misses a branch's residual
     system checks nothing; it counts as completed and in residual_skipped.
-    Each draw's values come from branch_values, through the split of the
-    side conditions and assignments that its branch makes once and keeps;
+    Each draw's values and residual system come from one evaluation of the
+    split that its branch makes once and keeps (solver._branch_point);
     the template is evaluated at all the other draws in one call, to
     integer forms, and j is scaled and packed once, at one digit width that
     holds every draw's residual chain.  The first failure, in (branch,
@@ -296,14 +300,14 @@ def verify_family_membership(
     for branch_index, branch in enumerate(family.branches):
         for trial in range(trials):
             rng = random.Random(f"{seed}:{branch_index}:{trial}")
-            values = random_branch_values(branch, rng)
-            if values is None:
+            point = _random_point(branch, rng)
+            if point is None:
                 completed += 1  # degenerate at this grid; not a failure
-            elif any(poly.evaluate(values) for poly in branch.residual_system):
+            elif point[1] is not None:
                 completed += 1  # draw misses the unresolved constraints; skip
                 residual_skipped += 1
             else:
-                draws.append(values)
+                draws.append(point[0])
     counterexample = None
     a, forms = _integer_form(j), list(_integer_forms(family.template, draws))
     width = _chain_width(a, forms)

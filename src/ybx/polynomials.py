@@ -28,11 +28,13 @@ _integer_forms shapes the values into the rows that matrices.residuals
 multiplies, evaluate_all makes matrices of those forms, and
 solver.to_original conjugates the same C_mu (matrices._conjugates).
 ParamPolynomial.evaluate is the split of a one-element list, made per call,
-and scalars._over makes its value.
-RationalFunction is a normalized pair, numerator over monic denominator,
-with no field arithmetic: it is made, substituted as a value, renamed and
-printed.  ParamMatrix is a Grid (matrices.py) of polynomials and adds only
-variables, its split, substitute, substitute_rational, evaluate and
+and scalars._over makes its value.  A rename relabels monomials, with no
+substitution: names are mapped and re-sorted, and coefficients add only
+where two monomials meet.  RationalFunction is a normalized pair, numerator
+over monic denominator, with no field arithmetic: it is made, substituted as
+a value, renamed and printed.  ParamMatrix is a Grid (matrices.py) of
+polynomials and adds only variables, its split, substitute and
+substitute_rational (one _substitute over all entries), evaluate and
 evaluate_all; it has no matrix product.
 
 Text syntax (used by the file formats): terms ``coef*p1*p2`` joined by ``+``
@@ -202,11 +204,14 @@ class ParamPolynomial:
         return tuple(content), ParamPolynomial(tuple(quotient))
 
     def substitute(self, mapping: Mapping[str, "ParamPolynomial"]) -> "ParamPolynomial":
-        rational = {var: RationalFunction.from_polynomial(p) for var, p in mapping.items()}
-        return self.substitute_rational(rational).numerator
+        return ParamMatrix(1, 1, (self,)).substitute(mapping).entries[0]
 
     def rename(self, mapping: Mapping[str, str]) -> "ParamPolynomial":
-        return self.substitute({old: ParamPolynomial.variable(new) for old, new in mapping.items()})
+        acc: dict[Monomial, GaussianRational] = {}
+        for mono, c in self.terms:
+            mono = tuple(sorted(mapping.get(v, v) for v in mono))
+            acc[mono] = acc[mono] + c if mono in acc else c
+        return ParamPolynomial.from_dict(acc)
 
     def substitute_rational(
         self, mapping: Mapping[str, "RationalFunction"]
@@ -390,7 +395,9 @@ class ParamMatrix(Grid):
         return self._split_cache
 
     def substitute(self, mapping: Mapping[str, ParamPolynomial]) -> "ParamMatrix":
-        return ParamMatrix(self.rows, self.cols, tuple(p.substitute(mapping) for p in self.entries))
+        rational = {var: RationalFunction.from_polynomial(p) for var, p in mapping.items()}
+        entries = tuple(rf.numerator for rf in _substitute(self.entries, rational))
+        return ParamMatrix(self.rows, self.cols, entries)
 
     def substitute_rational(
         self, mapping: Mapping[str, RationalFunction]

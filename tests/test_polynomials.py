@@ -1081,3 +1081,74 @@ def test_to_original_matches_the_reference_conjugation():
         assert got.variables() == family.template.variables()
         for p in got.entries:
             _assert_canonical(p)
+
+
+# rename relabels monomials; the substitution route is its reference
+
+
+def _rename_by_substitution(p: ParamPolynomial, mapping) -> ParamPolynomial:
+    return p.substitute({old: ParamPolynomial.variable(new) for old, new in mapping.items()})
+
+
+_RENAMES = (
+    {"x": "y", "y": "x"},  # a swap
+    {"x": "y"},  # a merge onto a name already present
+    {"x": "z", "z": "w"},  # a chain, onto a name not present
+    {"y": "a"},  # a name that sorts first
+)
+
+
+@given(seeds, st.sampled_from(_RENAMES))
+def test_rename_matches_the_substitution_route(rng, mapping):
+    p = random_poly(rng, NAMES, terms=6, degree=3)
+    assert p.rename(mapping) == _rename_by_substitution(p, mapping)
+
+
+@given(seeds)
+def test_rename_drops_a_merge_that_cancels(rng):
+    # r*x - r*y + s, with r and s free of x and y: x -> y leaves s
+    r, s = random_poly(rng, ("z", "w")), random_poly(rng, ("z", "w"))
+    p = r * X - r * Y + s
+    assert p.rename({"x": "y"}) == _rename_by_substitution(p, {"x": "y"}) == s
+
+
+def _rational_outcome(make):
+    try:
+        return make()
+    except ZeroDivisionError:
+        return "zero denominator"
+
+
+@given(seeds, st.sampled_from(_RENAMES))
+def test_rational_rename_matches_the_substitution_route(rng, mapping):
+    rf = RationalFunction.make(random_poly(rng, NAMES, 3), _draw_nonzero_poly(rng))
+    expected = _rational_outcome(
+        lambda: RationalFunction.make(
+            _rename_by_substitution(rf.numerator, mapping),
+            _rename_by_substitution(rf.denominator, mapping),
+        )
+    )
+    assert _rational_outcome(lambda: rf.rename(mapping)) == expected
+
+
+def test_rational_rename_makes_a_new_leading_term_monic():
+    # 3*x + y is monic in y; with y -> a the leading term is 3*x
+    rf = RationalFunction.make(X + ONE, 3 * X + Y)
+    renamed = rf.rename({"y": "a"})
+    assert renamed == RationalFunction.make(
+        _rename_by_substitution(rf.numerator, {"y": "a"}),
+        _rename_by_substitution(rf.denominator, {"y": "a"}),
+    )
+    assert format_rational_function(renamed) == "(1/3+1/3*x)/(1/3*a+x)"
+
+
+def test_rename_runs_no_substitution(monkeypatch):
+    import ybx.polynomials
+
+    def refuse(polys, mapping):
+        raise AssertionError("rename ran a substitution")
+
+    monkeypatch.setattr(ybx.polynomials, "_substitute", refuse)
+    assert (X * Y + Y).rename({"x": "y"}) == parse_polynomial("y+y*y")
+    # make divides by the leading coefficient only: no common factor cancels
+    assert format_rational_function(RationalFunction.make(X, 2 * Y).rename({"y": "x"})) == "(1/2*x)/(x)"

@@ -1523,3 +1523,85 @@ def test_branch_state_keeps_the_names_of_its_side_conditions():
     half = ParamPolynomial.constant(GaussianRational(Fraction(1, 2)))
     assert child.knows_nonzero((x - half) * z)
     assert not child.knows_nonzero(x * y)
+
+
+def _branch_renamed_by_substitution(branch: SolutionBranch, mapping) -> SolutionBranch:
+    """SolutionBranch.rename through polynomial substitution, its reference."""
+    variables = {old: ParamPolynomial.variable(new) for old, new in mapping.items()}
+
+    def sub(p):
+        return p.substitute(variables)
+
+    assignments = (
+        (mapping.get(n, n), RationalFunction.make(sub(rf.numerator), sub(rf.denominator)))
+        for n, rf in branch.assignments
+    )
+    return SolutionBranch(
+        tuple(sorted(assignments)),
+        tuple(map(sub, branch.disequalities)),
+        tuple(map(sub, branch.residual_system)),
+        tuple(mapping.get(n, n) for n in branch.free_parameters),
+        branch.reason,
+    )
+
+
+@pytest.mark.parametrize("depth_limit", [8, 1])
+def test_branch_rename_matches_the_substitution_route(depth_limit):
+    # the names in reverse order, so that leading terms and assignment order change
+    template, system = build_constraint_system((2, 2, 2, 2))
+    names = template.variables()
+    mapping = {name: f"p{len(names) - i:02d}" for i, name in enumerate(names)}
+    weights = constraint_weights((2, 2, 2, 2), names)
+    branches = solve_branches(system, depth_limit, parameters=names, weights=weights)
+    assert depth_limit == 8 or any(b.reason for b in branches)
+    for branch in branches:
+        renamed = branch.rename(mapping)
+        expected = _branch_renamed_by_substitution(branch, mapping)
+        assert renamed == expected and renamed.reason == expected.reason
+
+
+def _golden_41_by_arithmetic() -> ParamMatrix:
+    """example_41_golden_template as x*c + y*c arithmetic, its reference."""
+    import ybx.bundled as bundled
+
+    x, y = ParamPolynomial.variable("x"), ParamPolynomial.variable("y")
+    return ParamMatrix.from_rows(
+        [
+            [
+                x * GaussianRational(Fraction(cx, 33)) + y * GaussianRational(Fraction(cy, 33))
+                for cx, cy in zip(rx, ry)
+            ]
+            for rx, ry in zip(bundled._B41_X33, bundled._B41_Y33)
+        ]
+    )
+
+
+@pytest.mark.parametrize("zeroed", [None, ("_B41_X33", 0, 0), ("_B41_Y33", 1, 1)])
+def test_example_41_golden_template_matches_the_arithmetic_build(zeroed, monkeypatch):
+    import ybx.bundled as bundled
+
+    if zeroed is not None:  # an entry with only its y, or only its x, term
+        table, i, j = zeroed
+        rows = [list(row) for row in getattr(bundled, table)]
+        rows[i][j] = 0
+        monkeypatch.setattr(bundled, table, rows)
+    golden, expected = example_41_golden_template(), _golden_41_by_arithmetic()
+    assert golden == expected
+    assert [str(p) for p in golden.entries] == [str(p) for p in expected.entries]
+
+
+def test_residual_system_is_read_from_the_branch_evaluation():
+    # depth 0 leaves (4, 3)'s whole system residual: each draw's first
+    # nonvanishing residual polynomial, as evaluated one by one
+    from ybx.solver import _branch_point
+
+    template, system = build_constraint_system((4, 3))
+    (branch,) = solve_branches(system, depth_limit=0, parameters=template.variables())
+    rng = random.Random("residual")
+    for trial in range(20):
+        values = {name: random_gaussian(rng) for name in branch.free_parameters}
+        if trial % 2:  # also draws on the residual variety
+            values = {name: v if rng.randrange(2) else GaussianRational(0) for name, v in values.items()}
+        full, leftover = _branch_point(branch, values)
+        assert full == branch_values(branch, values)
+        assert leftover == next((p for p in branch.residual_system if p.evaluate(full)), None)
