@@ -11,8 +11,7 @@ when t <= s) or flush top ([core ; 0] when t >= s), each row the negated
 right-shift of the one above.  The anticommutant of two matrices given by
 Jordan data has one basis element per pattern of each block pair with
 opposite eigenvalues: the pattern written at the pair's block offsets, zero
-elsewhere, with one named parameter per element, written once as names and
-signed cells (row, col, +-1) by _basis_cells.
+elsewhere, with one named parameter per element.
 
 Parameter names are part of the public contract: ``k{gi}_{bi}_{gj}_{bj}_{m}``
 where (gi, bi) are the 1-based group and in-group block positions on the left,
@@ -22,7 +21,6 @@ where (gi, bi) are the 1-based group and in-group block positions on the left,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .jordan import JordanSpec, SimilarityData
 from .matrices import ExactMatrix, mat_mul
@@ -67,22 +65,12 @@ def anticommutant_basis(u_spec: JordanSpec, v_spec: JordanSpec) -> Anticommutant
 
     Elements follow the layout order of the left block, then the right block,
     then m; the dimension is the sum of min(t, s) over block pairs with
-    opposite eigenvalues.  Each element is written from its cells in the
-    closed form of the module docstring (_basis_cells).
+    opposite eigenvalues.  Each element is written entry by entry from the
+    closed form in the module docstring.
     """
     n_u, n_v = u_spec.n, v_spec.n
-    elements, names = [], []
-    for name, cells in _basis_cells(u_spec, v_spec):
-        entries = [ZERO] * (n_u * n_v)
-        for row, col, sign in cells:
-            entries[row * n_v + col] = ONE if sign > 0 else MINUS_ONE
-        elements.append(ExactMatrix(n_u, n_v, tuple(entries)))
-        names.append(name)
-    return AnticommutantBasis(n_u, n_v, tuple(elements), tuple(names))
-
-
-def _basis_cells(u_spec: JordanSpec, v_spec: JordanSpec) -> Iterator[tuple[str, list]]:
-    """Each basis element's name and nonzero cells (row, col, +-1), in basis order."""
+    elements: list[ExactMatrix] = []
+    names: list[str] = []
     r_off = 0
     for gi, (lam, u_sizes) in enumerate(u_spec.groups, start=1):
         for bi, t in enumerate(u_sizes, start=1):
@@ -91,11 +79,15 @@ def _basis_cells(u_spec: JordanSpec, v_spec: JordanSpec) -> Iterator[tuple[str, 
                 for bj, s in enumerate(v_sizes, start=1):
                     r = 0 if lam + mu else min(t, s)
                     for m in range(1, r + 1):
-                        col = c_off + s - r + m - 1
-                        cells = [(r_off + i, col + i, (-1) ** i) for i in range(r - m + 1)]
-                        yield f"k{gi}_{bi}_{gj}_{bj}_{m}", cells
+                        entries = [ZERO] * (n_u * n_v)
+                        for i in range(r - m + 1):
+                            col = c_off + s - r + i + m - 1
+                            entries[(r_off + i) * n_v + col] = MINUS_ONE if i % 2 else ONE
+                        elements.append(ExactMatrix(n_u, n_v, tuple(entries)))
+                        names.append(f"k{gi}_{bi}_{gj}_{bj}_{m}")
                     c_off += s
             r_off += t
+    return AnticommutantBasis(n_u, n_v, tuple(elements), tuple(names))
 
 
 def anticommutant_in_original(left: SimilarityData, right: SimilarityData) -> AnticommutantBasis:

@@ -37,7 +37,7 @@ from .matrices import ExactMatrix, RowSpan, _chain_width, _exact, _first_residua
 from .matrices import _integer_form, _scaled, null_space_basis
 from .polynomials import ParamPolynomial, _integer_forms, _substitute
 from .scalars import ZERO, GaussianRational, _make, as_gaussian
-from .solver import SolutionBranch, SolutionFamily, _branch_point, branch_satisfied_by
+from .solver import SolutionBranch, SolutionFamily, _leftover, branch_satisfied_by, branch_values
 
 _GRID_DIMENSION_LIMIT = 6
 _GRID_POINT_LIMIT = 10**6
@@ -233,16 +233,10 @@ def random_branch_values(
 ) -> dict[str, GaussianRational] | None:
     """A random full valuation lying in the branch, or None when every draw
     hits a side condition (degenerate at this sampling grid)."""
-    point = _random_point(branch, rng)
-    return None if point is None else point[0]
-
-
-def _random_point(branch: SolutionBranch, rng: random.Random) -> tuple | None:
-    """random_branch_values as a solver._branch_point: (values, residual not zero there)."""
     for _ in range(_REDRAW_LIMIT):
         candidate = {name: random_gaussian(rng) for name in branch.free_parameters}
         try:
-            return _branch_point(branch, candidate)
+            return branch_values(branch, candidate)
         except DisequalityViolated:
             continue
     return None
@@ -264,10 +258,10 @@ def branches_agree(
     for tag, (src, dst) in enumerate(((left, right), (right, left))):
         for trial in range(trials):
             rng = random.Random(f"{seed}:{tag}:{trial}")
-            point = _random_point(src, rng)
-            if point is None or point[1] is not None:
+            values = random_branch_values(src, rng)
+            if values is None or _leftover(src, values) is not None:
                 continue
-            if not branch_satisfied_by(dst, point[0]):
+            if not branch_satisfied_by(dst, values):
                 return False
     return True
 
@@ -283,8 +277,8 @@ def verify_family_membership(
     degenerate-at-grid, not a failure), and checks both residuals of the
     instantiated matrix against j.  A draw that misses a branch's residual
     system checks nothing; it counts as completed and in residual_skipped.
-    Each draw's values and residual system come from one evaluation of the
-    split that its branch makes once and keeps (solver._branch_point);
+    Each draw's values come from branch_values, and its residual system from
+    solver._leftover, through the splits that its branch makes once and keeps;
     the template is evaluated at all the other draws in one call, to
     integer forms, and j is scaled and packed once, at one digit width that
     holds every draw's residual chain.  The first failure, in (branch,
@@ -300,14 +294,14 @@ def verify_family_membership(
     for branch_index, branch in enumerate(family.branches):
         for trial in range(trials):
             rng = random.Random(f"{seed}:{branch_index}:{trial}")
-            point = _random_point(branch, rng)
-            if point is None:
+            values = random_branch_values(branch, rng)
+            if values is None:
                 completed += 1  # degenerate at this grid; not a failure
-            elif point[1] is not None:
+            elif _leftover(branch, values) is not None:
                 completed += 1  # draw misses the unresolved constraints; skip
                 residual_skipped += 1
             else:
-                draws.append(point[0])
+                draws.append(values)
     counterexample = None
     a, forms = _integer_form(j), list(_integer_forms(family.template, draws))
     width = _chain_width(a, forms)

@@ -204,7 +204,8 @@ class ParamPolynomial:
         return tuple(content), ParamPolynomial(tuple(quotient))
 
     def substitute(self, mapping: Mapping[str, "ParamPolynomial"]) -> "ParamPolynomial":
-        return ParamMatrix(1, 1, (self,)).substitute(mapping).entries[0]
+        rational = {var: RationalFunction.from_polynomial(p) for var, p in mapping.items()}
+        return self.substitute_rational(rational).numerator
 
     def rename(self, mapping: Mapping[str, str]) -> "ParamPolynomial":
         acc: dict[Monomial, GaussianRational] = {}

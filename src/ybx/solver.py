@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, pairwise, product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .anticommutant import _basis_cells
+from .anticommutant import anticommutant_basis
 from .errors import (
     DimensionMismatch,
     DisequalityViolated,
@@ -100,20 +100,23 @@ class SolutionBranch:
     residual_system: tuple[ParamPolynomial, ...]
     free_parameters: tuple[str, ...]
     reason: str = field(default="", compare=False)
-    # side conditions, assignment denominators and numerators, residual system
-    # (free names only) and their split: made on first use, kept for each draw
+    # the side conditions, then the assignments' denominators, then their
+    # numerators, and their split by monomial, then each residual polynomial's
+    # split, made on first use and kept: a branch is evaluated once per draw
     _split_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def assignment_map(self) -> dict[str, RationalFunction]:
         return dict(self.assignments)
 
-    def _split(self) -> tuple[list[ParamPolynomial], tuple]:
-        """(side conditions, denominators, numerators, residual system; their split)."""
+    def _split(self) -> tuple[list[ParamPolynomial], tuple, tuple]:
+        """(side conditions, then denominators, then numerators, their split,
+        each residual polynomial's split)."""
         if self._split_cache is None:
             rfs = [rf for _, rf in self.assignments]
             polys = [*self.disequalities, *(rf.denominator for rf in rfs)]
-            polys += [*(rf.numerator for rf in rfs), *self.residual_system]
-            object.__setattr__(self, "_split_cache", (polys, _split(polys)))
+            polys += [rf.numerator for rf in rfs]
+            cache = (polys, _split(polys), [_split([p]) for p in self.residual_system])
+            object.__setattr__(self, "_split_cache", cache)
         return self._split_cache
 
     def is_fully_solved(self) -> bool:
@@ -160,23 +163,25 @@ def build_constraint_system(
     """Linear template and quadratic constraint system for a nilpotent part.
 
     The template is the generic anticommutant member of the all-zero-eigenvalue
-    Jordan matrix with the given block sizes, written from the signed cells of
-    the anticommutant's closed form (anticommutant._basis_cells).  The system
-    collects the nonzero entries of template * (template - J0) * J0,
-    deduplicated in row-major order, each summed from the template's signed
-    names with Python-int coefficients, one GaussianRational per term.  Its
-    solutions are exactly the template instances that solve the quadratic
-    matrix equation.  JordanSpec checks the sizes (ValueError).
+    Jordan matrix with the given block sizes, written entry by entry from the
+    nonzero +-1 pattern entries of its basis elements.  The system collects
+    the nonzero entries of template * (template - J0) * J0, deduplicated in
+    row-major order.  Each entry is summed from the template's signed names
+    with Python-int coefficients and made one GaussianRational per term.
+    Solutions of the system are exactly the template instances that solve
+    the quadratic matrix equation.  JordanSpec checks the sizes (ValueError).
     """
     sizes = tuple(j0_sizes)
     spec = JordanSpec(((as_gaussian(0), sizes),))
+    basis = anticommutant_basis(spec, spec)
     n0 = spec.n
     entries = [ParamPolynomial.zero()] * (n0 * n0)
     signed: list[tuple[str, int] | None] = [None] * (n0 * n0)
-    for name, cells in _basis_cells(spec, spec):
-        for row, col, sign in cells:
-            entries[row * n0 + col] = ParamPolynomial((((name,), as_gaussian(sign)),))
-            signed[row * n0 + col] = (name, sign)
+    for name, element in zip(basis.parameter_names, basis.basis):
+        for idx, sign in enumerate(element.entries):
+            if sign:
+                entries[idx] = ParamPolynomial((((name,), sign),))
+                signed[idx] = (name, int(sign.re))
     template = ParamMatrix(n0, n0, tuple(entries))
     rows = [[(k, e) for k in range(n0) if (e := signed[i * n0 + k])] for i in range(n0)]
     # column j of M @ J0 is column j - 1 of M inside a block and zero in a
@@ -690,13 +695,6 @@ def branch_values(
     DisequalityViolated accordingly: the first violated side condition, else
     the first vanishing denominator.
     """
-    return _branch_point(branch, assignment)[0]
-
-
-def _branch_point(
-    branch: SolutionBranch, assignment: Mapping[str, GaussianRational]
-) -> tuple[dict[str, GaussianRational], ParamPolynomial | None]:
-    """branch_values and, from the same evaluation, the first residual polynomial not zero there."""
     free = set(branch.free_parameters)
     given = set(assignment)
     missing = sorted(free - given)
@@ -706,7 +704,7 @@ def _branch_point(
     if extra:
         raise ValueError(f"unknown parameters for this branch: {', '.join(extra)}")
     values = {name: as_gaussian(v) for name, v in assignment.items()}
-    polys, split = branch._split()
+    polys, split, _ = branch._split()
     ((re, im, _),) = _evaluations(polys, split, [values])
     c, a = len(branch.disequalities), len(branch.assignments)
     for p, part_re, part_im in zip(polys[: c + a], re, im):
@@ -718,8 +716,19 @@ def _branch_point(
         # numerator over denominator, both over one denominator that cancels
         norm = d_re * d_re + d_im * d_im
         values[name] = _over(n_re * d_re + n_im * d_im, n_im * d_re - n_re * d_im, norm)
-    rest = zip(polys[c + 2 * a :], re[c + 2 * a :], im[c + 2 * a :])
-    return values, next((p for p, part_re, part_im in rest if part_re or part_im), None)
+    return values
+
+
+def _leftover(
+    branch: SolutionBranch, values: Mapping[str, GaussianRational]
+) -> ParamPolynomial | None:
+    """The first residual polynomial not zero at values, each evaluated in
+    turn through the split that the branch keeps for it."""
+    for p, split in zip(branch.residual_system, branch._split()[2]):
+        ((re,), (im,), _) = next(_evaluations([p], split, [values]))
+        if re or im:
+            return p
+    return None
 
 
 def _branch(family: SolutionFamily, branch_index: int) -> SolutionBranch:
@@ -744,7 +753,8 @@ def sample(
     IndexError for a branch_index out of range.
     """
     branch = _branch(family, branch_index)
-    values, leftover = _branch_point(branch, assignment)
+    values = branch_values(branch, assignment)
+    leftover = _leftover(branch, values)
     if leftover is not None:
         raise ResidualNonzero(f"unresolved constraint {leftover}")
     (k,) = _integer_forms(family.template, [values])
@@ -774,7 +784,9 @@ def branch_satisfied_by(
     if missing:
         raise MissingParameter(missing)
     try:
-        full, leftover = _branch_point(branch, {n: values[n] for n in branch.free_parameters})
+        full = branch_values(branch, {n: values[n] for n in branch.free_parameters})
     except DisequalityViolated:
         return False
-    return leftover is None and all(full[name] == values[name] for name, _ in branch.assignments)
+    return all(full[name] == values[name] for name, _ in branch.assignments) and (
+        _leftover(branch, full) is None
+    )

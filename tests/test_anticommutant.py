@@ -1,7 +1,6 @@
 import pytest
 
 from ybx.anticommutant import (
-    _basis_cells,
     anticommutant_basis,
     anticommutant_in_original,
     pair_contributions,
@@ -107,26 +106,6 @@ def test_basis_exactness_random(rng):
         v = assemble_jordan(v_spec)
         for element in basis.basis:
             assert (mat_mul(u, element) + mat_mul(element, v)).is_zero()
-
-
-def test_basis_cells_are_each_elements_nonzero_entries(rng):
-    # the closed form's cells, one list per element in basis order, are the
-    # element's nonzero entries, each +-1, in row order
-    for _ in range(25):
-        u_spec = random_spec(rng, max_n=7)
-        v_spec = random_spec(rng, max_n=7)
-        basis = anticommutant_basis(u_spec, v_spec)
-        named = list(_basis_cells(u_spec, v_spec))
-        assert [name for name, _ in named] == list(basis.parameter_names)
-        for (_, cells), element in zip(named, basis.basis):
-            nonzero = [
-                (i, j, int(element[i, j].re))
-                for i in range(element.rows)
-                for j in range(element.cols)
-                if element[i, j]
-            ]
-            assert cells == nonzero
-            assert all(element[i, j] == GaussianRational(sign) for i, j, sign in cells)
 
 
 def test_nonzero_pair_coverage(rng):

@@ -1590,10 +1590,10 @@ def test_example_41_golden_template_matches_the_arithmetic_build(zeroed, monkeyp
     assert [str(p) for p in golden.entries] == [str(p) for p in expected.entries]
 
 
-def test_residual_system_is_read_from_the_branch_evaluation():
+def test_residual_system_is_read_through_the_kept_split():
     # depth 0 leaves (4, 3)'s whole system residual: each draw's first
     # nonvanishing residual polynomial, as evaluated one by one
-    from ybx.solver import _branch_point
+    from ybx.solver import _leftover
 
     template, system = build_constraint_system((4, 3))
     (branch,) = solve_branches(system, depth_limit=0, parameters=template.variables())
@@ -1602,6 +1602,6 @@ def test_residual_system_is_read_from_the_branch_evaluation():
         values = {name: random_gaussian(rng) for name in branch.free_parameters}
         if trial % 2:  # also draws on the residual variety
             values = {name: v if rng.randrange(2) else GaussianRational(0) for name, v in values.items()}
-        full, leftover = _branch_point(branch, values)
-        assert full == branch_values(branch, values)
+        full = branch_values(branch, values)
+        leftover = _leftover(branch, full)
         assert leftover == next((p for p in branch.residual_system if p.evaluate(full)), None)
